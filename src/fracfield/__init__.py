@@ -30,7 +30,8 @@ from .covariance import (CovarianceMatrix, SpaceTimePoint, conv_cov,
 from .det_solver import (DriftSpec, GridFunction, InitialData, PicardInfo,
                          PointGrid, drift_truncate, initial_term,
                          initial_term_grid, make_drift, make_initial_data,
-                         ode_oracle, picard_apply, solve_F)
+                         ode_oracle, picard_apply, solve_F,
+                         solve_replicates)
 from .errors import (MaxIterExceededError, NotPsdError, NumericalError,
                      QuadratureError)
 from .quasilinear import (LadderResult, SimulationConfig, SimulationResult,
@@ -99,6 +100,7 @@ __all__ = [
     "sample_field",
     "simulate",
     "solve_F",
+    "solve_replicates",
     "standard_normals",
     "time_kernel",
     "truncation_ladder_run",

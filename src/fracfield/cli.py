@@ -598,8 +598,10 @@ def _build_parser() -> _Parser:
                            help="number of replicates")
         if threads:
             p.add_argument("--threads", type=int,
-                           help=f"worker threads (default: "
-                                f"${_ENV_THREADS} or 1)")
+                           help=f"accepted for compatibility and recorded "
+                                f"in the manifest; replicates are solved "
+                                f"as one batch (default: ${_ENV_THREADS} "
+                                f"or 1)")
         if direction:
             p.add_argument("--direction", choices=["time", "space"])
             p.add_argument("--p", type=float, help="moment order")

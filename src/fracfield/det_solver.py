@@ -38,6 +38,7 @@ __all__ = [
     "initial_term_grid",
     "drift_truncate",
     "solve_F",
+    "solve_replicates",
     "picard_apply",
     "ode_oracle",
     "make_drift",
@@ -286,10 +287,6 @@ def _margin_cells(grid: PointGrid) -> int:
     return max(1, math.ceil(grid.horizon / grid.dx - 1e-9))
 
 
-def _extend(values: np.ndarray, mc: int) -> np.ndarray:
-    return np.pad(values, ((0, 0), (mc, mc)), mode="edge")
-
-
 def _heat_kernel_weights(dt: float, dx: float) -> np.ndarray:
     """One-step heat kernel sampled on the grid, unit discrete mass."""
     r = max(1, math.ceil(8.0 * math.sqrt(dt) / dx))
@@ -298,102 +295,105 @@ def _heat_kernel_weights(dt: float, dx: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _conv_edge(row: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _conv_edge(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Convolve each row with the stencil w, edge-padded, in one call.
+
+    The padded rows lie end to end; the outputs kept read one row each.
+    """
     r = (w.size - 1) // 2
-    return np.convolve(np.pad(row, r, mode="edge"), w, mode="valid")
+    n_rows, n = rows.shape
+    padded = np.pad(rows, ((0, 0), (r, r)), mode="edge")
+    flat = np.convolve(padded.ravel(), w, mode="valid")
+    return flat[np.arange(n_rows)[:, None] * (n + 2 * r) + np.arange(n)]
 
 
-def _picard_apply_heat(f: np.ndarray, eta: np.ndarray, dt: float,
-                       w: np.ndarray) -> np.ndarray:
-    """One application of eta + G * f for the heat kernel.
+def _convolve_heat(f: np.ndarray, dt: float, w: np.ndarray) -> np.ndarray:
+    """``G * f`` for the heat kernel on ``(R, n_t + 1, width)`` fields.
 
     Trapezoid in time composed with per-step spatial convolutions,
     evaluated by the semigroup recursion ``B_{i+1} = K * (B_i + c_i
     f_i)`` so each step costs one small-stencil convolution.
     """
-    n_t = f.shape[0] - 1
-    out = np.empty_like(f)
-    out[0] = eta[0]
-    b = np.zeros_like(f[0])
-    for i in range(1, n_t + 1):
+    out = np.zeros_like(f)
+    b = np.zeros_like(f[:, 0])
+    for i in range(1, f.shape[1]):
         c = 0.5 if i == 1 else 1.0
-        b = _conv_edge(b + c * f[i - 1], w)
-        out[i] = eta[i] + dt * (b + 0.5 * f[i])
+        b = _conv_edge(b + c * f[:, i - 1], w)
+        out[:, i] = dt * (b + 0.5 * f[:, i])
     return out
 
 
-def _shift_antidiag(d: np.ndarray) -> np.ndarray:
-    """Rows shifted right by their index: out[j, c] = d[j, c - j]."""
-    rows, cols = d.shape
-    out = np.zeros_like(d)
-    for j in range(rows):
-        if j < cols:
-            out[j, j:] = d[j, :cols - j]
+def _shift_rows(d: np.ndarray, sign: int) -> np.ndarray:
+    """Zero-filled row shifts: ``out[..., j, c] = d[..., j, c + sign * j]``."""
+    rows, cols = d.shape[-2:]
+    src = np.arange(cols) + sign * np.arange(rows)[:, None]
+    out = d[..., np.arange(rows)[:, None], np.clip(src, 0, cols - 1)]
+    out[..., (src < 0) | (src >= cols)] = 0.0
     return out
 
 
-def _shift_diag(d: np.ndarray) -> np.ndarray:
-    """Rows shifted left by their index: out[j, c] = d[j, c + j]."""
-    rows, cols = d.shape
-    out = np.zeros_like(d)
-    for j in range(rows):
-        if j < cols:
-            out[j, :cols - j] = d[j, j:]
-    return out
-
-
-def _picard_apply_wave(f: np.ndarray, eta: np.ndarray, dt: float,
-                       dx: float) -> np.ndarray:
-    """One application of eta + G * f for the wave kernel.
+def _convolve_wave(f: np.ndarray, dt: float, dx: float) -> np.ndarray:
+    """``G * f`` for the wave kernel on ``(R, n_t + 1, width)`` fields.
 
     The kernel is half the indicator of the light cone, so the update at
     node (i, l) is half the 2-D trapezoid of f over the cone of width
     ``i - j`` cells.  Running diagonal prefix sums turn the whole sweep
     into O(n_t * width) work instead of a per-pair window scan.
     """
-    n_t = f.shape[0] - 1
-    width = f.shape[1]
-    g = np.pad(f, ((0, 0), (n_t, n_t)), mode="edge")
-    d = np.concatenate([np.zeros((n_t + 1, 1)), np.cumsum(g, axis=1)], axis=1)
-    ad = np.cumsum(_shift_antidiag(d), axis=0)
-    dg = np.cumsum(_shift_diag(d), axis=0)
-    ga = np.cumsum(_shift_antidiag(g), axis=0)
-    gd = np.cumsum(_shift_diag(g), axis=0)
-    out = np.empty_like(f)
-    out[0] = eta[0]
-    for i in range(1, n_t + 1):
-        hi = slice(i + n_t + 1, i + n_t + 1 + width)
-        lo = slice(n_t - i, n_t - i + width)
-        hi_g = slice(i + n_t, i + n_t + width)
-        full = (ad[i - 1, hi] - dg[i - 1, lo]
-                - 0.5 * (ga[i - 1, hi_g] + gd[i - 1, lo]))
-        row0 = (d[0, hi] - d[0, lo]
-                - 0.5 * (g[0, hi_g] + g[0, lo]))
-        out[i] = eta[i] + 0.5 * dt * dx * (full - 0.5 * row0)
+    n_t = f.shape[1] - 1
+    g = np.pad(f, ((0, 0), (0, 0), (n_t, n_t)), mode="edge")
+    d = np.concatenate([np.zeros(g.shape[:2] + (1,)), np.cumsum(g, axis=2)],
+                       axis=2)
+    ad = np.cumsum(_shift_rows(d, -1), axis=1)
+    dg = np.cumsum(_shift_rows(d, 1), axis=1)
+    ga = np.cumsum(_shift_rows(g, -1), axis=1)
+    gd = np.cumsum(_shift_rows(g, 1), axis=1)
+    # Row i of the output reads row i - 1 of the running sums, over the
+    # cone's right (hi) and left (lo) edges.
+    i = np.arange(1, n_t + 1)[:, None]
+    cols = np.arange(f.shape[2])
+    prev, lo = i - 1, n_t - i + cols
+    hi, hi_g = i + n_t + 1 + cols, i + n_t + cols
+    full = (ad[:, prev, hi] - dg[:, prev, lo]
+            - 0.5 * (ga[:, prev, hi_g] + gd[:, prev, lo]))
+    row0 = (d[:, 0, hi] - d[:, 0, lo]
+            - 0.5 * (g[:, 0, hi_g] + g[:, 0, lo]))
+    out = np.zeros_like(f)
+    out[:, 1:] = 0.5 * dt * dx * (full - 0.5 * row0)
     return out
+
+
+def _picard_step(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
+                 z: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """One application ``eta + G * b(z)`` on ``(R, n_t + 1, n_x + 1)`` fields.
+
+    z is extended into the spatial margin by edge replication, the drift
+    applied and convolved there, and only the reported window returned.
+    """
+    mc = _margin_cells(grid)
+    f = np.asarray(drift(np.pad(z, ((0, 0), (0, 0), (mc, mc)), mode="edge")),
+                   dtype=float)
+    if eqn is EquationKind.HEAT:
+        conv = _convolve_heat(f, grid.dt,
+                              _heat_kernel_weights(grid.dt, grid.dx))
+    else:
+        conv = _convolve_wave(f, grid.dt, grid.dx)
+    return eta + conv[:, :, mc:mc + grid.n_x + 1]
 
 
 def picard_apply(eqn: EquationKind, drift: DriftSpec, z: GridFunction,
                  eta: GridFunction) -> GridFunction:
     """One fixed-point application ``eta + G * b(z)`` on the grid.
 
-    Both fields are extended into the spatial margin by edge replication
-    before convolving; only the reported window is returned.
+    z is extended into the spatial margin by edge replication before
+    convolving; only the reported window is returned.
     """
     grid = z.grid
     if eta.grid != grid:
         raise ValueError("z and eta must live on the same grid")
     _check_solvable(eqn, drift, grid)
-    mc = _margin_cells(grid)
-    z_int = _extend(z.values, mc)
-    eta_int = _extend(eta.values, mc)
-    f = np.asarray(drift(z_int), dtype=float)
-    if eqn is EquationKind.HEAT:
-        w = _heat_kernel_weights(grid.dt, grid.dx)
-        out = _picard_apply_heat(f, eta_int, grid.dt, w)
-    else:
-        out = _picard_apply_wave(f, eta_int, grid.dt, grid.dx)
-    return GridFunction(grid=grid, values=out[:, mc:mc + grid.n_x + 1])
+    out = _picard_step(eqn, drift, grid, z.values[None], eta.values[None])
+    return GridFunction(grid=grid, values=out[0])
 
 
 def _check_solvable(eqn: EquationKind, drift: DriftSpec,
@@ -415,6 +415,58 @@ def _contraction_ratio(eqn: EquationKind, lip: float, horizon: float,
     return lip * horizon / (n + 1)
 
 
+def _picard_solve(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
+                  eta: np.ndarray, z: np.ndarray, tol: float, max_iter: int,
+                  *, batch: bool) -> tuple:
+    """Iterate ``z <- eta + G * b(z)`` in place on ``(R, n_t + 1, n_x + 1)``.
+
+    A replicate leaves the active set at the iteration where its own
+    increment or certificate test passes, so it ends where its solo solve
+    would.  Returns one :class:`PicardInfo` per replicate.  Past
+    ``max_iter`` the error names the lowest-index replicate still active
+    when ``batch`` is set.
+    """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _check_solvable(eqn, drift, grid)
+    increments = np.zeros((max_iter, z.shape[0]))
+    iterations = np.full(z.shape[0], max_iter)
+    certified = np.zeros(z.shape[0], dtype=bool)
+    active = np.arange(z.shape[0])
+    for n in range(1, max_iter + 1):
+        z_old = z[active]
+        z_new = _picard_step(eqn, drift, grid, z_old, eta[active])
+        d = np.max(np.abs(z_new - z_old), axis=(1, 2))
+        z[active] = z_new
+        increments[n - 1, active] = d
+        done = d < tol
+        rho = _contraction_ratio(eqn, drift.lipschitz_constant,
+                                 grid.horizon, n)
+        if rho < 0.5:
+            cert = ~done & (d * rho / (1.0 - rho) < tol)
+            certified[active] = cert
+            done |= cert
+        iterations[active[done]] = n
+        active = active[~done]
+        if active.size == 0:
+            break
+    if active.size:
+        r = int(active[0])
+        last = float(increments[-1, r])
+        where = f"replicate {r}: " if batch else ""
+        raise MaxIterExceededError(
+            f"{where}fixed-point iteration did not reach tol={tol} within "
+            f"{max_iter} iterations (last increment {last:.3e})",
+            last_increment=last, iterations=max_iter,
+            replicate_index=r if batch else None)
+    return tuple(PicardInfo(iterations=int(k),
+                            increments=tuple(increments[:k, r].tolist()),
+                            converged=True, used_certificate=bool(c))
+                 for r, (k, c) in enumerate(zip(iterations, certified)))
+
+
 def solve_F(eqn: EquationKind, drift: DriftSpec, eta: GridFunction,
             *, tol: float = 1e-8, max_iter: int = 60,
             start: np.ndarray | None = None,
@@ -429,61 +481,29 @@ def solve_F(eqn: EquationKind, drift: DriftSpec, eta: GridFunction,
     another field of the same shape; the fixed point does not depend on
     it.  Raises :class:`MaxIterExceededError` past ``max_iter``.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    grid = eta.grid
-    _check_solvable(eqn, drift, grid)
-    mc = _margin_cells(grid)
-    eta_int = _extend(eta.values, mc)
-    rep = slice(mc, mc + grid.n_x + 1)
-    # Iterate restrict(apply(extend(z))) on reported fields, the exact
-    # operator picard_apply evaluates, so converged solutions leave a
-    # mild_residual at the tolerance scale.
-    if start is None:
-        z = eta.values.copy()
-    else:
-        z = np.asarray(start, dtype=float)
-        if z.shape != eta.values.shape:
-            raise ValueError(f"start shape {z.shape} does not match "
-                             f"eta shape {eta.values.shape}")
-        z = z.copy()
-    w = _heat_kernel_weights(grid.dt, grid.dx) \
-        if eqn is EquationKind.HEAT else None
-    lip = drift.lipschitz_constant
-    increments = []
-    converged = False
-    certified = False
-    for n in range(1, max_iter + 1):
-        f = np.asarray(drift(_extend(z, mc)), dtype=float)
-        if eqn is EquationKind.HEAT:
-            z_new = _picard_apply_heat(f, eta_int, grid.dt, w)[:, rep]
-        else:
-            z_new = _picard_apply_wave(f, eta_int, grid.dt, grid.dx)[:, rep]
-        d = float(np.max(np.abs(z_new - z)))
-        increments.append(d)
-        z = z_new
-        if d < tol:
-            converged = True
-            break
-        rho = _contraction_ratio(eqn, lip, grid.horizon, n)
-        if rho < 0.5 and d * rho / (1.0 - rho) < tol:
-            converged = True
-            certified = True
-            break
-    if not converged:
-        raise MaxIterExceededError(
-            f"fixed-point iteration did not reach tol={tol} within "
-            f"{max_iter} iterations (last increment {increments[-1]:.3e})",
-            last_increment=increments[-1], iterations=len(increments))
-    result = GridFunction(grid=grid, values=z)
-    if return_info:
-        info = PicardInfo(iterations=len(increments),
-                          increments=tuple(increments),
-                          converged=True, used_certificate=certified)
-        return result, info
-    return result
+    z = eta.values if start is None else np.asarray(start, dtype=float)
+    if z.shape != eta.values.shape:
+        raise ValueError(f"start shape {z.shape} does not match "
+                         f"eta shape {eta.values.shape}")
+    z = z[None].copy()
+    (info,) = _picard_solve(eqn, drift, eta.grid, eta.values[None], z,
+                            tol, max_iter, batch=False)
+    result = GridFunction(grid=eta.grid, values=z[0])
+    return (result, info) if return_info else result
+
+
+def solve_replicates(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
+                     eta_fields: np.ndarray, *, tol: float = 1e-8,
+                     max_iter: int = 60) -> tuple:
+    """:func:`solve_F` for a stack ``(R, n_t + 1, n_x + 1)`` of forcings.
+
+    Returns the solution fields and one :class:`PicardInfo` per
+    replicate, each equal to those of the solo solve.
+    """
+    eta = np.asarray(eta_fields, dtype=float)
+    z = eta.copy()
+    return z, _picard_solve(eqn, drift, grid, eta, z, tol, max_iter,
+                            batch=True)
 
 
 def ode_oracle(eqn: EquationKind, drift: DriftSpec, eta, horizon: float,

@@ -2,23 +2,22 @@
 
 Pipeline: build the exact covariance of the linear solution field on the
 reported grid, factor it, draw Gaussian replicates, add the initial-data
-term, and run the deterministic fixed-point solver per replicate.
-Replicates are independent CBRNG streams, so results are reproducible
-and byte-identical for any thread count.
+term, and solve the fixed-point equation for all replicates as one batch.
+Replicates are independent CBRNG streams, each solved as it would be
+alone, so results are byte-identical for any replicate count; the
+``threads`` argument is accepted for compatibility and selects nothing.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .covariance import cov_matrix
-from .det_solver import (DriftSpec, GridFunction, InitialData,
-                         drift_truncate, initial_term_grid,
-                         picard_apply, solve_F)
-from .errors import MaxIterExceededError
+from .det_solver import (DriftSpec, GridFunction, InitialData, PointGrid,
+                         drift_truncate, initial_term_grid, picard_apply,
+                         solve_replicates)
 from .sampler import factor_psd, sample_field
 from .spectral import DEFAULT_QUAD, EquationKind, HurstIndex, QuadratureSpec
 
@@ -112,41 +111,14 @@ def _noise_fields(config: SimulationConfig):
     return tuple(points), shaped, factor.jitter_used
 
 
-def _solve_replicates(config: SimulationConfig, drift: DriftSpec,
-                      eta_fields: np.ndarray, threads: int):
-    """Run the deterministic solver for each replicate, order-stable."""
-    grid = config.grid
-
-    def solve_one(index: int):
-        eta = GridFunction(grid=grid, values=eta_fields[index])
-        try:
-            return solve_F(config.eqn, drift, eta, tol=config.tol,
-                           max_iter=config.max_iter, return_info=True)
-        except MaxIterExceededError as exc:
-            raise MaxIterExceededError(
-                f"replicate {index}: {exc}",
-                last_increment=exc.last_increment,
-                iterations=exc.iterations,
-                replicate_index=index) from exc
-
-    indices = range(config.n_replicates)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(solve_one, indices))
-    else:
-        pairs = [solve_one(i) for i in indices]
-    fields = np.stack([gf.values for gf, _ in pairs])
-    infos = tuple(info for _, info in pairs)
-    return fields, infos
-
-
 def simulate(config: SimulationConfig, *, threads: int = 1) -> SimulationResult:
     """Simulate the quasi-linear equation on the configured grid.
 
     Returns the replicated solution fields with shape ``(n_replicates,
     n_t + 1, n_x + 1)``; ``noise`` holds the linear solution fields that
-    forced them.  The replicate loop may run on ``threads`` workers; the
-    output bytes do not depend on the thread count.
+    forced them.  All replicates are solved as one batch; ``threads`` is
+    accepted and validated for compatibility and does not change the
+    work or the output bytes.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -156,8 +128,9 @@ def simulate(config: SimulationConfig, *, threads: int = 1) -> SimulationResult:
     points, noise, jitter = _noise_fields(config)
     i0 = initial_term_grid(config.eqn, config.data, config.grid)
     eta_fields = noise + i0.values[None, :, :]
-    fields, infos = _solve_replicates(config, config.drift, eta_fields,
-                                      threads)
+    fields, infos = solve_replicates(
+        config.eqn, config.drift, config.grid, eta_fields,
+        tol=config.tol, max_iter=config.max_iter)
     return SimulationResult(config=config, points=points, noise=noise,
                             fields=fields, infos=infos, jitter_used=jitter)
 
@@ -183,7 +156,9 @@ def truncation_ladder_run(config: SimulationConfig, *,
     per_level = []
     for level in levels:
         drift_m = drift_truncate(config.drift, level)
-        fields, _ = _solve_replicates(config, drift_m, eta_fields, threads)
+        fields, _ = solve_replicates(
+            config.eqn, drift_m, config.grid, eta_fields,
+            tol=config.tol, max_iter=config.max_iter)
         per_level.append(fields)
     stacked = np.stack(per_level)
     ref = stacked[-1]

@@ -11,10 +11,12 @@ import math
 import numpy as np
 import pytest
 
+from fracfield import det_solver
 from fracfield import (DriftSpec, EquationKind, GridFunction, InitialData,
                        MaxIterExceededError, PointGrid, drift_truncate,
                        initial_term, initial_term_grid, make_drift,
-                       make_initial_data, ode_oracle, picard_apply, solve_F)
+                       make_initial_data, ode_oracle, picard_apply, solve_F,
+                       solve_replicates)
 
 HEAT = EquationKind.HEAT
 WAVE = EquationKind.WAVE
@@ -405,3 +407,59 @@ class TestSolveF:
                     const_field(g, 1.0), tol=1e-12, max_iter=1)
         assert exc_info.value.iterations == 1
         assert exc_info.value.last_increment > 1e-12
+
+
+class TestSolveReplicates:
+    def test_batch_failure_names_lowest_failing_replicate(self):
+        # Replicate 0 is a fixed point of tanh from the start; replicates
+        # 1 and 2 miss the budget, and the error reports replicate 1
+        # with the increment of its own solo solve.
+        g = heat_grid(n_t=20)
+        drift = make_drift("tanh_scaled", a=1.0)
+        etas = np.stack([const_field(g, v).values for v in (0.0, 1.0, 2.0)])
+        with pytest.raises(MaxIterExceededError) as batch:
+            solve_replicates(HEAT, drift, g, etas, tol=1e-12, max_iter=1)
+        with pytest.raises(MaxIterExceededError) as solo:
+            solve_F(HEAT, drift, const_field(g, 1.0), tol=1e-12, max_iter=1)
+        assert batch.value.replicate_index == 1
+        assert solo.value.replicate_index is None
+        assert batch.value.last_increment == solo.value.last_increment
+        assert batch.value.iterations == 1
+
+    def test_replicates_freeze_at_their_own_iteration(self):
+        # Forcings of different sizes need different iteration counts;
+        # each replicate must stop where its solo solve stops.
+        g = wave_grid(n_t=20, n_x=8)
+        drift = make_drift("tanh_scaled", a=1.0)
+        etas = np.stack([const_field(g, v).values
+                         for v in (0.0, 0.1, 1.0, 5.0)])
+        fields, infos = solve_replicates(WAVE, drift, g, etas)
+        assert len({info.iterations for info in infos}) > 1
+        for eta, field, info in zip(etas, fields, infos):
+            z, solo = solve_F(WAVE, drift, GridFunction(grid=g, values=eta),
+                              return_info=True)
+            assert np.array_equal(field, z.values)
+            assert info == solo
+
+
+class TestBatchedHelpers:
+    # Loop references for the vectorized row shifts and row convolution;
+    # the arithmetic is unchanged, so results must be equal.
+    @pytest.mark.parametrize("shape", [(2, 5, 9), (2, 9, 5)])
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_shift_rows_matches_loop(self, shape, sign):
+        d = np.random.default_rng(0).standard_normal(shape)
+        want = np.zeros_like(d)
+        for j in range(shape[1]):
+            for c in range(shape[2]):
+                if 0 <= c + sign * j < shape[2]:
+                    want[:, j, c] = d[:, j, c + sign * j]
+        assert np.array_equal(det_solver._shift_rows(d, sign), want)
+
+    def test_conv_edge_matches_per_row_convolution(self):
+        rows = np.random.default_rng(1).standard_normal((4, 11))
+        w = det_solver._heat_kernel_weights(0.25, 0.1)
+        r = (w.size - 1) // 2
+        want = np.stack([np.convolve(np.pad(row, r, mode="edge"), w,
+                                     mode="valid") for row in rows])
+        assert np.array_equal(det_solver._conv_edge(rows, w), want)

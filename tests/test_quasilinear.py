@@ -7,6 +7,7 @@ Lipschitz stability bound for perturbed forcing.
 """
 
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -78,6 +79,10 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             simulate(cfg, threads=0)
 
+    def test_type_hints_resolve(self):
+        hints = typing.get_type_hints(SimulationConfig)
+        assert hints["grid"] is PointGrid
+
 
 class TestSimulate:
     def test_zero_drift_is_additive(self):
@@ -104,6 +109,26 @@ class TestSimulate:
         threaded = simulate(cfg, threads=4)
         assert np.array_equal(serial.fields, threaded.fields)
         assert np.array_equal(serial.noise, threaded.noise)
+
+    @pytest.mark.parametrize("eqn", [WAVE, HEAT])
+    def test_replicates_equal_their_solo_solves(self, eqn):
+        cfg = small_config(eqn, make_drift("tanh_scaled", a=1.0))
+        res = simulate(cfg)
+        i0 = initial_term_grid(eqn, cfg.data, cfg.grid)
+        for r in range(cfg.n_replicates):
+            eta = GridFunction(grid=cfg.grid, values=res.noise[r] + i0.values)
+            z, info = solve_F(eqn, cfg.drift, eta, tol=cfg.tol,
+                              max_iter=cfg.max_iter, return_info=True)
+            assert np.array_equal(res.fields[r], z.values)
+            assert res.infos[r] == info
+
+    @pytest.mark.parametrize("eqn", [WAVE, HEAT])
+    def test_replicate_count_does_not_change_bytes(self, eqn):
+        drift = make_drift("tanh_scaled", a=1.0)
+        few = simulate(small_config(eqn, drift, n_replicates=3))
+        many = simulate(small_config(eqn, drift, n_replicates=7))
+        assert np.array_equal(few.fields, many.fields[:3])
+        assert few.infos == many.infos[:3]
 
     def test_solution_leaves_small_mild_residual(self):
         cfg = small_config(WAVE, make_drift("tanh_scaled", a=1.0))
