@@ -6,7 +6,7 @@ The package is organized bottom-up:
 * :mod:`fracfield.spectral` -- noise density, propagator multipliers,
   finiteness integrals and increment-bound constants;
 * :mod:`fracfield.covariance` -- exact second-order structure of the
-  linear solution via spectral quadrature;
+  linear solution in closed form;
 * :mod:`fracfield.sampler` -- reproducible Gaussian sampling from those
   covariances;
 * :mod:`fracfield.det_solver` -- deterministic fixed-point solver for the

@@ -242,9 +242,8 @@ def fit_hoelder(eqn: EquationKind, hurst, direction: Direction, *,
 
 def fit_hoelder_mc(eqn: EquationKind, hurst, direction: Direction, *,
                    p: float = 2.0, base_time: float = 1.0,
-                   base_pos: float = 0.0, lags=None,
-                   n_replicates: int = 2000, master_seed: int = 0,
-                   quad: QuadratureSpec = DEFAULT_QUAD) -> ExponentFit:
+                   base_pos: float = 0.0, lags=None, n_replicates: int = 2000,
+                   master_seed: int = 0) -> ExponentFit:
     """Monte Carlo variant of :func:`fit_hoelder` for cross-checking.
 
     Samples the field at the base point and its lagged companions, then
@@ -259,7 +258,7 @@ def fit_hoelder_mc(eqn: EquationKind, hurst, direction: Direction, *,
     lag_arr = _DEFAULT_LAGS if lags is None else tuple(float(v) for v in lags)
     pairs = _lag_pairs(direction, base_time, base_pos, lag_arr)
     points = [pairs[0][0]] + [b for _, b in pairs]
-    cov = cov_matrix(eqn, h, points, quad=quad)
+    cov = cov_matrix(eqn, h, points)
     sample = sample_field(factor_psd(cov), master_seed, n_replicates)
     base_col = sample.values[:, 0]
     moments = []
@@ -269,8 +268,8 @@ def fit_hoelder_mc(eqn: EquationKind, hurst, direction: Direction, *,
     return fit_power_law(lag_arr, moments)
 
 
-def h_convergence(eqn: EquationKind, hursts, reference, *, pairs=None,
-                  quad: QuadratureSpec = DEFAULT_QUAD) -> HContinuityResult:
+def h_convergence(eqn: EquationKind, hursts, reference, *,
+                  pairs=None) -> HContinuityResult:
     """Sup distance of covariances from those at a reference index.
 
     For each trial index the covariance is evaluated on a fixed set of
@@ -282,12 +281,10 @@ def h_convergence(eqn: EquationKind, hursts, reference, *, pairs=None,
     pair_list = tuple(pairs) if pairs is not None else DEFAULT_H_PAIRS
     if not pair_list:
         raise ValueError("need at least one evaluation pair")
-    ref_vals = np.asarray([conv_cov(eqn, ref, a, b, quad=quad)
-                           for a, b in pair_list])
+    ref_vals = np.asarray([conv_cov(eqn, ref, a, b) for a, b in pair_list])
     sups = np.empty(len(hs))
     for i, h in enumerate(hs):
-        vals = np.asarray([conv_cov(eqn, h, a, b, quad=quad)
-                           for a, b in pair_list])
+        vals = np.asarray([conv_cov(eqn, h, a, b) for a, b in pair_list])
         sups[i] = float(np.max(np.abs(vals - ref_vals)))
     return HContinuityResult(eqn=eqn, hursts=hs, reference=ref,
                              sups=sups, pairs=pair_list)
@@ -425,8 +422,7 @@ def verify_lemma_bound(kind: ShiftKind, eqn: EquationKind, alpha: float, *,
                        lhs_monotone=monotone)
 
 
-def marginal_distance(eqn: EquationKind, hurst_a, hurst_b, point, *,
-                      quad: QuadratureSpec = DEFAULT_QUAD) -> float:
+def marginal_distance(eqn: EquationKind, hurst_a, hurst_b, point) -> float:
     """Kolmogorov-Smirnov distance between one-point marginal laws.
 
     Both marginals are centered Gaussians, so the distance has a closed
@@ -434,8 +430,8 @@ def marginal_distance(eqn: EquationKind, hurst_a, hurst_b, point, *,
     at distance 0; a point mass against a non-degenerate law is at the
     sup-distance sentinel 1.
     """
-    va = conv_cov(eqn, _as_hurst(hurst_a), point, point, quad=quad)
-    vb = conv_cov(eqn, _as_hurst(hurst_b), point, point, quad=quad)
+    va = conv_cov(eqn, _as_hurst(hurst_a), point, point)
+    vb = conv_cov(eqn, _as_hurst(hurst_b), point, point)
     s1, s2 = math.sqrt(max(va, 0.0)), math.sqrt(max(vb, 0.0))
     if s1 > s2:
         s1, s2 = s2, s1

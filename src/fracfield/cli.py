@@ -248,7 +248,7 @@ def _emit(args, name: str, header, rows, manifest: dict,
 def _finish(args, manifest: dict, started: float) -> None:
     if args.out is None:
         return
-    manifest["wall_clock_seconds"] = time.time() - started
+    manifest["wall_clock_seconds"] = time.perf_counter() - started
     write_json(Path(args.out) / "run_manifest.json", manifest)
 
 
@@ -263,6 +263,7 @@ def _manifest(subcommand: str, resolved: dict, master_seed=None) -> dict:
 def _cmd_constants(args) -> int:
     cfg = _load_config(args.config)
     h = _hurst_from(cfg, args)
+    started = time.perf_counter()
     alpha = h.spectral_exponent
     rows = [("noise_constant", noise_constant(h)),
             ("spectral_exponent", alpha),
@@ -270,7 +271,6 @@ def _cmd_constants(args) -> int:
                 EquationKind.WAVE, alpha, 1.0)),
             ("dalang_heat_t1", dalang_integral_closed(
                 EquationKind.HEAT, alpha, 1.0))]
-    started = time.time()
     manifest = _manifest("constants", {"hurst": h.value})
     lines = [f"{name} {value:.6g}" for name, value in rows]
     _emit(args, "constants.csv", ("name", "value"), rows, manifest,
@@ -283,10 +283,9 @@ def _cmd_cov(args) -> int:
     cfg = _load_config(args.config)
     eqn = _eqn_from(cfg, args)
     h = _hurst_from(cfg, args)
-    quad = _quad_from(cfg)
     points = _points_from(cfg)
-    started = time.time()
-    cov = cov_matrix(eqn, h, points, quad=quad)
+    started = time.perf_counter()
+    cov = cov_matrix(eqn, h, points)
     rows = []
     n = len(points)
     for i in range(n):
@@ -309,12 +308,11 @@ def _cmd_sample(args) -> int:
     cfg = _load_config(args.config)
     eqn = _eqn_from(cfg, args)
     h = _hurst_from(cfg, args)
-    quad = _quad_from(cfg)
     points = _points_from(cfg)
     seed = _seed_from(cfg, args)
     n_rep = args.replicates or int(cfg.get("n_replicates", 1))
-    started = time.time()
-    cov = cov_matrix(eqn, h, points, quad=quad)
+    started = time.perf_counter()
+    cov = cov_matrix(eqn, h, points)
     factor = factor_psd(cov)
     sample = sample_field(factor, seed, n_rep)
     rows = []
@@ -339,7 +337,7 @@ def _cmd_solve_det(args) -> int:
     data = _initial_from(cfg)
     tol = float(cfg.get("tol", 1e-8))
     max_iter = int(cfg.get("max_iter", 60))
-    started = time.time()
+    started = time.perf_counter()
     eta = _eta_from(cfg, eqn, data, grid)
     field, info = solve_F(eqn, drift, eta, tol=tol, max_iter=max_iter,
                           return_info=True)
@@ -385,7 +383,7 @@ def _sim_config(cfg: dict, args, need_ladder: bool) -> SimulationConfig:
         master_seed=_seed_from(cfg, args),
         n_replicates=args.replicates or int(cfg.get("n_replicates", 1)),
         truncation_ladder=tuple(ladder) if ladder else None,
-        quad=_quad_from(cfg), tol=float(cfg.get("tol", 1e-8)),
+        tol=float(cfg.get("tol", 1e-8)),
         max_iter=int(cfg.get("max_iter", 60)))
 
 
@@ -405,7 +403,7 @@ def _describe_sim(config: SimulationConfig) -> dict:
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     threads = _resolve_threads(args)
-    started = time.time()
+    started = time.perf_counter()
     if cfg.get("truncation_ladder") is not None:
         config = _sim_config(cfg, args, need_ladder=True)
         result = truncation_ladder_run(config, threads=threads)
@@ -464,7 +462,7 @@ def _cmd_hoelder(args) -> int:
     p = float(args.p if args.p is not None else sub.get("p", 2.0))
     base = sub.get("base", [1.0, 0.0])
     lags = sub.get("lags")
-    started = time.time()
+    started = time.perf_counter()
     fit = fit_hoelder(eqn, h, direction, p=p,
                       base_time=float(base[0]), base_pos=float(base[1]),
                       lags=lags, quad=quad)
@@ -495,15 +493,14 @@ def _cmd_hoelder(args) -> int:
 def _cmd_hconv(args) -> int:
     cfg = _load_config(args.config)
     eqn = _eqn_from(cfg, args)
-    quad = _quad_from(cfg)
     sub = cfg.get("hconv", {})
     reference = float(sub.get("reference",
                               cfg.get("hurst", 0.5)))
     hursts = sub.get("hursts")
     if hursts is None:
         hursts = [reference + 0.2 * 2.0 ** -k for k in range(0, 8)]
-    started = time.time()
-    res = h_convergence(eqn, hursts, reference, quad=quad)
+    started = time.perf_counter()
+    res = h_convergence(eqn, hursts, reference)
     rows = [(h.value, float(s)) for h, s in zip(res.hursts, res.sups)]
     ratio = float(res.sups[-1] / res.sups[0]) if res.sups[0] > 0 else 0.0
     decreasing = bool(np.all(np.diff(res.sups) < 0.0))
@@ -540,7 +537,7 @@ def _cmd_verify_lemmas(args) -> int:
         else:
             alphas = [-0.5, 0.0, 0.5]
     alphas = [float(a) for a in alphas]
-    started = time.time()
+    started = time.perf_counter()
     rows = []
     summary = {}
     all_ok = True

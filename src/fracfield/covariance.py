@@ -6,18 +6,22 @@ The centered solution of the linear equation has covariance
 * time_kernel(eqn, t1, t2, xi) * |xi|^(1-2H) dxi``
 
 where :func:`time_kernel` is the time integral of the product of the
-propagator's Fourier multipliers.  Everything here is deterministic
-quadrature; sampling lives in :mod:`fracfield.sampler`.
+propagator's Fourier multipliers.  Covariances are closed forms; the
+spectral form is integrated for increment moments and, in the tests, as
+the independent route.  Sampling lives in :mod:`fracfield.sampler`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gamma as _gamma
+from scipy.special import hyp1f1
 
-from .quadrature import QuadResult, spectral_integral
+from .errors import NumericalError
+from .quadrature import QuadResult, cos_integral_constant, spectral_integral
 from .spectral import (DEFAULT_QUAD, EquationKind, HurstIndex,
                        QuadratureSpec, noise_constant)
 
@@ -60,9 +64,9 @@ class CovarianceMatrix:
     ----------
     points : tuple of SpaceTimePoint
     entries : ndarray, shape (k, k)
-        Symmetric PSD-up-to-quadrature-error covariance values.
+        Exactly symmetric covariance values, PSD up to roundoff.
     err_estimates : ndarray, shape (k, k)
-        Per-entry quadrature error estimates.
+        Per-entry error estimates; zero for the closed forms.
     """
 
     points: tuple
@@ -223,80 +227,81 @@ def _as_point(p) -> SpaceTimePoint:
     return SpaceTimePoint(float(t), float(x))
 
 
-def _cov_result(eqn: EquationKind, hurst: HurstIndex, p1: SpaceTimePoint,
-                p2: SpaceTimePoint, quad: QuadratureSpec) -> QuadResult:
-    t1, t2 = sorted((p1.t, p2.t))
-    c = abs(p1.x - p2.x)
-    if t1 == 0.0:
-        return QuadResult(0.0, 0.0, 0, True)
-    if eqn is EquationKind.WAVE and c >= t1 + t2:
-        # Disjoint light cones: exactly zero by finite propagation speed.
-        return QuadResult(0.0, 0.0, 0, True)
-    alpha = hurst.spectral_exponent
-    res = _assemble(eqn, alpha, [(t1, t2, c, 1.0)], quad)
-    scale = 2.0 * noise_constant(hurst)
-    return QuadResult(value=scale * res.value,
-                      err_estimate=scale * res.err_estimate,
-                      panels_used=res.panels_used, converged=res.converged)
+def _closed_cov(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
+    """Covariance on broadcast arrays with ``t1 <= t2`` and ``c = |dx|``.
+
+    With ``q = 2H``, ``s = t1 + t2``, ``d = t2 - t1`` and nc =
+    :func:`noise_constant`.  Wave: ``nc C(1-2H)/2 * (1/2 [G(s+c) - G(d+c)
+    + G(s-c) - G(d-c)] - t1 (|c-d|^q + |c+d|^q))``, ``G(u) = sign(u)
+    |u|^(q+1)/(q+1)``, C = :func:`cos_integral_constant`.  Heat: ``nc
+    Gamma(-H) [A^H M(-H, 1/2, -c^2/4A) - B^H M(-H, 1/2, -c^2/4B)]``,
+    ``A = d/2``, ``B = s/2``, M Kummer's function (DLMF 13.2), with the
+    limit ``(c^2/4)^H sqrt(pi) / Gamma(1/2+H)`` of the first term at A = 0.
+    Exactly zero at ``t1 == 0``, and for the wave at H = 1/2 outside the
+    light cones (``c >= s``), where the formula would leave roundoff.
+    """
+    h = hurst.value
+    t1, t2, c = (np.asarray(v, dtype=float) for v in (t1, t2, c))
+    s, d = t1 + t2, t2 - t1
+    # Non-finite intermediates are masked below or raise.
+    with np.errstate(all="ignore"):
+        if eqn is EquationKind.WAVE:
+            q = 2.0 * h
+
+            def prim(u):
+                return np.sign(u) * np.abs(u) ** (q + 1.0) / (q + 1.0)
+
+            out = cos_integral_constant(hurst.spectral_exponent) / 2.0 * (
+                0.5 * (prim(s + c) - prim(d + c) + prim(s - c) - prim(d - c))
+                - t1 * (np.abs(c - d) ** q + (c + d) ** q))
+            out = np.where((h == 0.5) & (c >= s), 0.0, out)
+        elif eqn is EquationKind.HEAT:
+            z, a, b = c * c / 4.0, d / 2.0, s / 2.0
+            near = np.where(a > 0.0, a ** h * hyp1f1(-h, 0.5, -z / a),
+                            z ** h * math.sqrt(math.pi) / _gamma(0.5 + h))
+            far = b ** h * hyp1f1(-h, 0.5, -z / b)
+            out = _gamma(-h) * (near - far)
+        else:
+            raise TypeError(f"expected EquationKind, got {eqn!r}")
+    out = np.where(t1 == 0.0, 0.0, noise_constant(hurst) * out)
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("closed-form covariance overflowed: a time or "
+                             "separation is too large for double precision")
+    return out
 
 
-def conv_cov(eqn: EquationKind, hurst: HurstIndex | float, p1, p2,
-             quad: QuadratureSpec | None = None) -> float:
+def conv_cov(eqn: EquationKind, hurst: HurstIndex | float, p1, p2) -> float:
     """Covariance of the centered linear field at two space-time points.
 
     Symmetric in its point arguments, stationary in space (depends only
-    on |x1 - x2|), and zero whenever either time is zero.  Raises
-    :class:`QuadratureError` when the engine cannot meet its tolerance.
+    on |x1 - x2|), and zero whenever either time is zero.  Closed form;
+    far outside the wave light cones its absolute error is about
+    ``1e-16 |x1-x2|^(2H+1)``, which can exceed the value itself.
     """
     h = hurst if isinstance(hurst, HurstIndex) else HurstIndex(hurst)
-    q = quad or DEFAULT_QUAD
-    res = _cov_result(eqn, h, _as_point(p1), _as_point(p2), q)
-    return res.require("conv_cov")
+    a, b = _as_point(p1), _as_point(p2)
+    t1, t2 = sorted((a.t, b.t))
+    return float(_closed_cov(eqn, h, t1, t2, abs(a.x - b.x)))
 
 
-@dataclass
-class _CovCache:
-    eqn: EquationKind
-    hurst: HurstIndex
-    quad: QuadratureSpec
-    store: dict = field(default_factory=dict)
-
-    def get(self, p1: SpaceTimePoint, p2: SpaceTimePoint) -> QuadResult:
-        t1, t2 = sorted((p1.t, p2.t))
-        key = (t1, t2, abs(p1.x - p2.x))
-        hit = self.store.get(key)
-        if hit is None:
-            hit = _cov_result(self.eqn, self.hurst,
-                              SpaceTimePoint(t1, 0.0),
-                              SpaceTimePoint(t2, key[2]), self.quad)
-            self.store[key] = hit
-        return hit
-
-
-def cov_matrix(eqn: EquationKind, hurst: HurstIndex | float, points,
-               quad: QuadratureSpec | None = None) -> CovarianceMatrix:
+def cov_matrix(eqn: EquationKind, hurst: HurstIndex | float,
+               points) -> CovarianceMatrix:
     """Covariance matrix of the centered linear field on a point list.
 
-    Entries are deduplicated through translation invariance (the value
-    depends only on the ordered time pair and the spatial separation), so
-    regular grids cost far fewer quadratures than k^2.
+    One vectorized closed-form evaluation over all ordered time pairs
+    and separations; the matrix is exactly symmetric and its error
+    estimates are zero.
     """
     h = hurst if isinstance(hurst, HurstIndex) else HurstIndex(hurst)
-    q = quad or DEFAULT_QUAD
     pts = tuple(_as_point(p) for p in points)
     if not pts:
         raise ValueError("point list must not be empty")
-    k = len(pts)
-    cache = _CovCache(eqn, h, q)
-    entries = np.empty((k, k))
-    errs = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            res = cache.get(pts[i], pts[j])
-            res.require(f"cov_matrix entry ({i},{j})")
-            entries[i, j] = entries[j, i] = res.value
-            errs[i, j] = errs[j, i] = res.err_estimate
-    return CovarianceMatrix(points=pts, entries=entries, err_estimates=errs)
+    t, x = np.array([(p.t, p.x) for p in pts]).T
+    entries = _closed_cov(eqn, h, np.minimum.outer(t, t),
+                          np.maximum.outer(t, t),
+                          np.abs(np.subtract.outer(x, x)))
+    return CovarianceMatrix(points=pts, entries=entries,
+                            err_estimates=np.zeros_like(entries))
 
 
 def increment_moment2(eqn: EquationKind, hurst: HurstIndex | float, p1, p2,

@@ -19,7 +19,7 @@ from .det_solver import (DriftSpec, GridFunction, InitialData, PointGrid,
                          drift_truncate, initial_term_grid, picard_apply,
                          solve_replicates)
 from .sampler import factor_psd, sample_field
-from .spectral import DEFAULT_QUAD, EquationKind, HurstIndex, QuadratureSpec
+from .spectral import EquationKind, HurstIndex
 
 __all__ = [
     "SimulationConfig",
@@ -43,7 +43,6 @@ class SimulationConfig:
     master_seed: int
     n_replicates: int = 1
     truncation_ladder: tuple | None = None
-    quad: QuadratureSpec = DEFAULT_QUAD
     tol: float = 1e-8
     max_iter: int = 60
 
@@ -103,7 +102,7 @@ def _noise_fields(config: SimulationConfig):
     """Sample the linear solution field on the reported grid."""
     grid = config.grid
     points = grid.points()
-    cov = cov_matrix(config.eqn, config.hurst, points, quad=config.quad)
+    cov = cov_matrix(config.eqn, config.hurst, points)
     factor = factor_psd(cov)
     sample = sample_field(factor, config.master_seed, config.n_replicates)
     shaped = sample.values.reshape(

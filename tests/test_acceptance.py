@@ -55,7 +55,7 @@ def test_criterion_1_dalang_closed_vs_quadrature():
 def test_criterion_2_half_index_variances():
     # At index 1/2 the linear solution has variance 1/sqrt(pi) for the
     # heat kernel at (1, x) and 1 for the wave kernel at (2, x), both
-    # by quadrature (1e-6 relative) and by 20000-replicate Monte Carlo
+    # in closed form (1e-6 relative) and by 20000-replicate Monte Carlo
     # within four standard errors, in under 60 seconds.
     started = time.monotonic()
     cases = ((HEAT, (1.0, 0.3), 1.0 / math.sqrt(math.pi)),

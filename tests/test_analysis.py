@@ -13,9 +13,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fracfield import (Direction, EquationKind, HurstIndex, ShiftKind,
-                       expected_hoelder_slope, fit_hoelder, fit_hoelder_mc,
-                       fit_power_law, h_convergence, marginal_distance,
-                       verify_lemma_bound)
+                       conv_cov, expected_hoelder_slope, fit_hoelder,
+                       fit_hoelder_mc, fit_power_law, h_convergence,
+                       marginal_distance, verify_lemma_bound)
+from fracfield.analysis import DEFAULT_H_PAIRS
 
 HEAT = EquationKind.HEAT
 WAVE = EquationKind.WAVE
@@ -172,6 +173,18 @@ class TestHConvergence:
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):
             h_convergence(WAVE, (0.4,), 0.5, pairs=())
+
+    def test_pair_outside_cones_contributes(self):
+        # |dx| = 2 >= t1 + t2 = 1.5: correlated for fractional noise.
+        pair = ((0.5, -1.0), (1.0, 1.0))
+        assert pair in DEFAULT_H_PAIRS
+        assert conv_cov(WAVE, 0.3, *pair) != 0.0
+
+    @pytest.mark.parametrize("reference", [0.3, 0.5, 0.7])
+    def test_wave_sups_decrease_on_cli_ladder(self, reference):
+        hursts = [reference + 0.2 * 2.0 ** -k for k in range(8)]
+        res = h_convergence(WAVE, hursts, reference)
+        assert np.all(np.diff(res.sups) < 0.0)
 
 
 class TestMarginalDistance:

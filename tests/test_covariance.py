@@ -1,20 +1,23 @@
 """Tests for space-time covariances of the linear convolution.
 
 Oracles: the explicit noise-covariance display, closed variance values
-at the Brownian index, and the three-evaluation expansion of increment
-second moments (kept as an independent route, never collapsed into the
-fused evaluation it checks).
+at the Brownian index, the spectral quadrature engine against the closed
+covariance forms, and the three-evaluation expansion of increment second
+moments (kept as an independent route, never collapsed into the fused
+evaluation it checks).
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from fracfield import (EquationKind, HurstIndex, conv_cov, cov_matrix,
-                       increment_moment2, noise_field_cov)
+from fracfield import (DEFAULT_QUAD, EquationKind, HurstIndex, NumericalError,
+                       PointGrid, conv_cov, cov_matrix, increment_moment2,
+                       noise_constant, noise_field_cov)
+from fracfield.covariance import _assemble
 
 
 def rel_err(value, truth):
@@ -65,12 +68,26 @@ class TestConvCov:
     def test_time_zero_degenerate(self):
         for eqn in EquationKind:
             assert conv_cov(eqn, 0.7, (0.0, 0.3), (1.0, 0.3)) == 0.0
+            assert conv_cov(eqn, 0.7, (0.0, 0.3), (0.0, -0.5)) == 0.0
 
-    def test_wave_exact_zero_outside_cones(self):
-        # Disjoint light cones: |dx| >= t1 + t2 has exactly zero overlap.
+    def test_wave_zero_outside_cones_only_at_half(self):
+        # Disjoint light cones (|dx| >= t1 + t2) decorrelate only white
+        # noise; fractional noise is correlated at every distance.
         assert conv_cov(EquationKind.WAVE, 0.5, (1.0, 0.0), (2.0, 5.0)) == 0.0
-        assert conv_cov(EquationKind.WAVE, 0.25, (1.0, -2.0),
-                        (1.0, 0.001)) == 0.0
+        assert rel_err(conv_cov(EquationKind.WAVE, 0.25, (1.0, -2.0),
+                                (1.0, 0.001)), -2.0184744365e-2) < 1e-10
+        assert rel_err(conv_cov(EquationKind.WAVE, 0.7, (0.5, 0.0),
+                                (0.5, 1.5)), 9.3656478888e-3) < 1e-10
+
+    @pytest.mark.parametrize("p1, p2", [
+        ((1.0, 0.0), (1.0, 2.0)), ((1.0, 0.0), (2.0, 3.0)),
+        ((0.25, -1.0), (1.5, 0.75)), ((0.5, 0.0), (0.5, 7.5))])
+    def test_wave_exact_zero_outside_cones_at_half(self, p1, p2):
+        assert conv_cov(EquationKind.WAVE, 0.5, p1, p2) == 0.0
+
+    def test_overflow_raises_numerical_error(self):
+        with pytest.raises(NumericalError):
+            conv_cov(EquationKind.WAVE, 0.7, (1.0, 0.0), (1.0, 1e200))
 
     def test_translation_invariant_in_space(self):
         for eqn in EquationKind:
@@ -83,6 +100,25 @@ class TestConvCov:
             values = [conv_cov(eqn, 0.4, (t, 0.0), (t, 0.0))
                       for t in (0.5, 1.0, 2.0)]
             assert all(b > a for a, b in zip(values, values[1:]))
+
+
+class TestClosedFormAgainstEngine:
+    # Independent route: the spectral engine integrates the covariance's
+    # frequency-domain form and never calls the closed form it checks.
+    @given(st.floats(min_value=0.02, max_value=0.98),
+           st.floats(min_value=0.01, max_value=2.0),
+           st.floats(min_value=0.01, max_value=2.0),
+           st.floats(min_value=0.0, max_value=4.0),
+           st.sampled_from([EquationKind.HEAT, EquationKind.WAVE]))
+    def test_matches_spectral_engine(self, h, ta, tb, c, eqn):
+        t1, t2 = sorted((ta, tb))
+        res = _assemble(eqn, 1.0 - 2.0 * h, [(t1, t2, c, 1.0)], DEFAULT_QUAD)
+        # The engine is an oracle only where it meets its own tolerance;
+        # it misses it on about 1 point in 400 near |dx| = t2 - t1.
+        assume(res.converged)
+        engine = 2.0 * noise_constant(h) * res.value
+        closed = conv_cov(eqn, h, (t1, 0.0), (t2, c))
+        assert abs(closed - engine) <= 1e-9 * abs(engine) + 1e-14
 
 
 class TestCovMatrix:
@@ -104,6 +140,17 @@ class TestCovMatrix:
         assert eigs.min() >= -1e-10 * np.max(np.diag(cov.entries))
         assert np.all(np.isfinite(cov.err_estimates))
         assert np.all(cov.err_estimates >= 0.0)
+        assert not cov.err_estimates.any()
+
+    def test_wave_entries_nonzero_outside_cones(self):
+        grid = PointGrid(1.0, 1.0, 16, 32)
+        cov = cov_matrix(EquationKind.WAVE, 0.3, grid.points())
+        t = np.array([p[0] for p in grid.points()])
+        x = np.array([p[1] for p in grid.points()])
+        outside = (np.abs(np.subtract.outer(x, x)) > np.add.outer(t, t)) \
+            & (np.minimum.outer(t, t) > 0.0)
+        assert outside.any()
+        assert np.all(cov.entries[outside] != 0.0)
 
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
