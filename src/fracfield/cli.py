@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from .det_solver import (GridFunction, InitialData, PointGrid, drift_truncate,
                          solve_F)
 from .errors import NumericalError
 from .quasilinear import SimulationConfig, simulate, truncation_ladder_run
-from .report import ARTIFACT_VERSION, format_value, write_csv, write_json
+from .report import ARTIFACT_VERSION, render_csv, write_csv, write_json
 from .sampler import factor_psd, sample_field
 from .spectral import (DEFAULT_QUAD, EquationKind, HurstIndex,
                        QuadratureSpec, dalang_integral_closed,
@@ -166,8 +167,7 @@ def _eta_from_csv(path: str, grid: PointGrid) -> GridFunction:
         raise ValueError(f"eta CSV {path} has {raw.shape[0]} rows, "
                          f"the grid needs {expected}")
     raw = raw[np.lexsort((raw[:, 1], raw[:, 0]))]
-    want_t = np.repeat(grid.times(), grid.n_x + 1)
-    want_x = np.tile(grid.positions(), grid.n_t + 1)
+    want_t, want_x = _node_columns(grid)
     tol_t = 1e-9 * max(1.0, grid.horizon)
     tol_x = 1e-9 * max(1.0, grid.half_width)
     if (np.max(np.abs(raw[:, 0] - want_t)) > tol_t
@@ -227,161 +227,125 @@ def _seed_from(cfg: dict, args) -> int:
     return int(seed)
 
 
-def _emit(args, name: str, header, rows, manifest: dict,
-          stdout_lines=None):
-    """Write one table to --out, or print it when no --out is given."""
-    if args.out is None:
-        if stdout_lines is not None:
-            for line in stdout_lines:
-                print(line)
-        else:
-            print(",".join(str(h) for h in header))
-            for row in rows:
-                print(",".join(format_value(v) for v in row))
-        return
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    digest = write_csv(out_dir / name, header, rows)
-    manifest["outputs"][name] = digest
+def _replicates_from(cfg: dict, args) -> int:
+    if args.replicates is not None:
+        return args.replicates
+    return int(cfg.get("n_replicates", 1))
 
 
-def _finish(args, manifest: dict, started: float) -> None:
-    if args.out is None:
-        return
-    manifest["wall_clock_seconds"] = time.perf_counter() - started
-    write_json(Path(args.out) / "run_manifest.json", manifest)
+@dataclass
+class _Run:
+    """What one subcommand produced; ``main`` writes, prints and times it.
+
+    ``artifacts`` maps file names, in writing order, to a JSON document
+    or, for a ``.csv`` name, to a ``(header, columns)`` table.  Without
+    ``--out`` the ``lines`` are printed, or the first table when there
+    are none.
+    """
+
+    config: dict
+    artifacts: dict
+    lines: list | None = None
+    master_seed: int | None = None
+    code: int = 0
 
 
-def _manifest(subcommand: str, resolved: dict, master_seed=None) -> dict:
-    return {"subcommand": subcommand,
-            "artifact_version": ARTIFACT_VERSION,
-            "master_seed": master_seed,
-            "config": resolved,
-            "outputs": {}}
+def _node_columns(grid: PointGrid, copies: int = 1) -> tuple:
+    """t and x of every grid node, time-major, repeated ``copies`` times."""
+    t = np.repeat(grid.times(), grid.n_x + 1)
+    x = np.tile(grid.positions(), grid.n_t + 1)
+    return np.tile(t, copies), np.tile(x, copies)
 
 
-def _cmd_constants(args) -> int:
-    cfg = _load_config(args.config)
+def _field_table(grid: PointGrid, fields: np.ndarray) -> tuple:
+    n_reps = fields.shape[0]
+    replicate = np.repeat(np.arange(n_reps), fields[0].size)
+    return (("replicate", "t", "x", "value"),
+            (replicate, *_node_columns(grid, n_reps), fields.ravel()))
+
+
+def _cmd_constants(cfg: dict, args) -> _Run:
     h = _hurst_from(cfg, args)
-    started = time.perf_counter()
     alpha = h.spectral_exponent
-    rows = [("noise_constant", noise_constant(h)),
-            ("spectral_exponent", alpha),
-            ("dalang_wave_t1", dalang_integral_closed(
-                EquationKind.WAVE, alpha, 1.0)),
-            ("dalang_heat_t1", dalang_integral_closed(
-                EquationKind.HEAT, alpha, 1.0))]
-    manifest = _manifest("constants", {"hurst": h.value})
-    lines = [f"{name} {value:.6g}" for name, value in rows]
-    _emit(args, "constants.csv", ("name", "value"), rows, manifest,
-          stdout_lines=lines)
-    _finish(args, manifest, started)
-    return 0
+    names = ("noise_constant", "spectral_exponent", "dalang_wave_t1",
+             "dalang_heat_t1")
+    values = (noise_constant(h), alpha,
+              dalang_integral_closed(EquationKind.WAVE, alpha, 1.0),
+              dalang_integral_closed(EquationKind.HEAT, alpha, 1.0))
+    return _Run(
+        config={"hurst": h.value},
+        artifacts={"constants.csv": (("name", "value"), (names, values))},
+        lines=[f"{name} {value:.6g}" for name, value in zip(names, values)])
 
 
-def _cmd_cov(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_cov(cfg: dict, args) -> _Run:
     eqn = _eqn_from(cfg, args)
     h = _hurst_from(cfg, args)
     points = _points_from(cfg)
-    started = time.perf_counter()
     cov = cov_matrix(eqn, h, points)
-    rows = []
     n = len(points)
-    for i in range(n):
-        for j in range(n):
-            rows.append((i, j, points[i][0], points[i][1],
-                         points[j][0], points[j][1],
-                         float(cov.entries[i, j]),
-                         float(cov.err_estimates[i, j])))
-    manifest = _manifest("cov", {
-        "equation": eqn.value, "hurst": h.value,
-        "points": [list(p) for p in points]})
-    _emit(args, "cov_matrix.csv",
-          ("i", "j", "t_i", "x_i", "t_j", "x_j", "cov", "err_estimate"),
-          rows, manifest)
-    _finish(args, manifest, started)
-    return 0
+    index = np.arange(n)
+    t, x = np.asarray(points).T
+    table = (("i", "j", "t_i", "x_i", "t_j", "x_j", "cov", "err_estimate"),
+             (np.repeat(index, n), np.tile(index, n),
+              np.repeat(t, n), np.repeat(x, n), np.tile(t, n), np.tile(x, n),
+              cov.entries.ravel(), cov.err_estimates.ravel()))
+    return _Run(config={"equation": eqn.value, "hurst": h.value,
+                        "points": [list(p) for p in points]},
+                artifacts={"cov_matrix.csv": table})
 
 
-def _cmd_sample(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_sample(cfg: dict, args) -> _Run:
     eqn = _eqn_from(cfg, args)
     h = _hurst_from(cfg, args)
     points = _points_from(cfg)
     seed = _seed_from(cfg, args)
-    n_rep = args.replicates or int(cfg.get("n_replicates", 1))
-    started = time.perf_counter()
+    n_rep = _replicates_from(cfg, args)
     cov = cov_matrix(eqn, h, points)
     factor = factor_psd(cov)
     sample = sample_field(factor, seed, n_rep)
-    rows = []
-    for r in range(n_rep):
-        for k, (t, x) in enumerate(points):
-            rows.append((r, k, t, x, float(sample.values[r, k])))
-    manifest = _manifest("sample", {
-        "equation": eqn.value, "hurst": h.value, "master_seed": seed,
-        "n_replicates": n_rep, "jitter_used": factor.jitter_used,
-        "points": [list(p) for p in points]}, master_seed=seed)
-    _emit(args, "samples.csv",
-          ("replicate", "point_index", "t", "x", "value"), rows, manifest)
-    _finish(args, manifest, started)
-    return 0
+    k = len(points)
+    t, x = np.asarray(points).T
+    table = (("replicate", "point_index", "t", "x", "value"),
+             (np.repeat(np.arange(n_rep), k), np.tile(np.arange(k), n_rep),
+              np.tile(t, n_rep), np.tile(x, n_rep), sample.values.ravel()))
+    return _Run(config={"equation": eqn.value, "hurst": h.value,
+                        "master_seed": seed, "n_replicates": n_rep,
+                        "jitter_used": factor.jitter_used,
+                        "points": [list(p) for p in points]},
+                artifacts={"samples.csv": table}, master_seed=seed)
 
 
-def _cmd_solve_det(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_solve_det(cfg: dict, args) -> _Run:
     eqn = _eqn_from(cfg, args)
     grid = _grid_from(cfg)
     drift = _drift_from(cfg)
     data = _initial_from(cfg)
     tol = float(cfg.get("tol", 1e-8))
     max_iter = int(cfg.get("max_iter", 60))
-    started = time.perf_counter()
     eta = _eta_from(cfg, eqn, data, grid)
     field, info = solve_F(eqn, drift, eta, tol=tol, max_iter=max_iter,
                           return_info=True)
-    rows = []
-    for i, t in enumerate(grid.times()):
-        for j, x in enumerate(grid.positions()):
-            rows.append((float(t), float(x), float(field.values[i, j])))
-    manifest = _manifest("solve-det", {
+    table = (("t", "x", "value"),
+             (*_node_columns(grid), field.values.ravel()))
+    return _Run(config={
         "equation": eqn.value, "drift": drift.name, "tol": tol,
         "max_iter": max_iter,
         "eta": cfg.get("eta", {"kind": "initial"}),
         "grid": {"horizon": grid.horizon, "half_width": grid.half_width,
                  "n_t": grid.n_t, "n_x": grid.n_x},
         "iterations": info.iterations,
-        "used_certificate": info.used_certificate})
-    _emit(args, "field.csv", ("t", "x", "value"), rows, manifest)
-    _finish(args, manifest, started)
-    return 0
+        "used_certificate": info.used_certificate},
+        artifacts={"field.csv": table})
 
 
-def _field_rows(grid: PointGrid, fields: np.ndarray) -> list:
-    rows = []
-    times = grid.times()
-    positions = grid.positions()
-    for r in range(fields.shape[0]):
-        for i, t in enumerate(times):
-            for j, x in enumerate(positions):
-                rows.append((r, float(t), float(x),
-                             float(fields[r, i, j])))
-    return rows
-
-
-def _sim_config(cfg: dict, args, need_ladder: bool) -> SimulationConfig:
-    eqn = _eqn_from(cfg, args)
+def _sim_config(cfg: dict, args) -> SimulationConfig:
     ladder = cfg.get("truncation_ladder")
-    if need_ladder and ladder is None:
-        raise ValueError("this run needs 'truncation_ladder' in the config")
-    if not need_ladder:
-        ladder = None
     return SimulationConfig(
-        eqn=eqn, hurst=_hurst_from(cfg, args), drift=_drift_from(cfg),
-        data=_initial_from(cfg), grid=_grid_from(cfg),
+        eqn=_eqn_from(cfg, args), hurst=_hurst_from(cfg, args),
+        drift=_drift_from(cfg), data=_initial_from(cfg), grid=_grid_from(cfg),
         master_seed=_seed_from(cfg, args),
-        n_replicates=args.replicates or int(cfg.get("n_replicates", 1)),
+        n_replicates=_replicates_from(cfg, args),
         truncation_ladder=tuple(ladder) if ladder else None,
         tol=float(cfg.get("tol", 1e-8)),
         max_iter=int(cfg.get("max_iter", 60)))
@@ -400,37 +364,23 @@ def _describe_sim(config: SimulationConfig) -> dict:
                  "n_t": config.grid.n_t, "n_x": config.grid.n_x}}
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_simulate(cfg: dict, args) -> _Run:
     threads = _resolve_threads(args)
-    started = time.perf_counter()
+    config = _sim_config(cfg, args)
+    described = dict(_describe_sim(config), threads=threads)
     if cfg.get("truncation_ladder") is not None:
-        config = _sim_config(cfg, args, need_ladder=True)
         result = truncation_ladder_run(config, threads=threads)
-        manifest = _manifest("simulate", _describe_sim(config),
-                             master_seed=config.master_seed)
-        manifest["config"]["threads"] = threads
-        rows = [(lvl, float(dev)) for lvl, dev in
-                zip(result.levels, result.deviation_vs_reference)]
-        _emit(args, "ladder_deviations.csv",
-              ("truncation_level", "deviation_vs_reference"), rows, manifest)
-        crows = [(result.levels[k], float(d))
-                 for k, d in enumerate(result.deviation_consecutive)]
-        if args.out is not None:
-            digest = write_csv(Path(args.out) / "ladder_consecutive.csv",
-                               ("truncation_level", "deviation_to_next"),
-                               crows)
-            manifest["outputs"]["ladder_consecutive.csv"] = digest
-        _finish(args, manifest, started)
-        return 0
-    config = _sim_config(cfg, args, need_ladder=False)
+        return _Run(config=described, master_seed=config.master_seed,
+                    artifacts={
+                        "ladder_deviations.csv": (
+                            ("truncation_level", "deviation_vs_reference"),
+                            (result.levels, result.deviation_vs_reference)),
+                        "ladder_consecutive.csv": (
+                            ("truncation_level", "deviation_to_next"),
+                            (result.levels[:-1],
+                             result.deviation_consecutive))})
     result = simulate(config, threads=threads)
-    manifest = _manifest("simulate", _describe_sim(config),
-                         master_seed=config.master_seed)
-    manifest["config"]["threads"] = threads
-    manifest["config"]["jitter_used"] = result.jitter_used
-    _emit(args, "fields.csv", ("replicate", "t", "x", "value"),
-          _field_rows(config.grid, result.fields), manifest)
+    described["jitter_used"] = result.jitter_used
     n_reps = result.fields.shape[0]
     mean = result.fields.mean(axis=0)
     variance = (result.fields.var(axis=0, ddof=1) if n_reps > 1
@@ -441,19 +391,14 @@ def _cmd_simulate(args) -> int:
                "mean": mean.tolist(),
                "variance": variance.tolist(),
                "se": np.sqrt(variance / n_reps).tolist()}
-    if args.out is not None:
-        digest = write_csv(Path(args.out) / "noise.csv",
-                           ("replicate", "t", "x", "value"),
-                           _field_rows(config.grid, result.noise))
-        manifest["outputs"]["noise.csv"] = digest
-        digest = write_json(Path(args.out) / "summary.json", summary)
-        manifest["outputs"]["summary.json"] = digest
-    _finish(args, manifest, started)
-    return 0
+    return _Run(config=described, master_seed=config.master_seed,
+                artifacts={
+                    "fields.csv": _field_table(config.grid, result.fields),
+                    "noise.csv": _field_table(config.grid, result.noise),
+                    "summary.json": summary})
 
 
-def _cmd_hoelder(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_hoelder(cfg: dict, args) -> _Run:
     eqn = _eqn_from(cfg, args)
     h = _hurst_from(cfg, args)
     quad = _quad_from(cfg)
@@ -462,7 +407,6 @@ def _cmd_hoelder(args) -> int:
     p = float(args.p if args.p is not None else sub.get("p", 2.0))
     base = sub.get("base", [1.0, 0.0])
     lags = sub.get("lags")
-    started = time.perf_counter()
     fit = fit_hoelder(eqn, h, direction, p=p,
                       base_time=float(base[0]), base_pos=float(base[1]),
                       lags=lags, quad=quad)
@@ -470,28 +414,21 @@ def _cmd_hoelder(args) -> int:
     tolerance = float(sub.get("tolerance", 0.1))
     passed = (not np.isnan(fit.slope)
               and abs(fit.slope - expected) <= tolerance)
-    rows = list(zip(fit.lags, fit.moments))
-    manifest = _manifest("hoelder", {
+    fit_doc = {
         "equation": eqn.value, "hurst": h.value,
         "direction": direction.value, "p": p, "base": list(base),
         "slope": fit.slope, "expected_slope": expected,
         "tolerance": tolerance, "within_tolerance": bool(passed),
-        "r_squared": fit.r_squared, "stderr_slope": fit.stderr_slope})
+        "r_squared": fit.r_squared, "stderr_slope": fit.stderr_slope}
     summary = (f"slope {fit.slope:.6g} expected {expected:.6g} "
                f"r2 {fit.r_squared:.6g} "
                f"{'ok' if passed else 'OUT_OF_TOLERANCE'}")
-    _emit(args, "hoelder_moments.csv", ("lag", "moment"), rows, manifest,
-          stdout_lines=[summary])
-    if args.out is not None:
-        digest = write_json(Path(args.out) / "hoelder_fit.json",
-                            manifest["config"])
-        manifest["outputs"]["hoelder_fit.json"] = digest
-    _finish(args, manifest, started)
-    return 0
+    return _Run(config=fit_doc, lines=[summary], artifacts={
+        "hoelder_moments.csv": (("lag", "moment"), (fit.lags, fit.moments)),
+        "hoelder_fit.json": fit_doc})
 
 
-def _cmd_hconv(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_hconv(cfg: dict, args) -> _Run:
     eqn = _eqn_from(cfg, args)
     sub = cfg.get("hconv", {})
     reference = float(sub.get("reference",
@@ -499,9 +436,7 @@ def _cmd_hconv(args) -> int:
     hursts = sub.get("hursts")
     if hursts is None:
         hursts = [reference + 0.2 * 2.0 ** -k for k in range(0, 8)]
-    started = time.perf_counter()
     res = h_convergence(eqn, hursts, reference)
-    rows = [(h.value, float(s)) for h, s in zip(res.hursts, res.sups)]
     ratio = float(res.sups[-1] / res.sups[0]) if res.sups[0] > 0 else 0.0
     decreasing = bool(np.all(np.diff(res.sups) < 0.0))
     passed = decreasing and float(res.sups[-1]) < float(res.sups[0])
@@ -511,21 +446,15 @@ def _cmd_hconv(args) -> int:
                    "strictly_decreasing": decreasing,
                    "final_over_first": ratio,
                    "converging": bool(passed)}
-    manifest = _manifest("hconv", summary_obj)
     summary = (f"final_over_first {ratio:.6g} "
                f"{'ok' if passed else 'NOT_CONVERGING'}")
-    _emit(args, "hconv_sups.csv", ("hurst", "sup_distance"), rows,
-          manifest, stdout_lines=[summary])
-    if args.out is not None:
-        digest = write_json(Path(args.out) / "hconv_summary.json",
-                            summary_obj)
-        manifest["outputs"]["hconv_summary.json"] = digest
-    _finish(args, manifest, started)
-    return 0
+    return _Run(config=summary_obj, lines=[summary], artifacts={
+        "hconv_sups.csv": (("hurst", "sup_distance"),
+                           (summary_obj["hursts"], summary_obj["sups"])),
+        "hconv_summary.json": summary_obj})
 
 
-def _cmd_verify_lemmas(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_verify_lemmas(cfg: dict, args) -> _Run:
     quad = _quad_from(cfg)
     sub = cfg.get("lemmas", {})
     horizon = float(sub.get("horizon", 1.0))
@@ -537,7 +466,6 @@ def _cmd_verify_lemmas(args) -> int:
         else:
             alphas = [-0.5, 0.0, 0.5]
     alphas = [float(a) for a in alphas]
-    started = time.perf_counter()
     rows = []
     summary = {}
     all_ok = True
@@ -557,20 +485,18 @@ def _cmd_verify_lemmas(args) -> int:
                     rows.append((kind.value, eqn.value, alpha, row.shift,
                                  row.lhs, row.rhs, row.ratio))
     summary["all_within"] = bool(all_ok)
-    manifest = _manifest("verify-lemmas", {
-        "alphas": alphas, "horizon": horizon, "summary": summary})
     lines = [f"{k} max_ratio {v['max_ratio']:.6g} "
              f"{'ok' if v['within_bound'] else 'VIOLATED'}"
              for k, v in summary.items() if isinstance(v, dict)]
     lines.append(f"all_within {all_ok}")
-    _emit(args, "lemma_margins.csv",
-          ("kind", "equation", "alpha", "shift", "lhs", "rhs", "ratio"),
-          rows, manifest, stdout_lines=lines)
-    if args.out is not None:
-        digest = write_json(Path(args.out) / "summary.json", summary)
-        manifest["outputs"]["summary.json"] = digest
-    _finish(args, manifest, started)
-    return 0 if all_ok else 2
+    header = ("kind", "equation", "alpha", "shift", "lhs", "rhs", "ratio")
+    # An empty alpha list leaves a table with the header only.
+    columns = tuple(zip(*rows)) or ((),) * len(header)
+    return _Run(config={"alphas": alphas, "horizon": horizon,
+                        "summary": summary},
+                lines=lines, code=0 if all_ok else 2,
+                artifacts={"lemma_margins.csv": (header, columns),
+                           "summary.json": summary})
 
 
 def _build_parser() -> _Parser:
@@ -624,6 +550,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
+
+
 _HANDLERS = {
     "constants": _cmd_constants,
     "cov": _cmd_cov,
@@ -636,21 +564,55 @@ _HANDLERS = {
 }
 
 
+def _print(run: _Run) -> None:
+    if run.lines is not None:
+        for line in run.lines:
+            print(line)
+        return
+    header, columns = next(content for name, content in run.artifacts.items()
+                           if name.endswith(".csv"))
+    sys.stdout.writelines(render_csv(header, columns))
+
+
+def _write(run: _Run, args, started: float) -> None:
+    """Write the artifacts and, last, the manifest that pins them."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = {}
+    for name, content in run.artifacts.items():
+        if name.endswith(".csv"):
+            outputs[name] = write_csv(out_dir / name, *content)
+        else:
+            outputs[name] = write_json(out_dir / name, content)
+    write_json(out_dir / "run_manifest.json", {
+        "subcommand": args.subcommand,
+        "artifact_version": ARTIFACT_VERSION,
+        "master_seed": run.master_seed,
+        "config": run.config,
+        "outputs": outputs,
+        "wall_clock_seconds": time.perf_counter() - started})
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handler = _HANDLERS[args.subcommand]
+    started = time.perf_counter()
     try:
-        return handler(args)
+        run = _HANDLERS[args.subcommand](_load_config(args.config), args)
+        if args.out is None:
+            _print(run)
+        else:
+            _write(run, args, started)
     except NumericalError as exc:
         print(f"fracfield: numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, TypeError) as exc:
         print(f"fracfield: invalid configuration: {exc}", file=sys.stderr)
         return 1
+    return run.code
 
 
 if __name__ == "__main__":

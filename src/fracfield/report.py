@@ -1,8 +1,10 @@
 """Deterministic artifact writing: CSV tables, JSON files, digests.
 
-Floats are rendered with %.17g so values round-trip exactly; files are
-UTF-8 with LF line endings regardless of platform, and every writer
-returns the SHA-256 of the bytes written so manifests can pin outputs.
+Tables are given column by column, and each column is rendered by its
+dtype: integers via %d, floats via %.17g so values round-trip exactly,
+strings via %s.  Files are UTF-8 with LF line endings regardless of
+platform, and every writer returns the SHA-256 of the bytes written so
+manifests can pin outputs.
 """
 
 from __future__ import annotations
@@ -11,9 +13,11 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
+
 __all__ = [
     "ARTIFACT_VERSION",
-    "format_value",
+    "render_csv",
     "write_csv",
     "write_json",
     "sha256_of",
@@ -21,27 +25,46 @@ __all__ = [
 
 ARTIFACT_VERSION = 1
 
-_FLOAT_FMT = "%.17g"
+# Cell format per numpy dtype kind.
+_CELL_FORMATS = {"i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
+# Rows rendered per chunk, which bounds the memory a large table takes.
+_CHUNK_ROWS = 1 << 16
 
 
-def format_value(value) -> str:
-    """Render one cell: floats via %.17g, everything else via str."""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return _FLOAT_FMT % value
-    return str(value)
+def render_csv(header, columns):
+    """Yield the text of a CSV table, header first, in chunks of rows.
+
+    ``columns`` holds one one-dimensional sequence per header name, all
+    of one length; each becomes a numpy array whose dtype must be an
+    integer, float or string type.
+    """
+    cols = [np.asarray(c) for c in columns]
+    if len(cols) != len(header):
+        raise ValueError(f"{len(header)} header names for {len(cols)} "
+                         f"columns")
+    n_rows = cols[0].size if cols else 0
+    if any(c.shape != (n_rows,) for c in cols):
+        raise ValueError("columns must be one-dimensional and equally long")
+    kinds = [c.dtype.kind for c in cols]
+    if not set(kinds) <= set(_CELL_FORMATS):
+        raise TypeError(f"unsupported column dtypes "
+                        f"{[str(c.dtype) for c in cols]}")
+    row_format = ",".join(_CELL_FORMATS[k] for k in kinds) + "\n"
+    yield ",".join(str(h) for h in header) + "\n"
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        chunk = [c[start:start + _CHUNK_ROWS].tolist() for c in cols]
+        yield "".join(map(row_format.__mod__, zip(*chunk)))
 
 
-def write_csv(path, header, rows) -> str:
-    """Write a CSV table and return the SHA-256 of its bytes."""
-    path = Path(path)
-    lines = [",".join(str(h) for h in header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    data = ("\n".join(lines) + "\n").encode("utf-8")
-    path.write_bytes(data)
-    return hashlib.sha256(data).hexdigest()
+def write_csv(path, header, columns) -> str:
+    """Write a CSV table given by columns; return the SHA-256 of its bytes."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for text in render_csv(header, columns):
+            data = text.encode("utf-8")
+            fh.write(data)
+            digest.update(data)
+    return digest.hexdigest()
 
 
 def write_json(path, obj) -> str:

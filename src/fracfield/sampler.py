@@ -42,10 +42,11 @@ class PsdFactor:
         The space-time points the covariance was priced on.
     lower : ndarray, shape (k, k)
         Cholesky factor with ``lower @ lower.T`` equal to the covariance
-        up to the jitter actually applied.
+        up to the jitter actually applied; rows and columns of nodes of
+        zero variance are zero.
     jitter_used : float
-        Diagonal jitter that made the factorization succeed; zero when
-        none was needed.
+        Diagonal jitter, added at the nodes of positive variance only,
+        that made the factorization succeed; zero when none was needed.
     """
 
     points: tuple
@@ -75,35 +76,47 @@ class FieldSample:
 def factor_psd(cov: CovarianceMatrix) -> PsdFactor:
     """Cholesky-factor a covariance, climbing a jitter ladder if needed.
 
-    Starts at ``1e-12 * max_diag`` and multiplies by 10 up to
-    ``1e-6 * max_diag``; raises :class:`NotPsdError` if the matrix still
-    fails, which indicates an inconsistent covariance rather than normal
-    roundoff.
+    Nodes of zero variance (the field at time zero) are deterministic:
+    their rows and columns must be zero, and they keep zero rows and
+    columns in the factor, so no jitter reaches them.  The block of the
+    remaining nodes is factored as is when possible; otherwise jitter
+    starts at ``1e-12 * max_diag`` and is multiplied by 10 up to
+    ``1e-6 * max_diag``.  :class:`NotPsdError` is raised if the block
+    still fails, or if a zero-variance node has a nonzero covariance,
+    which indicates an inconsistent covariance rather than roundoff.
     """
     a = np.asarray(cov.entries, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError("covariance entries must be finite")
     if not np.array_equal(a, a.T):
         raise ValueError("covariance entries must be exactly symmetric")
-    if not a.any():
-        # Degenerate all-zero covariance: the exact factor is zero, and
-        # the jitter ladder has no scale to lean on.
-        return PsdFactor(points=cov.points, lower=np.zeros_like(a),
-                         jitter_used=0.0)
+    fixed = np.diag(a) == 0.0
+    if a[fixed].any():
+        raise NotPsdError("a node of zero variance has nonzero covariance "
+                          "with another node", jitter_max=0.0)
+    live = np.ix_(~fixed, ~fixed)
+    block, jitter = _cholesky_ladder(a[live])
+    lower = np.zeros_like(a)
+    lower[live] = block
+    return PsdFactor(points=cov.points, lower=lower, jitter_used=jitter)
+
+
+def _cholesky_ladder(a: np.ndarray) -> tuple:
+    """Cholesky factor of ``a`` plus the least ladder jitter it needed."""
+    if a.size == 0:
+        return a, 0.0
     try:
-        return PsdFactor(points=cov.points, lower=np.linalg.cholesky(a),
-                         jitter_used=0.0)
+        return np.linalg.cholesky(a), 0.0
     except np.linalg.LinAlgError:
         pass
-    max_diag = float(np.max(np.diag(a))) if a.size else 0.0
+    max_diag = float(np.max(np.diag(a)))
     scale = max_diag if max_diag > 0.0 else 1.0
     jitter = _JITTER_START * scale
     cap = _JITTER_CAP * scale
     eye = np.eye(a.shape[0])
     while jitter <= cap * (1.0 + 1e-15):
         try:
-            low = np.linalg.cholesky(a + jitter * eye)
-            return PsdFactor(points=cov.points, lower=low, jitter_used=jitter)
+            return np.linalg.cholesky(a + jitter * eye), jitter
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise NotPsdError(

@@ -125,6 +125,15 @@ class TestSample:
         assert (a / "samples.csv").read_bytes() \
             != (b / "samples.csv").read_bytes()
 
+    def test_zero_replicates_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(self.CONFIG, n_replicates=3))
+        out = tmp_path / "run"
+        assert main(["sample", "--config", cfg, "--equation", "wave",
+                     "--hurst", "0.5", "--replicates", "0",
+                     "--out", str(out)]) == 1
+        assert "replicate" in capsys.readouterr().err
+        assert not (out / "samples.csv").exists()
+
     def test_manifest_records_seed(self, tmp_path):
         out = self.run_sample(tmp_path, "a", 7)
         manifest = assert_manifest_digests(out)
@@ -245,6 +254,15 @@ SIM_CONFIG = {
     "n_replicates": 2, "master_seed": 11}
 
 
+LADDER_CONFIG = {
+    "equation": "heat", "hurst": 0.5,
+    "grid": {"horizon": 0.5, "half_width": 0.75, "n_t": 6, "n_x": 4},
+    "drift": {"kind": "linear", "params": {"a": 1.0}},
+    "initial": {"u0": {"kind": "const", "params": {"c": 40.0}}},
+    "n_replicates": 3, "master_seed": 3,
+    "truncation_ladder": [2.0, 8.0, 32.0, 256.0]}
+
+
 class TestSimulate:
     def run_sim(self, tmp_path, out_name, extra_args=()):
         cfg = write_config(tmp_path, SIM_CONFIG)
@@ -296,6 +314,20 @@ class TestSimulate:
         cfg = write_config(tmp_path, SIM_CONFIG)
         assert main(["simulate", "--config", cfg]) == 1
 
+    def test_zero_replicates_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SIM_CONFIG)
+        assert main(["simulate", "--config", cfg, "--replicates", "0"]) == 1
+        assert "n_replicates" in capsys.readouterr().err
+
+    def test_stdout_is_the_fields_table(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SIM_CONFIG)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg]) == 0
+        printed = capsys.readouterr().out
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert printed == (out / "fields.csv").read_text()
+
     def test_iteration_cap_exits_two(self, tmp_path, capsys):
         cfg = dict(SIM_CONFIG, tol=1e-14, max_iter=1)
         path = write_config(tmp_path, cfg)
@@ -303,14 +335,7 @@ class TestSimulate:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_ladder_artifacts(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "equation": "heat", "hurst": 0.5,
-            "grid": {"horizon": 0.5, "half_width": 0.75,
-                     "n_t": 6, "n_x": 4},
-            "drift": {"kind": "linear", "params": {"a": 1.0}},
-            "initial": {"u0": {"kind": "const", "params": {"c": 40.0}}},
-            "n_replicates": 3, "master_seed": 3,
-            "truncation_ladder": [2.0, 8.0, 32.0, 256.0]})
+        cfg = write_config(tmp_path, LADDER_CONFIG)
         out = tmp_path / "run"
         assert main(["simulate", "--config", cfg, "--out",
                      str(out)]) == 0
@@ -398,3 +423,38 @@ class TestVerifyLemmas:
         out = capsys.readouterr().out
         assert "space_shift:wave:alpha=0.4" in out
         assert "all_within True" in out
+
+
+# One run of every subcommand: (argv without --config/--out, config).
+RUNS = {
+    "constants": (["constants", "--hurst", "0.3"], None),
+    "cov": (["cov", "--equation", "heat", "--hurst", "0.5"],
+            {"points": [[0.5, 0.0], [1.0, 0.25]]}),
+    "sample": (["sample", "--equation", "wave", "--hurst", "0.5"],
+               {"points": [[0.0, 0.0], [0.5, 0.0], [1.0, 0.5]],
+                "n_replicates": 2}),
+    "solve-det": (["solve-det", "--equation", "wave"],
+                  {"grid": {"horizon": 1.0, "half_width": 0.5,
+                            "n_t": 2, "n_x": 2},
+                   "eta": {"kind": "zero"}}),
+    "simulate": (["simulate"], SIM_CONFIG),
+    "simulate-ladder": (["simulate"], LADDER_CONFIG),
+    "hoelder": (["hoelder", "--equation", "wave", "--hurst", "0.3"], None),
+    "hconv": (["hconv", "--equation", "wave"],
+              {"hconv": {"reference": 0.5, "hursts": [0.6, 0.55, 0.51]}}),
+    "verify-lemmas": (["verify-lemmas"],
+                      {"lemmas": {"alphas": [0.0], "shifts": [0.25, 0.5]}}),
+}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_written_files_match_manifest(tmp_path, run):
+    argv, config = RUNS[run]
+    if config is not None:
+        argv = [*argv, "--config", write_config(tmp_path, config)]
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 0
+    manifest = assert_manifest_digests(out)
+    assert manifest["subcommand"] == argv[0]
+    written = {p.name for p in out.iterdir()} - {"run_manifest.json"}
+    assert written == set(manifest["outputs"])

@@ -155,6 +155,20 @@ class TestSimulate:
         sample = sample_field(factor_psd(cov), 7, 5)
         assert np.array_equal(sample.values, np.zeros((5, 4)))
 
+    @pytest.mark.parametrize("eqn", [WAVE, HEAT])
+    def test_solution_at_time_zero_is_exact(self, eqn):
+        # The t = 0 nodes share one covariance with the later ones; the
+        # factorization must leave them deterministic, with no jitter.
+        cfg = small_config(eqn, make_drift("tanh_scaled", a=1.0),
+                           hurst=HurstIndex(0.3),
+                           data=make_initial_data(u0=("sin", {})))
+        res = simulate(cfg)
+        i0 = initial_term_grid(eqn, cfg.data, cfg.grid)
+        assert res.jitter_used == 0.0
+        assert not res.noise[:, 0, :].any()
+        assert np.array_equal(res.fields[:, 0, :],
+                              np.broadcast_to(i0.values[0], (3, 5)))
+
     def test_noiseless_decay_drift_matches_exponential(self):
         # Degenerate pipeline check: forcing eta == 1 with b(z) = -z
         # must reproduce e^{-t}.

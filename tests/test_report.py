@@ -13,49 +13,88 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fracfield.report import (ARTIFACT_VERSION, format_value, sha256_of,
+from fracfield.report import (ARTIFACT_VERSION, render_csv, sha256_of,
                               write_csv, write_json)
 
 
-class TestFormatValue:
-    def test_bools_are_lowercase(self):
-        assert format_value(True) == "true"
-        assert format_value(False) == "false"
+def reference_csv(header, rows) -> bytes:
+    """Render a table cell by cell: floats via %.17g, the rest via str."""
+    def cell(value):
+        return "%.17g" % value if isinstance(value, float) else str(value)
 
-    def test_floats_round_trip(self):
-        for v in (0.1, 1.0 / 3.0, math.pi, 1e-300, -2.5e17):
-            assert float(format_value(v)) == v
-
-    @given(st.floats(allow_nan=False, allow_infinity=False))
-    def test_any_finite_float_round_trips(self, v):
-        assert float(format_value(v)) == v
-
-    def test_other_types_pass_through_str(self):
-        assert format_value(3) == "3"
-        assert format_value("label") == "label"
+    lines = [",".join(header)]
+    lines += [",".join(cell(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 class TestWriteCsv:
     def test_bytes_and_digest(self, tmp_path):
         path = tmp_path / "table.csv"
-        digest = write_csv(path, ["a", "b"], [[1, 0.5], [True, "x"]])
+        digest = write_csv(path, ["a", "b", "c"],
+                           [[1, 2], [0.5, 3.0], ["x", "y"]])
         data = path.read_bytes()
-        assert data == b"a,b\n1,0.5\ntrue,x\n"
+        assert data == b"a,b,c\n1,0.5,x\n2,3,y\n"
         assert digest == hashlib.sha256(data).hexdigest()
         assert digest == sha256_of(path)
 
+    def test_matches_per_cell_reference(self, tmp_path):
+        ints = [0, -1, 2 ** 53 + 1, 2 ** 62 + 3, -(2 ** 63), np.int64(7)]
+        floats = [-0.0, 5e-324, 1e-300, -2.5e17, 0.1, np.float64(1.0 / 3.0)]
+        labels = ["a", "label", "x y", "", np.str_("np"), "time_shift"]
+        header = ("i", "v", "s")
+        path = tmp_path / "table.csv"
+        write_csv(path, header, [ints, floats, labels])
+        assert path.read_bytes() == reference_csv(
+            header, zip(ints, floats, labels))
+
+    def test_long_table_matches_reference_across_chunks(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 70_000
+        index = np.arange(n)
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        path = tmp_path / "long.csv"
+        write_csv(path, ("k", "value"), [index, values])
+        assert path.read_bytes() == reference_csv(
+            ("k", "value"), zip(index.tolist(), values.tolist()))
+
+    def test_floats_round_trip(self, tmp_path):
+        values = [0.1, 1.0 / 3.0, math.pi, 1e-300, -2.5e17, 5e-324, -0.0]
+        path = tmp_path / "floats.csv"
+        write_csv(path, ["v"], [values])
+        back = [float(s) for s in path.read_text().splitlines()[1:]]
+        assert back == values
+        assert math.copysign(1.0, back[-1]) == -1.0
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_any_finite_float_round_trips(self, v):
+        text = "".join(render_csv(["v"], [[v]]))
+        assert float(text.splitlines()[1]) == v
+
+    def test_header_only_table(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_csv(path, ["a", "b"], [[], []])
+        assert path.read_bytes() == b"a,b\n"
+
     def test_rewrite_is_byte_identical(self, tmp_path):
-        rows = [[0.1 * k, k] for k in range(20)]
-        d1 = write_csv(tmp_path / "a.csv", ["x", "k"], rows)
-        d2 = write_csv(tmp_path / "b.csv", ["x", "k"], rows)
+        columns = [[0.1 * k for k in range(20)], list(range(20))]
+        d1 = write_csv(tmp_path / "a.csv", ["x", "k"], columns)
+        d2 = write_csv(tmp_path / "b.csv", ["x", "k"], columns)
         assert d1 == d2
         assert (tmp_path / "a.csv").read_bytes() \
             == (tmp_path / "b.csv").read_bytes()
 
     def test_numpy_scalars_format_like_floats(self, tmp_path):
-        d1 = write_csv(tmp_path / "np.csv", ["v"], [[float(np.float64(0.1))]])
+        d1 = write_csv(tmp_path / "np.csv", ["v"], [[np.float64(0.1)]])
         d2 = write_csv(tmp_path / "py.csv", ["v"], [[0.1]])
         assert d1 == d2
+
+    def test_rejects_malformed_columns(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "a.csv", ["a", "b"], [[1, 2]])
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "b.csv", ["a", "b"], [[1, 2], [3]])
+        with pytest.raises(TypeError):
+            write_csv(tmp_path / "c.csv", ["flag"], [[True, False]])
 
 
 class TestWriteJson:

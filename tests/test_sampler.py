@@ -43,6 +43,27 @@ class TestFactorPsd:
         assert np.array_equal(factor.lower, np.zeros((4, 4)))
         assert factor.jitter_used == 0.0
 
+    def test_zero_variance_nodes_keep_zero_rows(self):
+        # Nodes 0 and 2 are deterministic; the rest is positive definite
+        # and factors without jitter, as the t = 0 rows of a grid do.
+        block = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.3], [0.1, 0.3, 1.5]])
+        a = np.zeros((5, 5))
+        a[np.ix_([1, 3, 4], [1, 3, 4])] = block
+        factor = factor_psd(make_cov(a))
+        assert factor.jitter_used == 0.0
+        assert not factor.lower[[0, 2]].any()
+        assert not factor.lower[:, [0, 2]].any()
+        assert np.array_equal(factor.lower, np.tril(factor.lower))
+        assert np.allclose(factor.lower @ factor.lower.T, a,
+                           rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("c", [0.1, 1e-9])
+    def test_zero_variance_with_covariance_raises(self, c):
+        # Jitter would absorb c = 1e-9; a zero variance rules it out.
+        a = np.array([[0.0, c], [c, 1.0]])
+        with pytest.raises(NotPsdError):
+            factor_psd(make_cov(a))
+
     def test_singular_psd_climbs_jitter_ladder(self):
         # Rank-one matrix: exact Cholesky fails, tiny jitter fixes it.
         v = np.array([1.0, 2.0, 3.0])
