@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtr
 
-from .covariance import conv_cov, cov_matrix, increment_moment2
+from .covariance import SpaceTimePoint, _closed_incr, conv_cov, cov_matrix
 from .quadrature import spectral_integral
 from .sampler import factor_psd, sample_field
 from .spectral import (DEFAULT_QUAD, EquationKind, HurstIndex,
@@ -218,26 +218,30 @@ def _lag_pairs(direction: Direction, base_time: float, base_pos: float,
 
 def fit_hoelder(eqn: EquationKind, hurst, direction: Direction, *,
                 p: float = 2.0, base_time: float = 1.0,
-                base_pos: float = 0.0, lags=None,
-                quad: QuadratureSpec = DEFAULT_QUAD) -> ExponentFit:
+                base_pos: float = 0.0, lags=None) -> ExponentFit:
     """Hölder exponent of the linear field from exact increment moments.
 
     The increments are Gaussian, so the p-th absolute moment is the
     second moment to the power p/2 times the standard normal p-th
-    absolute moment; only second moments are ever integrated.  The
-    fitted slope estimates p times the Hölder order.
+    absolute moment.  The second moments of all lags come from one
+    closed-form evaluation, the one :func:`increment_moment2` makes per
+    pair.  The fitted slope estimates p times the Hölder order.
     """
     if p != int(p) or int(p) % 2 != 0 or p < 2:
         raise ValueError(f"moment order p must be a positive even "
                          f"integer, got {p}")
     h = _as_hurst(hurst)
+    base = SpaceTimePoint(float(base_time), float(base_pos))
     lag_arr = _DEFAULT_LAGS if lags is None else tuple(float(v) for v in lags)
-    scale = gaussian_abs_moment(p)
-    moments = []
-    for a, b in _lag_pairs(direction, base_time, base_pos, lag_arr):
-        m2 = increment_moment2(eqn, h, a, b, quad=quad)
-        moments.append(scale * m2 ** (0.5 * p))
-    return fit_power_law(lag_arr, moments)
+    if not all(0.0 < v < math.inf for v in lag_arr):
+        raise ValueError(f"lags must be positive and finite, got {lag_arr}")
+    lag_np = np.array(lag_arr)
+    if direction is Direction.TIME:
+        m2 = _closed_incr(eqn, h, base.t, base.t + lag_np, 0.0)
+    else:
+        m2 = _closed_incr(eqn, h, base.t, base.t,
+                          np.abs(base.x - (base.x + lag_np)))
+    return fit_power_law(lag_arr, gaussian_abs_moment(p) * m2 ** (0.5 * p))
 
 
 def fit_hoelder_mc(eqn: EquationKind, hurst, direction: Direction, *,
@@ -377,9 +381,11 @@ def verify_lemma_bound(kind: ShiftKind, eqn: EquationKind, alpha: float, *,
     (-1, 1), the native parameter of the bounds.  Rows are normalized by
     the spectral constant: the lhs is the doubled spectral integral of
     the increment term, the rhs the matching constant times the
-    predicted power of the shift.  Every ratio must stay at or below one
-    (up to quadrature error) and the lhs must vanish monotonically with
-    the shift.
+    predicted power of the shift.  Space-shift rows take the lhs from
+    one closed-form evaluation of the increment moments over all shifts;
+    ``quad`` sets the quadrature of the time-shift rows only.  Every
+    ratio must stay at or below one (up to quadrature error) and the
+    lhs must vanish monotonically with the shift.
     """
     if not horizon > 0.0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
@@ -393,12 +399,13 @@ def verify_lemma_bound(kind: ShiftKind, eqn: EquationKind, alpha: float, *,
         raise ValueError("shifts must be positive")
     if any(b <= a for a, b in zip(shift_arr, shift_arr[1:])):
         raise ValueError("shifts must be strictly increasing")
+    if kind is ShiftKind.SPACE_SHIFT:
+        space_lhs = _closed_incr(eqn, h_idx, horizon, horizon,
+                                 np.array(shift_arr)) / noise_constant(h_idx)
     rows = []
-    for h in shift_arr:
+    for i, h in enumerate(shift_arr):
         if kind is ShiftKind.SPACE_SHIFT:
-            lhs = increment_moment2(eqn, h_idx, (horizon, 0.0),
-                                    (horizon, h), quad=quad) \
-                / noise_constant(h_idx)
+            lhs = float(space_lhs[i])
             # The wave vertex function averages sin^2 to 1/2, so its
             # sharp constant is half the heat one.
             factor = horizon if eqn is EquationKind.WAVE else 2.0

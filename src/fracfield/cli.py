@@ -14,6 +14,7 @@ numerical failures (quadrature, factorization, non-convergence).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -401,7 +402,6 @@ def _cmd_simulate(cfg: dict, args) -> _Run:
 def _cmd_hoelder(cfg: dict, args) -> _Run:
     eqn = _eqn_from(cfg, args)
     h = _hurst_from(cfg, args)
-    quad = _quad_from(cfg)
     sub = cfg.get("hoelder", {})
     direction = Direction.parse(args.direction or sub.get("direction", "time"))
     p = float(args.p if args.p is not None else sub.get("p", 2.0))
@@ -409,7 +409,7 @@ def _cmd_hoelder(cfg: dict, args) -> _Run:
     lags = sub.get("lags")
     fit = fit_hoelder(eqn, h, direction, p=p,
                       base_time=float(base[0]), base_pos=float(base[1]),
-                      lags=lags, quad=quad)
+                      lags=lags)
     expected = expected_hoelder_slope(eqn, h, direction, p)
     tolerance = float(sub.get("tolerance", 0.1))
     passed = (not np.isnan(fit.slope)
@@ -499,7 +499,10 @@ def _cmd_verify_lemmas(cfg: dict, args) -> _Run:
                            "summary.json": summary})
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged."""
     parser = _Parser(prog="fracfield",
                      description="Fractional-noise stochastic heat and "
                                  "wave equation toolkit")

@@ -6,8 +6,8 @@ The centered solution of the linear equation has covariance
 * time_kernel(eqn, t1, t2, xi) * |xi|^(1-2H) dxi``
 
 where :func:`time_kernel` is the time integral of the product of the
-propagator's Fourier multipliers.  Covariances are closed forms; the
-spectral form is integrated for increment moments and, in the tests, as
+propagator's Fourier multipliers.  Covariances and increment moments
+are closed forms; the spectral form is integrated only in the tests, as
 the independent route.  Sampling lives in :mod:`fracfield.sampler`.
 """
 
@@ -22,8 +22,7 @@ from scipy.special import hyp1f1
 
 from .errors import NumericalError
 from .quadrature import QuadResult, cos_integral_constant, spectral_integral
-from .spectral import (DEFAULT_QUAD, EquationKind, HurstIndex,
-                       QuadratureSpec, noise_constant)
+from .spectral import EquationKind, HurstIndex, QuadratureSpec, noise_constant
 
 __all__ = [
     "SpaceTimePoint",
@@ -39,6 +38,17 @@ __all__ = [
 # below this, where the closed form loses digits to cancellation.  The
 # series truncation error at the boundary is ~1e-13 relative.
 _WAVE_SERIES_PHASE = 0.1
+
+# Power series replace differences that cancel.  A second difference
+# u^p [(1+r)^p + (1-r)^p - 2] is summed from its binomial series for
+# r <= 1/2, and the wave covariance from its series in (t1+t2)/|dx| once
+# |dx| >= 2 (t1+t2); there 30 terms in r^2 or 30 even terms leave less
+# than 1e-17 relative.  Kummer's M - 1 is summed for arguments of size
+# <= 1, where 20 terms leave less than 1e-18.
+_SERIES_RATIO = 0.5
+_SERIES_TERMS = 30
+_KUMMER_ARG = 1.0
+_KUMMER_TERMS = 20
 
 
 @dataclass(frozen=True)
@@ -227,13 +237,76 @@ def _as_point(p) -> SpaceTimePoint:
     return SpaceTimePoint(float(t), float(x))
 
 
+def _spow(p: float, v):
+    """``sign(v) |v|^p``."""
+    return np.sign(v) * np.abs(v) ** p
+
+
+def _second_diff(p: float, u, e):
+    """``f(u+e) + f(u-e) - 2 f(u)`` for ``f = _spow(p, .)`` and u > 0.
+
+    Summed as ``2 u^p sum_k binom(p, 2k) r^(2k)`` with ``r = e/u`` when
+    r <= 1/2, where the direct difference would cancel; direct otherwise.
+    """
+    r2 = (e / u) ** 2
+    coef, power, series = 1.0, 1.0, 0.0
+    for k in range(2, 2 * _SERIES_TERMS + 1, 2):
+        coef *= (p - k + 2.0) * (p - k + 1.0) / ((k - 1.0) * k)
+        power = power * r2
+        series = series + coef * power
+    return np.where(r2 <= _SERIES_RATIO ** 2, 2.0 * u ** p * series,
+                    _spow(p, u + e) + _spow(p, u - e) - 2.0 * _spow(p, u))
+
+
+def _kummer_m1(h: float, x):
+    """``M(-h, 1/2, x) - 1`` (DLMF 13.2.2), summed for ``|x| <= 1``."""
+    term, series = 1.0, 0.0
+    for n in range(1, _KUMMER_TERMS + 1):
+        term = term * x * (n - 1.0 - h) / ((n - 0.5) * n)
+        series = series + term
+    return np.where(np.abs(x) <= _KUMMER_ARG, series,
+                    hyp1f1(-h, 0.5, x) - 1.0)
+
+
+def _heat_near(h: float, z, a):
+    """``a^H M(-H, 1/2, -z/a)``, and its limit ``z^H sqrt(pi) / Gamma(1/2+H)``
+    at ``a = 0``."""
+    return np.where(a > 0.0, a ** h * hyp1f1(-h, 0.5, -z / a),
+                    z ** h * math.sqrt(math.pi) / _gamma(0.5 + h))
+
+
+def _wave_far(q: float, t1, t2, c):
+    """Wave bracket of :func:`_closed_cov` for ``c > s``, from its series
+    in ``sig = s/c`` and ``dl = d/c``.
+
+    The bracket is ``c^(q+1) (sig-dl)^2 sum_{n even >= 2} binom(q, n)
+    Q_n / (n+1)`` with ``h_i = (sig^i - dl^i) / (sig-dl)`` and ``Q_n =
+    sum_{i<=n} dl^(n-i) h_i``, and ``c (sig-dl) = 2 t1``.  The n = 0
+    terms cancel analytically, every later term has the sign of q - 1,
+    and at q = 1 they all vanish.
+    """
+    sig, dl = (t1 + t2) / c, (t2 - t1) / c
+    hi = qn = np.ones_like(sig)
+    dpow, coef, total = dl, q, 0.0
+    for n in range(2, 2 * _SERIES_TERMS + 1):
+        hi = sig * hi + dpow
+        dpow = dpow * dl
+        qn = dl * qn + hi
+        coef *= (q - n + 1.0) / n
+        if n % 2 == 0:
+            total = total + coef / (n + 1.0) * qn
+    return 4.0 * t1 * t1 * c ** (q - 1.0) * total
+
+
 def _closed_cov(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
     """Covariance on broadcast arrays with ``t1 <= t2`` and ``c = |dx|``.
 
     With ``q = 2H``, ``s = t1 + t2``, ``d = t2 - t1`` and nc =
     :func:`noise_constant`.  Wave: ``nc C(1-2H)/2 * (1/2 [G(s+c) - G(d+c)
     + G(s-c) - G(d-c)] - t1 (|c-d|^q + |c+d|^q))``, ``G(u) = sign(u)
-    |u|^(q+1)/(q+1)``, C = :func:`cos_integral_constant`.  Heat: ``nc
+    |u|^(q+1)/(q+1)``, C = :func:`cos_integral_constant`; for ``c >= 2s``
+    the bracket is summed by :func:`_wave_far`, since its terms are of
+    size ``c^(q+1)`` and the value of size ``t1^2 c^(q-1)``.  Heat: ``nc
     Gamma(-H) [A^H M(-H, 1/2, -c^2/4A) - B^H M(-H, 1/2, -c^2/4B)]``,
     ``A = d/2``, ``B = s/2``, M Kummer's function (DLMF 13.2), with the
     limit ``(c^2/4)^H sqrt(pi) / Gamma(1/2+H)`` of the first term at A = 0.
@@ -241,7 +314,8 @@ def _closed_cov(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
     light cones (``c >= s``), where the formula would leave roundoff.
     """
     h = hurst.value
-    t1, t2, c = (np.asarray(v, dtype=float) for v in (t1, t2, c))
+    t1, t2, c = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (t1, t2, c)))
     s, d = t1 + t2, t2 - t1
     # Non-finite intermediates are masked below or raise.
     with np.errstate(all="ignore"):
@@ -249,18 +323,19 @@ def _closed_cov(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
             q = 2.0 * h
 
             def prim(u):
-                return np.sign(u) * np.abs(u) ** (q + 1.0) / (q + 1.0)
+                return _spow(q + 1.0, u) / (q + 1.0)
 
-            out = cos_integral_constant(hurst.spectral_exponent) / 2.0 * (
+            out = np.asarray(
                 0.5 * (prim(s + c) - prim(d + c) + prim(s - c) - prim(d - c))
                 - t1 * (np.abs(c - d) ** q + (c + d) ** q))
+            far = (c >= 2.0 * s) & (t1 > 0.0)
+            out[far] = _wave_far(q, t1[far], t2[far], c[far])
             out = np.where((h == 0.5) & (c >= s), 0.0, out)
+            out *= cos_integral_constant(hurst.spectral_exponent) / 2.0
         elif eqn is EquationKind.HEAT:
             z, a, b = c * c / 4.0, d / 2.0, s / 2.0
-            near = np.where(a > 0.0, a ** h * hyp1f1(-h, 0.5, -z / a),
-                            z ** h * math.sqrt(math.pi) / _gamma(0.5 + h))
-            far = b ** h * hyp1f1(-h, 0.5, -z / b)
-            out = _gamma(-h) * (near - far)
+            out = _gamma(-h) * (_heat_near(h, z, a)
+                                - b ** h * hyp1f1(-h, 0.5, -z / b))
         else:
             raise TypeError(f"expected EquationKind, got {eqn!r}")
     out = np.where(t1 == 0.0, 0.0, noise_constant(hurst) * out)
@@ -270,13 +345,67 @@ def _closed_cov(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
     return out
 
 
+def _closed_incr(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
+    """Increment moment ``E[(u(t2, x+c) - u(t1, x))^2]`` on broadcast
+    arrays with ``t1 <= t2`` and ``c = |dx|``.
+
+    The two variances minus twice :func:`_closed_cov`, regrouped so that
+    no terms of size one are subtracted; notation as there, with
+    ``D2_e f(u) = f(u+e) + f(u-e) - 2 f(u)`` from :func:`_second_diff`.
+    Wave: ``nc C/2 [D2_d G(s) - D2_c G(s) + G(d+c) + G(d-c) + 2 t1
+    (|c-d|^q + (c+d)^q)]``, and for ``c >= 2s``, where those terms
+    are of size ``c^(q+1)``, the two variances ``nc C/2 G(2 t_i)`` minus
+    twice :func:`_wave_far`.  Heat: ``nc Gamma(-H) [-D2_A(u^H)(B) + 2 B^H
+    (M(-H, 1/2, -z/B) - 1) - 2 A^H M(-H, 1/2, -z/A)]``, ``z = c^2/4``.
+    Exactly zero at ``t2 == 0``.  Roundoff below zero down to -1e-10 is
+    clamped to 0; a more negative or a non-finite value raises
+    :class:`NumericalError`.
+    """
+    h = hurst.value
+    t1, t2, c = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (t1, t2, c)))
+    s, d = t1 + t2, t2 - t1
+    with np.errstate(all="ignore"):
+        if eqn is EquationKind.WAVE:
+            q = 2.0 * h
+            p = q + 1.0
+
+            def prim(u):
+                return _spow(p, u) / p
+
+            out = np.asarray(
+                (_second_diff(p, s, d) - _second_diff(p, s, c)) / p
+                + prim(d + c) + prim(d - c)
+                + 2.0 * t1 * (np.abs(c - d) ** q + (c + d) ** q))
+            far = (c >= 2.0 * s) & (t2 > 0.0)
+            out[far] = (prim(2.0 * t1[far]) + prim(2.0 * t2[far])
+                        - 2.0 * _wave_far(q, t1[far], t2[far], c[far]))
+            out *= cos_integral_constant(hurst.spectral_exponent) / 2.0
+        elif eqn is EquationKind.HEAT:
+            z, a, b = c * c / 4.0, d / 2.0, s / 2.0
+            out = _gamma(-h) * (-_second_diff(h, b, a)
+                                + 2.0 * b ** h * _kummer_m1(h, -z / b)
+                                - 2.0 * _heat_near(h, z, a))
+        else:
+            raise TypeError(f"expected EquationKind, got {eqn!r}")
+    out = np.where(t2 == 0.0, 0.0, noise_constant(hurst) * out)
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("closed-form increment moment is not finite: a "
+                             "time or separation is too large for double "
+                             "precision")
+    if np.any(out < -1e-10):
+        raise NumericalError(f"increment second moment came out "
+                             f"{np.min(out):.3e} < -1e-10")
+    return np.maximum(out, 0.0)
+
+
 def conv_cov(eqn: EquationKind, hurst: HurstIndex | float, p1, p2) -> float:
     """Covariance of the centered linear field at two space-time points.
 
     Symmetric in its point arguments, stationary in space (depends only
-    on |x1 - x2|), and zero whenever either time is zero.  Closed form;
-    far outside the wave light cones its absolute error is about
-    ``1e-16 |x1-x2|^(2H+1)``, which can exceed the value itself.
+    on |x1 - x2|), and zero whenever either time is zero.  Closed form,
+    summed as a series in ``(t1+t2)/|x1-x2|`` far outside the wave light
+    cones.
     """
     h = hurst if isinstance(hurst, HurstIndex) else HurstIndex(hurst)
     a, b = _as_point(p1), _as_point(p2)
@@ -304,34 +433,20 @@ def cov_matrix(eqn: EquationKind, hurst: HurstIndex | float,
                             err_estimates=np.zeros_like(entries))
 
 
-def increment_moment2(eqn: EquationKind, hurst: HurstIndex | float, p1, p2,
-                      quad: QuadratureSpec | None = None) -> float:
+def increment_moment2(eqn: EquationKind, hurst: HurstIndex | float,
+                      p1, p2) -> float:
     """Second moment ``E[(u(p2) - u(p1))^2]`` of a linear-field increment.
 
-    Evaluated as a single fused quadrature of ``[TK(t2,t2) + TK(t1,t1) -
-    2 cos(xi dx) TK(t1,t2)] |xi|^alpha`` rather than a difference of
-    covariances, which would cancel catastrophically at small lags.
-    Slightly negative results above -1e-10 (pure roundoff) are clamped to
-    zero; anything below that raises ValueError as an inconsistency.
+    Closed form written as one sum, not as a difference of covariances,
+    which would cancel catastrophically at small lags.  Slightly
+    negative results above -1e-10 (pure roundoff) are clamped to zero;
+    anything below that, or a non-finite result, raises
+    :class:`NumericalError`.
     """
     h = hurst if isinstance(hurst, HurstIndex) else HurstIndex(hurst)
-    q = quad or DEFAULT_QUAD
     a, b = _as_point(p1), _as_point(p2)
-    if a == b:
-        return 0.0
     t1, t2 = sorted((a.t, b.t))
-    c = abs(a.x - b.x)
-    terms = [(t1, t1, 0.0, 1.0), (t2, t2, 0.0, 1.0), (t1, t2, c, -2.0)]
-    res = _assemble(eqn, h.spectral_exponent, terms, q)
-    scale = 2.0 * noise_constant(h)
-    value = scale * res.value
-    QuadResult(value, scale * res.err_estimate, res.panels_used,
-               res.converged).require("increment_moment2")
-    if value < -1e-10:
-        raise ValueError(
-            f"increment second moment came out {value:.3e} < -1e-10; "
-            "quadrature inconsistency")
-    return max(value, 0.0)
+    return float(_closed_incr(eqn, h, t1, t2, abs(a.x - b.x)))
 
 
 def noise_field_cov(hurst: HurstIndex | float, p1, p2) -> float:

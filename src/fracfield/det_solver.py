@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.integrate import quad as _scipy_quad
 
 from .errors import MaxIterExceededError
 from .spectral import EquationKind
@@ -242,6 +241,9 @@ def initial_term(eqn: EquationKind, data: InitialData, t: float, x):
         out = 0.5 * (_vec_eval(data.u0, x_arr + t)
                      + _vec_eval(data.u0, x_arr - t))
         if data.v0 is not None:
+            # Imported here, its only use: it pulls in scipy.optimize,
+            # which costs every process about 0.2 s at start-up.
+            from scipy.integrate import quad as _scipy_quad
             integrals = np.empty_like(out)
             for i, xi in enumerate(x_arr):
                 val, _ = _scipy_quad(data.v0, xi - t, xi + t,

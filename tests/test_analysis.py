@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from fracfield import (Direction, EquationKind, HurstIndex, ShiftKind,
                        conv_cov, expected_hoelder_slope, fit_hoelder,
                        fit_hoelder_mc, fit_power_law, h_convergence,
-                       marginal_distance, verify_lemma_bound)
+                       increment_moment2, marginal_distance, noise_constant,
+                       verify_lemma_bound)
 from fracfield.analysis import DEFAULT_H_PAIRS
 
 HEAT = EquationKind.HEAT
@@ -97,6 +98,28 @@ class TestFitHoelder:
         fit = fit_hoelder(HEAT, 0.5, Direction.TIME, p=4.0)
         assert abs(fit.slope - 1.0) <= 0.1
 
+    @pytest.mark.parametrize("eqn", [HEAT, WAVE])
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_moments_are_the_pairwise_increment_moments(self, eqn,
+                                                        direction):
+        lags = (0.001, 0.01, 0.1, 0.5, 1.5)
+        fit = fit_hoelder(eqn, 0.35, direction, base_time=0.75,
+                          base_pos=-0.3, lags=lags)
+        for lag, moment in zip(lags, fit.moments):
+            end = ((0.75 + lag, -0.3) if direction is Direction.TIME
+                   else (0.75, -0.3 + lag))
+            assert moment == pytest.approx(
+                increment_moment2(eqn, 0.35, (0.75, -0.3), end),
+                rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("lags", [
+        (0.0, 0.1, 0.2, 0.3), (-0.1, 0.1, 0.2, 0.3),
+        (0.1, 0.2, 0.3, math.inf), (0.1, 0.2, 0.3, math.nan),
+    ])
+    def test_lags_validated(self, lags):
+        with pytest.raises(ValueError):
+            fit_hoelder(HEAT, 0.5, Direction.SPACE, lags=lags)
+
     def test_odd_or_fractional_p_rejected(self):
         for p in (3.0, 2.5, 0.0, -2.0):
             with pytest.raises(ValueError):
@@ -133,6 +156,16 @@ class TestLemmaBound:
         for eqn in (HEAT, WAVE):
             report = verify_lemma_bound(ShiftKind.SPACE_SHIFT, eqn, 0.0)
             assert report.max_ratio >= 0.99
+
+    @pytest.mark.parametrize("eqn", [HEAT, WAVE])
+    def test_space_rows_are_increment_moments(self, eqn):
+        report = verify_lemma_bound(ShiftKind.SPACE_SHIFT, eqn, 0.4,
+                                    horizon=0.8)
+        nc = noise_constant(0.3)
+        for row in report.rows:
+            assert row.lhs == pytest.approx(
+                increment_moment2(eqn, 0.3, (0.8, 0.0), (0.8, row.shift))
+                / nc, rel=1e-14, abs=0.0)
 
     def test_wave_time_bound_keeps_known_slack(self):
         # The wave time constant overshoots by roughly 1/16 at alpha=0.

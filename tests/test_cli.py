@@ -8,10 +8,16 @@ documented exit codes (1 configuration, 2 numerical).
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracfield
+from fracfield import cli
 from fracfield.cli import main
 from fracfield.report import sha256_of
 
@@ -46,6 +52,36 @@ class TestParser:
 
     def test_missing_subcommand_exits_one(self, capsys):
         assert main([]) == 1
+
+    def test_one_parser_serves_successive_calls(self, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        assert main(["constants", "--hurst", "0.5"]) == 0
+        first = capsys.readouterr().out
+        assert "noise_constant 0.159155" in first
+        assert main(["hoelder", "--equation", "heat", "--hurst", "0.5",
+                     "--direction", "space"]) == 0
+        assert capsys.readouterr().out.endswith(" ok\n")
+        assert main(["hoelder", "--equation", "heat", "--p", "x"]) == 1
+        assert "invalid float value" in capsys.readouterr().err
+        # Values parsed by earlier calls do not carry over.
+        assert main(["constants"]) == 1
+        assert "roughness" in capsys.readouterr().err
+        assert main(["constants", "--hurst", "0.5"]) == 0
+        assert capsys.readouterr().out == first
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate serves only the wave v0 term and pulls in
+    # scipy.optimize, so importing the CLI must not load it.
+    src = str(Path(fracfield.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, fracfield.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestConstants:

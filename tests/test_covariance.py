@@ -2,9 +2,10 @@
 
 Oracles: the explicit noise-covariance display, closed variance values
 at the Brownian index, the spectral quadrature engine against the closed
-covariance forms, and the three-evaluation expansion of increment second
-moments (kept as an independent route, never collapsed into the fused
-evaluation it checks).
+covariance and increment forms, values computed once at 60 digits with
+mpmath and pinned as literals, and the three-evaluation expansion of
+increment second moments (kept as an independent route, never collapsed
+into the fused form it checks).
 """
 
 import math
@@ -79,6 +80,29 @@ class TestConvCov:
         assert rel_err(conv_cov(EquationKind.WAVE, 0.7, (0.5, 0.0),
                                 (0.5, 1.5)), 9.3656478888e-3) < 1e-10
 
+    # Wave covariances far outside the light cones, where the closed form
+    # subtracts terms of size |dx|^(2H+1) from a value of size
+    # t1^2 |dx|^(2H-1); the last two rows of each index have t1 << t2.
+    # References: the closed form at 60 digits (mpmath).
+    @pytest.mark.parametrize("h, t1, t2, c, truth", [
+        (0.1, 1.0, 1.5, 1e3, -1.8578367063690739e-7),
+        (0.1, 1.0, 1.5, 1e6, -7.3961682314981114e-13),
+        (0.1, 1e-3, 0.25, 1.0, -1.0541152280625855e-8),
+        (0.1, 1e-3, 0.25, 1e3, -3.9757638181011859e-14),
+        (0.7, 1.0, 1.5, 1e3, 0.0025886597419350053),
+        (0.7, 1.0, 1.5, 1e6, 4.1027478381336724e-5),
+        (0.7, 1e-3, 0.25, 1.0, 3.5312515258603271e-8),
+        (0.7, 1e-3, 0.25, 1e3, 5.5397300606326724e-10),
+        (0.95, 1.0, 1.5, 1e3, 0.24996714229714439),
+        (0.95, 1.0, 1.5, 1e6, 0.12528033577154491),
+        (0.95, 1e-3, 0.25, 1.0, 1.0685702770103791e-7),
+        (0.95, 1e-3, 0.25, 1e3, 5.3492966474254138e-8),
+    ])
+    def test_wave_far_outside_cones_matches_high_precision(self, h, t1, t2,
+                                                           c, truth):
+        got = conv_cov(EquationKind.WAVE, h, (t1, 0.0), (t2, c))
+        assert rel_err(got, truth) <= 1e-12
+
     @pytest.mark.parametrize("p1, p2", [
         ((1.0, 0.0), (1.0, 2.0)), ((1.0, 0.0), (2.0, 3.0)),
         ((0.25, -1.0), (1.5, 0.75)), ((0.5, 0.0), (0.5, 7.5))])
@@ -86,8 +110,10 @@ class TestConvCov:
         assert conv_cov(EquationKind.WAVE, 0.5, p1, p2) == 0.0
 
     def test_overflow_raises_numerical_error(self):
+        # A separation of 1e200 is summed by the far-field series and
+        # stays finite; a time that large still overflows.
         with pytest.raises(NumericalError):
-            conv_cov(EquationKind.WAVE, 0.7, (1.0, 0.0), (1.0, 1e200))
+            conv_cov(EquationKind.WAVE, 0.7, (1e200, 0.0), (1e200, 1.0))
 
     def test_translation_invariant_in_space(self):
         for eqn in EquationKind:
@@ -160,7 +186,7 @@ class TestCovMatrix:
 class TestIncrementMoment2:
     # Independent route: expand E(u(a) - u(b))^2 into three covariance
     # evaluations.  This cross-check must never be replaced by the fused
-    # quadrature it verifies.
+    # closed form it verifies.
     @pytest.mark.parametrize("eqn", [EquationKind.HEAT, EquationKind.WAVE])
     @pytest.mark.parametrize("h", [0.3, 0.7])
     @pytest.mark.parametrize("a, b", [
@@ -173,6 +199,99 @@ class TestIncrementMoment2:
         expanded = (conv_cov(eqn, h, a, a) + conv_cov(eqn, h, b, b)
                     - 2.0 * conv_cov(eqn, h, a, b))
         assert abs(fused - expanded) <= 1e-8 * max(abs(fused), 1e-6)
+
+    # Lags where the three-covariance expansion loses up to 6% (wave and
+    # heat at H = 0.8, lag 1e-9).  References: the two variances minus
+    # twice the closed-form covariance at 60 digits (mpmath), from
+    # (1, 0) to (1 + lag, 0), (1, lag) or (1 + lag, lag).
+    @pytest.mark.parametrize("eqn, h, kind, lag, truth", [
+        ("heat", 0.3, "time", 1e-9, 0.0016135140534099299),
+        ("heat", 0.3, "time", 1e-6, 0.012816597379001851),
+        ("heat", 0.3, "time", 1e-3, 0.10180582560294682),
+        ("heat", 0.3, "space", 1e-9, 3.9810717055348251e-6),
+        ("heat", 0.3, "space", 1e-6, 0.00025118864300161916),
+        ("heat", 0.3, "space", 1e-3, 0.015848782585702217),
+        ("heat", 0.3, "mixed", 1e-9, 0.001613514053893984),
+        ("heat", 0.3, "mixed", 1e-6, 0.012816601223831278),
+        ("heat", 0.3, "mixed", 1e-3, 0.10183621450899781),
+        ("heat", 0.8, "time", 1e-9, 5.5624915734308406e-8),
+        ("heat", 0.8, "time", 1e-6, 1.3972346152214857e-5),
+        ("heat", 0.8, "time", 1e-3, 0.0035096639990233759),
+        ("heat", 0.8, "space", 1e-9, 3.9804577268063667e-15),
+        ("heat", 0.8, "space", 1e-6, 2.5057466442235877e-10),
+        ("heat", 0.8, "space", 1e-3, 1.5234953206245179e-5),
+        ("heat", 0.8, "mixed", 1e-9, 5.5624915778194356e-8),
+        ("heat", 0.8, "mixed", 1e-6, 1.3972356716112764e-5),
+        ("heat", 0.8, "mixed", 1e-3, 0.0035118577438437348),
+        ("wave", 0.3, "time", 1e-9, 1.9905359522081899e-6),
+        ("wave", 0.3, "time", 1e-6, 0.00012559436087434456),
+        ("wave", 0.3, "time", 1e-3, 0.0079269991859262744),
+        ("wave", 0.3, "space", 1e-9, 1.9905358527674304e-6),
+        ("wave", 0.3, "space", 1e-6, 0.00012559432151863967),
+        ("wave", 0.3, "space", 1e-3, 0.0079244091229336615),
+        ("wave", 0.3, "mixed", 1e-9, 1.5086001718622918e-6),
+        ("wave", 0.3, "mixed", 1e-6, 9.5182812279181313e-5),
+        ("wave", 0.3, "mixed", 1e-3, 0.0060093757503122825),
+        ("wave", 0.8, "time", 1e-9, 1.9908392600301219e-15),
+        ("wave", 0.8, "time", 1e-6, 1.2589748911589663e-10),
+        ("wave", 0.8, "time", 1e-3, 8.2292241437553168e-6),
+        ("wave", 0.8, "space", 1e-9, 1.9902327094541807e-15),
+        ("wave", 0.8, "space", 1e-6, 1.2529117826217676e-10),
+        ("wave", 0.8, "space", 1e-3, 7.6213226505191998e-6),
+        ("wave", 0.8, "mixed", 1e-9, 3.0170883691957949e-15),
+        ("wave", 0.8, "mixed", 1e-6, 1.9036546707646834e-10),
+        ("wave", 0.8, "mixed", 1e-3, 1.2015864049174647e-5),
+    ])
+    def test_small_lags_match_high_precision(self, eqn, h, kind, lag,
+                                             truth):
+        dt = 0.0 if kind == "space" else lag
+        dx = 0.0 if kind == "time" else lag
+        got = increment_moment2(EquationKind.parse(eqn), h, (1.0, 0.0),
+                                (1.0 + dt, dx))
+        assert rel_err(got, truth) <= 1e-12
+
+    # Wave increments far outside the light cones, where the grouped
+    # form would subtract terms of size |dx|^(2H+1).  References as above.
+    @pytest.mark.parametrize("h, p1, p2, truth", [
+        (0.1, (0.01, 0.0), (0.01, 1.0), 0.0019054910550741271),
+        (0.1, (0.01, 0.0), (0.02, 10.0), 0.0031414941417155031),
+        (0.1, (1.0, 0.0), (1.5, 1e3), 0.6286034474882394),
+        (0.7, (0.01, 0.0), (0.01, 1.0), 8.5269926872744137e-6),
+        (0.7, (0.01, 0.0), (0.02, 10.0), 2.7235104394744456e-5),
+        (0.7, (1.0, 0.0), (1.5, 1e3), 0.99714777469997442),
+        (0.95, (0.01, 0.0), (0.01, 1.0), 4.4983159876935642e-7),
+        (0.95, (0.01, 0.0), (0.02, 10.0), 3.1841494099628351e-6),
+        (0.95, (1.0, 0.0), (1.5, 1e3), 0.86451150626756626),
+    ])
+    def test_wave_far_outside_cones_matches_high_precision(self, h, p1, p2,
+                                                           truth):
+        got = increment_moment2(EquationKind.WAVE, h, p1, p2)
+        assert rel_err(got, truth) <= 1e-12
+
+    # Independent route: the old body of increment_moment2, one spectral
+    # quadrature of the three covariance integrands.
+    @given(st.floats(min_value=0.02, max_value=0.98),
+           st.floats(min_value=0.01, max_value=2.0),
+           st.floats(min_value=1e-4, max_value=2.0),
+           st.floats(min_value=1e-4, max_value=2.0),
+           st.sampled_from(["time", "space", "mixed"]),
+           st.sampled_from([EquationKind.HEAT, EquationKind.WAVE]))
+    def test_matches_spectral_engine(self, h, t, dt, dx, kind, eqn):
+        dt = 0.0 if kind == "space" else dt
+        dx = 0.0 if kind == "time" else dx
+        terms = [(t, t, 0.0, 1.0), (t + dt, t + dt, 0.0, 1.0),
+                 (t, t + dt, dx, -2.0)]
+        res = _assemble(eqn, 1.0 - 2.0 * h, terms, DEFAULT_QUAD)
+        # The engine is an oracle only where it meets its own tolerance.
+        assume(res.converged)
+        engine = 2.0 * noise_constant(h) * res.value
+        fused = increment_moment2(eqn, h, (t, 0.0), (t + dt, dx))
+        assert abs(fused - engine) <= 1e-9 * abs(engine) + 1e-14
+
+    def test_overflow_raises_numerical_error(self):
+        with pytest.raises(NumericalError):
+            increment_moment2(EquationKind.WAVE, 0.7, (1e200, 0.0),
+                              (1e200, 1.0))
 
     @pytest.mark.parametrize("eqn", [EquationKind.HEAT, EquationKind.WAVE])
     def test_same_point_is_zero(self, eqn):
