@@ -402,15 +402,15 @@ def verify_lemma_bound(kind: ShiftKind, eqn: EquationKind, alpha: float, *,
     if kind is ShiftKind.SPACE_SHIFT:
         space_lhs = _closed_incr(eqn, h_idx, horizon, horizon,
                                  np.array(shift_arr)) / noise_constant(h_idx)
+        # The wave vertex function averages sin^2 to 1/2, so its sharp
+        # constant is half the heat one.
+        space_const = (lemma_constant(LemmaConstantKind.COS_INTEGRAL, alpha)
+                       * (horizon if eqn is EquationKind.WAVE else 2.0))
     rows = []
     for i, h in enumerate(shift_arr):
         if kind is ShiftKind.SPACE_SHIFT:
             lhs = float(space_lhs[i])
-            # The wave vertex function averages sin^2 to 1/2, so its
-            # sharp constant is half the heat one.
-            factor = horizon if eqn is EquationKind.WAVE else 2.0
-            rhs = (lemma_constant(LemmaConstantKind.COS_INTEGRAL, alpha)
-                   * factor * h ** (1.0 - alpha))
+            rhs = space_const * h ** (1.0 - alpha)
         elif eqn is EquationKind.HEAT:
             lhs = _heat_time_lhs(alpha, horizon, h, quad)
             rhs = (2.0 * _heat_smoothing_constant(alpha)

@@ -577,8 +577,13 @@ def _print(run: _Run) -> None:
     sys.stdout.writelines(render_csv(header, columns))
 
 
-def _write(run: _Run, args, started: float) -> None:
-    """Write the artifacts and, last, the manifest that pins them."""
+def _write(run: _Run, args, started: float, computed: float) -> None:
+    """Write the artifacts and, last, the manifest that pins them.
+
+    ``started`` and ``computed`` are the clock readings before and after
+    the handler ran; the manifest records the handler's and the writes'
+    times apart.
+    """
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = {}
@@ -587,12 +592,15 @@ def _write(run: _Run, args, started: float) -> None:
             outputs[name] = write_csv(out_dir / name, *content)
         else:
             outputs[name] = write_json(out_dir / name, content)
+    written = time.perf_counter()
     write_json(out_dir / "run_manifest.json", {
         "subcommand": args.subcommand,
         "artifact_version": ARTIFACT_VERSION,
         "master_seed": run.master_seed,
         "config": run.config,
         "outputs": outputs,
+        "diagnostics": {"compute_s": computed - started,
+                        "write_s": written - computed},
         "wall_clock_seconds": time.perf_counter() - started})
 
 
@@ -605,10 +613,11 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         run = _HANDLERS[args.subcommand](_load_config(args.config), args)
+        computed = time.perf_counter()
         if args.out is None:
             _print(run)
         else:
-            _write(run, args, started)
+            _write(run, args, started, computed)
     except NumericalError as exc:
         print(f"fracfield: numerical failure: {exc}", file=sys.stderr)
         return 2

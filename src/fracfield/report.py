@@ -2,9 +2,12 @@
 
 Tables are given column by column, and each column is rendered by its
 dtype: integers via %d, floats via %.17g so values round-trip exactly,
-strings via %s.  Files are UTF-8 with LF line endings regardless of
-platform, and every writer returns the SHA-256 of the bytes written so
-manifests can pin outputs.
+strings via %s.  A numeric column that repeats (at most half as many
+distinct values as rows) has each distinct bit pattern formatted once
+and its cells copied from those strings, so the bytes are those of
+per-cell %d/%.17g/%s; bit patterns keep -0.0 apart from 0.0.  Files are
+UTF-8 with LF line endings regardless of platform, and every writer
+returns the SHA-256 of the bytes written so manifests can pin outputs.
 """
 
 from __future__ import annotations
@@ -31,6 +34,25 @@ _CELL_FORMATS = {"i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
 _CHUNK_ROWS = 1 << 16
 
 
+def _distinct(column):
+    """Return ``(first, inverse)`` over a column's distinct bit patterns.
+
+    ``first`` indexes one cell of each distinct pattern and ``inverse``
+    maps every cell to its pattern.  Returns None for string and wider
+    than 64-bit columns, and for a column where more than half the cells
+    are distinct, which is formatted cell by cell.
+    """
+    if column.dtype.kind == "U" or column.dtype.itemsize > 8:
+        return None
+    bits = column.view(f"u{column.dtype.itemsize}")
+    # Counting on a plain sort first spares the far costlier indexed
+    # np.unique on columns that hardly repeat.
+    ordered = np.sort(bits)
+    if 2 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) > bits.size:
+        return None
+    return np.unique(bits, return_index=True, return_inverse=True)[1:]
+
+
 def render_csv(header, columns):
     """Yield the text of a CSV table, header first, in chunks of rows.
 
@@ -49,11 +71,32 @@ def render_csv(header, columns):
     if not set(kinds) <= set(_CELL_FORMATS):
         raise TypeError(f"unsupported column dtypes "
                         f"{[str(c.dtype) for c in cols]}")
-    row_format = ",".join(_CELL_FORMATS[k] for k in kinds) + "\n"
+    # A repeating column becomes its distinct values' strings and the
+    # index of each cell into them; the row format pastes it in by %s.
+    cell_formats, sources = [], []
+    for c, kind in zip(cols, kinds):
+        fmt = _CELL_FORMATS[kind]
+        found = _distinct(c)
+        if found is None:
+            cell_formats.append(fmt)
+            sources.append((c, None))
+        else:
+            first, inverse = found
+            texts = np.array([fmt % v for v in c[first].tolist()],
+                             dtype=object)
+            cell_formats.append("%s")
+            sources.append((texts, inverse))
+    row_format = ",".join(cell_formats) + "\n"
+    width = len(cols)
     yield ",".join(str(h) for h in header) + "\n"
     for start in range(0, n_rows, _CHUNK_ROWS):
-        chunk = [c[start:start + _CHUNK_ROWS].tolist() for c in cols]
-        yield "".join(map(row_format.__mod__, zip(*chunk)))
+        stop = min(start + _CHUNK_ROWS, n_rows)
+        cells = [None] * ((stop - start) * width)
+        for j, (values, inverse) in enumerate(sources):
+            chunk = (values[start:stop] if inverse is None
+                     else values[inverse[start:stop]])
+            cells[j::width] = chunk.tolist()
+        yield (row_format * (stop - start)) % tuple(cells)
 
 
 def write_csv(path, header, columns) -> str:

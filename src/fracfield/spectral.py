@@ -18,10 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .errors import QuadratureError
-from .quadrature import (QuadResult, cos_integral_constant, power_tail,
-                         osc_power_tail, spectral_integral, _gl_eval,
-                         _NODES16, _WEIGHTS16, _build_edges)
+from .quadrature import (QuadResult, cos_integral_constant,
+                         spectral_integral, _NODES16, _WEIGHTS16)
 
 __all__ = [
     "EquationKind",
@@ -273,8 +271,9 @@ class LemmaConstantKind(enum.Enum):
 def lemma_constant(kind: LemmaConstantKind, parameter: float) -> float:
     """Evaluate one of the named increment-bound constants.
 
-    ``COS_INTEGRAL``: ``int_R (1 - cos(u)) |u|^(alpha-2) du`` computed by
-    quadrature (parameter = alpha in (-1, 1)); equals pi at alpha = 0.
+    ``COS_INTEGRAL``: ``int_R (1 - cos(u)) |u|^(alpha-2) du`` in closed
+    form, twice :func:`cos_integral_constant` (parameter = alpha in
+    (-1, 1)); equals pi at alpha = 0.
     ``WAVE_INCREMENT``: ``4 (1/H + 1/(1-H))`` (parameter = H); 16 at 1/2.
     ``HEAT_INCREMENT``: ``1/H + 1/(1-H)`` (parameter = H); 4 at 1/2.
     """
@@ -285,27 +284,6 @@ def lemma_constant(kind: LemmaConstantKind, parameter: float) -> float:
         h = HurstIndex(parameter).value
         return 1.0 / h + 1.0 / (1.0 - h)
     if kind is LemmaConstantKind.COS_INTEGRAL:
-        alpha = parameter
-        if not -1.0 < alpha < 1.0:
-            raise ValueError(
-                f"spectral exponent must lie in (-1, 1), got {alpha}")
-        q = DEFAULT_QUAD
-        # One cosine lobe resolved by panels, the rest analytically.
-        edges = _build_edges(q.small_xi_eps, q.cutoff, (1.0,), ())
-
-        def w(u: np.ndarray) -> np.ndarray:
-            return (1.0 - np.cos(u)) * u ** (alpha - 2.0)
-
-        core = float(_gl_eval(w, edges[:-1], edges[1:],
-                              _NODES16, _WEIGHTS16).sum())
-        eps = q.small_xi_eps
-        head = (eps ** (alpha + 1) / (2.0 * (alpha + 1))
-                - eps ** (alpha + 3) / (24.0 * (alpha + 3)))
-        tail_pow = power_tail(alpha - 2.0, q.cutoff)
-        tail_cos, tail_err = osc_power_tail(alpha - 2.0, 1.0, q.cutoff, "cos")
-        half_line = head + core + tail_pow - tail_cos
-        if not math.isfinite(half_line):
-            raise QuadratureError("cosine increment constant quadrature "
-                                  "failed", value=half_line)
-        return 2.0 * half_line
+        # The integrand is even, so twice the half-line closed form.
+        return 2.0 * cos_integral_constant(parameter)
     raise TypeError(f"expected LemmaConstantKind, got {kind!r}")

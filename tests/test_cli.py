@@ -494,3 +494,67 @@ def test_written_files_match_manifest(tmp_path, run):
     assert manifest["subcommand"] == argv[0]
     written = {p.name for p in out.iterdir()} - {"run_manifest.json"}
     assert written == set(manifest["outputs"])
+
+
+# Small runs whose CSV digests were recorded from the per-row writer,
+# so a writer that changes bytes consistently from run to run still
+# fails here.  The values come from numpy, scipy and the BLAS, so
+# another build of those may move the last bits and these literals.
+GOLDEN_WAVE = dict(SIM_CONFIG, n_replicates=3)
+GOLDEN_HEAT = {
+    "equation": "heat", "hurst": 0.7,
+    "grid": {"horizon": 0.5, "half_width": 0.5, "n_t": 4, "n_x": 4},
+    "drift": {"kind": "tanh_scaled", "params": {"a": 1.0}},
+    "initial": {"u0": {"kind": "sin", "params": {}}},
+    "n_replicates": 3, "master_seed": 5}
+GOLDEN_RUNS = {
+    "simulate-wave": (["simulate"], GOLDEN_WAVE, {
+        "fields.csv": "ada5f1401f04bb560742abd71a4a75d8"
+                      "af3700dbf609fb67bc2968801d66cc2e",
+        "noise.csv": "495cf096e4612f4690fff749e958aa5d"
+                     "2edfbdda1f6a3a9378414d2d08703a12"}),
+    "simulate-heat": (["simulate"], GOLDEN_HEAT, {
+        "fields.csv": "85a306328612d4c1102da5d4aa3fdd1f"
+                      "3725348631b7ed23aa82d066bb3fc9b9",
+        "noise.csv": "2fdc8fdf12d82bf97cb5f71316c54573"
+                     "b93eb3fa94e37d4215bd8445f2243d14"}),
+    "sample": (["sample", "--equation", "wave", "--hurst", "0.5",
+                "--seed", "7", "--replicates", "3"],
+               {"points": [[0.0, 0.0], [0.5, 0.0], [0.5, -0.25],
+                           [1.0, 0.5]]}, {
+        "samples.csv": "b213eb21eaa9b608d9311055e4c94a95"
+                       "68c4941cee5a44dc141a332ab832d289"}),
+    "cov": (["cov", "--equation", "heat", "--hurst", "0.5"],
+            {"points": [[0.5, 0.0], [1.0, 0.25], [1.0, -0.5]]}, {
+        "cov_matrix.csv": "36d1ddbf0d72b26b3bc8ea54251e6ba1"
+                          "4dbc986d3028ec7d28c090c28212aac7"}),
+}
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN_RUNS))
+def test_csv_digests_are_pinned(tmp_path, run):
+    argv, config, digests = GOLDEN_RUNS[run]
+    out = tmp_path / "run"
+    assert main([*argv, "--config", write_config(tmp_path, config),
+                 "--out", str(out)]) == 0
+    written = {p.name: sha256_of(p) for p in out.glob("*.csv")}
+    assert written == digests
+
+
+def test_manifest_times_compute_and_writes_apart(tmp_path):
+    argv, config, digests = GOLDEN_RUNS["simulate-wave"]
+    out = tmp_path / "run"
+    assert main([*argv, "--config", write_config(tmp_path, config),
+                 "--out", str(out)]) == 0
+    manifest = assert_manifest_digests(out)
+    timings = manifest["diagnostics"]
+    assert set(timings) == {"compute_s", "write_s"}
+    assert timings["compute_s"] >= 0.0 and timings["write_s"] >= 0.0
+    assert timings["compute_s"] + timings["write_s"] \
+        <= manifest["wall_clock_seconds"]
+    # Timings stay out of the pinned artifacts.
+    csv_digests = {name: d for name, d in manifest["outputs"].items()
+                   if name.endswith(".csv")}
+    assert csv_digests == digests
+    for name in manifest["outputs"]:
+        assert "compute_s" not in (out / name).read_text()

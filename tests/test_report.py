@@ -1,7 +1,8 @@
 """Tests for deterministic artifact writing.
 
-Oracles: float round-tripping through %.17g, byte-level determinism of
-the writers, and digest agreement with an independent hash of the file.
+Oracles: float round-tripping through %.17g, a per-row reference
+renderer, byte-level determinism of the writers, and digest agreement
+with an independent hash of the file.
 """
 
 import hashlib
@@ -10,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracfield.report import (ARTIFACT_VERSION, render_csv, sha256_of,
@@ -95,6 +96,74 @@ class TestWriteCsv:
             write_csv(tmp_path / "b.csv", ["a", "b"], [[1, 2], [3]])
         with pytest.raises(TypeError):
             write_csv(tmp_path / "c.csv", ["flag"], [[True, False]])
+
+
+# Pools of awkward values.  Drawn from a small pool, a column repeats,
+# so the renderer formats its distinct values once; -0.0 and 0.0 are
+# equal but print differently, so they must not share a string.
+FLOAT_POOL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e17,
+              0.1, 1.0 / 3.0]
+POOLS = {
+    "int64": [0, -1, 7, 2 ** 53 + 1, 2 ** 63 - 1, -(2 ** 63)],
+    "uint64": [0, 1, 2 ** 53 + 1, 2 ** 63, 2 ** 64 - 1],
+    "float64": FLOAT_POOL,
+    "float32": FLOAT_POOL,
+    "str": ["", "a", "%", "%s", "x y", "100% s", "%d %%"],
+}
+DISTINCT = {
+    "int64": st.integers(-(2 ** 63), 2 ** 63 - 1),
+    "uint64": st.integers(0, 2 ** 64 - 1),
+    "float64": st.floats(),
+    "float32": st.floats(width=32),
+    "str": st.text(st.sampled_from("a %s,-"), max_size=4),
+}
+
+
+@st.composite
+def tables(draw):
+    """A header and columns of random dtypes, repeating or all distinct."""
+    n_rows = draw(st.integers(0, 60))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        dtype = draw(st.sampled_from(sorted(POOLS)))
+        if draw(st.booleans()):
+            pool = draw(st.lists(st.sampled_from(POOLS[dtype]), min_size=1,
+                                 unique_by=repr))
+            cells = st.sampled_from(pool)
+        else:
+            cells = DISTINCT[dtype]
+        values = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
+        columns.append(np.array(values, dtype=dtype))
+    return [f"c{j}" for j in range(len(columns))], columns
+
+
+def assert_matches_reference(header, columns):
+    rows = zip(*(c.tolist() for c in columns))
+    assert "".join(render_csv(header, columns)).encode("utf-8") \
+        == reference_csv(header, rows)
+
+
+class TestRenderCsv:
+    @settings(max_examples=100)
+    @given(tables())
+    def test_matches_per_row_reference(self, table):
+        assert_matches_reference(*table)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_signed_zeros_keep_their_sign(self, dtype):
+        column = np.array([0.0, -0.0, 0.0, -0.0, math.nan, 0.0], dtype=dtype)
+        text = "".join(render_csv(["v"], [column]))
+        assert text == "v\n0\n-0\n0\n-0\nnan\n0\n"
+
+    @pytest.mark.parametrize("n_rows", [65_535, 65_536, 65_537, 131_073])
+    def test_chunk_boundaries_match_reference(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        replicate = np.repeat(np.arange(n_rows // 561 + 1), 561)[:n_rows]
+        position = np.tile(np.linspace(-1.0, 1.0, 33), n_rows // 33 + 1)
+        label = np.array(["a", "%s", "x y"])[np.arange(n_rows) % 3]
+        columns = [replicate, position[:n_rows].astype(np.float32),
+                   rng.standard_normal(n_rows), label]
+        assert_matches_reference(["r", "x", "v", "s"], columns)
 
 
 class TestWriteJson:

@@ -154,21 +154,26 @@ class TestDalangIntegral:
 
 
 class TestLemmaConstant:
-    # The spatial-increment constant is computed by quadrature; the
-    # closed reflection form -2 Gamma(alpha-1) sin(pi alpha / 2) is an
-    # independent oracle (itself cross-checked by oscillation-aware
-    # numerical integration before freezing), so agreement is expected
-    # at the quadrature tolerance, not machine precision.
+    # The spatial-increment constant is twice the half-line closed form
+    # of cos_integral_constant, which goes through Gamma(alpha) or
+    # Gamma(1+alpha); the reflection form -2 Gamma(alpha-1) sin(pi
+    # alpha / 2) is an independent formula (itself cross-checked by
+    # oscillation-aware numerical integration before freezing).
     @pytest.mark.parametrize("alpha", [-0.5, -0.25, 0.25, 0.5])
     def test_cos_integral_reflection_form(self, alpha):
         expected = (-2.0 * math.gamma(alpha - 1.0)
                     * math.sin(math.pi * alpha / 2.0))
         value = lemma_constant(LemmaConstantKind.COS_INTEGRAL, alpha)
-        assert rel_err(value, expected) < 1e-9
+        assert rel_err(value, expected) < 1e-13
 
     def test_cos_integral_at_zero(self):
         value = lemma_constant(LemmaConstantKind.COS_INTEGRAL, 0.0)
-        assert rel_err(value, math.pi) < 1e-9
+        assert rel_err(value, math.pi) < 1e-13
+
+    @pytest.mark.parametrize("alpha", [-1.0, 1.0, math.nan])
+    def test_cos_integral_divergent_exponent_rejected(self, alpha):
+        with pytest.raises(ValueError):
+            lemma_constant(LemmaConstantKind.COS_INTEGRAL, alpha)
 
     def test_increment_bounds_pinned(self):
         assert lemma_constant(LemmaConstantKind.WAVE_INCREMENT, 0.5) == 16.0
