@@ -16,6 +16,11 @@ The package is organized bottom-up:
 * :mod:`fracfield.analysis` -- regularity fits, continuity in the Hurst
   index, and kernel increment bound checks;
 * :mod:`fracfield.cli` -- command line front end.
+
+:mod:`fracfield.oracle`, the spectral quadrature engine, is not imported
+here: it is the independent numeric route that the tests check the
+closed forms against, and :func:`dalang_integral_quad` loads it when
+called.
 """
 
 from __future__ import annotations

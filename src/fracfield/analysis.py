@@ -12,17 +12,18 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gamma as _gamma
 from scipy.special import ndtr
 
-from .covariance import SpaceTimePoint, _closed_incr, conv_cov, cov_matrix
-from .quadrature import spectral_integral
+from .covariance import (SpaceTimePoint, _closed_incr, _second_diff,
+                         conv_cov, cov_matrix)
 from .sampler import factor_psd, sample_field
-from .spectral import (DEFAULT_QUAD, EquationKind, HurstIndex,
-                       LemmaConstantKind, QuadratureSpec,
-                       gaussian_abs_moment, lemma_constant, noise_constant)
+from .spectral import (EquationKind, HurstIndex, LemmaConstantKind,
+                       cos_integral_constant, gaussian_abs_moment,
+                       lemma_constant, noise_constant)
 
 __all__ = [
     "Direction",
@@ -305,87 +306,60 @@ def _heat_smoothing_constant(alpha: float) -> float:
             * (2.0 ** ((alpha + 1.0) / 2.0) - 1.0))
 
 
-def _relaxed(quad: QuadratureSpec) -> QuadratureSpec:
-    """Loosen tolerances for bound tables, which only need ~1e-7.
+def _heat_time_lhs(alpha: float, horizon: float, h: np.ndarray):
+    """Doubled spectral integral of the heat smoothing difference.
 
-    The time-shift integrands are tail-dominated at small shifts, where
-    the conservative oscillatory-tail estimates cannot meet an absolute
-    1e-12; the ratios compared against 1 + 1e-6 do not need it.
+    The weight ``(1 - e^(-a xi^2))^2 (1 - e^(-b xi^2)) / xi^2``, ``a =
+    h/2``, ``b = T``, expands into six Gaussians whose weights sum to
+    zero, and so do their weighted scales; ``int_0^inf e^(-c xi^2)
+    xi^(alpha-2) dxi = Gamma((alpha-1)/2) c^e / 2``, ``e = (1-alpha)/2``,
+    then continues term by term.  The sum is regrouped as
+    ``Gamma((alpha-1)/2) [a^e (2^e - 2) - D2_a(u^e)(a+b)]`` with
+    :func:`_second_diff`, which leaves no cancelling terms at small h.
     """
-    return replace(quad, rel_tol=max(quad.rel_tol, 1e-7),
-                   abs_tol=max(quad.abs_tol, 1e-10))
+    a, e = 0.5 * h, 0.5 * (1.0 - alpha)
+    return _gamma(0.5 * (alpha - 1.0)) * (a ** e * (2.0 ** e - 2.0)
+                                          - _second_diff(e, a + horizon, a))
 
 
-def _heat_time_lhs(alpha: float, horizon: float, h: float,
-                   quad: QuadratureSpec) -> float:
-    """Doubled spectral integral of the heat smoothing difference."""
-    hw, tw = h, horizon
-    quad = _relaxed(quad)
+def _wave_time_lhs(alpha: float, horizon: float, h: np.ndarray):
+    """Doubled spectral integral of the wave time-shift term.
 
-    def weight(xi: np.ndarray) -> np.ndarray:
-        smooth = -np.expm1(-0.5 * hw * xi * xi)
-        build = -np.expm1(-tw * xi * xi)
-        return smooth * smooth * build / (xi * xi)
-
-    b4 = hw * hw * tw / 4.0
-    b6 = -(hw * hw * tw * tw + hw ** 3 * tw) / 8.0
-    res = spectral_integral(
-        weight, alpha, quad, head_coeffs=(0.0, 0.0, b4, b6),
-        tail_terms=(("pow", 1.0, alpha - 2.0, 0.0),),
-        gauss_scales=(0.5 * hw, hw, tw, tw + 0.5 * hw, tw + hw),
-        gauss_suppressed_scale=7.0)
-    return 2.0 * res.require("heat time-shift lhs")
-
-
-def _wave_time_lhs(alpha: float, horizon: float, h: float,
-                   quad: QuadratureSpec) -> float:
-    """Doubled spectral integral of the wave time-shift term."""
-    big = 2.0 * horizon + h
-    quad = _relaxed(quad)
-
-    def weight(xi: np.ndarray) -> np.ndarray:
-        osc = 2.0 * (1.0 - np.cos(h * xi)) / (xi * xi)
-        bracket = (0.5 * horizon
-                   + (np.sin(big * xi) - np.sin(h * xi)) / (4.0 * xi))
-        return osc * bracket
-
-    b0 = h * h * horizon
-    b2 = -(h * h * (big ** 3 - h ** 3) / 24.0
-           + h ** 4 * horizon / 12.0)
-    b4 = (h * h * (big ** 5 - h ** 5) / 480.0
-          + h ** 4 * (big ** 3 - h ** 3) / 288.0
-          + h ** 6 * horizon / 360.0)
-    b6 = (h * h * (big ** 7 - h ** 7) / 20160.0
-          + h ** 4 * (big ** 5 - h ** 5) / 5760.0
-          + h ** 6 * (big ** 3 - h ** 3) / 8640.0
-          + h ** 8 * horizon / 20160.0)
-    tails = (("pow", horizon, alpha - 2.0, 0.0),
-             ("cos", -horizon, alpha - 2.0, h),
-             ("sin", 0.5, alpha - 3.0, big),
-             ("sin", -0.5, alpha - 3.0, h),
-             ("sin", -0.25, alpha - 3.0, big + h),
-             ("sin", -0.25, alpha - 3.0, big - h),
-             ("sin", 0.25, alpha - 3.0, 2.0 * h))
-    res = spectral_integral(
-        weight, alpha, quad, head_coeffs=(b0, b2, b4, b6),
-        tail_terms=tails, freqs=(h, big, big + h))
-    return 2.0 * res.require("wave time-shift lhs")
+    The weight is ``2 (1 - cos(h xi)) / xi^2 (T/2 + (sin(B xi) -
+    sin(h xi)) / (4 xi))``, ``B = 2T + h``.  Its first part gives ``2T
+    C(alpha) h^(1-alpha)``, C = :func:`cos_integral_constant`.  The
+    second is a sum of sines of frequencies k in {B, h, B+h, B-h, 2h}
+    with weights {1, -1, -1/2, -1/2, 1/2}, and ``sum w_k k = 0``, so the
+    Mellin transform ``int_0^inf sin(k xi) xi^(s-1) dxi = Gamma(s) sin(pi
+    s/2) k^(-s)`` (DLMF 1.14) continues to ``s = alpha - 2``.  With ``p =
+    2 - alpha`` the sum is regrouped as ``h^p (2^(p-1) - 1) - D2_h(u^p)(B)
+    / 2`` with :func:`_second_diff`, and ``Gamma(s) sin(pi s/2)`` is
+    written by reflection as ``-pi / (2 Gamma(3-alpha) cos(pi alpha/2))``,
+    finite on all of (-1, 1); the cosine is taken as ``sin(pi (1 -
+    |alpha|) / 2)``, which keeps its digits near alpha = -1.
+    """
+    p = 2.0 - alpha
+    mellin = -math.pi / (2.0 * _gamma(3.0 - alpha)
+                         * math.sin(0.5 * math.pi * (1.0 - abs(alpha))))
+    return (2.0 * horizon * cos_integral_constant(alpha) * h ** (1.0 - alpha)
+            + mellin * (h ** p * (2.0 ** (p - 1.0) - 1.0)
+                        - 0.5 * _second_diff(p, 2.0 * horizon + h, h)))
 
 
 def verify_lemma_bound(kind: ShiftKind, eqn: EquationKind, alpha: float, *,
-                       horizon: float = 1.0, shifts=None,
-                       quad: QuadratureSpec = DEFAULT_QUAD) -> LemmaReport:
+                       horizon: float = 1.0, shifts=None) -> LemmaReport:
     """Check a sharp increment bound over a grid of shifts.
 
     The roughness is given as the spectral exponent ``alpha`` in
     (-1, 1), the native parameter of the bounds.  Rows are normalized by
     the spectral constant: the lhs is the doubled spectral integral of
     the increment term, the rhs the matching constant times the
-    predicted power of the shift.  Space-shift rows take the lhs from
-    one closed-form evaluation of the increment moments over all shifts;
-    ``quad`` sets the quadrature of the time-shift rows only.  Every
-    ratio must stay at or below one (up to quadrature error) and the
-    lhs must vanish monotonically with the shift.
+    predicted power of the shift.  Every lhs is a closed form, evaluated
+    once over all shifts: the space-shift rows are increment moments
+    (:func:`fracfield.covariance.increment_moment2`), the time-shift rows
+    the Gaussian and Mellin-transform sums of :func:`_heat_time_lhs` and
+    :func:`_wave_time_lhs`.  Every ratio must stay at or below one (up
+    to roundoff) and the lhs must vanish monotonically with the shift.
     """
     if not horizon > 0.0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
@@ -399,27 +373,26 @@ def verify_lemma_bound(kind: ShiftKind, eqn: EquationKind, alpha: float, *,
         raise ValueError("shifts must be positive")
     if any(b <= a for a, b in zip(shift_arr, shift_arr[1:])):
         raise ValueError("shifts must be strictly increasing")
+    shift_np = np.array(shift_arr)
+    power = 1.0 - alpha
     if kind is ShiftKind.SPACE_SHIFT:
-        space_lhs = _closed_incr(eqn, h_idx, horizon, horizon,
-                                 np.array(shift_arr)) / noise_constant(h_idx)
+        lhs_all = _closed_incr(eqn, h_idx, horizon, horizon,
+                               shift_np) / noise_constant(h_idx)
         # The wave vertex function averages sin^2 to 1/2, so its sharp
         # constant is half the heat one.
-        space_const = (lemma_constant(LemmaConstantKind.COS_INTEGRAL, alpha)
-                       * (horizon if eqn is EquationKind.WAVE else 2.0))
+        const = (lemma_constant(LemmaConstantKind.COS_INTEGRAL, alpha)
+                 * (horizon if eqn is EquationKind.WAVE else 2.0))
+    elif eqn is EquationKind.HEAT:
+        lhs_all = _heat_time_lhs(alpha, horizon, shift_np)
+        const = 2.0 * _heat_smoothing_constant(alpha)
+        power = 0.5 * (1.0 - alpha)
+    else:
+        lhs_all = _wave_time_lhs(alpha, horizon, shift_np)
+        const = (lemma_constant(LemmaConstantKind.WAVE_INCREMENT,
+                                h_idx.value) * horizon)
     rows = []
-    for i, h in enumerate(shift_arr):
-        if kind is ShiftKind.SPACE_SHIFT:
-            lhs = float(space_lhs[i])
-            rhs = space_const * h ** (1.0 - alpha)
-        elif eqn is EquationKind.HEAT:
-            lhs = _heat_time_lhs(alpha, horizon, h, quad)
-            rhs = (2.0 * _heat_smoothing_constant(alpha)
-                   * h ** (0.5 * (1.0 - alpha)))
-        else:
-            lhs = _wave_time_lhs(alpha, horizon, h, quad)
-            rhs = (lemma_constant(LemmaConstantKind.WAVE_INCREMENT,
-                                  h_idx.value)
-                   * horizon * h ** (1.0 - alpha))
+    for h, lhs in zip(shift_arr, lhs_all.tolist()):
+        rhs = const * h ** power
         rows.append(LemmaRow(shift=h, lhs=lhs, rhs=rhs, ratio=lhs / rhs))
     max_ratio = max(r.ratio for r in rows)
     monotone = all(b.lhs >= a.lhs - 1e-12

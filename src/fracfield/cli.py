@@ -8,7 +8,8 @@ overrides; with ``--out`` every table lands in CSV files next to a
 ``run_manifest.json`` pinning the resolved configuration and digests.
 
 Exit codes: 0 on success, 1 on configuration or validation errors, 2 on
-numerical failures (quadrature, factorization, non-convergence).
+numerical failures (overflow, factorization, non-convergence) and on a
+violated increment bound.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from .errors import NumericalError
 from .quasilinear import SimulationConfig, simulate, truncation_ladder_run
 from .report import ARTIFACT_VERSION, render_csv, write_csv, write_json
 from .sampler import factor_psd, sample_field
-from .spectral import (DEFAULT_QUAD, EquationKind, HurstIndex,
-                       QuadratureSpec, dalang_integral_closed,
+from .spectral import (EquationKind, HurstIndex, dalang_integral_closed,
                        noise_constant)
 
 __all__ = ["main"]
@@ -97,15 +97,6 @@ def _hurst_from(cfg: dict, args) -> HurstIndex:
     if value is None:
         raise ValueError("no roughness index given; use --hurst or the config")
     return HurstIndex(float(value))
-
-
-def _quad_from(cfg: dict) -> QuadratureSpec:
-    spec = cfg.get("quad")
-    if spec is None:
-        return DEFAULT_QUAD
-    if not isinstance(spec, dict):
-        raise ValueError("config key 'quad' must be an object")
-    return QuadratureSpec(**spec)
 
 
 def _grid_from(cfg: dict) -> PointGrid:
@@ -455,7 +446,6 @@ def _cmd_hconv(cfg: dict, args) -> _Run:
 
 
 def _cmd_verify_lemmas(cfg: dict, args) -> _Run:
-    quad = _quad_from(cfg)
     sub = cfg.get("lemmas", {})
     horizon = float(sub.get("horizon", 1.0))
     shifts = sub.get("shifts")
@@ -474,7 +464,7 @@ def _cmd_verify_lemmas(cfg: dict, args) -> _Run:
             for alpha in alphas:
                 rep = verify_lemma_bound(kind, eqn, alpha,
                                          horizon=horizon,
-                                         shifts=shifts, quad=quad)
+                                         shifts=shifts)
                 ok = rep.max_ratio <= 1.0 + 1e-6 and rep.lhs_monotone
                 all_ok = all_ok and ok
                 key = f"{kind.value}:{eqn.value}:alpha={alpha:g}"

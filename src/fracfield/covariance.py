@@ -7,8 +7,9 @@ The centered solution of the linear equation has covariance
 
 where :func:`time_kernel` is the time integral of the product of the
 propagator's Fourier multipliers.  Covariances and increment moments
-are closed forms; the spectral form is integrated only in the tests, as
-the independent route.  Sampling lives in :mod:`fracfield.sampler`.
+are closed forms; the spectral form is integrated only by the quadrature
+oracle (:mod:`fracfield.oracle`), as the independent route the tests
+check against.  Sampling lives in :mod:`fracfield.sampler`.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from scipy.special import gamma as _gamma
 from scipy.special import hyp1f1
 
 from .errors import NumericalError
-from .quadrature import QuadResult, cos_integral_constant, spectral_integral
-from .spectral import EquationKind, HurstIndex, QuadratureSpec, noise_constant
+from .spectral import (EquationKind, HurstIndex, cos_integral_constant,
+                       noise_constant)
 
 __all__ = [
     "SpaceTimePoint",
@@ -49,6 +50,13 @@ _SERIES_RATIO = 0.5
 _SERIES_TERMS = 30
 _KUMMER_ARG = 1.0
 _KUMMER_TERMS = 20
+# Heat covariances and increment moments are summed from the
+# large-argument expansion of Kummer's function once |dx|^2 / (2 (t1+t2))
+# >= 40, where two Kummer terms of size |dx|^(2H) would cancel.  There
+# the exponentially small part of the expansion is below 1e-17 relative,
+# and 40 terms reach the smallest term of the asymptotic series.
+_HEAT_FAR_ARG = 40.0
+_HEAT_FAR_TERMS = 40
 
 
 @dataclass(frozen=True)
@@ -110,14 +118,6 @@ def _wave_tk_series(t1: float, t2: float, jmax: int) -> list[float]:
     return out
 
 
-def _heat_tk_series(t1: float, t2: float, jmax: int) -> list[float]:
-    """Coefficients of xi^(2j) in the heat time kernel, j = 0..jmax."""
-    dl2 = (t2 - t1) / 2.0
-    s2 = (t2 + t1) / 2.0
-    return [(-1.0) ** j * (s2 ** (j + 1) - dl2 ** (j + 1))
-            / math.factorial(j + 1) for j in range(jmax + 1)]
-
-
 def time_kernel(eqn: EquationKind, t: float, t2: float, xi):
     """Time integral of the two propagator multipliers.
 
@@ -157,77 +157,6 @@ def time_kernel(eqn: EquationKind, t: float, t2: float, xi):
     else:
         raise TypeError(f"expected EquationKind, got {eqn!r}")
     return float(out) if np.ndim(xi) == 0 else out
-
-
-def _term_weight(eqn: EquationKind, terms):
-    """Vectorized xi -> sum of coeff * cos(freq xi) * TK(t1, t2, xi)."""
-    def w(x: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(x)
-        for t1, t2, freq, coeff in terms:
-            tk = time_kernel(eqn, t1, t2, x)
-            if freq != 0.0:
-                tk = tk * np.cos(freq * x)
-            acc += coeff * tk
-        return acc
-    return w
-
-
-def _wave_tail_terms(t1: float, t2: float, freq: float, coeff: float):
-    """Product-to-sum expansion of coeff*cos(freq xi)*TK beyond the cutoff."""
-    dl = t2 - t1
-    s = t2 + t1
-    out = []
-    # (t1/2) cos(dl xi) cos(freq xi) / xi^2
-    out.append(("cos", coeff * t1 / 4.0, -2.0, freq + dl))
-    out.append(("cos", coeff * t1 / 4.0, -2.0, abs(freq - dl)))
-    # -(sin(s xi) - sin(dl xi)) cos(freq xi) / (4 xi^3)
-    for a, sign in ((s, -1.0), (dl, 1.0)):
-        out.append(("sin", sign * coeff / 8.0, -3.0, a + freq))
-        diff = a - freq
-        out.append(("sin", sign * coeff / 8.0 * math.copysign(1.0, diff),
-                    -3.0, abs(diff)))
-    return out
-
-
-def _assemble(eqn: EquationKind, alpha: float, terms,
-              quad: QuadratureSpec) -> QuadResult:
-    """Integrate sum_i coeff_i cos(f_i xi) TK(t1_i, t2_i, xi) xi^alpha."""
-    live = [tm for tm in terms if tm[0] > 0.0]
-    if not live:
-        return QuadResult(0.0, 0.0, 0, True)
-
-    heads = [0.0, 0.0, 0.0, 0.0]
-    freqs = []
-    tails = []
-    gauss = []
-    suppressed = 0.0
-    for t1, t2, freq, coeff in live:
-        if eqn is EquationKind.WAVE:
-            tk = _wave_tk_series(t1, t2, 3)
-            tails.extend([tt for tt in _wave_tail_terms(t1, t2, freq, coeff)
-                          if tt[1] != 0.0])
-            freqs.extend([freq, t2 + t1 + freq])
-        else:
-            tk = _heat_tk_series(t1, t2, 3)
-            if t2 > t1:
-                gauss.append((t2 - t1) / 2.0)
-            else:
-                gauss.append(t1)
-                tails.append(("cos", coeff, -2.0, freq))
-            suppressed += abs(coeff)
-            freqs.append(freq)
-        cosc = [(-1.0) ** m * freq ** (2 * m) / math.factorial(2 * m)
-                for m in range(4)]
-        for j in range(4):
-            heads[j] += coeff * sum(tk[j - m] * cosc[m] for m in range(j + 1))
-
-    tails = [(kind, coeff, s + alpha, f) for kind, coeff, s, f in tails]
-    res = spectral_integral(
-        _term_weight(eqn, live), alpha, quad,
-        head_coeffs=heads, tail_terms=tails,
-        freqs=[f for f in freqs if f > 0.0],
-        gauss_scales=gauss, gauss_suppressed_scale=suppressed)
-    return res
 
 
 def _as_point(p) -> SpaceTimePoint:
@@ -275,6 +204,30 @@ def _heat_near(h: float, z, a):
                     z ** h * math.sqrt(math.pi) / _gamma(0.5 + h))
 
 
+def _heat_far(h: float, t1, z, a, b):
+    """Heat bracket of :func:`_closed_cov` for ``z >= _HEAT_FAR_ARG * b``,
+    from the large-argument expansion ``M(-H, 1/2, -x) ~ sqrt(pi) /
+    Gamma(1/2+H) x^H sum_s c_s x^(-s)``, ``c_s = (-H)_s (1/2-H)_s / s!``
+    (DLMF 13.7.2), whose exponentially small part is dropped.
+
+    The s = 0 terms of ``a^H M(-H, 1/2, -z/a)`` and ``b^H M(-H, 1/2,
+    -z/b)`` cancel analytically.  With ``sig = b/z``, ``dl = a/z``, ``h_s
+    = (sig^s - dl^s) / (sig-dl)`` and ``z (sig-dl) = t1``, the rest is
+    ``-sqrt(pi) / Gamma(1/2+H) z^(H-1) t1 sum_{s>=1} c_s h_s``; at H = 1/2
+    every ``c_s`` vanishes.
+    """
+    sig, dl = b / z, a / z
+    hs, dpow = np.ones_like(sig), dl
+    coef, total = 1.0, 0.0
+    for n in range(1, _HEAT_FAR_TERMS + 1):
+        coef *= (n - 1.0 - h) * (n - 0.5 - h) / n
+        total = total + coef * hs
+        hs = sig * hs + dpow
+        dpow = dpow * dl
+    return (-math.sqrt(math.pi) / _gamma(0.5 + h)
+            * z ** (h - 1.0) * t1 * total)
+
+
 def _wave_far(q: float, t1, t2, c):
     """Wave bracket of :func:`_closed_cov` for ``c > s``, from its series
     in ``sig = s/c`` and ``dl = d/c``.
@@ -309,9 +262,12 @@ def _closed_cov(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
     size ``c^(q+1)`` and the value of size ``t1^2 c^(q-1)``.  Heat: ``nc
     Gamma(-H) [A^H M(-H, 1/2, -c^2/4A) - B^H M(-H, 1/2, -c^2/4B)]``,
     ``A = d/2``, ``B = s/2``, M Kummer's function (DLMF 13.2), with the
-    limit ``(c^2/4)^H sqrt(pi) / Gamma(1/2+H)`` of the first term at A = 0.
-    Exactly zero at ``t1 == 0``, and for the wave at H = 1/2 outside the
-    light cones (``c >= s``), where the formula would leave roundoff.
+    limit ``(c^2/4)^H sqrt(pi) / Gamma(1/2+H)`` of the first term at A = 0;
+    for ``c^2/4 >= 40 B`` the bracket is summed by :func:`_heat_far`, since
+    its two terms are of size ``c^(2H)`` and the value of size ``t1
+    c^(2H-2)``.  Exactly zero at ``t1 == 0``, and for the wave at H = 1/2
+    outside the light cones (``c >= s``), where the formula would leave
+    roundoff.
     """
     h = hurst.value
     t1, t2, c = np.broadcast_arrays(
@@ -329,13 +285,18 @@ def _closed_cov(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
                 0.5 * (prim(s + c) - prim(d + c) + prim(s - c) - prim(d - c))
                 - t1 * (np.abs(c - d) ** q + (c + d) ** q))
             far = (c >= 2.0 * s) & (t1 > 0.0)
-            out[far] = _wave_far(q, t1[far], t2[far], c[far])
+            if far.any():
+                out[far] = _wave_far(q, t1[far], t2[far], c[far])
             out = np.where((h == 0.5) & (c >= s), 0.0, out)
             out *= cos_integral_constant(hurst.spectral_exponent) / 2.0
         elif eqn is EquationKind.HEAT:
             z, a, b = c * c / 4.0, d / 2.0, s / 2.0
-            out = _gamma(-h) * (_heat_near(h, z, a)
-                                - b ** h * hyp1f1(-h, 0.5, -z / b))
+            out = np.asarray(_heat_near(h, z, a)
+                             - b ** h * hyp1f1(-h, 0.5, -z / b))
+            far = (z >= _HEAT_FAR_ARG * b) & (t1 > 0.0)
+            if far.any():
+                out[far] = _heat_far(h, t1[far], z[far], a[far], b[far])
+            out *= _gamma(-h)
         else:
             raise TypeError(f"expected EquationKind, got {eqn!r}")
     out = np.where(t1 == 0.0, 0.0, noise_constant(hurst) * out)
@@ -356,7 +317,9 @@ def _closed_incr(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
     (|c-d|^q + (c+d)^q)]``, and for ``c >= 2s``, where those terms
     are of size ``c^(q+1)``, the two variances ``nc C/2 G(2 t_i)`` minus
     twice :func:`_wave_far`.  Heat: ``nc Gamma(-H) [-D2_A(u^H)(B) + 2 B^H
-    (M(-H, 1/2, -z/B) - 1) - 2 A^H M(-H, 1/2, -z/A)]``, ``z = c^2/4``.
+    (M(-H, 1/2, -z/B) - 1) - 2 A^H M(-H, 1/2, -z/A)]``, ``z = c^2/4``,
+    and for ``z >= 40 B`` the two variances ``-nc Gamma(-H) t_i^H`` minus
+    twice :func:`_heat_far`.
     Exactly zero at ``t2 == 0``.  Roundoff below zero down to -1e-10 is
     clamped to 0; a more negative or a non-finite value raises
     :class:`NumericalError`.
@@ -378,14 +341,21 @@ def _closed_incr(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
                 + prim(d + c) + prim(d - c)
                 + 2.0 * t1 * (np.abs(c - d) ** q + (c + d) ** q))
             far = (c >= 2.0 * s) & (t2 > 0.0)
-            out[far] = (prim(2.0 * t1[far]) + prim(2.0 * t2[far])
-                        - 2.0 * _wave_far(q, t1[far], t2[far], c[far]))
+            if far.any():
+                out[far] = (prim(2.0 * t1[far]) + prim(2.0 * t2[far])
+                            - 2.0 * _wave_far(q, t1[far], t2[far], c[far]))
             out *= cos_integral_constant(hurst.spectral_exponent) / 2.0
         elif eqn is EquationKind.HEAT:
             z, a, b = c * c / 4.0, d / 2.0, s / 2.0
-            out = _gamma(-h) * (-_second_diff(h, b, a)
-                                + 2.0 * b ** h * _kummer_m1(h, -z / b)
-                                - 2.0 * _heat_near(h, z, a))
+            out = np.asarray(-_second_diff(h, b, a)
+                             + 2.0 * b ** h * _kummer_m1(h, -z / b)
+                             - 2.0 * _heat_near(h, z, a))
+            far = (z >= _HEAT_FAR_ARG * b) & (t2 > 0.0)
+            if far.any():
+                out[far] = (-(t1[far] ** h + t2[far] ** h)
+                            - 2.0 * _heat_far(h, t1[far], z[far], a[far],
+                                              b[far]))
+            out *= _gamma(-h)
         else:
             raise TypeError(f"expected EquationKind, got {eqn!r}")
     out = np.where(t2 == 0.0, 0.0, noise_constant(hurst) * out)

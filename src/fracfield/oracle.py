@@ -1,9 +1,15 @@
-"""Panel quadrature engine for spectral integrals on the half line.
+"""Spectral quadrature oracle: the independent numeric route that the
+tests check the closed forms against.
 
 Every covariance-type quantity in this package reduces to integrals of the
 form ``int_0^inf W(xi) xi^alpha dxi`` with ``alpha in (-1, 1)``, where W is
 built from Fourier multipliers of the heat or wave propagator and cosine
-factors.  The engine splits the half line into three zones:
+factors.  The run-time path evaluates all of them in closed form; this
+module integrates the spectral forms instead, so the two routes share no
+formula.  Nothing the CLI imports loads it: :func:`fracfield.spectral.
+dalang_integral_quad` imports it when called, and the tests import it.
+
+The engine splits the half line into three zones:
 
 * an analytic head ``[0, eps]`` handled with the even Taylor series of W,
   so the ``xi^alpha`` endpoint singularity never meets a numeric rule;
@@ -24,16 +30,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gamma as _gamma
 
+from .covariance import _wave_tk_series, time_kernel
 from .errors import QuadratureError
+from .spectral import EquationKind, QuadratureSpec
 
 __all__ = [
     "QuadResult",
-    "cos_integral_constant",
     "power_tail",
     "osc_power_tail",
     "spectral_integral",
+    "time_shift_lhs",
 ]
 
 # Gauss-Legendre rules reused everywhere; GL8 provides the embedded error
@@ -90,23 +97,6 @@ class QuadResult:
                 f"{self.panels_used} panels)",
                 value=self.value, err_estimate=self.err_estimate)
         return self.value
-
-
-def cos_integral_constant(alpha: float) -> float:
-    """Closed form of ``int_0^inf (1 - cos u) u^(alpha-2) du``.
-
-    Finite exactly for ``alpha in (-1, 1)``; continuous at 0 with value
-    ``pi/2``.  The negative-alpha branch is written through ``Gamma(1+alpha)``
-    to avoid evaluating Gamma at negative arguments.
-    """
-    if not -1.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (-1, 1), got {alpha}")
-    if alpha == 0.0:
-        return math.pi / 2.0
-    if alpha > 0.0:
-        return _gamma(alpha) * math.sin(math.pi * alpha / 2.0) / (1.0 - alpha)
-    return (_gamma(1.0 + alpha) * math.sin(math.pi * alpha / 2.0)
-            / (alpha * (1.0 - alpha)))
 
 
 def power_tail(s: float, cutoff: float) -> float:
@@ -387,3 +377,187 @@ def spectral_integral(weight, alpha: float, quad, *,
 
     return QuadResult(value=value, err_estimate=err, panels_used=int(panels),
                       converged=bool(err <= tol_for(value)))
+
+
+# The integrands of the library's quantities in spectral form, with the
+# head series and tail models the engine needs for each.
+
+
+def _wave_inner_time_integral(xi: np.ndarray, T: float) -> np.ndarray:
+    """Numeric ``int_0^T sin(t xi)^2 / xi^2 dt`` for an array of xi > 0."""
+    out = np.empty_like(xi)
+    order = np.argsort(xi)
+    xs = xi[order]
+    res = np.empty_like(xs)
+    start = 0
+    while start < xs.size:
+        stop = min(start + 1024, xs.size)
+        chunk = xs[start:stop]
+        ximax = chunk[-1]
+        n_panels = max(4, math.ceil(T * ximax / (2.0 * math.pi)) + 2)
+        edges = np.linspace(0.0, T, n_panels + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        t_nodes = (mid[:, None] + half[:, None] * _NODES16[None, :]).ravel()
+        w_nodes = (half[:, None] * _WEIGHTS16[None, :]).ravel()
+        s = np.sin(t_nodes[None, :] * chunk[:, None]) ** 2
+        res[start:stop] = (s @ w_nodes) / chunk ** 2
+        start = stop
+    out[order] = res
+    return out
+
+
+def _heat_inner_time_integral(xi: np.ndarray, T: float) -> np.ndarray:
+    """Numeric ``int_0^T exp(-t xi^2) dt`` on geometric time panels."""
+    n_oct = max(8, math.ceil(math.log2(max(T * np.max(xi) ** 2, 2.0))) + 4)
+    edges = [0.0] + [T * 2.0 ** (-k) for k in range(n_oct, -1, -1)]
+    edges = np.asarray(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    t_nodes = (mid[:, None] + half[:, None] * _NODES16[None, :]).ravel()
+    w_nodes = (half[:, None] * _WEIGHTS16[None, :]).ravel()
+    vals = np.exp(-t_nodes[None, :] * (xi ** 2)[:, None])
+    return vals @ w_nodes
+
+
+def _heat_tk_series(t1: float, t2: float, jmax: int) -> list[float]:
+    """Coefficients of xi^(2j) in the heat time kernel, j = 0..jmax."""
+    dl2 = (t2 - t1) / 2.0
+    s2 = (t2 + t1) / 2.0
+    return [(-1.0) ** j * (s2 ** (j + 1) - dl2 ** (j + 1))
+            / math.factorial(j + 1) for j in range(jmax + 1)]
+
+
+def _term_weight(eqn: EquationKind, terms):
+    """Vectorized xi -> sum of coeff * cos(freq xi) * TK(t1, t2, xi)."""
+    def w(x: np.ndarray) -> np.ndarray:
+        acc = np.zeros_like(x)
+        for t1, t2, freq, coeff in terms:
+            tk = time_kernel(eqn, t1, t2, x)
+            if freq != 0.0:
+                tk = tk * np.cos(freq * x)
+            acc += coeff * tk
+        return acc
+    return w
+
+
+def _wave_tail_terms(t1: float, t2: float, freq: float, coeff: float):
+    """Product-to-sum expansion of coeff*cos(freq xi)*TK beyond the cutoff."""
+    dl = t2 - t1
+    s = t2 + t1
+    out = []
+    # (t1/2) cos(dl xi) cos(freq xi) / xi^2
+    out.append(("cos", coeff * t1 / 4.0, -2.0, freq + dl))
+    out.append(("cos", coeff * t1 / 4.0, -2.0, abs(freq - dl)))
+    # -(sin(s xi) - sin(dl xi)) cos(freq xi) / (4 xi^3)
+    for a, sign in ((s, -1.0), (dl, 1.0)):
+        out.append(("sin", sign * coeff / 8.0, -3.0, a + freq))
+        diff = a - freq
+        out.append(("sin", sign * coeff / 8.0 * math.copysign(1.0, diff),
+                    -3.0, abs(diff)))
+    return out
+
+
+def _assemble(eqn: EquationKind, alpha: float, terms,
+              quad: QuadratureSpec) -> QuadResult:
+    """Integrate sum_i coeff_i cos(f_i xi) TK(t1_i, t2_i, xi) xi^alpha."""
+    live = [tm for tm in terms if tm[0] > 0.0]
+    if not live:
+        return QuadResult(0.0, 0.0, 0, True)
+
+    heads = [0.0, 0.0, 0.0, 0.0]
+    freqs = []
+    tails = []
+    gauss = []
+    suppressed = 0.0
+    for t1, t2, freq, coeff in live:
+        if eqn is EquationKind.WAVE:
+            tk = _wave_tk_series(t1, t2, 3)
+            tails.extend([tt for tt in _wave_tail_terms(t1, t2, freq, coeff)
+                          if tt[1] != 0.0])
+            freqs.extend([freq, t2 + t1 + freq])
+        else:
+            tk = _heat_tk_series(t1, t2, 3)
+            if t2 > t1:
+                gauss.append((t2 - t1) / 2.0)
+            else:
+                gauss.append(t1)
+                tails.append(("cos", coeff, -2.0, freq))
+            suppressed += abs(coeff)
+            freqs.append(freq)
+        cosc = [(-1.0) ** m * freq ** (2 * m) / math.factorial(2 * m)
+                for m in range(4)]
+        for j in range(4):
+            heads[j] += coeff * sum(tk[j - m] * cosc[m] for m in range(j + 1))
+
+    tails = [(kind, coeff, s + alpha, f) for kind, coeff, s, f in tails]
+    res = spectral_integral(
+        _term_weight(eqn, live), alpha, quad,
+        head_coeffs=heads, tail_terms=tails,
+        freqs=[f for f in freqs if f > 0.0],
+        gauss_scales=gauss, gauss_suppressed_scale=suppressed)
+    return res
+
+
+def _heat_time_shift(alpha: float, horizon: float, h: float,
+                     quad: QuadratureSpec) -> QuadResult:
+    """Spectral integral of the heat smoothing difference."""
+    hw, tw = h, horizon
+
+    def weight(xi: np.ndarray) -> np.ndarray:
+        smooth = -np.expm1(-0.5 * hw * xi * xi)
+        build = -np.expm1(-tw * xi * xi)
+        return smooth * smooth * build / (xi * xi)
+
+    b4 = hw * hw * tw / 4.0
+    b6 = -(hw * hw * tw * tw + hw ** 3 * tw) / 8.0
+    return spectral_integral(
+        weight, alpha, quad, head_coeffs=(0.0, 0.0, b4, b6),
+        tail_terms=(("pow", 1.0, alpha - 2.0, 0.0),),
+        gauss_scales=(0.5 * hw, hw, tw, tw + 0.5 * hw, tw + hw),
+        gauss_suppressed_scale=7.0)
+
+
+def _wave_time_shift(alpha: float, horizon: float, h: float,
+                     quad: QuadratureSpec) -> QuadResult:
+    """Spectral integral of the wave time-shift term."""
+    big = 2.0 * horizon + h
+
+    def weight(xi: np.ndarray) -> np.ndarray:
+        osc = 2.0 * (1.0 - np.cos(h * xi)) / (xi * xi)
+        bracket = (0.5 * horizon
+                   + (np.sin(big * xi) - np.sin(h * xi)) / (4.0 * xi))
+        return osc * bracket
+
+    b0 = h * h * horizon
+    b2 = -(h * h * (big ** 3 - h ** 3) / 24.0
+           + h ** 4 * horizon / 12.0)
+    b4 = (h * h * (big ** 5 - h ** 5) / 480.0
+          + h ** 4 * (big ** 3 - h ** 3) / 288.0
+          + h ** 6 * horizon / 360.0)
+    b6 = (h * h * (big ** 7 - h ** 7) / 20160.0
+          + h ** 4 * (big ** 5 - h ** 5) / 5760.0
+          + h ** 6 * (big ** 3 - h ** 3) / 8640.0
+          + h ** 8 * horizon / 20160.0)
+    tails = (("pow", horizon, alpha - 2.0, 0.0),
+             ("cos", -horizon, alpha - 2.0, h),
+             ("sin", 0.5, alpha - 3.0, big),
+             ("sin", -0.5, alpha - 3.0, h),
+             ("sin", -0.25, alpha - 3.0, big + h),
+             ("sin", -0.25, alpha - 3.0, big - h),
+             ("sin", 0.25, alpha - 3.0, 2.0 * h))
+    return spectral_integral(
+        weight, alpha, quad, head_coeffs=(b0, b2, b4, b6),
+        tail_terms=tails, freqs=(h, big, big + h))
+
+
+def time_shift_lhs(eqn: EquationKind, alpha: float, horizon: float,
+                   h: float, quad: QuadratureSpec) -> QuadResult:
+    """Engine route of the lhs of a time-shift row of
+    :func:`fracfield.analysis.verify_lemma_bound`: the doubled half-line
+    integral of the kernel's time-shift term at shift ``h``."""
+    route = _heat_time_shift if eqn is EquationKind.HEAT else _wave_time_shift
+    res = route(alpha, horizon, h, quad)
+    return QuadResult(value=2.0 * res.value,
+                      err_estimate=2.0 * res.err_estimate,
+                      panels_used=res.panels_used, converged=res.converged)

@@ -5,8 +5,9 @@ The driving noise is white in time and fractional in space with Hurst
 index H in (0, 1); its spatial spectral measure has density
 ``noise_constant(H) * |xi|^(1-2H)``.  All existence and regularity
 statements funnel through weighted integrals of the squared propagator
-multipliers, provided here both in closed form and by independent
-two-dimensional quadrature so each route can check the other.
+multipliers.  They are closed forms here; the one integrated route,
+:func:`dalang_integral_quad`, loads the quadrature oracle
+(:mod:`fracfield.oracle`) only when it is called.
 """
 
 from __future__ import annotations
@@ -18,15 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .quadrature import (QuadResult, cos_integral_constant,
-                         spectral_integral, _NODES16, _WEIGHTS16)
-
 __all__ = [
     "EquationKind",
     "HurstIndex",
     "QuadratureSpec",
     "LemmaConstantKind",
     "noise_constant",
+    "cos_integral_constant",
     "fourier_kernel",
     "gaussian_abs_moment",
     "dalang_integral_closed",
@@ -121,6 +120,26 @@ def noise_constant(H: float | HurstIndex) -> float:
     return _gamma(2.0 * h + 1.0) * math.sin(math.pi * h) / (2.0 * math.pi)
 
 
+def cos_integral_constant(alpha: float) -> float:
+    """Closed form of ``int_0^inf (1 - cos u) u^(alpha-2) du``.
+
+    Finite exactly for ``alpha in (-1, 1)``; continuous at 0 with value
+    ``pi/2``.  The negative-alpha branch is written through ``Gamma(1+alpha)``
+    to avoid evaluating Gamma at negative arguments.  Below ``|alpha| =
+    1e-300`` the value is ``pi/2`` to double precision, while
+    ``Gamma(alpha)`` would overflow and ``sin(pi alpha/2)`` lose its digits
+    as a subnormal, so ``pi/2`` is returned there.
+    """
+    if not -1.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (-1, 1), got {alpha}")
+    if abs(alpha) < 1e-300:
+        return math.pi / 2.0
+    if alpha > 0.0:
+        return _gamma(alpha) * math.sin(math.pi * alpha / 2.0) / (1.0 - alpha)
+    return (_gamma(1.0 + alpha) * math.sin(math.pi * alpha / 2.0)
+            / (alpha * (1.0 - alpha)))
+
+
 def fourier_kernel(eqn: EquationKind, t: float, xi):
     """Fourier multiplier of the propagator at time t.
 
@@ -186,45 +205,8 @@ def dalang_integral_closed(eqn: EquationKind, alpha: float,
     raise TypeError(f"expected EquationKind, got {eqn!r}")
 
 
-def _wave_inner_time_integral(xi: np.ndarray, T: float) -> np.ndarray:
-    """Numeric ``int_0^T sin(t xi)^2 / xi^2 dt`` for an array of xi > 0."""
-    out = np.empty_like(xi)
-    order = np.argsort(xi)
-    xs = xi[order]
-    res = np.empty_like(xs)
-    start = 0
-    while start < xs.size:
-        stop = min(start + 1024, xs.size)
-        chunk = xs[start:stop]
-        ximax = chunk[-1]
-        n_panels = max(4, math.ceil(T * ximax / (2.0 * math.pi)) + 2)
-        edges = np.linspace(0.0, T, n_panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        t_nodes = (mid[:, None] + half[:, None] * _NODES16[None, :]).ravel()
-        w_nodes = (half[:, None] * _WEIGHTS16[None, :]).ravel()
-        s = np.sin(t_nodes[None, :] * chunk[:, None]) ** 2
-        res[start:stop] = (s @ w_nodes) / chunk ** 2
-        start = stop
-    out[order] = res
-    return out
-
-
-def _heat_inner_time_integral(xi: np.ndarray, T: float) -> np.ndarray:
-    """Numeric ``int_0^T exp(-t xi^2) dt`` on geometric time panels."""
-    n_oct = max(8, math.ceil(math.log2(max(T * np.max(xi) ** 2, 2.0))) + 4)
-    edges = [0.0] + [T * 2.0 ** (-k) for k in range(n_oct, -1, -1)]
-    edges = np.asarray(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    t_nodes = (mid[:, None] + half[:, None] * _NODES16[None, :]).ravel()
-    w_nodes = (half[:, None] * _WEIGHTS16[None, :]).ravel()
-    vals = np.exp(-t_nodes[None, :] * (xi ** 2)[:, None])
-    return vals @ w_nodes
-
-
 def dalang_integral_quad(eqn: EquationKind, alpha: float, horizon: float,
-                         quad: QuadratureSpec | None = None) -> QuadResult:
+                         quad: QuadratureSpec | None = None):
     """Iterated numeric evaluation of the squared-multiplier integral.
 
     The inner time integral is computed by composite Gauss-Legendre
@@ -232,7 +214,13 @@ def dalang_integral_quad(eqn: EquationKind, alpha: float, horizon: float,
     graded for the heat one); the outer frequency integral uses the
     panel engine with a series head and analytic tails.  Never consults
     :func:`dalang_integral_closed`, so the two routes are independent.
+    Returns an :class:`fracfield.oracle.QuadResult`; the oracle module is
+    imported here, on the first call, so that the closed-form path never
+    loads it.
     """
+    from .oracle import (QuadResult, _heat_inner_time_integral,
+                         _wave_inner_time_integral, spectral_integral)
+
     _check_alpha_horizon(alpha, horizon)
     q = quad or DEFAULT_QUAD
     T = horizon

@@ -1,8 +1,10 @@
 """Tests for exponent fitting, sharp bound checks, and index continuity.
 
 Oracles: synthetic exact power laws, the theoretical Hölder orders of
-the two kernels, closed-form Gaussian Kolmogorov-Smirnov distances, and
-the requirement that every sharp-bound ratio stays at or below one.
+the two kernels, closed-form Gaussian Kolmogorov-Smirnov distances, the
+requirement that every sharp-bound ratio stays at or below one, and for
+the closed-form time-shift rows the spectral quadrature oracle and
+values computed once at 50 digits with mpmath and pinned as literals.
 """
 
 import math
@@ -12,12 +14,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from fracfield import (Direction, EquationKind, HurstIndex, ShiftKind,
-                       conv_cov, expected_hoelder_slope, fit_hoelder,
-                       fit_hoelder_mc, fit_power_law, h_convergence,
-                       increment_moment2, marginal_distance, noise_constant,
-                       verify_lemma_bound)
+from fracfield import (Direction, EquationKind, HurstIndex,
+                       QuadratureSpec, ShiftKind, conv_cov,
+                       expected_hoelder_slope, fit_hoelder, fit_hoelder_mc,
+                       fit_power_law, h_convergence, increment_moment2,
+                       marginal_distance, noise_constant, verify_lemma_bound)
 from fracfield.analysis import DEFAULT_H_PAIRS
+from fracfield.oracle import time_shift_lhs
 
 HEAT = EquationKind.HEAT
 WAVE = EquationKind.WAVE
@@ -171,6 +174,54 @@ class TestLemmaBound:
         # The wave time constant overshoots by roughly 1/16 at alpha=0.
         report = verify_lemma_bound(ShiftKind.TIME_SHIFT, WAVE, 0.0)
         assert 0.15 <= report.max_ratio <= 0.3
+
+    # Independent route: the quadrature oracle integrates the spectral
+    # form of each time-shift row.  Its tolerance is purely relative; it
+    # misses it on about 1 point in 150, which is skipped.  Near alpha =
+    # +-1 its exponents alpha - 2 and alpha - 3 keep only the absolute
+    # digits of 1 -+ alpha, so the box stops at |alpha| = 0.999.
+    @given(st.floats(min_value=-0.999, max_value=0.999),
+           st.integers(min_value=1, max_value=8),
+           st.sampled_from([HEAT, WAVE]))
+    def test_time_rows_match_spectral_engine(self, alpha, k, eqn):
+        shift = 2.0 ** -k
+        res = time_shift_lhs(eqn, alpha, 1.0, shift,
+                             QuadratureSpec(rel_tol=1e-7, abs_tol=1e-15))
+        assume(res.converged)
+        report = verify_lemma_bound(ShiftKind.TIME_SHIFT, eqn, alpha,
+                                    shifts=(shift,))
+        assert abs(report.rows[0].lhs - res.value) <= 1e-7 * abs(res.value)
+
+    # Shifts where the unregrouped sums of the closed forms lose up to 9%
+    # (wave, alpha = -0.9, h = 1e-8).  References: the Gaussian and
+    # Mellin-transform sums at 50 digits (mpmath), horizon 1.
+    @pytest.mark.parametrize("eqn, alpha, shift, truth", [
+        ("heat", -0.9, 1e-08, 1.8154621499254374e-8),
+        ("heat", -0.9, 1e-06, 1.4420726033162877e-6),
+        ("heat", -0.5, 1e-08, 9.1465492112393672e-7),
+        ("heat", -0.5, 1e-06, 2.8923928012449057e-5),
+        ("wave", -0.9, 1e-08, 7.9082959001482404e-15),
+        ("wave", -0.9, 1e-06, 5.3492897859785475e-11),
+        ("wave", -0.5, 1e-08, 3.3423482660050354e-12),
+        ("wave", -0.5, 1e-06, 3.3439422649521183e-9),
+    ])
+    def test_time_rows_match_high_precision(self, eqn, alpha, shift, truth):
+        report = verify_lemma_bound(ShiftKind.TIME_SHIFT,
+                                    EquationKind.parse(eqn), alpha,
+                                    shifts=(shift,))
+        assert abs(report.rows[0].lhs - truth) <= 1e-13 * truth
+
+    @pytest.mark.parametrize("eqn", [HEAT, WAVE])
+    def test_time_rows_continuous_through_alpha_zero(self, eqn):
+        # The Mellin factor Gamma(alpha-2) sin(pi (alpha-2)/2) has a
+        # removable singularity at alpha = 0 that the reflection form
+        # never meets.
+        at_zero = verify_lemma_bound(ShiftKind.TIME_SHIFT, eqn, 0.0)
+        for alpha in (-1e-17, 1e-17, 5e-324):
+            near = verify_lemma_bound(ShiftKind.TIME_SHIFT, eqn, alpha)
+            for a, b in zip(at_zero.rows, near.rows):
+                assert math.isfinite(b.lhs)
+                assert abs(a.lhs - b.lhs) <= 1e-15 * a.lhs
 
     def test_report_carries_roughness(self):
         report = verify_lemma_bound(ShiftKind.SPACE_SHIFT, HEAT, -0.5)

@@ -70,18 +70,31 @@ class TestParser:
         assert capsys.readouterr().out == first
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate serves only the wave v0 term and pulls in
-    # scipy.optimize, so importing the CLI must not load it.
+def _loaded_by_cli_import(modules) -> str:
+    """Which of ``modules`` a fresh ``import fracfield.cli`` loads."""
     src = str(Path(fracfield.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, fracfield.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+            f"print(sorted(m for m in {tuple(modules)!r} "
             "if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120,
                           check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate serves only the wave v0 term and pulls in
+    # scipy.optimize, so importing the CLI must not load it.
+    assert _loaded_by_cli_import(("scipy.integrate", "scipy.optimize")) \
+        == "[]"
+
+
+def test_import_leaves_quadrature_oracle_unloaded():
+    # Every run-time quantity is a closed form; the quadrature engine is
+    # the tests' independent route and loads only when called.
+    assert _loaded_by_cli_import(("fracfield.oracle",
+                                  "fracfield.quadrature")) == "[]"
 
 
 class TestConstants:
@@ -454,6 +467,26 @@ class TestVerifyLemmas:
         assert len(table) == 1 + 8 * 2
         assert_manifest_digests(out)
 
+    def test_small_shifts_within_bounds(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "lemmas": {"alphas": [-0.9, -0.5, 0.0, 0.5, 0.9],
+                       "shifts": [1e-6, 1e-4, 1e-3, 0.5]}})
+        assert main(["verify-lemmas", "--config", cfg]) == 0
+        assert capsys.readouterr().out.endswith("all_within True\n")
+
+    def test_quad_key_is_ignored(self, tmp_path):
+        # The rows are closed forms; a stale quadrature setting, even an
+        # invalid one, changes no byte.
+        lemmas = {"alphas": [-0.5, 0.5], "shifts": [0.125, 0.5]}
+        tables = []
+        for extra in ({}, {"quad": {"rel_tol": 2.0}}):
+            cfg = write_config(tmp_path, dict(extra, lemmas=lemmas))
+            out = tmp_path / f"run{len(tables)}"
+            assert main(["verify-lemmas", "--config", cfg,
+                         "--out", str(out)]) == 0
+            tables.append((out / "lemma_margins.csv").read_bytes())
+        assert tables[0] == tables[1]
+
     def test_hurst_flag_selects_single_alpha(self, capsys):
         assert main(["verify-lemmas", "--hurst", "0.3"]) == 0
         out = capsys.readouterr().out
@@ -528,6 +561,11 @@ GOLDEN_RUNS = {
             {"points": [[0.5, 0.0], [1.0, 0.25], [1.0, -0.5]]}, {
         "cov_matrix.csv": "36d1ddbf0d72b26b3bc8ea54251e6ba1"
                           "4dbc986d3028ec7d28c090c28212aac7"}),
+    # Recorded from the closed-form time-shift rows.
+    "verify-lemmas": (["verify-lemmas"],
+                      {"lemmas": {"alphas": [-0.5, 0.0, 0.5]}}, {
+        "lemma_margins.csv": "31ce651d80c1f3137859ad6a900ab333"
+                             "dd240cf6e1454bbc9b49e24e6194e673"}),
 }
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from fracfield import (DEFAULT_QUAD, EquationKind, HurstIndex, NumericalError,
                        PointGrid, conv_cov, cov_matrix, increment_moment2,
                        noise_constant, noise_field_cov)
-from fracfield.covariance import _assemble
+from fracfield.oracle import _assemble
 
 
 def rel_err(value, truth):
@@ -103,6 +103,38 @@ class TestConvCov:
         got = conv_cov(EquationKind.WAVE, h, (t1, 0.0), (t2, c))
         assert rel_err(got, truth) <= 1e-12
 
+    # Heat covariances far from the diagonal, where the two Kummer terms
+    # of size |dx|^(2H) cancel to a value of size t1 |dx|^(2H-2): the
+    # first row of each index sits just past the switch to the
+    # large-argument expansion (|dx|^2 / (2 (t1+t2)) = 40.5).
+    # References: the closed form at 60 digits (mpmath).
+    @pytest.mark.parametrize("h, t1, t2, c, truth", [
+        (0.1, 0.5, 0.5, 9.0, -0.0007787416232327866),
+        (0.1, 0.5, 0.5, 100.0, -1.004881210185086e-05),
+        (0.1, 0.5, 0.5, 1000.0, -1.5924306886802285e-07),
+        (0.1, 0.001, 1.0, 10.0, -1.3014279755612625e-06),
+        (0.1, 1.0, 1.5, 100000.0, -8.000000003024001e-11),
+        (0.3, 0.5, 0.5, 9.0, -0.0027979340369000873),
+        (0.3, 0.5, 0.5, 100.0, -9.510158140185791e-05),
+        (0.3, 0.5, 0.5, 1000.0, -3.785747246914104e-06),
+        (0.3, 0.001, 1.0, 10.0, -4.8607339411333985e-06),
+        (0.3, 1.0, 1.5, 100000.0, -1.2000000003023997e-08),
+        (0.7, 0.5, 0.5, 9.0, 0.03757449770006092),
+        (0.7, 0.5, 0.5, 100.0, 0.00883361485747336),
+        (0.7, 0.5, 0.5, 1000.0, 0.0022188510019705),
+        (0.7, 0.001, 1.0, 10.0, 7.06786797949735e-05),
+        (0.7, 1.0, 1.5, 100000.0, 0.00028000000002015963),
+        (0.9, 0.5, 0.5, 9.0, 0.23215626189609587),
+        (0.9, 0.5, 0.5, 100.0, 0.14331944141167127),
+        (0.9, 0.5, 0.5, 1000.0, 0.09042791696002597),
+        (0.9, 0.001, 1.0, 10.0, 0.00045484440012435236),
+        (0.9, 1.0, 1.5, 100000.0, 0.07200000000129604),
+    ])
+    def test_heat_far_from_diagonal_matches_high_precision(self, h, t1, t2,
+                                                           c, truth):
+        got = conv_cov(EquationKind.HEAT, h, (t1, 0.0), (t2, c))
+        assert rel_err(got, truth) <= 1e-13
+
     @pytest.mark.parametrize("p1, p2", [
         ((1.0, 0.0), (1.0, 2.0)), ((1.0, 0.0), (2.0, 3.0)),
         ((0.25, -1.0), (1.5, 0.75)), ((0.5, 0.0), (0.5, 7.5))])
@@ -177,6 +209,17 @@ class TestCovMatrix:
             & (np.minimum.outer(t, t) > 0.0)
         assert outside.any()
         assert np.all(cov.entries[outside] != 0.0)
+
+    def test_heat_far_entries_match_pairwise_conv_cov(self):
+        # Entries on both sides of the switch to the heat far field.
+        points = [(0.5, 0.0), (0.5, 9.0), (1.0, 100.0), (0.001, -10.0),
+                  (0.0, 3.0)]
+        cov = cov_matrix(EquationKind.HEAT, 0.3, points)
+        for i, p in enumerate(points):
+            for j, q in enumerate(points):
+                assert cov.entries[i, j] == pytest.approx(
+                    conv_cov(EquationKind.HEAT, 0.3, p, q), rel=1e-14,
+                    abs=0.0)
 
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
@@ -267,6 +310,24 @@ class TestIncrementMoment2:
                                                            truth):
         got = increment_moment2(EquationKind.WAVE, h, p1, p2)
         assert rel_err(got, truth) <= 1e-12
+
+    # Heat increments far from the diagonal, where the regrouped form
+    # still subtracts Kummer terms of size |dx|^(2H).  References as
+    # above.
+    @pytest.mark.parametrize("h, p1, p2, truth", [
+        (0.3, (0.5, 0.0), (0.5, 100.0), 0.80886282793709188),
+        (0.3, (0.5, 0.0), (0.5, 1000.0), 0.80868019626878199),
+        (0.3, (0.0054, 0.0), (0.0054, 5.5), 0.20799304076514229),
+        (0.3, (0.5, 0.0), (1.0, 100.0), 0.90232292364255775),
+        (0.9, (0.5, 0.0), (0.5, 100.0), 0.6474857642069086),
+        (0.9, (0.5, 0.0), (0.5, 1000.0), 0.75326881311019922),
+        (0.9, (0.0054, 0.0), (0.0054, 5.5), 0.010337094266589811),
+        (0.9, (0.5, 0.0), (1.0, 100.0), 1.051990834301452),
+    ])
+    def test_heat_far_from_diagonal_matches_high_precision(self, h, p1, p2,
+                                                           truth):
+        got = increment_moment2(EquationKind.HEAT, h, p1, p2)
+        assert rel_err(got, truth) <= 1e-13
 
     # Independent route: the old body of increment_moment2, one spectral
     # quadrature of the three covariance integrands.

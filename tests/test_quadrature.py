@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from fracfield import QuadratureError, QuadratureSpec
-from fracfield.quadrature import (cos_integral_constant, osc_power_tail,
-                                  power_tail, spectral_integral)
+from fracfield.oracle import osc_power_tail, power_tail, spectral_integral
+from fracfield.spectral import cos_integral_constant
 
 QUAD = QuadratureSpec()
 
