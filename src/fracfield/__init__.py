@@ -3,8 +3,8 @@ fields on the line driven by noise white in time and fractional in space.
 
 The package is organized bottom-up:
 
-* :mod:`fracfield.spectral` -- noise density, propagator multipliers,
-  finiteness integrals and increment-bound constants;
+* :mod:`fracfield.spectral` -- noise density, closed-form finiteness
+  integrals and increment-bound constants;
 * :mod:`fracfield.covariance` -- exact second-order structure of the
   linear solution in closed form;
 * :mod:`fracfield.sampler` -- reproducible Gaussian sampling from those
@@ -19,8 +19,9 @@ The package is organized bottom-up:
 
 :mod:`fracfield.oracle`, the spectral quadrature engine, is not imported
 here: it is the independent numeric route that the tests check the
-closed forms against, and :func:`dalang_integral_quad` loads it when
-called.
+closed forms against.  Its settings (``QuadratureSpec``), its error type,
+the propagator multipliers in spectral form and the integrated
+``dalang_integral_quad`` are imported from there.
 """
 
 from __future__ import annotations
@@ -30,30 +31,25 @@ from .analysis import (Direction, ExponentFit, ShiftKind,
                        fit_power_law, h_convergence, marginal_distance,
                        verify_lemma_bound)
 from .covariance import (CovarianceMatrix, SpaceTimePoint, conv_cov,
-                         cov_matrix, increment_moment2, noise_field_cov,
-                         time_kernel)
+                         cov_matrix, increment_moment2, noise_field_cov)
 from .det_solver import (DriftSpec, GridFunction, InitialData, PicardInfo,
                          PointGrid, drift_truncate, initial_term,
                          initial_term_grid, make_drift, make_initial_data,
                          ode_oracle, picard_apply, solve_F,
                          solve_replicates)
-from .errors import (MaxIterExceededError, NotPsdError, NumericalError,
-                     QuadratureError)
+from .errors import MaxIterExceededError, NotPsdError, NumericalError
 from .quasilinear import (LadderResult, SimulationConfig, SimulationResult,
                           mild_residual, simulate, truncation_ladder_run)
 from .sampler import (FieldSample, PsdFactor, factor_psd, replicate_stream,
                       sample_field, standard_normals)
-from .spectral import (DEFAULT_QUAD, EquationKind, HurstIndex,
-                       LemmaConstantKind, QuadratureSpec,
-                       dalang_integral_closed, dalang_integral_quad,
-                       fourier_kernel, gaussian_abs_moment, lemma_constant,
-                       noise_constant)
+from .spectral import (EquationKind, HurstIndex, LemmaConstantKind,
+                       dalang_integral_closed, gaussian_abs_moment,
+                       lemma_constant, noise_constant)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CovarianceMatrix",
-    "DEFAULT_QUAD",
     "Direction",
     "DriftSpec",
     "EquationKind",
@@ -70,8 +66,6 @@ __all__ = [
     "PicardInfo",
     "PointGrid",
     "PsdFactor",
-    "QuadratureError",
-    "QuadratureSpec",
     "ShiftKind",
     "SimulationConfig",
     "SimulationResult",
@@ -79,14 +73,12 @@ __all__ = [
     "conv_cov",
     "cov_matrix",
     "dalang_integral_closed",
-    "dalang_integral_quad",
     "drift_truncate",
     "expected_hoelder_slope",
     "factor_psd",
     "fit_hoelder",
     "fit_hoelder_mc",
     "fit_power_law",
-    "fourier_kernel",
     "gaussian_abs_moment",
     "h_convergence",
     "increment_moment2",
@@ -107,7 +99,6 @@ __all__ = [
     "solve_F",
     "solve_replicates",
     "standard_normals",
-    "time_kernel",
     "truncation_ladder_run",
     "verify_lemma_bound",
     "__version__",

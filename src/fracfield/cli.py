@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -39,8 +38,6 @@ from .spectral import (EquationKind, HurstIndex, dalang_integral_closed,
                        noise_constant)
 
 __all__ = ["main"]
-
-_ENV_THREADS = "FRACFIELD_THREADS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,22 +62,6 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(cfg, dict):
         raise ValueError(f"config {path} must hold a JSON object")
     return cfg
-
-
-def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    env = os.environ.get(_ENV_THREADS)
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{_ENV_THREADS} must be an integer, got {env!r}") from None
-        if n < 1:
-            raise ValueError(f"{_ENV_THREADS} must be >= 1, got {n}")
-        return n
-    return 1
 
 
 def _eqn_from(cfg: dict, args) -> EquationKind:
@@ -134,10 +115,7 @@ def _initial_from(cfg: dict) -> InitialData:
         return (sub["kind"], sub.get("params", {}))
 
     u0 = profile("u0") or ("zero", {})
-    return make_initial_data(
-        u0=u0, v0=profile("v0"),
-        holder_exponent=float(spec.get("holder_exponent", 1.0)),
-        bounded=bool(spec.get("bounded", True)))
+    return make_initial_data(u0=u0, v0=profile("v0"))
 
 
 def _eta_from_csv(path: str, grid: PointGrid) -> GridFunction:
@@ -281,7 +259,7 @@ def _cmd_cov(cfg: dict, args) -> _Run:
     table = (("i", "j", "t_i", "x_i", "t_j", "x_j", "cov", "err_estimate"),
              (np.repeat(index, n), np.tile(index, n),
               np.repeat(t, n), np.repeat(x, n), np.tile(t, n), np.tile(x, n),
-              cov.entries.ravel(), cov.err_estimates.ravel()))
+              cov.entries.ravel(), np.zeros(n * n)))
     return _Run(config={"equation": eqn.value, "hurst": h.value,
                         "points": [list(p) for p in points]},
                 artifacts={"cov_matrix.csv": table})
@@ -357,11 +335,10 @@ def _describe_sim(config: SimulationConfig) -> dict:
 
 
 def _cmd_simulate(cfg: dict, args) -> _Run:
-    threads = _resolve_threads(args)
     config = _sim_config(cfg, args)
-    described = dict(_describe_sim(config), threads=threads)
+    described = _describe_sim(config)
     if cfg.get("truncation_ladder") is not None:
-        result = truncation_ladder_run(config, threads=threads)
+        result = truncation_ladder_run(config)
         return _Run(config=described, master_seed=config.master_seed,
                     artifacts={
                         "ladder_deviations.csv": (
@@ -371,7 +348,7 @@ def _cmd_simulate(cfg: dict, args) -> _Run:
                             ("truncation_level", "deviation_to_next"),
                             (result.levels[:-1],
                              result.deviation_consecutive))})
-    result = simulate(config, threads=threads)
+    result = simulate(config)
     described["jitter_used"] = result.jitter_used
     n_reps = result.fields.shape[0]
     mean = result.fields.mean(axis=0)
@@ -489,6 +466,17 @@ def _cmd_verify_lemmas(cfg: dict, args) -> _Run:
                            "summary.json": summary})
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The argument parser, built once per process: parsing leaves it
@@ -498,8 +486,7 @@ def _build_parser() -> _Parser:
                                  "wave equation toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, *, eqn=False, seed=False, reps=False, threads=False,
-               direction=False):
+    def common(p, *, eqn=False, seed=False, reps=False, direction=False):
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--out", help="output directory for CSV artifacts")
         p.add_argument("--hurst", "--H", dest="hurst", type=float,
@@ -512,12 +499,6 @@ def _build_parser() -> _Parser:
         if reps:
             p.add_argument("--replicates", type=int,
                            help="number of replicates")
-        if threads:
-            p.add_argument("--threads", type=int,
-                           help=f"accepted for compatibility and recorded "
-                                f"in the manifest; replicates are solved "
-                                f"as one batch (default: ${_ENV_THREADS} "
-                                f"or 1)")
         if direction:
             p.add_argument("--direction", choices=["time", "space"])
             p.add_argument("--p", type=float, help="moment order")
@@ -531,8 +512,13 @@ def _build_parser() -> _Parser:
     common(sub.add_parser("solve-det",
                           help="deterministic fixed-point solve"),
            eqn=True)
-    common(sub.add_parser("simulate", help="quasi-linear simulation"),
-           eqn=True, seed=True, reps=True, threads=True)
+    simulate_parser = sub.add_parser("simulate",
+                                     help="quasi-linear simulation")
+    common(simulate_parser, eqn=True, seed=True, reps=True)
+    simulate_parser.add_argument(
+        "--threads", type=_positive_int,
+        help="accepted for compatibility and ignored; replicates are "
+             "solved as one batch")
     common(sub.add_parser("hoelder", help="regularity exponent fit"),
            eqn=True, direction=True)
     common(sub.add_parser("hconv",

@@ -3,13 +3,14 @@
 The centered solution of the linear equation has covariance
 
 ``E[u(t1,x1) u(t2,x2)] = noise_constant(H) * int_R cos(xi (x1-x2))
-* time_kernel(eqn, t1, t2, xi) * |xi|^(1-2H) dxi``
+* TK(t1, t2, xi) * |xi|^(1-2H) dxi``
 
-where :func:`time_kernel` is the time integral of the product of the
-propagator's Fourier multipliers.  Covariances and increment moments
-are closed forms; the spectral form is integrated only by the quadrature
-oracle (:mod:`fracfield.oracle`), as the independent route the tests
-check against.  Sampling lives in :mod:`fracfield.sampler`.
+where TK is the time integral of the product of the propagator's Fourier
+multipliers.  Covariances and increment moments are closed forms here.
+The spectral form, TK included (:func:`fracfield.oracle.time_kernel`),
+belongs to the quadrature oracle (:mod:`fracfield.oracle`), the
+independent route the tests check against.  Sampling lives in
+:mod:`fracfield.sampler`.
 """
 
 from __future__ import annotations
@@ -28,17 +29,11 @@ from .spectral import (EquationKind, HurstIndex, cos_integral_constant,
 __all__ = [
     "SpaceTimePoint",
     "CovarianceMatrix",
-    "time_kernel",
     "conv_cov",
     "cov_matrix",
     "increment_moment2",
     "noise_field_cov",
 ]
-
-# Switch to the Taylor series of the wave kernel once the total phase is
-# below this, where the closed form loses digits to cancellation.  The
-# series truncation error at the boundary is ~1e-13 relative.
-_WAVE_SERIES_PHASE = 0.1
 
 # Power series replace differences that cancel.  A second difference
 # u^p [(1+r)^p + (1-r)^p - 2] is summed from its binomial series for
@@ -83,80 +78,15 @@ class CovarianceMatrix:
     points : tuple of SpaceTimePoint
     entries : ndarray, shape (k, k)
         Exactly symmetric covariance values, PSD up to roundoff.
-    err_estimates : ndarray, shape (k, k)
-        Per-entry error estimates; zero for the closed forms.
     """
 
     points: tuple
     entries: np.ndarray
-    err_estimates: np.ndarray
 
     def __post_init__(self):
         k = len(self.points)
         if self.entries.shape != (k, k):
             raise ValueError("entry matrix shape does not match point count")
-
-
-def _check_times(t: float, t2: float) -> None:
-    if t < 0.0 or t2 < 0.0:
-        raise ValueError(f"times must be nonnegative, got {t}, {t2}")
-    if t2 < t:
-        raise ValueError(
-            f"time arguments must be ordered t <= t2, got {t} > {t2}")
-
-
-def _wave_tk_series(t1: float, t2: float, jmax: int) -> list[float]:
-    """Coefficients of xi^(2j) in the wave time kernel, j = 0..jmax."""
-    dl = t2 - t1
-    s = t2 + t1
-    out = []
-    for j in range(jmax + 1):
-        a = (t1 / 2.0) * dl ** (2 * j + 2) / math.factorial(2 * j + 2)
-        bterm = (s ** (2 * j + 3) - dl ** (2 * j + 3)) \
-            / (4.0 * math.factorial(2 * j + 3))
-        out.append((-1.0) ** (j + 1) * (a - bterm))
-    return out
-
-
-def time_kernel(eqn: EquationKind, t: float, t2: float, xi):
-    """Time integral of the two propagator multipliers.
-
-    Computes ``int_0^t fourier_kernel(eqn, t-s, xi) * fourier_kernel(eqn,
-    t2-s, xi) ds`` for ``0 <= t <= t2`` in closed form.
-
-    Heat: ``exp(-(t2-t) xi^2 / 2) * (1 - exp(-t xi^2)) / xi^2`` with the
-    limit value t at xi = 0.
-    Wave: ``(t/2) cos((t2-t) xi) / xi^2 - (sin((t2+t) xi) -
-    sin((t2-t) xi)) / (4 xi^3)``, switching to its Taylor series for
-    small total phase where the closed form cancels.
-    """
-    _check_times(t, t2)
-    xi_arr = np.asarray(xi, dtype=float)
-    ax = np.abs(xi_arr)
-    if eqn is EquationKind.HEAT:
-        u = ax ** 2
-        dl = t2 - t
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(u > 0.0, -np.expm1(-t * u) / np.where(u > 0.0, u, 1.0), t)
-        out = np.exp(-dl * u / 2.0) * ratio
-    elif eqn is EquationKind.WAVE:
-        dl = t2 - t
-        s = t2 + t
-        phase = s * ax
-        small = phase <= _WAVE_SERIES_PHASE
-        axs = np.where(small, 1.0, ax)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            closed = ((t / 2.0) * np.cos(dl * ax) / axs ** 2
-                      - (np.sin(s * ax) - np.sin(dl * ax)) / (4.0 * axs ** 3))
-        coeffs = _wave_tk_series(t, t2, 4)
-        x2 = ax ** 2
-        series = np.zeros_like(ax)
-        for c in reversed(coeffs):
-            series = series * x2 + c
-        out = np.where(small, series, closed)
-    else:
-        raise TypeError(f"expected EquationKind, got {eqn!r}")
-    return float(out) if np.ndim(xi) == 0 else out
 
 
 def _as_point(p) -> SpaceTimePoint:
@@ -388,8 +318,7 @@ def cov_matrix(eqn: EquationKind, hurst: HurstIndex | float,
     """Covariance matrix of the centered linear field on a point list.
 
     One vectorized closed-form evaluation over all ordered time pairs
-    and separations; the matrix is exactly symmetric and its error
-    estimates are zero.
+    and separations; the matrix is exactly symmetric.
     """
     h = hurst if isinstance(hurst, HurstIndex) else HurstIndex(hurst)
     pts = tuple(_as_point(p) for p in points)
@@ -399,8 +328,7 @@ def cov_matrix(eqn: EquationKind, hurst: HurstIndex | float,
     entries = _closed_cov(eqn, h, np.minimum.outer(t, t),
                           np.maximum.outer(t, t),
                           np.abs(np.subtract.outer(x, x)))
-    return CovarianceMatrix(points=pts, entries=entries,
-                            err_estimates=np.zeros_like(entries))
+    return CovarianceMatrix(points=pts, entries=entries)
 
 
 def increment_moment2(eqn: EquationKind, hurst: HurstIndex | float,

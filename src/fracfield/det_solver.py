@@ -123,20 +123,13 @@ class DriftSpec:
 class InitialData:
     """Initial condition: position u0 and, for the wave equation, speed v0.
 
-    ``holder_exponent`` declares the spatial regularity used by accuracy
-    heuristics; the probe check only verifies finiteness and, when
-    ``bounded`` is set, boundedness on a reference window.
+    Both are checked to be finite on a reference window.
     """
 
     u0: object
     v0: object | None = None
-    holder_exponent: float = 1.0
-    bounded: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.holder_exponent <= 1.0:
-            raise ValueError("holder_exponent must lie in (0, 1], got "
-                             f"{self.holder_exponent}")
         vals = _vec_eval(self.u0, _PROBE_X)
         if not np.all(np.isfinite(vals)):
             raise ValueError("u0 produced non-finite values on the probe")
@@ -471,7 +464,6 @@ def _picard_solve(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
 
 def solve_F(eqn: EquationKind, drift: DriftSpec, eta: GridFunction,
             *, tol: float = 1e-8, max_iter: int = 60,
-            start: np.ndarray | None = None,
             return_info: bool = False):
     """Solve ``z = eta + G * b(z)`` by fixed-point iteration.
 
@@ -479,15 +471,10 @@ def solve_F(eqn: EquationKind, drift: DriftSpec, eta: GridFunction,
     below ``tol``, or earlier when the factorial contraction certificate
     ``d_n * rho_n / (1 - rho_n) < tol`` with ``rho_n`` built from the
     drift's Lipschitz constant guarantees the remaining tail is below
-    tolerance.  The first iterate is ``eta`` unless ``start`` supplies
-    another field of the same shape; the fixed point does not depend on
-    it.  Raises :class:`MaxIterExceededError` past ``max_iter``.
+    tolerance.  The first iterate is ``eta``.  Raises
+    :class:`MaxIterExceededError` past ``max_iter``.
     """
-    z = eta.values if start is None else np.asarray(start, dtype=float)
-    if z.shape != eta.values.shape:
-        raise ValueError(f"start shape {z.shape} does not match "
-                         f"eta shape {eta.values.shape}")
-    z = z[None].copy()
+    z = eta.values[None].copy()
     (info,) = _picard_solve(eqn, drift, eta.grid, eta.values[None], z,
                             tol, max_iter, batch=False)
     result = GridFunction(grid=eta.grid, values=z[0])
@@ -636,9 +623,7 @@ def _profile(kind: str, **params):
 INITIAL_KINDS = ("zero", "const", "sin", "bump")
 
 
-def make_initial_data(u0=("zero", {}), v0=None,
-                      holder_exponent: float = 1.0,
-                      bounded: bool = True) -> InitialData:
+def make_initial_data(u0=("zero", {}), v0=None) -> InitialData:
     """Build initial data from registry profile descriptions.
 
     Each profile is ``(kind, params)`` with kind in ``INITIAL_KINDS``;
@@ -650,5 +635,4 @@ def make_initial_data(u0=("zero", {}), v0=None,
     if v0 is not None:
         vkind, vparams = v0
         v = _profile(vkind, **vparams)
-    return InitialData(u0=u, v0=v, holder_exponent=holder_exponent,
-                       bounded=bounded)
+    return InitialData(u0=u, v0=v)

@@ -4,32 +4,17 @@ Validation problems (bad arguments, malformed configs) raise plain
 ``ValueError`` / ``TypeError`` so they compose with stdlib expectations.
 The classes here mark *numerical* failures: a caller that catches
 ``NumericalError`` knows the inputs were legal but the computation could
-not be completed to tolerance.
+not be completed to tolerance.  The quadrature oracle raises its own
+subclass, :class:`fracfield.oracle.QuadratureError`.
 """
 
 from __future__ import annotations
 
+__all__ = ["NumericalError", "NotPsdError", "MaxIterExceededError"]
+
 
 class NumericalError(Exception):
     """Base class for numerical (as opposed to validation) failures."""
-
-
-class QuadratureError(NumericalError):
-    """A spectral integral did not converge to the requested tolerance.
-
-    Attributes
-    ----------
-    value : float
-        Best available estimate of the integral.
-    err_estimate : float
-        Error estimate attached to that value.
-    """
-
-    def __init__(self, message: str, value: float = float("nan"),
-                 err_estimate: float = float("inf")):
-        super().__init__(message)
-        self.value = value
-        self.err_estimate = err_estimate
 
 
 class NotPsdError(NumericalError):
@@ -39,15 +24,11 @@ class NotPsdError(NumericalError):
     ----------
     jitter_max : float
         Largest jitter that was tried.
-    replicate_index : int or None
-        Set when the failure surfaced while generating a replicate.
     """
 
-    def __init__(self, message: str, jitter_max: float = float("nan"),
-                 replicate_index: int | None = None):
+    def __init__(self, message: str, jitter_max: float = float("nan")):
         super().__init__(message)
         self.jitter_max = jitter_max
-        self.replicate_index = replicate_index
 
 
 class MaxIterExceededError(NumericalError):

@@ -6,8 +6,11 @@ form ``int_0^inf W(xi) xi^alpha dxi`` with ``alpha in (-1, 1)``, where W is
 built from Fourier multipliers of the heat or wave propagator and cosine
 factors.  The run-time path evaluates all of them in closed form; this
 module integrates the spectral forms instead, so the two routes share no
-formula.  Nothing the CLI imports loads it: :func:`fracfield.spectral.
-dalang_integral_quad` imports it when called, and the tests import it.
+formula.  It owns everything that only this route uses: the engine's
+settings (:class:`QuadratureSpec`), its error type, the multipliers
+(:func:`fourier_kernel`, :func:`time_kernel`) and the integrated
+integrability functional :func:`dalang_integral_quad`.  Nothing the CLI
+imports loads it; the tests do.
 
 The engine splits the half line into three zones:
 
@@ -31,15 +34,20 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .covariance import _wave_tk_series, time_kernel
-from .errors import QuadratureError
-from .spectral import EquationKind, QuadratureSpec
+from .errors import NumericalError
+from .spectral import EquationKind, _check_alpha_horizon
 
 __all__ = [
+    "QuadratureSpec",
+    "DEFAULT_QUAD",
+    "QuadratureError",
     "QuadResult",
+    "fourier_kernel",
+    "time_kernel",
     "power_tail",
     "osc_power_tail",
     "spectral_integral",
+    "dalang_integral_quad",
     "time_shift_lhs",
 ]
 
@@ -64,6 +72,67 @@ _OSC_ASYM_MIN_PHASE = 30.0
 # instead of memory blowups.
 _MAX_CORE_PANELS = 2_000_000
 _MAX_CUTOFF_EXTENSION = 32768.0
+
+# Switch to the Taylor series of the wave kernel once the total phase is
+# below this, where the closed form loses digits to cancellation.  The
+# series truncation error at the boundary is ~1e-13 relative.
+_WAVE_SERIES_PHASE = 0.1
+
+
+class QuadratureError(NumericalError):
+    """A spectral integral did not converge to the requested tolerance.
+
+    Attributes
+    ----------
+    value : float
+        Best available estimate of the integral.
+    err_estimate : float
+        Error estimate attached to that value.
+    """
+
+    def __init__(self, message: str, value: float = float("nan"),
+                 err_estimate: float = float("inf")):
+        super().__init__(message)
+        self.value = value
+        self.err_estimate = err_estimate
+
+
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """Knobs of the spectral quadrature engine.
+
+    Attributes
+    ----------
+    cutoff : float
+        Nominal frequency cutoff; analytic tails take over beyond it.
+    rel_tol, abs_tol : float
+        Convergence target ``err <= rel_tol * |value| + abs_tol``.
+    small_xi_eps : float
+        End of the analytic series head at the origin.
+    max_panels : int
+        Refinement budget for the adaptive core.
+    """
+
+    cutoff: float = 200.0
+    rel_tol: float = 1e-9
+    abs_tol: float = 1e-12
+    small_xi_eps: float = 1e-4
+    max_panels: int = 4000
+
+    def __post_init__(self):
+        if not 0.0 < self.rel_tol < 1.0:
+            raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
+        if not 0.0 < self.abs_tol < 1.0:
+            raise ValueError(f"abs_tol must lie in (0, 1), got {self.abs_tol}")
+        if not 0.0 < self.small_xi_eps < self.cutoff:
+            raise ValueError(
+                "need 0 < small_xi_eps < cutoff, got "
+                f"{self.small_xi_eps} vs {self.cutoff}")
+        if self.max_panels < 1:
+            raise ValueError(f"max_panels must be >= 1, got {self.max_panels}")
+
+
+DEFAULT_QUAD = QuadratureSpec()
 
 
 @dataclass(frozen=True)
@@ -383,6 +452,92 @@ def spectral_integral(weight, alpha: float, quad, *,
 # head series and tail models the engine needs for each.
 
 
+def fourier_kernel(eqn: EquationKind, t: float, xi):
+    """Fourier multiplier of the propagator at time t.
+
+    Wave: ``sin(t |xi|) / |xi|`` with the limit value t at xi = 0.
+    Heat: ``exp(-t xi^2 / 2)``.
+
+    Accepts scalar or array ``xi``; ``t`` must be nonnegative.
+    """
+    if t < 0.0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    xi_arr = np.asarray(xi, dtype=float)
+    if eqn is EquationKind.HEAT:
+        out = np.exp(-t * xi_arr ** 2 / 2.0)
+    elif eqn is EquationKind.WAVE:
+        ax = np.abs(xi_arr)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = np.where(ax > 0.0,
+                           np.sin(t * ax) / np.where(ax > 0.0, ax, 1.0), t)
+    else:
+        raise TypeError(f"expected EquationKind, got {eqn!r}")
+    return float(out) if np.ndim(xi) == 0 else out
+
+
+def _check_times(t: float, t2: float) -> None:
+    if t < 0.0 or t2 < 0.0:
+        raise ValueError(f"times must be nonnegative, got {t}, {t2}")
+    if t2 < t:
+        raise ValueError(
+            f"time arguments must be ordered t <= t2, got {t} > {t2}")
+
+
+def _wave_tk_series(t1: float, t2: float, jmax: int) -> list[float]:
+    """Coefficients of xi^(2j) in the wave time kernel, j = 0..jmax."""
+    dl = t2 - t1
+    s = t2 + t1
+    out = []
+    for j in range(jmax + 1):
+        a = (t1 / 2.0) * dl ** (2 * j + 2) / math.factorial(2 * j + 2)
+        bterm = (s ** (2 * j + 3) - dl ** (2 * j + 3)) \
+            / (4.0 * math.factorial(2 * j + 3))
+        out.append((-1.0) ** (j + 1) * (a - bterm))
+    return out
+
+
+def time_kernel(eqn: EquationKind, t: float, t2: float, xi):
+    """Time integral of the two propagator multipliers.
+
+    Computes ``int_0^t fourier_kernel(eqn, t-s, xi) * fourier_kernel(eqn,
+    t2-s, xi) ds`` for ``0 <= t <= t2`` in closed form.
+
+    Heat: ``exp(-(t2-t) xi^2 / 2) * (1 - exp(-t xi^2)) / xi^2`` with the
+    limit value t at xi = 0.
+    Wave: ``(t/2) cos((t2-t) xi) / xi^2 - (sin((t2+t) xi) -
+    sin((t2-t) xi)) / (4 xi^3)``, switching to its Taylor series for
+    small total phase where the closed form cancels.
+    """
+    _check_times(t, t2)
+    xi_arr = np.asarray(xi, dtype=float)
+    ax = np.abs(xi_arr)
+    if eqn is EquationKind.HEAT:
+        u = ax ** 2
+        dl = t2 - t
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = np.where(
+                u > 0.0, -np.expm1(-t * u) / np.where(u > 0.0, u, 1.0), t)
+        out = np.exp(-dl * u / 2.0) * ratio
+    elif eqn is EquationKind.WAVE:
+        dl = t2 - t
+        s = t2 + t
+        phase = s * ax
+        small = phase <= _WAVE_SERIES_PHASE
+        axs = np.where(small, 1.0, ax)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            closed = ((t / 2.0) * np.cos(dl * ax) / axs ** 2
+                      - (np.sin(s * ax) - np.sin(dl * ax)) / (4.0 * axs ** 3))
+        coeffs = _wave_tk_series(t, t2, 4)
+        x2 = ax ** 2
+        series = np.zeros_like(ax)
+        for c in reversed(coeffs):
+            series = series * x2 + c
+        out = np.where(small, series, closed)
+    else:
+        raise TypeError(f"expected EquationKind, got {eqn!r}")
+    return float(out) if np.ndim(xi) == 0 else out
+
+
 def _wave_inner_time_integral(xi: np.ndarray, T: float) -> np.ndarray:
     """Numeric ``int_0^T sin(t xi)^2 / xi^2 dt`` for an array of xi > 0."""
     out = np.empty_like(xi)
@@ -418,6 +573,44 @@ def _heat_inner_time_integral(xi: np.ndarray, T: float) -> np.ndarray:
     w_nodes = (half[:, None] * _WEIGHTS16[None, :]).ravel()
     vals = np.exp(-t_nodes[None, :] * (xi ** 2)[:, None])
     return vals @ w_nodes
+
+
+def dalang_integral_quad(eqn: EquationKind, alpha: float, horizon: float,
+                         quad: QuadratureSpec | None = None) -> QuadResult:
+    """Iterated numeric evaluation of the squared-multiplier integral.
+
+    The inner time integral is computed by composite Gauss-Legendre
+    panels (oscillation-capped for the wave multiplier, geometrically
+    graded for the heat one); the outer frequency integral uses the
+    panel engine with a series head and analytic tails.  Never consults
+    :func:`fracfield.spectral.dalang_integral_closed`, so the two routes
+    are independent.
+    """
+    _check_alpha_horizon(alpha, horizon)
+    q = quad or DEFAULT_QUAD
+    T = horizon
+    if eqn is EquationKind.WAVE:
+        head = (T ** 3 / 3.0, -T ** 5 / 15.0, 2.0 * T ** 7 / 315.0,
+                -T ** 9 / 2835.0)
+        res = spectral_integral(
+            lambda x: _wave_inner_time_integral(x, T), alpha, q,
+            head_coeffs=head,
+            tail_terms=(("pow", T / 2.0, alpha - 2.0, 0.0),
+                        ("sin", -0.25, alpha - 3.0, 2.0 * T)),
+            freqs=(2.0 * T,))
+    elif eqn is EquationKind.HEAT:
+        head = (T, -T ** 2 / 2.0, T ** 3 / 6.0, -T ** 4 / 24.0)
+        res = spectral_integral(
+            lambda x: _heat_inner_time_integral(x, T), alpha, q,
+            head_coeffs=head,
+            tail_terms=(("pow", 1.0, alpha - 2.0, 0.0),),
+            gauss_scales=(T,), gauss_suppressed_scale=1.0)
+    else:
+        raise TypeError(f"expected EquationKind, got {eqn!r}")
+    # Both halves of the real line contribute equally.
+    return QuadResult(value=2.0 * res.value,
+                      err_estimate=2.0 * res.err_estimate,
+                      panels_used=res.panels_used, converged=res.converged)
 
 
 def _heat_tk_series(t1: float, t2: float, jmax: int) -> list[float]:

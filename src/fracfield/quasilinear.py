@@ -4,8 +4,7 @@ Pipeline: build the exact covariance of the linear solution field on the
 reported grid, factor it, draw Gaussian replicates, add the initial-data
 term, and solve the fixed-point equation for all replicates as one batch.
 Replicates are independent CBRNG streams, each solved as it would be
-alone, so results are byte-identical for any replicate count; the
-``threads`` argument is accepted for compatibility and selects nothing.
+alone, so replicate i is byte-identical for any replicate count.
 """
 
 from __future__ import annotations
@@ -110,17 +109,13 @@ def _noise_fields(config: SimulationConfig):
     return tuple(points), shaped, factor.jitter_used
 
 
-def simulate(config: SimulationConfig, *, threads: int = 1) -> SimulationResult:
+def simulate(config: SimulationConfig) -> SimulationResult:
     """Simulate the quasi-linear equation on the configured grid.
 
     Returns the replicated solution fields with shape ``(n_replicates,
     n_t + 1, n_x + 1)``; ``noise`` holds the linear solution fields that
-    forced them.  All replicates are solved as one batch; ``threads`` is
-    accepted and validated for compatibility and does not change the
-    work or the output bytes.
+    forced them.  All replicates are solved as one batch.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     if config.truncation_ladder is not None:
         raise ValueError(
             "config carries a truncation ladder; use truncation_ladder_run")
@@ -134,8 +129,7 @@ def simulate(config: SimulationConfig, *, threads: int = 1) -> SimulationResult:
                             fields=fields, infos=infos, jitter_used=jitter)
 
 
-def truncation_ladder_run(config: SimulationConfig, *,
-                          threads: int = 1) -> LadderResult:
+def truncation_ladder_run(config: SimulationConfig) -> LadderResult:
     """Solve at every truncation level with common random numbers.
 
     The same noise replicates force every level, so level-to-level
@@ -144,8 +138,6 @@ def truncation_ladder_run(config: SimulationConfig, *,
     difference, against the largest level (reference) and against the
     next level up (consecutive).
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     if config.truncation_ladder is None:
         raise ValueError("config has no truncation ladder")
     points, noise, jitter = _noise_fields(config)

@@ -2,11 +2,10 @@
 
 Replicates are generated from independent counter-derived streams keyed
 by ``(master_seed, replicate_index)``, so the i-th replicate is the same
-bit pattern no matter how many replicates are requested, in what order
-they are drawn, or how many worker threads are running.  Uniform draws
-are mapped to normals through the inverse CDF, keeping the stream usage
-per replicate a fixed, documented quantity (one 53-bit uniform per
-matrix dimension).
+bit pattern no matter how many replicates are requested or in what
+order they are drawn.  Uniform draws are mapped to normals through the
+inverse CDF, keeping the stream usage per replicate a fixed, documented
+quantity (one 53-bit uniform per matrix dimension).
 """
 
 from __future__ import annotations
@@ -130,7 +129,7 @@ def replicate_stream(master_seed: int, replicate_index: int
 
     Derived via ``SeedSequence(master_seed).spawn``-style keying: the
     stream depends only on ``(master_seed, replicate_index)``, making
-    replicate i identical across batch sizes, orders and thread counts.
+    replicate i identical across batch sizes and orders.
     """
     if replicate_index < 0:
         raise ValueError(

@@ -1,13 +1,14 @@
-"""Spectral-domain building blocks: noise density, propagator multipliers,
-and the finiteness integrals that control whether a solution exists.
+"""Spectral-domain building blocks: noise density, the finiteness
+integrals that control whether a solution exists, and the constants of
+the kernel increment bounds.
 
 The driving noise is white in time and fractional in space with Hurst
 index H in (0, 1); its spatial spectral measure has density
 ``noise_constant(H) * |xi|^(1-2H)``.  All existence and regularity
 statements funnel through weighted integrals of the squared propagator
-multipliers.  They are closed forms here; the one integrated route,
-:func:`dalang_integral_quad`, loads the quadrature oracle
-(:mod:`fracfield.oracle`) only when it is called.
+multipliers.  They are closed forms here.  The multipliers themselves
+and the integrated route to the same integrals live in the quadrature
+oracle (:mod:`fracfield.oracle`), which the closed forms never use.
 """
 
 from __future__ import annotations
@@ -16,20 +17,16 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.special import gamma as _gamma
 
 __all__ = [
     "EquationKind",
     "HurstIndex",
-    "QuadratureSpec",
     "LemmaConstantKind",
     "noise_constant",
     "cos_integral_constant",
-    "fourier_kernel",
     "gaussian_abs_moment",
     "dalang_integral_closed",
-    "dalang_integral_quad",
     "lemma_constant",
 ]
 
@@ -72,44 +69,6 @@ class HurstIndex:
         return 1.0 - 2.0 * self.value
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Knobs of the spectral quadrature engine.
-
-    Attributes
-    ----------
-    cutoff : float
-        Nominal frequency cutoff; analytic tails take over beyond it.
-    rel_tol, abs_tol : float
-        Convergence target ``err <= rel_tol * |value| + abs_tol``.
-    small_xi_eps : float
-        End of the analytic series head at the origin.
-    max_panels : int
-        Refinement budget for the adaptive core.
-    """
-
-    cutoff: float = 200.0
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    small_xi_eps: float = 1e-4
-    max_panels: int = 4000
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        if not 0.0 < self.abs_tol < 1.0:
-            raise ValueError(f"abs_tol must lie in (0, 1), got {self.abs_tol}")
-        if not 0.0 < self.small_xi_eps < self.cutoff:
-            raise ValueError(
-                "need 0 < small_xi_eps < cutoff, got "
-                f"{self.small_xi_eps} vs {self.cutoff}")
-        if self.max_panels < 1:
-            raise ValueError(f"max_panels must be >= 1, got {self.max_panels}")
-
-
-DEFAULT_QUAD = QuadratureSpec()
-
-
 def noise_constant(H: float | HurstIndex) -> float:
     """Spectral density constant ``Gamma(2H+1) sin(pi H) / (2 pi)``.
 
@@ -140,29 +99,6 @@ def cos_integral_constant(alpha: float) -> float:
             / (alpha * (1.0 - alpha)))
 
 
-def fourier_kernel(eqn: EquationKind, t: float, xi):
-    """Fourier multiplier of the propagator at time t.
-
-    Wave: ``sin(t |xi|) / |xi|`` with the limit value t at xi = 0.
-    Heat: ``exp(-t xi^2 / 2)``.
-
-    Accepts scalar or array ``xi``; ``t`` must be nonnegative.
-    """
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    xi_arr = np.asarray(xi, dtype=float)
-    if eqn is EquationKind.HEAT:
-        out = np.exp(-t * xi_arr ** 2 / 2.0)
-    elif eqn is EquationKind.WAVE:
-        ax = np.abs(xi_arr)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(ax > 0.0,
-                           np.sin(t * ax) / np.where(ax > 0.0, ax, 1.0), t)
-    else:
-        raise TypeError(f"expected EquationKind, got {eqn!r}")
-    return float(out) if np.ndim(xi) == 0 else out
-
-
 def gaussian_abs_moment(p: float) -> float:
     """Absolute moment ``E|Z|^p`` of a standard Gaussian, p > 0.
 
@@ -187,8 +123,11 @@ def dalang_integral_closed(eqn: EquationKind, alpha: float,
                            horizon: float) -> float:
     """Closed form of the time-integrated squared-multiplier integral.
 
-    The quantity is ``int_0^T int_R |fourier_kernel(eqn, t, xi)|^2
-    |xi|^alpha dxi dt``, finite exactly for alpha in (-1, 1).
+    The quantity is ``int_0^T int_R |m(t, xi)|^2 |xi|^alpha dxi dt``,
+    with m the propagator's Fourier multiplier (``sin(t |xi|) / |xi|``
+    for the wave, ``exp(-t xi^2 / 2)`` for the heat), finite exactly for
+    alpha in (-1, 1).  :func:`fracfield.oracle.dalang_integral_quad`
+    integrates it numerically.
 
     Wave: ``2^(1-alpha) * C(alpha) * T^(2-alpha) / (2-alpha)`` with
     C(alpha) = :func:`cos_integral_constant`.
@@ -203,49 +142,6 @@ def dalang_integral_closed(eqn: EquationKind, alpha: float,
         return (2.0 / (1.0 - alpha)) * _gamma((alpha + 1.0) / 2.0) \
             * T ** ((1.0 - alpha) / 2.0)
     raise TypeError(f"expected EquationKind, got {eqn!r}")
-
-
-def dalang_integral_quad(eqn: EquationKind, alpha: float, horizon: float,
-                         quad: QuadratureSpec | None = None):
-    """Iterated numeric evaluation of the squared-multiplier integral.
-
-    The inner time integral is computed by composite Gauss-Legendre
-    panels (oscillation-capped for the wave multiplier, geometrically
-    graded for the heat one); the outer frequency integral uses the
-    panel engine with a series head and analytic tails.  Never consults
-    :func:`dalang_integral_closed`, so the two routes are independent.
-    Returns an :class:`fracfield.oracle.QuadResult`; the oracle module is
-    imported here, on the first call, so that the closed-form path never
-    loads it.
-    """
-    from .oracle import (QuadResult, _heat_inner_time_integral,
-                         _wave_inner_time_integral, spectral_integral)
-
-    _check_alpha_horizon(alpha, horizon)
-    q = quad or DEFAULT_QUAD
-    T = horizon
-    if eqn is EquationKind.WAVE:
-        head = (T ** 3 / 3.0, -T ** 5 / 15.0, 2.0 * T ** 7 / 315.0,
-                -T ** 9 / 2835.0)
-        res = spectral_integral(
-            lambda x: _wave_inner_time_integral(x, T), alpha, q,
-            head_coeffs=head,
-            tail_terms=(("pow", T / 2.0, alpha - 2.0, 0.0),
-                        ("sin", -0.25, alpha - 3.0, 2.0 * T)),
-            freqs=(2.0 * T,))
-    elif eqn is EquationKind.HEAT:
-        head = (T, -T ** 2 / 2.0, T ** 3 / 6.0, -T ** 4 / 24.0)
-        res = spectral_integral(
-            lambda x: _heat_inner_time_integral(x, T), alpha, q,
-            head_coeffs=head,
-            tail_terms=(("pow", 1.0, alpha - 2.0, 0.0),),
-            gauss_scales=(T,), gauss_suppressed_scale=1.0)
-    else:
-        raise TypeError(f"expected EquationKind, got {eqn!r}")
-    # Both halves of the real line contribute equally.
-    return QuadResult(value=2.0 * res.value,
-                      err_estimate=2.0 * res.err_estimate,
-                      panels_used=res.panels_used, converged=res.converged)
 
 
 class LemmaConstantKind(enum.Enum):

@@ -15,13 +15,13 @@ import pytest
 
 from fracfield import (Direction, EquationKind, GridFunction, HurstIndex,
                        PointGrid, ShiftKind, SimulationConfig, conv_cov,
-                       cov_matrix, dalang_integral_closed,
-                       dalang_integral_quad, drift_truncate,
+                       cov_matrix, dalang_integral_closed, drift_truncate,
                        expected_hoelder_slope, factor_psd, fit_hoelder,
                        h_convergence, make_drift, make_initial_data,
                        noise_field_cov, ode_oracle, sample_field, solve_F,
                        truncation_ladder_run, verify_lemma_bound)
 from fracfield.cli import main
+from fracfield.oracle import dalang_integral_quad
 
 HEAT = EquationKind.HEAT
 WAVE = EquationKind.WAVE

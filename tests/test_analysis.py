@@ -14,13 +14,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from fracfield import (Direction, EquationKind, HurstIndex,
-                       QuadratureSpec, ShiftKind, conv_cov,
+from fracfield import (Direction, EquationKind, HurstIndex, ShiftKind,
+                       conv_cov,
                        expected_hoelder_slope, fit_hoelder, fit_hoelder_mc,
                        fit_power_law, h_convergence, increment_moment2,
                        marginal_distance, noise_constant, verify_lemma_bound)
 from fracfield.analysis import DEFAULT_H_PAIRS
-from fracfield.oracle import time_shift_lhs
+from fracfield.oracle import QuadratureSpec, time_shift_lhs
 
 HEAT = EquationKind.HEAT
 WAVE = EquationKind.WAVE

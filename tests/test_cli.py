@@ -348,20 +348,17 @@ class TestSimulate:
         for name in ("fields.csv", "noise.csv", "summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path,
-                                                monkeypatch):
+    def test_thread_count_does_not_change_bytes(self, tmp_path):
         a = self.run_sim(tmp_path, "a", ("--threads", "1"))
-        monkeypatch.setenv("FRACFIELD_THREADS", "3")
-        b = self.run_sim(tmp_path, "b")
+        b = self.run_sim(tmp_path, "b", ("--threads", "3"))
         assert (a / "fields.csv").read_bytes() \
             == (b / "fields.csv").read_bytes()
 
-    @pytest.mark.parametrize("value", ["zero", "0", "abc"])
-    def test_bad_thread_env_exits_one(self, tmp_path, monkeypatch,
-                                      capsys, value):
-        monkeypatch.setenv("FRACFIELD_THREADS", value)
+    @pytest.mark.parametrize("value", ["zero", "0", "-2"])
+    def test_bad_thread_count_exits_one(self, tmp_path, capsys, value):
         cfg = write_config(tmp_path, SIM_CONFIG)
-        assert main(["simulate", "--config", cfg]) == 1
+        assert main(["simulate", "--config", cfg, "--threads", value]) == 1
+        assert "--threads" in capsys.readouterr().err
 
     def test_zero_replicates_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SIM_CONFIG)

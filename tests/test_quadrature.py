@@ -13,8 +13,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
 
-from fracfield import QuadratureError, QuadratureSpec
-from fracfield.oracle import osc_power_tail, power_tail, spectral_integral
+from fracfield.oracle import (QuadratureError, QuadratureSpec, osc_power_tail,
+                             power_tail, spectral_integral)
 from fracfield.spectral import cos_integral_constant
 
 QUAD = QuadratureSpec()

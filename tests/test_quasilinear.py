@@ -74,11 +74,6 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             simulate(laddered)
 
-    def test_thread_count_validated(self):
-        cfg = small_config(WAVE, make_drift("zero"))
-        with pytest.raises(ValueError):
-            simulate(cfg, threads=0)
-
     def test_type_hints_resolve(self):
         hints = typing.get_type_hints(SimulationConfig)
         assert hints["grid"] is PointGrid
@@ -102,13 +97,6 @@ class TestSimulate:
         rb = simulate(small_config(WAVE, make_drift("tanh_scaled", a=1.0)))
         assert np.array_equal(ra.noise, rb.noise)
         assert not np.array_equal(ra.fields, rb.fields)
-
-    def test_thread_count_does_not_change_bytes(self):
-        cfg = small_config(WAVE, make_drift("tanh_scaled", a=1.0))
-        serial = simulate(cfg, threads=1)
-        threaded = simulate(cfg, threads=4)
-        assert np.array_equal(serial.fields, threaded.fields)
-        assert np.array_equal(serial.noise, threaded.noise)
 
     @pytest.mark.parametrize("eqn", [WAVE, HEAT])
     def test_replicates_equal_their_solo_solves(self, eqn):

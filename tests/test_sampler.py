@@ -19,10 +19,8 @@ from fracfield.covariance import CovarianceMatrix
 
 def make_cov(entries):
     entries = np.asarray(entries, dtype=float)
-    k = entries.shape[0]
-    points = tuple((1.0, float(j)) for j in range(k))
-    return CovarianceMatrix(points=points, entries=entries,
-                            err_estimates=np.zeros((k, k)))
+    points = tuple((1.0, float(j)) for j in range(entries.shape[0]))
+    return CovarianceMatrix(points=points, entries=entries)
 
 
 class TestFactorPsd:

@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from fracfield import (EquationKind, HurstIndex, LemmaConstantKind,
-                       dalang_integral_closed, dalang_integral_quad,
-                       fourier_kernel, lemma_constant, noise_constant,
-                       time_kernel)
+                       dalang_integral_closed, lemma_constant, noise_constant)
+from fracfield.oracle import dalang_integral_quad, fourier_kernel, time_kernel
 
 
 def rel_err(value, truth):
