@@ -27,9 +27,9 @@ import numpy as np
 from .analysis import (Direction, ShiftKind, expected_hoelder_slope,
                        fit_hoelder, h_convergence, verify_lemma_bound)
 from .covariance import cov_matrix
-from .det_solver import (GridFunction, InitialData, PointGrid, drift_truncate,
+from .det_solver import (InitialData, PointGrid, drift_truncate,
                          initial_term_grid, make_drift, make_initial_data,
-                         solve_F)
+                         solve_replicates)
 from .errors import NumericalError
 from .quasilinear import SimulationConfig, simulate, truncation_ladder_run
 from .report import ARTIFACT_VERSION, render_csv, write_csv, write_json
@@ -118,7 +118,7 @@ def _initial_from(cfg: dict) -> InitialData:
     return make_initial_data(u0=u0, v0=profile("v0"))
 
 
-def _eta_from_csv(path: str, grid: PointGrid) -> GridFunction:
+def _eta_from_csv(path: str, grid: PointGrid) -> np.ndarray:
     """Load a forcing field from a long-format t,x,value CSV."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -144,12 +144,11 @@ def _eta_from_csv(path: str, grid: PointGrid) -> GridFunction:
             or np.max(np.abs(raw[:, 1] - want_x)) > tol_x):
         raise ValueError(
             f"eta CSV {path} nodes do not match the config grid")
-    values = raw[:, 2].reshape(grid.n_t + 1, grid.n_x + 1)
-    return GridFunction(grid=grid, values=values)
+    return raw[:, 2].reshape(grid.n_t + 1, grid.n_x + 1)
 
 
 def _eta_from(cfg: dict, eqn: EquationKind, data: InitialData,
-              grid: PointGrid) -> GridFunction:
+              grid: PointGrid) -> np.ndarray:
     """Resolve the forcing: a CSV file or a named built-in profile."""
     spec = cfg.get("eta")
     if spec is None:
@@ -160,7 +159,7 @@ def _eta_from(cfg: dict, eqn: EquationKind, data: InitialData,
         return _eta_from_csv(str(spec["csv"]), grid)
     kind = spec.get("kind")
     if kind == "initial":
-        return initial_term_grid(eqn, data, grid)
+        return initial_term_grid(eqn, data, grid).values
     shape = (grid.n_t + 1, grid.n_x + 1)
     if kind == "zero":
         values = np.zeros(shape)
@@ -173,7 +172,7 @@ def _eta_from(cfg: dict, eqn: EquationKind, data: InitialData,
     else:
         raise ValueError(f"unknown eta kind {kind!r}; use 'initial', "
                          f"'zero', 'constant', 'sin_time', or 'csv'")
-    return GridFunction(grid=grid, values=values)
+    return values
 
 
 def _points_from(cfg: dict) -> list:
@@ -294,10 +293,9 @@ def _cmd_solve_det(cfg: dict, args) -> _Run:
     tol = float(cfg.get("tol", 1e-8))
     max_iter = int(cfg.get("max_iter", 60))
     eta = _eta_from(cfg, eqn, data, grid)
-    field, info = solve_F(eqn, drift, eta, tol=tol, max_iter=max_iter,
-                          return_info=True)
-    table = (("t", "x", "value"),
-             (*_node_columns(grid), field.values.ravel()))
+    fields, (info,) = solve_replicates(eqn, drift, grid, eta[None],
+                                       tol=tol, max_iter=max_iter)
+    table = (("t", "x", "value"), (*_node_columns(grid), fields[0].ravel()))
     return _Run(config={
         "equation": eqn.value, "drift": drift.name, "tol": tol,
         "max_iter": max_iter,
@@ -399,8 +397,8 @@ def _cmd_hoelder(cfg: dict, args) -> _Run:
 def _cmd_hconv(cfg: dict, args) -> _Run:
     eqn = _eqn_from(cfg, args)
     sub = cfg.get("hconv", {})
-    reference = float(sub.get("reference",
-                              cfg.get("hurst", 0.5)))
+    hurst = args.hurst if args.hurst is not None else cfg.get("hurst", 0.5)
+    reference = float(sub.get("reference", hurst))
     hursts = sub.get("hursts")
     if hursts is None:
         hursts = [reference + 0.2 * 2.0 ** -k for k in range(0, 8)]
@@ -486,11 +484,13 @@ def _build_parser() -> _Parser:
                                  "wave equation toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, *, eqn=False, seed=False, reps=False, direction=False):
+    def common(p, *, hurst=True, eqn=False, seed=False, reps=False,
+               direction=False):
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--out", help="output directory for CSV artifacts")
-        p.add_argument("--hurst", "--H", dest="hurst", type=float,
-                       help="roughness index in (0, 1)")
+        if hurst:
+            p.add_argument("--hurst", "--H", dest="hurst", type=float,
+                           help="roughness index in (0, 1)")
         if eqn:
             p.add_argument("--equation", choices=["heat", "wave"],
                            help="which equation to use")
@@ -511,7 +511,7 @@ def _build_parser() -> _Parser:
            eqn=True, seed=True, reps=True)
     common(sub.add_parser("solve-det",
                           help="deterministic fixed-point solve"),
-           eqn=True)
+           hurst=False, eqn=True)
     simulate_parser = sub.add_parser("simulate",
                                      help="quasi-linear simulation")
     common(simulate_parser, eqn=True, seed=True, reps=True)

@@ -9,6 +9,9 @@ discretized by trapezoid rules on the grid.  Contraction is factorial in
 the iteration count, so convergence certificates based on the drift's
 Lipschitz constant are available alongside the raw increment test.
 
+:func:`solve_replicates` is the one Picard loop, over a stack of forcings
+each solved as if alone; :func:`solve_F` runs it on a stack of one.
+
 The forcing is only known on the reported grid ``[0, T] x [-L, L]``; the
 convolution needs values on the wider strip ``[-L - T, L + T]``, which is
 filled by constant edge extension.  For the wave equation the light cone
@@ -51,16 +54,18 @@ _PROBE_X = np.linspace(-5.0, 5.0, 161)
 _HERMITE_NODES, _HERMITE_WEIGHTS = hermgauss(64)
 
 
-def _vec_eval(fn, x: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar-or-vector callable on an array."""
+def _vec_eval(fn, x: np.ndarray, what: str) -> np.ndarray:
+    """``fn(x)``, or a ``ValueError`` naming ``what`` unless fn maps the
+    array x to an array of its shape, as the solver applies it."""
     try:
         out = np.asarray(fn(x), dtype=float)
-        if out.shape == x.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.asarray([float(fn(v)) for v in x.ravel()],
-                      dtype=float).reshape(x.shape)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} must be vectorized; on an array it "
+                         f"raised {exc!r}") from exc
+    if out.shape != x.shape:
+        raise ValueError(f"{what} must be vectorized; shape {x.shape} "
+                         f"gave {out.shape}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -93,7 +98,7 @@ class DriftSpec:
                              f"{self.lipschitz_constant}")
         if self.bound is not None and self.bound < 0.0:
             raise ValueError(f"bound must be >= 0, got {self.bound}")
-        vals = _vec_eval(self.func, _PROBE_Z)
+        vals = _vec_eval(self.func, _PROBE_Z, "drift")
         if not np.all(np.isfinite(vals)):
             raise ValueError("drift produced non-finite values on the probe")
         dz = _PROBE_Z[1] - _PROBE_Z[0]
@@ -123,18 +128,19 @@ class DriftSpec:
 class InitialData:
     """Initial condition: position u0 and, for the wave equation, speed v0.
 
-    Both are checked to be finite on a reference window.
+    Both must be vectorized and are checked to be finite on a reference
+    window.
     """
 
     u0: object
     v0: object | None = None
 
     def __post_init__(self):
-        vals = _vec_eval(self.u0, _PROBE_X)
+        vals = _vec_eval(self.u0, _PROBE_X, "u0")
         if not np.all(np.isfinite(vals)):
             raise ValueError("u0 produced non-finite values on the probe")
         if self.v0 is not None:
-            vvals = _vec_eval(self.v0, _PROBE_X)
+            vvals = _vec_eval(self.v0, _PROBE_X, "v0")
             if not np.all(np.isfinite(vvals)):
                 raise ValueError("v0 produced non-finite values on the probe")
 
@@ -206,11 +212,10 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class PicardInfo:
-    """Convergence record of one fixed-point solve."""
+    """Convergence record of a fixed-point solve that met its tolerance."""
 
     iterations: int
     increments: tuple
-    converged: bool
     used_certificate: bool
 
 
@@ -225,14 +230,14 @@ def initial_term(eqn: EquationKind, data: InitialData, t: float, x):
         raise ValueError(f"time must be >= 0, got {t}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if t == 0.0:
-        out = _vec_eval(data.u0, x_arr)
+        out = _vec_eval(data.u0, x_arr, "u0")
     elif eqn is EquationKind.HEAT:
         pts = x_arr[:, None] + math.sqrt(2.0 * t) * _HERMITE_NODES[None, :]
-        vals = _vec_eval(data.u0, pts)
+        vals = _vec_eval(data.u0, pts, "u0")
         out = (vals @ _HERMITE_WEIGHTS) / math.sqrt(math.pi)
     elif eqn is EquationKind.WAVE:
-        out = 0.5 * (_vec_eval(data.u0, x_arr + t)
-                     + _vec_eval(data.u0, x_arr - t))
+        out = 0.5 * (_vec_eval(data.u0, x_arr + t, "u0")
+                     + _vec_eval(data.u0, x_arr - t, "u0"))
         if data.v0 is not None:
             # Imported here, its only use: it pulls in scipy.optimize,
             # which costs every process about 0.2 s at start-up.
@@ -410,22 +415,32 @@ def _contraction_ratio(eqn: EquationKind, lip: float, horizon: float,
     return lip * horizon / (n + 1)
 
 
-def _picard_solve(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
-                  eta: np.ndarray, z: np.ndarray, tol: float, max_iter: int,
-                  *, batch: bool) -> tuple:
-    """Iterate ``z <- eta + G * b(z)`` in place on ``(R, n_t + 1, n_x + 1)``.
+def solve_replicates(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
+                     eta_fields: np.ndarray, *, tol: float = 1e-8,
+                     max_iter: int = 60) -> tuple:
+    """Solve ``z = eta + G * b(z)`` for a stack ``(R, n_t + 1, n_x + 1)``.
 
-    A replicate leaves the active set at the iteration where its own
-    increment or certificate test passes, so it ends where its solo solve
-    would.  Returns one :class:`PicardInfo` per replicate.  Past
-    ``max_iter`` the error names the lowest-index replicate still active
-    when ``batch`` is set.
+    Iteration starts at eta.  A replicate stops, where it would alone, once
+    its sup-norm increment drops below ``tol`` or the factorial certificate
+    ``d_n rho_n / (1 - rho_n) < tol`` (``rho_n`` from the drift's Lipschitz
+    constant) bounds the rest.  Returns the fields and one
+    :class:`PicardInfo` per replicate.  A mis-shaped or non-finite stack
+    raises ``ValueError`` before iterating; past ``max_iter``,
+    :class:`MaxIterExceededError` names the lowest replicate still active.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     _check_solvable(eqn, drift, grid)
+    eta = np.asarray(eta_fields, dtype=float)
+    want = (grid.n_t + 1, grid.n_x + 1)
+    if eta.ndim != 3 or eta.shape[0] < 1 or eta.shape[1:] != want:
+        raise ValueError(f"forcing stack shape {eta.shape} is not "
+                         f"(R >= 1, {want[0]}, {want[1]})")
+    if not np.all(np.isfinite(eta)):
+        raise ValueError("forcing stack carries non-finite values")
+    z = eta.copy()
     increments = np.zeros((max_iter, z.shape[0]))
     iterations = np.full(z.shape[0], max_iter)
     certified = np.zeros(z.shape[0], dtype=bool)
@@ -450,49 +465,22 @@ def _picard_solve(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
     if active.size:
         r = int(active[0])
         last = float(increments[-1, r])
-        where = f"replicate {r}: " if batch else ""
         raise MaxIterExceededError(
-            f"{where}fixed-point iteration did not reach tol={tol} within "
-            f"{max_iter} iterations (last increment {last:.3e})",
-            last_increment=last, iterations=max_iter,
-            replicate_index=r if batch else None)
-    return tuple(PicardInfo(iterations=int(k),
-                            increments=tuple(increments[:k, r].tolist()),
-                            converged=True, used_certificate=bool(c))
-                 for r, (k, c) in enumerate(zip(iterations, certified)))
+            f"replicate {r}: fixed-point iteration did not reach tol={tol} "
+            f"within {max_iter} iterations (last increment {last:.3e})",
+            last_increment=last, iterations=max_iter, replicate_index=r)
+    return z, tuple(PicardInfo(iterations=int(k),
+                               increments=tuple(increments[:k, r].tolist()),
+                               used_certificate=bool(c))
+                    for r, (k, c) in enumerate(zip(iterations, certified)))
 
 
 def solve_F(eqn: EquationKind, drift: DriftSpec, eta: GridFunction,
-            *, tol: float = 1e-8, max_iter: int = 60,
-            return_info: bool = False):
-    """Solve ``z = eta + G * b(z)`` by fixed-point iteration.
-
-    Stops when the sup-norm increment over the reported window drops
-    below ``tol``, or earlier when the factorial contraction certificate
-    ``d_n * rho_n / (1 - rho_n) < tol`` with ``rho_n`` built from the
-    drift's Lipschitz constant guarantees the remaining tail is below
-    tolerance.  The first iterate is ``eta``.  Raises
-    :class:`MaxIterExceededError` past ``max_iter``.
-    """
-    z = eta.values[None].copy()
-    (info,) = _picard_solve(eqn, drift, eta.grid, eta.values[None], z,
-                            tol, max_iter, batch=False)
-    result = GridFunction(grid=eta.grid, values=z[0])
-    return (result, info) if return_info else result
-
-
-def solve_replicates(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
-                     eta_fields: np.ndarray, *, tol: float = 1e-8,
-                     max_iter: int = 60) -> tuple:
-    """:func:`solve_F` for a stack ``(R, n_t + 1, n_x + 1)`` of forcings.
-
-    Returns the solution fields and one :class:`PicardInfo` per
-    replicate, each equal to those of the solo solve.
-    """
-    eta = np.asarray(eta_fields, dtype=float)
-    z = eta.copy()
-    return z, _picard_solve(eqn, drift, grid, eta, z, tol, max_iter,
-                            batch=True)
+            *, tol: float = 1e-8, max_iter: int = 60) -> GridFunction:
+    """:func:`solve_replicates` on one forcing, returning the field only."""
+    fields, _ = solve_replicates(eqn, drift, eta.grid, eta.values[None],
+                                 tol=tol, max_iter=max_iter)
+    return GridFunction(grid=eta.grid, values=fields[0])
 
 
 def ode_oracle(eqn: EquationKind, drift: DriftSpec, eta, horizon: float,

@@ -40,12 +40,13 @@ class MaxIterExceededError(NumericalError):
         Sup-norm of the final iteration's update.
     iterations : int
         Number of iterations performed.
-    replicate_index : int or None
-        Set when the failure surfaced while solving for a replicate.
+    replicate_index : int
+        Position in the forcing stack of the lowest-index replicate still
+        iterating; 0 for a solve of one forcing.
     """
 
     def __init__(self, message: str, last_increment: float = float("nan"),
-                 iterations: int = 0, replicate_index: int | None = None):
+                 iterations: int = 0, replicate_index: int = 0):
         super().__init__(message)
         self.last_increment = last_increment
         self.iterations = iterations

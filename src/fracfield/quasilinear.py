@@ -97,16 +97,20 @@ class LadderResult:
     fields_by_level: np.ndarray
 
 
-def _noise_fields(config: SimulationConfig):
-    """Sample the linear solution field on the reported grid."""
+def _forcing(config: SimulationConfig) -> tuple:
+    """Sample the linear solution ("noise") and add the initial-data term.
+
+    Returns the points, the noise fields, the forcing stack and the jitter.
+    """
     grid = config.grid
     points = grid.points()
     cov = cov_matrix(config.eqn, config.hurst, points)
     factor = factor_psd(cov)
     sample = sample_field(factor, config.master_seed, config.n_replicates)
-    shaped = sample.values.reshape(
+    noise = sample.values.reshape(
         config.n_replicates, grid.n_t + 1, grid.n_x + 1)
-    return tuple(points), shaped, factor.jitter_used
+    i0 = initial_term_grid(config.eqn, config.data, grid)
+    return tuple(points), noise, noise + i0.values[None], factor.jitter_used
 
 
 def simulate(config: SimulationConfig) -> SimulationResult:
@@ -119,9 +123,7 @@ def simulate(config: SimulationConfig) -> SimulationResult:
     if config.truncation_ladder is not None:
         raise ValueError(
             "config carries a truncation ladder; use truncation_ladder_run")
-    points, noise, jitter = _noise_fields(config)
-    i0 = initial_term_grid(config.eqn, config.data, config.grid)
-    eta_fields = noise + i0.values[None, :, :]
+    points, noise, eta_fields, jitter = _forcing(config)
     fields, infos = solve_replicates(
         config.eqn, config.drift, config.grid, eta_fields,
         tol=config.tol, max_iter=config.max_iter)
@@ -140,9 +142,7 @@ def truncation_ladder_run(config: SimulationConfig) -> LadderResult:
     """
     if config.truncation_ladder is None:
         raise ValueError("config has no truncation ladder")
-    points, noise, jitter = _noise_fields(config)
-    i0 = initial_term_grid(config.eqn, config.data, config.grid)
-    eta_fields = noise + i0.values[None, :, :]
+    _, _, eta_fields, _ = _forcing(config)
     levels = config.truncation_ladder
     per_level = []
     for level in levels:

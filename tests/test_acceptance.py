@@ -19,7 +19,8 @@ from fracfield import (Direction, EquationKind, GridFunction, HurstIndex,
                        expected_hoelder_slope, factor_psd, fit_hoelder,
                        h_convergence, make_drift, make_initial_data,
                        noise_field_cov, ode_oracle, sample_field, solve_F,
-                       truncation_ladder_run, verify_lemma_bound)
+                       solve_replicates, truncation_ladder_run,
+                       verify_lemma_bound)
 from fracfield.cli import main
 from fracfield.oracle import dalang_integral_quad
 
@@ -159,9 +160,9 @@ def test_criterion_7b_picard_increments_decay_factorially():
     # Wave: successive increment ratios stay under 1.5 times the
     # contraction factor 2 L T^2 / (n + 1) from the third iteration.
     grid = PointGrid(horizon=1.0, half_width=0.08, n_t=100, n_x=16)
-    _, info = solve_F(WAVE, make_drift("tanh_scaled", a=1.0),
-                      const_field(grid, 1.0), tol=1e-13,
-                      return_info=True)
+    _, (info,) = solve_replicates(WAVE, make_drift("tanh_scaled", a=1.0),
+                                  grid, const_field(grid, 1.0).values[None],
+                                  tol=1e-13)
     inc = info.increments
     assert len(inc) >= 5
     for n in range(3, len(inc)):
@@ -171,8 +172,9 @@ def test_criterion_7b_picard_increments_decay_factorially():
     # Heat: increments sit under the direct factorial envelope
     # 2 ||b|| C^(n-1) T^n / n! with C = L = 1 and ||b|| = 10.
     hgrid = PointGrid(horizon=1.0, half_width=0.5, n_t=200, n_x=8)
-    _, hinfo = solve_F(HEAT, BLIN, const_field(hgrid, 1.0), tol=1e-13,
-                       return_info=True)
+    _, (hinfo,) = solve_replicates(HEAT, BLIN, hgrid,
+                                   const_field(hgrid, 1.0).values[None],
+                                   tol=1e-13)
     for n, d in enumerate(hinfo.increments, start=1):
         assert d <= 2.0 * 10.0 / math.factorial(n), (n, d)
 

@@ -294,6 +294,16 @@ class TestSolveDet:
         assert manifest["config"]["iterations"] == 1
         assert manifest["config"]["eta"] == {"kind": "zero"}
 
+    def test_hurst_flag_rejected(self, tmp_path, capsys):
+        # A deterministic solve has no roughness index to select.
+        cfg = write_config(tmp_path, {
+            "grid": {"horizon": 1.0, "half_width": 0.5,
+                     "n_t": 2, "n_x": 2},
+            "eta": {"kind": "zero"}})
+        assert main(["solve-det", "--config", cfg, "--equation", "wave",
+                     "--hurst", "0.3"]) == 1
+        assert "--hurst" in capsys.readouterr().err
+
 
 SIM_CONFIG = {
     "equation": "wave", "hurst": 0.5,
@@ -444,6 +454,42 @@ class TestHConv:
         assert sups.shape == (3, 2)
         assert np.all(np.diff(sups[:, 1]) < 0.0)
         assert_manifest_digests(out)
+
+    @staticmethod
+    def reference(tmp_path, argv, config):
+        out = tmp_path / "run"
+        argv = ["hconv", "--equation", "wave", "--out", str(out), *argv]
+        if config is not None:
+            argv += ["--config", write_config(tmp_path, config)]
+        assert main(argv) == 0
+        with open(out / "hconv_summary.json", "r", encoding="utf-8") as fh:
+            return json.load(fh)["reference"]
+
+    def test_reference_resolution_order(self, tmp_path):
+        # hconv.reference, then --hurst or the config hurst, then 1/2.
+        hursts = {"hursts": [0.45, 0.42, 0.41]}
+        assert self.reference(tmp_path, ["--hurst", "0.4"],
+                              {"hconv": hursts}) == 0.4
+        assert self.reference(tmp_path, [],
+                              {"hurst": 0.4, "hconv": hursts}) == 0.4
+        assert self.reference(tmp_path, ["--hurst", "0.4"],
+                              {"hurst": 0.3, "hconv": hursts}) == 0.4
+        assert self.reference(
+            tmp_path, ["--hurst", "0.3"],
+            {"hurst": 0.3, "hconv": dict(hursts, reference=0.4)}) == 0.4
+        assert self.reference(tmp_path, [],
+                              {"hconv": {"hursts": [0.6, 0.55]}}) == 0.5
+
+    def test_hurst_flag_sets_default_ladder(self, tmp_path):
+        # Without hconv.hursts the ladder approaches the reference.
+        out = tmp_path / "run"
+        assert main(["hconv", "--equation", "wave", "--hurst", "0.3",
+                     "--out", str(out)]) == 0
+        with open(out / "hconv_summary.json", "r", encoding="utf-8") as fh:
+            summary = json.load(fh)
+        assert summary["reference"] == 0.3
+        assert summary["hursts"][0] == pytest.approx(0.5)
+        assert summary["hursts"][-1] == pytest.approx(0.3 + 0.2 / 128)
 
 
 class TestVerifyLemmas:

@@ -113,6 +113,16 @@ class TestDriftSpec:
                            lipschitz_constant=1.0)
         assert not linear.is_bounded
 
+    def test_scalar_only_drift_rejected(self):
+        # math.tanh takes one float; the solver would fail on its first
+        # array call with a bare TypeError.
+        with pytest.raises(ValueError, match="drift must be vectorized"):
+            DriftSpec(func=math.tanh, lipschitz_constant=1.0, bound=1.0)
+
+    def test_drift_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="drift must be vectorized"):
+            DriftSpec(func=lambda z: 0.0, lipschitz_constant=0.0, bound=0.0)
+
 
 class TestMakeDrift:
     def test_registry_values(self):
@@ -215,6 +225,12 @@ class TestInitialTerm:
         data = make_initial_data()
         with pytest.raises(ValueError):
             initial_term(HEAT, data, -0.1, 0.0)
+
+    def test_scalar_only_profiles_rejected(self):
+        with pytest.raises(ValueError, match="u0 must be vectorized"):
+            InitialData(u0=math.sin)
+        with pytest.raises(ValueError, match="v0 must be vectorized"):
+            InitialData(u0=np.sin, v0=math.cos)
 
     def test_scalar_in_scalar_out(self):
         data = make_initial_data(u0=("const", {"c": 1.0}))
@@ -334,28 +350,27 @@ class TestPicardApply:
 class TestSolveF:
     def test_heat_unit_drift_certified_in_one_step(self):
         g = heat_grid()
-        z, info = solve_F(HEAT, make_drift("const", c=1.0),
-                          const_field(g, 0.0), return_info=True)
+        (z,), (info,) = solve_replicates(HEAT, make_drift("const", c=1.0),
+                                         g, const_field(g, 0.0).values[None])
         want = g.times()[:, None] * np.ones((1, g.n_x + 1))
-        assert np.max(np.abs(z.values - want)) <= 1e-12
+        assert np.max(np.abs(z - want)) <= 1e-12
         assert info.iterations == 1
         assert info.used_certificate
 
     def test_wave_unit_drift(self):
         g = wave_grid()
-        z, info = solve_F(WAVE, make_drift("const", c=1.0),
-                          const_field(g, 0.0), return_info=True)
+        (z,), (info,) = solve_replicates(WAVE, make_drift("const", c=1.0),
+                                         g, const_field(g, 0.0).values[None])
         want = (g.times() ** 2 / 2.0)[:, None] * np.ones((1, g.n_x + 1))
-        assert np.max(np.abs(z.values - want)) <= 1e-13
+        assert np.max(np.abs(z - want)) <= 1e-13
         assert info.iterations == 1
 
     def test_heat_identity_drift_tracks_exponential(self):
         g = PointGrid(horizon=1.0, half_width=0.016, n_t=1000, n_x=32)
-        z, info = solve_F(HEAT, BLIN, const_field(g, 1.0),
-                          return_info=True)
-        err = np.max(np.abs(z.values - np.exp(g.times())[:, None]))
+        (z,), (info,) = solve_replicates(HEAT, BLIN, g,
+                                         const_field(g, 1.0).values[None])
+        err = np.max(np.abs(z - np.exp(g.times())[:, None]))
         assert err <= 1e-3
-        assert info.converged
         assert info.iterations <= 20
 
     def test_wave_restoring_drift_tracks_cosine(self):
@@ -372,8 +387,8 @@ class TestSolveF:
 
     def test_increments_shrink(self):
         g = heat_grid()
-        _, info = solve_F(HEAT, make_drift("tanh_scaled", a=1.0),
-                          const_field(g, 1.0), return_info=True)
+        _, (info,) = solve_replicates(HEAT, make_drift("tanh_scaled", a=1.0),
+                                      g, const_field(g, 1.0).values[None])
         inc = info.increments
         assert all(b < a for a, b in zip(inc[1:], inc[2:]))
 
@@ -407,7 +422,7 @@ class TestSolveReplicates:
         with pytest.raises(MaxIterExceededError) as solo:
             solve_F(HEAT, drift, const_field(g, 1.0), tol=1e-12, max_iter=1)
         assert batch.value.replicate_index == 1
-        assert solo.value.replicate_index is None
+        assert solo.value.replicate_index == 0
         assert batch.value.last_increment == solo.value.last_increment
         assert batch.value.iterations == 1
 
@@ -421,10 +436,32 @@ class TestSolveReplicates:
         fields, infos = solve_replicates(WAVE, drift, g, etas)
         assert len({info.iterations for info in infos}) > 1
         for eta, field, info in zip(etas, fields, infos):
-            z, solo = solve_F(WAVE, drift, GridFunction(grid=g, values=eta),
-                              return_info=True)
-            assert np.array_equal(field, z.values)
+            (z,), (solo,) = solve_replicates(WAVE, drift, g, eta[None])
+            assert np.array_equal(field, z)
             assert info == solo
+            assert np.array_equal(
+                field, solve_F(WAVE, drift,
+                               GridFunction(grid=g, values=eta)).values)
+
+    def test_stack_shape_checked_before_iterating(self):
+        # Every field of the stack must cover the grid: a 5-row stack on
+        # a 9-row grid is refused, not solved on its rows.
+        g = PointGrid(horizon=1.0, half_width=0.5, n_t=8, n_x=8)
+        drift = make_drift("tanh_scaled", a=1.0)
+        for shape in ((2, 5, 9), (9, 9), (0, 9, 9), (1, 9, 10)):
+            with pytest.raises(ValueError, match="shape"):
+                solve_replicates(HEAT, drift, g, np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_forcing_rejected_before_iterating(self, bad):
+        # A non-finite forcing is a bad input, not a numerical failure
+        # after the whole iteration budget.
+        g = heat_grid(n_t=20)
+        etas = np.zeros((3, g.n_t + 1, g.n_x + 1))
+        etas[2, 4, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_replicates(HEAT, make_drift("tanh_scaled", a=1.0), g, etas,
+                             max_iter=1)
 
 
 class TestBatchedHelpers:

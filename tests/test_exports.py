@@ -22,3 +22,23 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
+
+
+# The names the benchmark's output checks import from the package root.
+BENCHMARK_IMPORTS = ("EquationKind", "GridFunction", "PointGrid", "conv_cov",
+                     "initial_term_grid", "make_drift", "make_initial_data",
+                     "mild_residual")
+
+
+@pytest.mark.parametrize("name", BENCHMARK_IMPORTS)
+def test_root_exports_benchmark_imports(name):
+    assert name in fracfield.__all__
+    assert hasattr(fracfield, name)
+
+
+def test_quasilinear_solves_through_solve_replicates():
+    # The traced benchmark wraps quasilinear's binding of solve_F, if it
+    # has one, and reads a PicardInfo off each result.
+    from fracfield import quasilinear
+    assert hasattr(quasilinear, "solve_replicates")
+    assert not hasattr(quasilinear, "solve_F")

@@ -17,7 +17,7 @@ from fracfield import (DriftSpec, EquationKind, GridFunction, HurstIndex,
                        cov_matrix, drift_truncate, factor_psd,
                        initial_term_grid, make_drift, make_initial_data,
                        mild_residual, sample_field, simulate, solve_F,
-                       truncation_ladder_run)
+                       solve_replicates, truncation_ladder_run)
 
 HEAT = EquationKind.HEAT
 WAVE = EquationKind.WAVE
@@ -90,7 +90,6 @@ class TestSimulate:
         assert res.fields.shape == (3, 5, 5)
         assert len(res.points) == 25
         assert res.jitter_used >= 0.0
-        assert all(info.converged for info in res.infos)
 
     def test_same_seed_couples_noise_across_drifts(self):
         ra = simulate(small_config(WAVE, make_drift("zero")))
@@ -105,9 +104,10 @@ class TestSimulate:
         i0 = initial_term_grid(eqn, cfg.data, cfg.grid)
         for r in range(cfg.n_replicates):
             eta = GridFunction(grid=cfg.grid, values=res.noise[r] + i0.values)
-            z, info = solve_F(eqn, cfg.drift, eta, tol=cfg.tol,
-                              max_iter=cfg.max_iter, return_info=True)
-            assert np.array_equal(res.fields[r], z.values)
+            (z,), (info,) = solve_replicates(
+                eqn, cfg.drift, cfg.grid, eta.values[None], tol=cfg.tol,
+                max_iter=cfg.max_iter)
+            assert np.array_equal(res.fields[r], z)
             assert res.infos[r] == info
 
     @pytest.mark.parametrize("eqn", [WAVE, HEAT])
