@@ -52,6 +52,9 @@ _KUMMER_TERMS = 20
 # and 40 terms reach the smallest term of the asymptotic series.
 _HEAT_FAR_ARG = 40.0
 _HEAT_FAR_TERMS = 40
+# Rows of the covariance matrix per closed-form call: the transient
+# arrays of cov_matrix span one block of rows, not the whole matrix.
+_COV_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -317,17 +320,21 @@ def cov_matrix(eqn: EquationKind, hurst: HurstIndex | float,
                points) -> CovarianceMatrix:
     """Covariance matrix of the centered linear field on a point list.
 
-    One vectorized closed-form evaluation over all ordered time pairs
-    and separations; the matrix is exactly symmetric.
+    Vectorized closed-form evaluations over the ordered time pairs and
+    separations of ``_COV_BLOCK_ROWS`` rows at a time, so the transient
+    arrays span one block; the matrix is exactly symmetric.
     """
     h = hurst if isinstance(hurst, HurstIndex) else HurstIndex(hurst)
     pts = tuple(_as_point(p) for p in points)
     if not pts:
         raise ValueError("point list must not be empty")
     t, x = np.array([(p.t, p.x) for p in pts]).T
-    entries = _closed_cov(eqn, h, np.minimum.outer(t, t),
-                          np.maximum.outer(t, t),
-                          np.abs(np.subtract.outer(x, x)))
+    entries = np.empty((t.size, t.size))
+    for start in range(0, t.size, _COV_BLOCK_ROWS):
+        rows = slice(start, start + _COV_BLOCK_ROWS)
+        entries[rows] = _closed_cov(eqn, h, np.minimum.outer(t[rows], t),
+                                    np.maximum.outer(t[rows], t),
+                                    np.abs(np.subtract.outer(x[rows], x)))
     return CovarianceMatrix(points=pts, entries=entries)
 
 

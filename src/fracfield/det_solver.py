@@ -295,16 +295,23 @@ def _heat_kernel_weights(dt: float, dx: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _conv_edge(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Convolve each row with the stencil w, edge-padded, in one call.
+def _conv_edge(rows: np.ndarray, w: np.ndarray,
+               buf: np.ndarray) -> np.ndarray:
+    """Convolve each ``(R, n)`` row with the stencil w, edge-padded.
 
-    The padded rows lie end to end; the outputs kept read one row each.
+    The rows are padded into ``buf``, of shape ``(R, n + 2r)``, so that
+    they lie end to end for one call; the outputs kept are a strided
+    ``(R, n)`` view of its result.
     """
     r = (w.size - 1) // 2
-    n_rows, n = rows.shape
-    padded = np.pad(rows, ((0, 0), (r, r)), mode="edge")
-    flat = np.convolve(padded.ravel(), w, mode="valid")
-    return flat[np.arange(n_rows)[:, None] * (n + 2 * r) + np.arange(n)]
+    n = rows.shape[1]
+    buf[:, :r] = rows[:, :1]
+    buf[:, r:r + n] = rows
+    buf[:, r + n:] = rows[:, -1:]
+    flat = np.convolve(buf.ravel(), w, mode="valid")
+    return np.lib.stride_tricks.as_strided(
+        flat, shape=rows.shape, strides=(buf.strides[0], flat.strides[0]),
+        writeable=False)
 
 
 def _convolve_heat(f: np.ndarray, dt: float, w: np.ndarray) -> np.ndarray:
@@ -312,23 +319,18 @@ def _convolve_heat(f: np.ndarray, dt: float, w: np.ndarray) -> np.ndarray:
 
     Trapezoid in time composed with per-step spatial convolutions,
     evaluated by the semigroup recursion ``B_{i+1} = K * (B_i + c_i
-    f_i)`` so each step costs one small-stencil convolution.
+    f_i)`` so each step costs one small-stencil convolution.  Every step
+    pads into one ``(R, width + 2r)`` buffer, so the working set is
+    O(R * width) besides the output.
     """
+    n_rep, n_rows, width = f.shape
+    buf = np.empty((n_rep, width + w.size - 1))
     out = np.zeros_like(f)
     b = np.zeros_like(f[:, 0])
-    for i in range(1, f.shape[1]):
+    for i in range(1, n_rows):
         c = 0.5 if i == 1 else 1.0
-        b = _conv_edge(b + c * f[:, i - 1], w)
+        b = _conv_edge(b + c * f[:, i - 1], w, buf)
         out[:, i] = dt * (b + 0.5 * f[:, i])
-    return out
-
-
-def _shift_rows(d: np.ndarray, sign: int) -> np.ndarray:
-    """Zero-filled row shifts: ``out[..., j, c] = d[..., j, c + sign * j]``."""
-    rows, cols = d.shape[-2:]
-    src = np.arange(cols) + sign * np.arange(rows)[:, None]
-    out = d[..., np.arange(rows)[:, None], np.clip(src, 0, cols - 1)]
-    out[..., (src < 0) | (src >= cols)] = 0.0
     return out
 
 
@@ -337,29 +339,50 @@ def _convolve_wave(f: np.ndarray, dt: float, dx: float) -> np.ndarray:
 
     The kernel is half the indicator of the light cone, so the update at
     node (i, l) is half the 2-D trapezoid of f over the cone of width
-    ``i - j`` cells.  Running diagonal prefix sums turn the whole sweep
-    into O(n_t * width) work instead of a per-pair window scan.
+    ``i - j`` cells.  One sweep over the time rows keeps four running
+    sums along the cone's two diagonals: of the x-prefix sums ``d`` of
+    the edge-padded row ``g``, and of ``g`` itself.  Row j enters them
+    shifted by j columns, and output row i reads them, as they stand
+    after rows ``0 .. i-1``, through contiguous slices.  The work is
+    O(R * n_t * width) and the working set O(R * width) besides the
+    output.
     """
-    n_t = f.shape[1] - 1
-    g = np.pad(f, ((0, 0), (0, 0), (n_t, n_t)), mode="edge")
-    d = np.concatenate([np.zeros(g.shape[:2] + (1,)), np.cumsum(g, axis=2)],
-                       axis=2)
-    ad = np.cumsum(_shift_rows(d, -1), axis=1)
-    dg = np.cumsum(_shift_rows(d, 1), axis=1)
-    ga = np.cumsum(_shift_rows(g, -1), axis=1)
-    gd = np.cumsum(_shift_rows(g, 1), axis=1)
-    # Row i of the output reads row i - 1 of the running sums, over the
-    # cone's right (hi) and left (lo) edges.
-    i = np.arange(1, n_t + 1)[:, None]
-    cols = np.arange(f.shape[2])
-    prev, lo = i - 1, n_t - i + cols
-    hi, hi_g = i + n_t + 1 + cols, i + n_t + cols
-    full = (ad[:, prev, hi] - dg[:, prev, lo]
-            - 0.5 * (ga[:, prev, hi_g] + gd[:, prev, lo]))
-    row0 = (d[:, 0, hi] - d[:, 0, lo]
-            - 0.5 * (g[:, 0, hi_g] + g[:, 0, lo]))
+    n_rep, n_rows, width = f.shape
+    n_t = n_rows - 1
+    n_g = width + 2 * n_t
+    g = np.empty((n_rep, n_g))
+    d = np.zeros((n_rep, n_g + 1))
+
+    def pad_row(j):
+        # Row j of f edge-padded by n_t cells on each side, and its
+        # x-prefix sums from 0.
+        g[:, :n_t] = f[:, j, :1]
+        g[:, n_t:n_t + width] = f[:, j]
+        g[:, n_t + width:] = f[:, j, -1:]
+        np.cumsum(g, axis=1, out=d[:, 1:])
+
+    pad_row(0)
+    g0, d0 = g.copy(), d.copy()
+    ad, dg, ga, gd = d.copy(), d.copy(), g.copy(), g.copy()
     out = np.zeros_like(f)
-    out[:, 1:] = 0.5 * dt * dx * (full - 0.5 * row0)
+    scale = 0.5 * dt * dx
+    for i in range(1, n_rows):
+        # Row i reads the cone's right (hi) and left (lo) edges.
+        hi = slice(i + n_t + 1, i + n_t + 1 + width)
+        hi_g = slice(i + n_t, i + n_t + width)
+        lo = slice(n_t - i, n_t - i + width)
+        full = ad[:, hi] - dg[:, lo] - 0.5 * (ga[:, hi_g] + gd[:, lo])
+        row0 = d0[:, hi] - d0[:, lo] - 0.5 * (g0[:, hi_g] + g0[:, lo])
+        out[:, i] = scale * (full - 0.5 * row0)
+        if i == n_t:
+            break
+        # Row i enters the diagonal sums shifted by i columns; the
+        # columns it does not reach are never read again.
+        pad_row(i)
+        ad[:, i:] += d[:, :n_g + 1 - i]
+        dg[:, :n_g + 1 - i] += d[:, i:]
+        ga[:, i:] += g[:, :n_g - i]
+        gd[:, :n_g - i] += g[:, i:]
     return out
 
 

@@ -31,7 +31,7 @@ ARTIFACT_VERSION = 1
 # Cell format per numpy dtype kind.
 _CELL_FORMATS = {"i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
 # Rows rendered per chunk, which bounds the memory a large table takes.
-_CHUNK_ROWS = 1 << 16
+_CHUNK_ROWS = 1 << 13
 
 
 def _distinct(column):

@@ -2,14 +2,18 @@
 
 Oracles: closed-form solutions of the scalar integral equations (t,
 t^2/2, e^t, cos t), exact Gaussian smoothing of sines, d'Alembert
-averages, and structural facts (light-cone support, spatial-constancy
-preservation, contraction of the iteration).
+averages, structural facts (light-cone support, spatial-constancy
+preservation, contraction of the iteration), and whole-stack references
+that the row sweeps of the convolutions must match bit for bit.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracfield import det_solver
 from fracfield import (DriftSpec, EquationKind, GridFunction, InitialData,
@@ -464,19 +468,98 @@ class TestSolveReplicates:
                              max_iter=1)
 
 
+def reference_convolve_wave(f, dt, dx):
+    """``G * f`` for the wave kernel from whole-stack diagonal prefix sums.
+
+    Every row is edge-padded, prefix-summed in x, shifted by its row
+    index with zero fill, and cumulatively summed in time, all at once;
+    output row i gathers row i - 1 of those sums.  The same arithmetic
+    in the same order as the row sweep of ``_convolve_wave``.
+    """
+    def shift_rows(a, sign):
+        # Zero-filled: out[..., j, c] = a[..., j, c + sign * j].
+        rows, cols = a.shape[-2:]
+        src = np.arange(cols) + sign * np.arange(rows)[:, None]
+        out = a[..., np.arange(rows)[:, None], np.clip(src, 0, cols - 1)]
+        out[..., (src < 0) | (src >= cols)] = 0.0
+        return out
+
+    n_t = f.shape[1] - 1
+    g = np.pad(f, ((0, 0), (0, 0), (n_t, n_t)), mode="edge")
+    d = np.concatenate([np.zeros(g.shape[:2] + (1,)), np.cumsum(g, axis=2)],
+                       axis=2)
+    ad = np.cumsum(shift_rows(d, -1), axis=1)
+    dg = np.cumsum(shift_rows(d, 1), axis=1)
+    ga = np.cumsum(shift_rows(g, -1), axis=1)
+    gd = np.cumsum(shift_rows(g, 1), axis=1)
+    i = np.arange(1, n_t + 1)[:, None]
+    cols = np.arange(f.shape[2])
+    prev, lo = i - 1, n_t - i + cols
+    hi, hi_g = i + n_t + 1 + cols, i + n_t + cols
+    full = (ad[:, prev, hi] - dg[:, prev, lo]
+            - 0.5 * (ga[:, prev, hi_g] + gd[:, prev, lo]))
+    row0 = (d[:, 0, hi] - d[:, 0, lo]
+            - 0.5 * (g[:, 0, hi_g] + g[:, 0, lo]))
+    out = np.zeros_like(f)
+    out[:, 1:] = 0.5 * dt * dx * (full - 0.5 * row0)
+    return out
+
+
+def bit_equal(a, b):
+    """Equal bit for bit, so -0.0 and 0.0 differ."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+# Cell values for the wave sweep: signed zeros, subnormals, huge and
+# ordinary magnitudes, so any change of arithmetic order shows.
+WAVE_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def wave_stacks(draw):
+    # (R, n_t + 1, width) with R in 1..4, n_t in 2..24, width in 1..40,
+    # every cell drawn from a small pool of values by a seeded generator.
+    shape = (draw(st.integers(1, 4)), draw(st.integers(2, 24)) + 1,
+             draw(st.integers(1, 40)))
+    pool = np.array(draw(st.lists(WAVE_CELLS, min_size=1, max_size=16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return pool[rng.integers(0, pool.size, shape)]
+
+
 class TestBatchedHelpers:
-    # Loop references for the vectorized row shifts and row convolution;
-    # the arithmetic is unchanged, so results must be equal.
-    @pytest.mark.parametrize("shape", [(2, 5, 9), (2, 9, 5)])
-    @pytest.mark.parametrize("sign", [-1, 1])
-    def test_shift_rows_matches_loop(self, shape, sign):
-        d = np.random.default_rng(0).standard_normal(shape)
-        want = np.zeros_like(d)
-        for j in range(shape[1]):
-            for c in range(shape[2]):
-                if 0 <= c + sign * j < shape[2]:
-                    want[:, j, c] = d[:, j, c + sign * j]
-        assert np.array_equal(det_solver._shift_rows(d, sign), want)
+    # References for the row sweeps; the arithmetic is unchanged, so
+    # results must be equal bit for bit.
+    @settings(max_examples=300, deadline=None)
+    @given(wave_stacks(), st.sampled_from([(0.1, 0.1), (1.0 / 3, 1.0 / 3),
+                                           (2.0, 2.0)]))
+    def test_wave_sweep_matches_reference(self, f, spacing):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_convolve_wave(f, *spacing)
+            got = det_solver._convolve_wave(f, *spacing)
+        assert bit_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(400, 17, 65), (3, 2, 5), (2, 9, 3)])
+    def test_wave_sweep_matches_reference_with_signed_zeros(self, shape):
+        f = np.random.default_rng(2).standard_normal(shape)
+        f[f > 1.0] = -0.0
+        f[f < -1.0] = 0.0
+        assert bit_equal(det_solver._convolve_wave(f, 0.05, 0.05),
+                         reference_convolve_wave(f, 0.05, 0.05))
+
+    def test_wave_sweep_peak_memory(self):
+        # The sweep keeps O(R * width) running sums besides its output;
+        # the whole-stack form peaks at about 14 times the stack.
+        f = np.random.default_rng(3).standard_normal((400, 17, 65))
+        tracemalloc.start()
+        try:
+            det_solver._convolve_wave(f, 0.05, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * f.nbytes
 
     def test_conv_edge_matches_per_row_convolution(self):
         rows = np.random.default_rng(1).standard_normal((4, 11))
@@ -484,4 +567,5 @@ class TestBatchedHelpers:
         r = (w.size - 1) // 2
         want = np.stack([np.convolve(np.pad(row, r, mode="edge"), w,
                                      mode="valid") for row in rows])
-        assert np.array_equal(det_solver._conv_edge(rows, w), want)
+        buf = np.empty((4, 11 + 2 * r))
+        assert np.array_equal(det_solver._conv_edge(rows, w, buf), want)

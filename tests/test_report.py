@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracfield.report import (ARTIFACT_VERSION, render_csv, sha256_of,
-                              write_csv, write_json)
+from fracfield.report import (_CHUNK_ROWS, ARTIFACT_VERSION, render_csv,
+                              sha256_of, write_csv, write_json)
 
 
 def reference_csv(header, rows) -> bytes:
@@ -155,7 +155,9 @@ class TestRenderCsv:
         text = "".join(render_csv(["v"], [column]))
         assert text == "v\n0\n-0\n0\n-0\nnan\n0\n"
 
-    @pytest.mark.parametrize("n_rows", [65_535, 65_536, 65_537, 131_073])
+    @pytest.mark.parametrize("n_rows", [_CHUNK_ROWS - 1, _CHUNK_ROWS,
+                                        _CHUNK_ROWS + 1,
+                                        2 * _CHUNK_ROWS + 1])
     def test_chunk_boundaries_match_reference(self, n_rows):
         rng = np.random.default_rng(n_rows)
         replicate = np.repeat(np.arange(n_rows // 561 + 1), 561)[:n_rows]
