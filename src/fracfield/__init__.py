@@ -17,26 +17,26 @@ The package is organized bottom-up:
   index, and kernel increment bound checks;
 * :mod:`fracfield.cli` -- command line front end.
 
-:mod:`fracfield.oracle`, the spectral quadrature engine, is not imported
-here: it is the independent numeric route that the tests check the
-closed forms against.  Its settings (``QuadratureSpec``), its error type,
-the propagator multipliers in spectral form and the integrated
-``dalang_integral_quad`` are imported from there.
+:mod:`fracfield.oracle` is not imported here: it holds the independent
+numeric routes that the tests check the run-time path against, the
+spectral quadrature engine for the closed forms and the scalar Volterra
+solution ``ode_oracle`` for the grid solver.  The engine's settings
+(``QuadratureSpec``), its error type, the propagator multipliers in
+spectral form, the integrated ``dalang_integral_quad`` and
+``ode_oracle`` are imported from there.
 """
 
 from __future__ import annotations
 
 from .analysis import (Direction, ExponentFit, ShiftKind,
-                       expected_hoelder_slope, fit_hoelder, fit_hoelder_mc,
-                       fit_power_law, h_convergence, marginal_distance,
-                       verify_lemma_bound)
+                       expected_hoelder_slope, fit_hoelder, fit_power_law,
+                       h_convergence, marginal_distance, verify_lemma_bound)
 from .covariance import (CovarianceMatrix, SpaceTimePoint, conv_cov,
                          cov_matrix, increment_moment2, noise_field_cov)
 from .det_solver import (DriftSpec, GridFunction, InitialData, PicardInfo,
                          PointGrid, drift_truncate, initial_term,
                          initial_term_grid, make_drift, make_initial_data,
-                         ode_oracle, picard_apply, solve_F,
-                         solve_replicates)
+                         picard_apply, solve_F, solve_replicates)
 from .errors import MaxIterExceededError, NotPsdError, NumericalError
 from .quasilinear import (LadderResult, SimulationConfig, SimulationResult,
                           mild_residual, simulate, truncation_ladder_run)
@@ -77,7 +77,6 @@ __all__ = [
     "expected_hoelder_slope",
     "factor_psd",
     "fit_hoelder",
-    "fit_hoelder_mc",
     "fit_power_law",
     "gaussian_abs_moment",
     "h_convergence",
@@ -91,7 +90,6 @@ __all__ = [
     "mild_residual",
     "noise_constant",
     "noise_field_cov",
-    "ode_oracle",
     "picard_apply",
     "replicate_stream",
     "sample_field",

@@ -18,9 +18,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 from scipy.special import ndtr
 
-from .covariance import (SpaceTimePoint, _closed_incr, _second_diff,
-                         conv_cov, cov_matrix)
-from .sampler import factor_psd, sample_field
+from .covariance import SpaceTimePoint, _closed_incr, _second_diff, conv_cov
 from .spectral import (EquationKind, HurstIndex, LemmaConstantKind,
                        cos_integral_constant, gaussian_abs_moment,
                        lemma_constant, noise_constant)
@@ -35,7 +33,6 @@ __all__ = [
     "expected_hoelder_slope",
     "fit_power_law",
     "fit_hoelder",
-    "fit_hoelder_mc",
     "h_convergence",
     "verify_lemma_bound",
     "marginal_distance",
@@ -131,6 +128,7 @@ class HContinuityResult:
     pairs: tuple
 
 
+_LN2 = math.log(2.0)
 _DEFAULT_LAGS = tuple(2.0 ** -k for k in range(8, 2, -1))
 
 DEFAULT_H_PAIRS = (
@@ -204,19 +202,6 @@ def fit_power_law(lags, moments) -> ExponentFit:
                        stderr_slope=stderr, lags=lag_t, moments=mom_t)
 
 
-def _lag_pairs(direction: Direction, base_time: float, base_pos: float,
-               lags) -> list:
-    pairs = []
-    for lag in lags:
-        if direction is Direction.TIME:
-            pairs.append(((base_time, base_pos),
-                          (base_time + lag, base_pos)))
-        else:
-            pairs.append(((base_time, base_pos),
-                          (base_time, base_pos + lag)))
-    return pairs
-
-
 def fit_hoelder(eqn: EquationKind, hurst, direction: Direction, *,
                 p: float = 2.0, base_time: float = 1.0,
                 base_pos: float = 0.0, lags=None) -> ExponentFit:
@@ -243,34 +228,6 @@ def fit_hoelder(eqn: EquationKind, hurst, direction: Direction, *,
         m2 = _closed_incr(eqn, h, base.t, base.t,
                           np.abs(base.x - (base.x + lag_np)))
     return fit_power_law(lag_arr, gaussian_abs_moment(p) * m2 ** (0.5 * p))
-
-
-def fit_hoelder_mc(eqn: EquationKind, hurst, direction: Direction, *,
-                   p: float = 2.0, base_time: float = 1.0,
-                   base_pos: float = 0.0, lags=None, n_replicates: int = 2000,
-                   master_seed: int = 0) -> ExponentFit:
-    """Monte Carlo variant of :func:`fit_hoelder` for cross-checking.
-
-    Samples the field at the base point and its lagged companions, then
-    fits empirical moments.  Statistical noise enters the slope, so this
-    is a diagnostic, not a gate.
-    """
-    if p < 1.0:
-        raise ValueError(f"need moment order p >= 1, got {p}")
-    if n_replicates < 2:
-        raise ValueError(f"need n_replicates >= 2, got {n_replicates}")
-    h = _as_hurst(hurst)
-    lag_arr = _DEFAULT_LAGS if lags is None else tuple(float(v) for v in lags)
-    pairs = _lag_pairs(direction, base_time, base_pos, lag_arr)
-    points = [pairs[0][0]] + [b for _, b in pairs]
-    cov = cov_matrix(eqn, h, points)
-    sample = sample_field(factor_psd(cov), master_seed, n_replicates)
-    base_col = sample.values[:, 0]
-    moments = []
-    for k in range(len(lag_arr)):
-        diff = sample.values[:, k + 1] - base_col
-        moments.append(float(np.mean(np.abs(diff) ** p)))
-    return fit_power_law(lag_arr, moments)
 
 
 def h_convergence(eqn: EquationKind, hursts, reference, *,
@@ -300,10 +257,12 @@ def _heat_smoothing_constant(alpha: float) -> float:
 
     ``int_0^inf (1 - exp(-u^2/2))^2 u^(alpha-2) du`` evaluates in closed
     form via the one-Gaussian identity, since the square expands into
-    Gaussians of scales 1/2 and 1.
+    Gaussians of scales 1/2 and 1: ``Gamma(d) (2^d - 1) / (1 - alpha)``
+    with ``d = (1 + alpha)/2``, where ``2^d - 1`` is taken by ``expm1`` to
+    keep its digits as d vanishes.
     """
-    return (math.gamma((alpha + 1.0) / 2.0) / (1.0 - alpha)
-            * (2.0 ** ((alpha + 1.0) / 2.0) - 1.0))
+    d = 0.5 * (1.0 + alpha)
+    return math.gamma(d) / (1.0 - alpha) * math.expm1(d * _LN2)
 
 
 def _heat_time_lhs(alpha: float, horizon: float, h: np.ndarray):
@@ -316,10 +275,16 @@ def _heat_time_lhs(alpha: float, horizon: float, h: np.ndarray):
     then continues term by term.  The sum is regrouped as
     ``Gamma((alpha-1)/2) [a^e (2^e - 2) - D2_a(u^e)(a+b)]`` with
     :func:`_second_diff`, which leaves no cancelling terms at small h.
+    Near alpha = -1 the bracket is of size ``d = (1 + alpha)/2 = 1 - e``
+    and the Gamma factor has a pole, so both are written through the
+    exact d: ``Gamma(1 + d) / ((d - 1) d)`` with ``d - 1 = -e``, ``2^e -
+    2 = 2 expm1(-d ln 2)``, and ``e - 1 = -d`` is passed to
+    :func:`_second_diff`.
     """
-    a, e = 0.5 * h, 0.5 * (1.0 - alpha)
-    return _gamma(0.5 * (alpha - 1.0)) * (a ** e * (2.0 ** e - 2.0)
-                                          - _second_diff(e, a + horizon, a))
+    a, d, e = 0.5 * h, 0.5 * (1.0 + alpha), 0.5 * (1.0 - alpha)
+    return math.gamma(1.0 + d) / (-e * d) * (
+        a ** e * 2.0 * math.expm1(-d * _LN2)
+        - _second_diff(e, a + horizon, a, pm1=-d))
 
 
 def _wave_time_lhs(alpha: float, horizon: float, h: np.ndarray):

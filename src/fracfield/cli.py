@@ -255,10 +255,10 @@ def _cmd_cov(cfg: dict, args) -> _Run:
     n = len(points)
     index = np.arange(n)
     t, x = np.asarray(points).T
-    table = (("i", "j", "t_i", "x_i", "t_j", "x_j", "cov", "err_estimate"),
+    table = (("i", "j", "t_i", "x_i", "t_j", "x_j", "cov"),
              (np.repeat(index, n), np.tile(index, n),
               np.repeat(t, n), np.repeat(x, n), np.tile(t, n), np.tile(x, n),
-              cov.entries.ravel(), np.zeros(n * n)))
+              cov.entries.ravel()))
     return _Run(config={"equation": eqn.value, "hurst": h.value,
                         "points": [list(p) for p in points]},
                 artifacts={"cov_matrix.csv": table})

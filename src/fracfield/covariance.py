@@ -104,20 +104,32 @@ def _spow(p: float, v):
     return np.sign(v) * np.abs(v) ** p
 
 
-def _second_diff(p: float, u, e):
+def _second_diff(p: float, u, e, pm1: float | None = None):
     """``f(u+e) + f(u-e) - 2 f(u)`` for ``f = _spow(p, .)`` and u > 0.
 
     Summed as ``2 u^p sum_k binom(p, 2k) r^(2k)`` with ``r = e/u`` when
     r <= 1/2, where the direct difference would cancel; direct otherwise.
+    Near p = 1 the value is of size ``p - 1``.  A caller that knows that
+    factor exactly passes it as ``pm1``: every series term then carries
+    it, and the direct difference is taken of ``f(v) - v = v expm1(pm1
+    ln v)``, without the linear part that would cancel; this needs
+    ``u > e``.
     """
     r2 = (e / u) ** 2
     coef, power, series = 1.0, 1.0, 0.0
     for k in range(2, 2 * _SERIES_TERMS + 1, 2):
-        coef *= (p - k + 2.0) * (p - k + 1.0) / ((k - 1.0) * k)
+        low = pm1 if k == 2 and pm1 is not None else p - k + 1.0
+        coef *= (p - k + 2.0) * low / ((k - 1.0) * k)
         power = power * r2
         series = series + coef * power
-    return np.where(r2 <= _SERIES_RATIO ** 2, 2.0 * u ** p * series,
-                    _spow(p, u + e) + _spow(p, u - e) - 2.0 * _spow(p, u))
+    if pm1 is None:
+        direct = _spow(p, u + e) + _spow(p, u - e) - 2.0 * _spow(p, u)
+    else:
+        def g(v):
+            return v * np.expm1(pm1 * np.log(v))
+
+        direct = g(u + e) + g(u - e) - 2.0 * g(u)
+    return np.where(r2 <= _SERIES_RATIO ** 2, 2.0 * u ** p * series, direct)
 
 
 def _kummer_m1(h: float, x):

@@ -42,7 +42,6 @@ __all__ = [
     "solve_F",
     "solve_replicates",
     "picard_apply",
-    "ode_oracle",
     "make_drift",
     "make_initial_data",
     "DRIFT_KINDS",
@@ -80,8 +79,6 @@ class DriftSpec:
         Global Lipschitz bound of b; validated on a probe grid.
     bound : float or None
         ``sup |b|`` when finite, None for unbounded drifts.
-    truncation_level : float or None
-        Set when this spec came from :func:`drift_truncate`.
     name : str
         Display name for configs and manifests.
     """
@@ -89,7 +86,6 @@ class DriftSpec:
     func: object
     lipschitz_constant: float
     bound: float | None = None
-    truncation_level: float | None = None
     name: str = "custom"
 
     def __post_init__(self):
@@ -149,9 +145,9 @@ class InitialData:
 class PointGrid:
     """Uniform reported grid on ``[0, horizon] x [-half_width, half_width]``.
 
-    ``n_t`` and ``n_x`` count cells, so the grid carries ``(n_t + 1) *
-    (n_x + 1)`` nodes.  The wave solver additionally requires the
-    light-cone alignment ``dx == dt``.
+    Both extents must be finite and positive.  ``n_t`` and ``n_x`` count
+    cells, so the grid carries ``(n_t + 1) * (n_x + 1)`` nodes.  The wave
+    solver additionally requires the light-cone alignment ``dx == dt``.
     """
 
     horizon: float
@@ -160,11 +156,12 @@ class PointGrid:
     n_x: int
 
     def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be > 0, got {self.horizon}")
-        if not self.half_width > 0.0:
+        if not 0.0 < self.horizon < math.inf:
             raise ValueError(
-                f"half_width must be > 0, got {self.half_width}")
+                f"horizon must be finite and > 0, got {self.horizon}")
+        if not 0.0 < self.half_width < math.inf:
+            raise ValueError(
+                f"half_width must be finite and > 0, got {self.half_width}")
         if self.n_t < 2 or self.n_x < 2:
             raise ValueError(
                 f"need n_t, n_x >= 2, got {self.n_t}, {self.n_x}")
@@ -279,8 +276,7 @@ def drift_truncate(spec: DriftSpec, level: float) -> DriftSpec:
     bound = lvl if spec.bound is None else min(spec.bound, lvl)
     return DriftSpec(func=clipped,
                      lipschitz_constant=spec.lipschitz_constant,
-                     bound=bound, truncation_level=lvl,
-                     name=f"{spec.name}|clip{lvl:g}")
+                     bound=bound, name=f"{spec.name}|clip{lvl:g}")
 
 
 def _margin_cells(grid: PointGrid) -> int:
@@ -504,43 +500,6 @@ def solve_F(eqn: EquationKind, drift: DriftSpec, eta: GridFunction,
     fields, _ = solve_replicates(eqn, drift, eta.grid, eta.values[None],
                                  tol=tol, max_iter=max_iter)
     return GridFunction(grid=eta.grid, values=fields[0])
-
-
-def ode_oracle(eqn: EquationKind, drift: DriftSpec, eta, horizon: float,
-               n_steps: int = 2000) -> np.ndarray:
-    """Spatially constant reference solution of the integral equation.
-
-    For forcing eta(t) constant in space the equation collapses to a
-    scalar Volterra equation with kernel 1 (heat) or ``t - s`` (wave);
-    solved by trapezoid discretization and global fixed-point iteration.
-    Returns the solution on the uniform time grid, endpoint included.
-    """
-    if not horizon > 0.0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
-    if n_steps < 100:
-        raise ValueError(f"need at least 100 steps, got {n_steps}")
-    ts = np.linspace(0.0, horizon, n_steps + 1)
-    dt = ts[1] - ts[0]
-    eta_vals = np.asarray([float(eta(t)) for t in ts]) \
-        if callable(eta) else np.full(ts.shape, float(eta))
-
-    def cum_trap(vals: np.ndarray) -> np.ndarray:
-        # Trapezoid of vals over [0, t_i] per i, via one cumulative sum.
-        return np.cumsum(vals) - 0.5 * (vals[0] + vals)
-
-    z = eta_vals.copy()
-    for _ in range(400):
-        fb = np.asarray(drift(z), dtype=float)
-        if eqn is EquationKind.WAVE:
-            conv = ts * cum_trap(fb) - cum_trap(ts * fb)
-        else:
-            conv = cum_trap(fb)
-        z_new = eta_vals + dt * conv
-        delta = float(np.max(np.abs(z_new - z)))
-        z = z_new
-        if delta < 1e-13:
-            break
-    return z
 
 
 # Registries of ready-made drifts and initial data for configs and tests.

@@ -1,5 +1,5 @@
-"""Spectral quadrature oracle: the independent numeric route that the
-tests check the closed forms against.
+"""Independent numeric routes that the tests check the run-time path
+against.
 
 Every covariance-type quantity in this package reduces to integrals of the
 form ``int_0^inf W(xi) xi^alpha dxi`` with ``alpha in (-1, 1)``, where W is
@@ -9,8 +9,10 @@ module integrates the spectral forms instead, so the two routes share no
 formula.  It owns everything that only this route uses: the engine's
 settings (:class:`QuadratureSpec`), its error type, the multipliers
 (:func:`fourier_kernel`, :func:`time_kernel`) and the integrated
-integrability functional :func:`dalang_integral_quad`.  Nothing the CLI
-imports loads it; the tests do.
+integrability functional :func:`dalang_integral_quad`.  It also holds
+:func:`ode_oracle`, the scalar Volterra solution that the grid solver of
+:mod:`fracfield.det_solver` is checked against for forcing constant in
+space.  Nothing the CLI imports loads it; the tests do.
 
 The engine splits the half line into three zones:
 
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .det_solver import DriftSpec
 from .errors import NumericalError
 from .spectral import EquationKind, _check_alpha_horizon
 
@@ -49,6 +52,7 @@ __all__ = [
     "spectral_integral",
     "dalang_integral_quad",
     "time_shift_lhs",
+    "ode_oracle",
 ]
 
 # Gauss-Legendre rules reused everywhere; GL8 provides the embedded error
@@ -754,3 +758,40 @@ def time_shift_lhs(eqn: EquationKind, alpha: float, horizon: float,
     return QuadResult(value=2.0 * res.value,
                       err_estimate=2.0 * res.err_estimate,
                       panels_used=res.panels_used, converged=res.converged)
+
+
+def ode_oracle(eqn: EquationKind, drift: DriftSpec, eta, horizon: float,
+               n_steps: int = 2000) -> np.ndarray:
+    """Spatially constant reference solution of the integral equation.
+
+    For forcing eta(t) constant in space the equation collapses to a
+    scalar Volterra equation with kernel 1 (heat) or ``t - s`` (wave);
+    solved by trapezoid discretization and global fixed-point iteration.
+    Returns the solution on the uniform time grid, endpoint included.
+    """
+    if not horizon > 0.0:
+        raise ValueError(f"horizon must be > 0, got {horizon}")
+    if n_steps < 100:
+        raise ValueError(f"need at least 100 steps, got {n_steps}")
+    ts = np.linspace(0.0, horizon, n_steps + 1)
+    dt = ts[1] - ts[0]
+    eta_vals = np.asarray([float(eta(t)) for t in ts]) \
+        if callable(eta) else np.full(ts.shape, float(eta))
+
+    def cum_trap(vals: np.ndarray) -> np.ndarray:
+        # Trapezoid of vals over [0, t_i] per i, via one cumulative sum.
+        return np.cumsum(vals) - 0.5 * (vals[0] + vals)
+
+    z = eta_vals.copy()
+    for _ in range(400):
+        fb = np.asarray(drift(z), dtype=float)
+        if eqn is EquationKind.WAVE:
+            conv = ts * cum_trap(fb) - cum_trap(ts * fb)
+        else:
+            conv = cum_trap(fb)
+        z_new = eta_vals + dt * conv
+        delta = float(np.max(np.abs(z_new - z)))
+        z = z_new
+        if delta < 1e-13:
+            break
+    return z

@@ -29,6 +29,7 @@ __all__ = [
 
 _JITTER_START = 1e-12
 _JITTER_CAP = 1e-6
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,6 @@ class PsdFactor:
 
     Attributes
     ----------
-    points : tuple
-        The space-time points the covariance was priced on.
     lower : ndarray, shape (k, k)
         Cholesky factor with ``lower @ lower.T`` equal to the covariance
         up to the jitter actually applied; rows and columns of nodes of
@@ -48,7 +47,6 @@ class PsdFactor:
         that made the factorization succeed; zero when none was needed.
     """
 
-    points: tuple
     lower: np.ndarray
     jitter_used: float
 
@@ -59,17 +57,12 @@ class FieldSample:
 
     Attributes
     ----------
-    points : tuple
-        Space-time points, one per column.
     values : ndarray, shape (n_replicates, k)
-        One replicate per row.
-    master_seed : int
-        Seed the replicate streams were derived from.
+        One replicate per row; column j is the j-th point of the
+        covariance the factor was taken from.
     """
 
-    points: tuple
     values: np.ndarray
-    master_seed: int
 
 
 def factor_psd(cov: CovarianceMatrix) -> PsdFactor:
@@ -97,7 +90,7 @@ def factor_psd(cov: CovarianceMatrix) -> PsdFactor:
     block, jitter = _cholesky_ladder(a[live])
     lower = np.zeros_like(a)
     lower[live] = block
-    return PsdFactor(points=cov.points, lower=lower, jitter_used=jitter)
+    return PsdFactor(lower=lower, jitter_used=jitter)
 
 
 def _cholesky_ladder(a: np.ndarray) -> tuple:
@@ -142,11 +135,14 @@ def replicate_stream(master_seed: int, replicate_index: int
 def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
     """n standard normals via the inverse CDF of 53-bit uniforms.
 
-    The uniforms are offset to the strict interior of (0, 1), so the
-    transform can never produce an infinity.
+    An integer k drawn from ``[0, 2**53)`` maps to the cell midpoint ``(k
+    + 1/2) 2**-53``, rounded to double.  For k >= 2**52 the half is lost
+    to rounding, and k = 2**53 - 1 rounds to exactly 1; that one value
+    is clamped to the largest double below 1, so the transform never
+    produces an infinity.
     """
     u = (rng.integers(0, 1 << 53, size=n) + 0.5) * 2.0 ** -53
-    return ndtri(u)
+    return ndtri(np.minimum(u, _BELOW_ONE, out=u))
 
 
 def sample_field(factor: PsdFactor, master_seed: int,
@@ -163,6 +159,4 @@ def sample_field(factor: PsdFactor, master_seed: int,
     z = np.empty((n_replicates, k))
     for i in range(n_replicates):
         z[i] = standard_normals(replicate_stream(master_seed, i), k)
-    values = z @ factor.lower.T
-    return FieldSample(points=factor.points, values=values,
-                       master_seed=int(master_seed))
+    return FieldSample(values=z @ factor.lower.T)

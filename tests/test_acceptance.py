@@ -18,11 +18,11 @@ from fracfield import (Direction, EquationKind, GridFunction, HurstIndex,
                        cov_matrix, dalang_integral_closed, drift_truncate,
                        expected_hoelder_slope, factor_psd, fit_hoelder,
                        h_convergence, make_drift, make_initial_data,
-                       noise_field_cov, ode_oracle, sample_field, solve_F,
+                       noise_field_cov, sample_field, solve_F,
                        solve_replicates, truncation_ladder_run,
                        verify_lemma_bound)
 from fracfield.cli import main
-from fracfield.oracle import dalang_integral_quad
+from fracfield.oracle import dalang_integral_quad, ode_oracle
 
 HEAT = EquationKind.HEAT
 WAVE = EquationKind.WAVE

@@ -15,10 +15,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fracfield import (Direction, EquationKind, HurstIndex, ShiftKind,
-                       conv_cov,
-                       expected_hoelder_slope, fit_hoelder, fit_hoelder_mc,
-                       fit_power_law, h_convergence, increment_moment2,
-                       marginal_distance, noise_constant, verify_lemma_bound)
+                       conv_cov, cov_matrix, expected_hoelder_slope,
+                       factor_psd, fit_hoelder, fit_power_law, h_convergence,
+                       increment_moment2, marginal_distance, noise_constant,
+                       sample_field, verify_lemma_bound)
 from fracfield.analysis import DEFAULT_H_PAIRS
 from fracfield.oracle import QuadratureSpec, time_shift_lhs
 
@@ -129,15 +129,14 @@ class TestFitHoelder:
                 fit_hoelder(HEAT, 0.5, Direction.TIME, p=p)
 
     def test_monte_carlo_cross_check(self):
-        fit = fit_hoelder_mc(HEAT, 0.5, Direction.SPACE,
-                             n_replicates=2000, master_seed=0)
-        assert abs(fit.slope - 1.0) <= 0.15
-
-    def test_monte_carlo_controls_validated(self):
-        with pytest.raises(ValueError):
-            fit_hoelder_mc(HEAT, 0.5, Direction.SPACE, p=0.5)
-        with pytest.raises(ValueError):
-            fit_hoelder_mc(HEAT, 0.5, Direction.SPACE, n_replicates=1)
+        # Empirical second moments of sampled space increments fit the
+        # exact slope 2H = 1 up to sampling noise.
+        lags = 2.0 ** -np.arange(8.0, 2.0, -1.0)
+        points = [(1.0, 0.0)] + [(1.0, lag) for lag in lags]
+        values = sample_field(factor_psd(cov_matrix(HEAT, 0.5, points)),
+                              0, 2000).values
+        moments = np.mean((values[:, 1:] - values[:, :1]) ** 2, axis=0)
+        assert abs(fit_power_law(lags, moments).slope - 1.0) <= 0.15
 
 
 class TestLemmaBound:
@@ -169,6 +168,46 @@ class TestLemmaBound:
             assert row.lhs == pytest.approx(
                 increment_moment2(eqn, 0.3, (0.8, 0.0), (0.8, row.shift))
                 / nc, rel=1e-14, abs=0.0)
+
+    # Near alpha = -1 the heat bracket is of size (1 + alpha)/2 and its
+    # Gamma factor has a pole.  References: the Gaussian sum at 50
+    # digits (mpmath), horizon 1; shift 4 takes the direct branch of the
+    # second difference, the others its series.
+    @pytest.mark.parametrize("alpha, shift, truth", [
+        (-1 + 1e-15, 1e-08, 6.9314717805995198e-9),
+        (-1 + 1e-15, 0.5, 0.29623480640325074),
+        (-1 + 1e-15, 4.0, 1.3170728920779378),
+        (-1 + 1e-13, 1e-08, 6.9314717806061062e-9),
+        (-1 + 1e-13, 1e-04, 6.9312218181021841e-5),
+        (-1 + 1e-13, 4.0, 1.317072892077964),
+        (-1 + 1e-09, 1e-04, 6.9312218526857943e-5),
+        (-1 + 1e-09, 4.0, 1.3170728923424369),
+        (-0.999, 1e-08, 6.9983018291528218e-9),
+        (-0.999, 0.5, 0.29650832284980204),
+    ])
+    def test_heat_time_rows_near_alpha_minus_one(self, alpha, shift, truth):
+        report = verify_lemma_bound(ShiftKind.TIME_SHIFT, HEAT, alpha,
+                                    shifts=(shift,))
+        assert abs(report.rows[0].lhs - truth) <= 1e-14 * truth
+
+    @pytest.mark.parametrize("alpha, const", [
+        (-1 + 1e-15, 0.34657359027997279),
+        (-1 + 1e-13, 0.34657359027998599),
+        (-0.999, 0.34670705185448793),
+    ])
+    def test_heat_time_constant_near_alpha_minus_one(self, alpha, const):
+        # rhs / h^((1-alpha)/2) is twice the smoothing constant
+        # Gamma(d) (2^d - 1) / (1 - alpha), d = (1 + alpha)/2, here at
+        # 50 digits.
+        row = verify_lemma_bound(ShiftKind.TIME_SHIFT, HEAT, alpha,
+                                 shifts=(1.0,)).rows[0]
+        assert abs(row.rhs - 2.0 * const) <= 1e-15 * const
+
+    @pytest.mark.parametrize("alpha", [-1 + 1e-15, -1 + 1e-13, -1 + 1e-11])
+    def test_heat_time_bound_holds_near_alpha_minus_one(self, alpha):
+        report = verify_lemma_bound(ShiftKind.TIME_SHIFT, HEAT, alpha,
+                                    shifts=(1e-8, 1e-4, 0.5))
+        assert report.max_ratio <= 1.0
 
     def test_wave_time_bound_keeps_known_slack(self):
         # The wave time constant overshoots by roughly 1/16 at alpha=0.

@@ -131,7 +131,7 @@ class TestCov:
                      "--hurst", "0.5", "--out", str(out)]) == 0
         rows = np.loadtxt(out / "cov_matrix.csv", delimiter=",",
                           skiprows=1)
-        assert rows.shape == (9, 8)
+        assert rows.shape == (9, 7)
         cov = rows[:, 6].reshape(3, 3)
         assert np.array_equal(cov, cov.T)
         assert np.all(np.diag(cov) > 0.0)
@@ -280,6 +280,18 @@ class TestSolveDet:
         assert main(["solve-det", "--config", cfg,
                      "--equation", "wave"]) == 1
         assert "alignment" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["horizon", "half_width"])
+    def test_infinite_grid_extent_exits_one(self, tmp_path, capsys, key):
+        # JSON reads 1e400 as inf; the grid rejects it before any solve.
+        grid = {"horizon": 1.0, "half_width": 0.5, "n_t": 2, "n_x": 2}
+        text = json.dumps({"eta": {"kind": "zero"}, "grid": grid})
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text.replace(f'"{key}": {grid[key]}',
+                                    f'"{key}": 1e400'))
+        assert main(["solve-det", "--config", str(cfg),
+                     "--equation", "wave"]) == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
 
     def test_manifest_records_solver_outcome(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -602,13 +614,14 @@ GOLDEN_RUNS = {
                        "68c4941cee5a44dc141a332ab832d289"}),
     "cov": (["cov", "--equation", "heat", "--hurst", "0.5"],
             {"points": [[0.5, 0.0], [1.0, 0.25], [1.0, -0.5]]}, {
-        "cov_matrix.csv": "36d1ddbf0d72b26b3bc8ea54251e6ba1"
-                          "4dbc986d3028ec7d28c090c28212aac7"}),
-    # Recorded from the closed-form time-shift rows.
+        "cov_matrix.csv": "67e94ef1ec701723276775f1e31b76fa"
+                          "edc1d43edbc421a8eca2a75ee973e3cb"}),
+    # Recorded from the closed-form time-shift rows, with the heat rows
+    # written through d = (1 + alpha)/2.
     "verify-lemmas": (["verify-lemmas"],
                       {"lemmas": {"alphas": [-0.5, 0.0, 0.5]}}, {
-        "lemma_margins.csv": "31ce651d80c1f3137859ad6a900ab333"
-                             "dd240cf6e1454bbc9b49e24e6194e673"}),
+        "lemma_margins.csv": "d44a8489a2a03234c45480ae651ffe56"
+                             "10c9655b69cdc58df97a8756ab72f34b"}),
 }
 
 

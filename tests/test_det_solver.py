@@ -19,8 +19,9 @@ from fracfield import det_solver
 from fracfield import (DriftSpec, EquationKind, GridFunction, InitialData,
                        MaxIterExceededError, PointGrid, drift_truncate,
                        initial_term, initial_term_grid, make_drift,
-                       make_initial_data, ode_oracle, picard_apply, solve_F,
+                       make_initial_data, picard_apply, solve_F,
                        solve_replicates)
+from fracfield.oracle import ode_oracle
 
 HEAT = EquationKind.HEAT
 WAVE = EquationKind.WAVE
@@ -69,6 +70,10 @@ class TestPointGrid:
         dict(horizon=1.0, half_width=-1.0, n_t=4, n_x=4),
         dict(horizon=1.0, half_width=1.0, n_t=1, n_x=4),
         dict(horizon=1.0, half_width=1.0, n_t=4, n_x=0),
+        dict(horizon=math.inf, half_width=1.0, n_t=4, n_x=4),
+        dict(horizon=1.0, half_width=math.inf, n_t=4, n_x=4),
+        dict(horizon=math.nan, half_width=1.0, n_t=4, n_x=4),
+        dict(horizon=1.0, half_width=math.nan, n_t=4, n_x=4),
     ])
     def test_invalid_grid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -177,7 +182,6 @@ class TestDriftTruncate:
         base = make_drift("linear", a=1.0)
         clipped = drift_truncate(base, 2.0)
         assert clipped.bound == 2.0
-        assert clipped.truncation_level == 2.0
         assert clipped.lipschitz_constant == base.lipschitz_constant
         assert clipped.name.endswith("|clip2")
 

@@ -1,10 +1,12 @@
-"""Every name a module exports through ``__all__`` resolves.
+"""Every name a module exports through ``__all__`` resolves, and names
+that were removed stay removed.
 
 A name that moves between modules can leave a stale entry behind in the
 package root or in its old module; ``from fracfield import *`` would then
 fail while ordinary imports of other names keep working.
 """
 
+import dataclasses
 import importlib
 import pkgutil
 
@@ -42,3 +44,39 @@ def test_quasilinear_solves_through_solve_replicates():
     from fracfield import quasilinear
     assert hasattr(quasilinear, "solve_replicates")
     assert not hasattr(quasilinear, "solve_F")
+
+
+# Test oracles live in fracfield.oracle, not in the run-time modules.
+@pytest.mark.parametrize("module, name", [
+    ("fracfield", "ode_oracle"),
+    ("fracfield", "fit_hoelder_mc"),
+    ("fracfield.det_solver", "ode_oracle"),
+    ("fracfield.analysis", "fit_hoelder_mc"),
+    ("fracfield.analysis", "_lag_pairs"),
+])
+def test_test_oracles_left_the_run_time_modules(module, name):
+    mod = importlib.import_module(module)
+    assert name not in mod.__all__
+    assert not hasattr(mod, name)
+
+
+def test_ode_oracle_lives_in_oracle():
+    from fracfield import oracle
+    assert "ode_oracle" in oracle.__all__
+    assert callable(oracle.ode_oracle)
+
+
+def test_analysis_does_not_sample():
+    from fracfield import analysis
+    for name in ("factor_psd", "sample_field", "cov_matrix"):
+        assert not hasattr(analysis, name)
+
+
+@pytest.mark.parametrize("cls, gone", [
+    ("DriftSpec", {"truncation_level"}),
+    ("PsdFactor", {"points"}),
+    ("FieldSample", {"points", "master_seed"}),
+])
+def test_unread_fields_are_gone(cls, gone):
+    names = {f.name for f in dataclasses.fields(getattr(fracfield, cls))}
+    assert not names & gone

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from fracfield import (EquationKind, NotPsdError, cov_matrix, factor_psd,
                        replicate_stream, sample_field, standard_normals)
@@ -117,6 +118,26 @@ class TestStandardNormals:
         n = z.size
         assert abs(z.mean()) <= 4.0 / math.sqrt(n)
         assert abs(z.var() - 1.0) <= 4.0 * math.sqrt(2.0 / (n - 1))
+
+    def test_extreme_draws_stay_finite(self):
+        # The integers 0 and 2**53 - 1 bound the draw range, and around
+        # 2**52 the half-cell offset is lost to rounding.  Only the top
+        # one, whose midpoint rounds to 1, differs from the unclamped
+        # transform, which maps it to +inf.
+        ks = np.array([0, 2 ** 52 - 1, 2 ** 52, 2 ** 53 - 2, 2 ** 53 - 1])
+
+        class Stub:
+            def integers(self, low, high, size):
+                assert (low, high, size) == (0, 1 << 53, ks.size)
+                return ks.copy()
+
+        z = standard_normals(Stub(), ks.size)
+        unclamped = ndtri((ks + 0.5) * 2.0 ** -53)
+        assert np.all(np.isfinite(z))
+        assert np.array_equal(z[:-1].view(np.uint64),
+                              unclamped[:-1].view(np.uint64))
+        assert unclamped[-1] == np.inf
+        assert z[-1] == ndtri(np.nextafter(1.0, 0.0))
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     def test_never_degenerate(self, seed):
