@@ -15,11 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
-from scipy.special import ndtr
 
 from .covariance import SpaceTimePoint, _closed_incr, _second_diff, conv_cov
-from .spectral import (EquationKind, HurstIndex, LemmaConstantKind,
+from .spectral import (EquationKind, HurstIndex, LemmaConstantKind, _gamma,
                        cos_integral_constant, gaussian_abs_moment,
                        lemma_constant, noise_constant)
 
@@ -388,4 +386,10 @@ def marginal_distance(eqn: EquationKind, hurst_a, hurst_b, point) -> float:
         return 0.0
     x_star = s1 * s2 * math.sqrt(
         2.0 * math.log(s2 / s1) / (s2 * s2 - s1 * s1))
-    return float(ndtr(x_star / s1) - ndtr(x_star / s2))
+    return _ndtr(x_star / s1) - _ndtr(x_star / s2)
+
+
+def _ndtr(x: float) -> float:
+    """Standard normal CDF, through ``erfc`` so that the lower tail keeps
+    its relative accuracy."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))

@@ -19,12 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
-from scipy.special import hyp1f1
 
 from .errors import NumericalError
-from .spectral import (EquationKind, HurstIndex, cos_integral_constant,
-                       noise_constant)
+from .spectral import (EquationKind, HurstIndex, _gamma,
+                       cos_integral_constant, noise_constant)
 
 __all__ = [
     "SpaceTimePoint",
@@ -40,11 +38,13 @@ __all__ = [
 # r <= 1/2, and the wave covariance from its series in (t1+t2)/|dx| once
 # |dx| >= 2 (t1+t2); there 30 terms in r^2 or 30 even terms leave less
 # than 1e-17 relative.  Kummer's M - 1 is summed for arguments of size
-# <= 1, where 20 terms leave less than 1e-18.
+# <= 1, where 20 terms leave less than 1e-18.  Series of unbounded length
+# stop once every lane's last term is below _EPS of its sum.
 _SERIES_RATIO = 0.5
 _SERIES_TERMS = 30
 _KUMMER_ARG = 1.0
 _KUMMER_TERMS = 20
+_EPS = 2.0 ** -53
 # Heat covariances and increment moments are summed from the
 # large-argument expansion of Kummer's function once |dx|^2 / (2 (t1+t2))
 # >= 40, where two Kummer terms of size |dx|^(2H) would cancel.  There
@@ -52,6 +52,11 @@ _KUMMER_TERMS = 20
 # and 40 terms reach the smallest term of the asymptotic series.
 _HEAT_FAR_ARG = 40.0
 _HEAT_FAR_TERMS = 40
+# The two Kummer terms of a heat covariance, at B = (t1+t2)/2 and B - t1,
+# differ by a part of relative size about t1/B and cancel when it is
+# small.  Up to this ratio t1/B they are summed as one Taylor series in
+# it, of at most 26 terms.
+_HEAT_PAIR_RATIO = 0.25
 # Rows of the covariance matrix per closed-form call: the transient
 # arrays of cov_matrix span one block of rows, not the whole matrix.
 _COV_BLOCK_ROWS = 64
@@ -132,21 +137,102 @@ def _second_diff(p: float, u, e, pm1: float | None = None):
     return np.where(r2 <= _SERIES_RATIO ** 2, 2.0 * u ** p * series, direct)
 
 
+def _kummer(h, x):
+    """``M(-h, 1/2, -x)`` for ``0 <= x <= _HEAT_FAR_ARG``; h is a float or
+    a 1-d array, one value per column of x.
+
+    Kummer's transformation ``e^-x M(1/2+h, 1/2, x)`` (DLMF 13.2.39),
+    summed from its power series (DLMF 13.2.2), whose terms are positive
+    for h in (0, 1).  For each h, a term's share of the sum of absolute
+    terms grows with x, so the series stops once, for every h, the term
+    at the largest x is below ``_EPS`` of that sum.  A single lane, the
+    case of every scalar call, is summed in Python floats: the same sum
+    at a tenth of the cost of numpy's per-operation overhead.
+    """
+    if x.size == 1 and isinstance(h, float):
+        xv, term, total, n = x.item(), 1.0, 1.0, 0
+        while term > _EPS * total:
+            n += 1
+            term = term * xv * ((n - 0.5 + h) / ((n - 0.5) * n))
+            total += term
+        return np.full(x.shape, math.exp(-xv) * total)
+    hs = np.atleast_1d(h).tolist()
+    xm = float(np.max(x, initial=0.0))
+    tm, sm = [1.0] * len(hs), [1.0] * len(hs)
+    term = total = np.ones(np.broadcast(h, x).shape)
+    n = 0
+    while any(t > _EPS * u for t, u in zip(tm, sm)):
+        n += 1
+        term = term * x * ((n - 0.5 + h) / ((n - 0.5) * n))
+        total = total + term
+        for j, hj in enumerate(hs):
+            tm[j] *= xm * abs(n - 0.5 + hj) / ((n - 0.5) * n)
+            sm[j] += tm[j]
+    return np.exp(-x) * total
+
+
 def _kummer_m1(h: float, x):
-    """``M(-h, 1/2, x) - 1`` (DLMF 13.2.2), summed for ``|x| <= 1``."""
+    """``M(-h, 1/2, -x) - 1`` for ``0 <= x <= _HEAT_FAR_ARG``: summed from
+    its power series (DLMF 13.2.2) for ``x <= 1``, above by
+    :func:`_kummer`."""
+    xs = -x
     term, series = 1.0, 0.0
     for n in range(1, _KUMMER_TERMS + 1):
-        term = term * x * (n - 1.0 - h) / ((n - 0.5) * n)
+        term = term * xs * (n - 1.0 - h) / ((n - 0.5) * n)
         series = series + term
-    return np.where(np.abs(x) <= _KUMMER_ARG, series,
-                    hyp1f1(-h, 0.5, x) - 1.0)
+    big = x > _KUMMER_ARG
+    if np.any(big):
+        series = np.where(big, _kummer(h, np.where(big, x, 0.0)) - 1.0,
+                          series)
+    return series
 
 
 def _heat_near(h: float, z, a):
-    """``a^H M(-H, 1/2, -z/a)``, and its limit ``z^H sqrt(pi) / Gamma(1/2+H)``
-    at ``a = 0``."""
-    return np.where(a > 0.0, a ** h * hyp1f1(-h, 0.5, -z / a),
-                    z ** h * math.sqrt(math.pi) / _gamma(0.5 + h))
+    """``a^H M(-H, 1/2, -z/a)`` for ``z, a >= 0``: by :func:`_kummer` for
+    ``z <= 40 a``, and beyond from the large-argument expansion ``z^H
+    sqrt(pi) / Gamma(1/2+H) sum_s c_s (a/z)^s`` of :func:`_heat_far`, whose
+    value at ``a = 0`` is the limit ``z^H sqrt(pi) / Gamma(1/2+H)``.
+
+    Each form sees only its own lanes' arguments, the other lanes a 0.
+    """
+    near = (z <= _HEAT_FAR_ARG * a) & (a > 0.0)
+    series = expansion = 0.0
+    if near.any():
+        a_near = np.where(near, a, 1.0)
+        series = a_near ** h * _kummer(h, np.where(near, z, 0.0) / a_near)
+    if not near.all():
+        r = np.where(near, 0.0, a / np.where(z > 0.0, z, 1.0))
+        term, total, coef = 1.0, 1.0, 1.0
+        for n in range(1, _HEAT_FAR_TERMS + 1):
+            coef *= (n - 1.0 - h) * (n - 0.5 - h) / n
+            term = term * r
+            total = total + coef * term
+            if (np.abs(coef * term) <= _EPS).all():
+                break
+        expansion = z ** h * math.sqrt(math.pi) / _gamma(0.5 + h) * total
+    return np.where(near, series, expansion)
+
+
+def _heat_pair(h: float, t1, z, b):
+    """Heat bracket ``a^H M(-H, 1/2, -z/a) - b^H M(-H, 1/2, -z/b)``, ``a =
+    b - t1``, for ``t1 <= b/4`` and ``z < 40 b``, where its two terms
+    nearly cancel.
+
+    Summed as one Taylor series in t1: with ``F(u) = u^H M(-H, 1/2,
+    -z/u)``, ``F^(k)(u) = (-1)^k (-H)_k u^(H-k) M(k-H, 1/2, -z/u)``, so
+    the bracket is ``b^H sum_{k>=1} (-H)_k / k! (t1/b)^k M(k-H, 1/2,
+    -z/b)``.  Its terms fall like ``(t1/b)^k``; the sum stops once
+    ``|(-H)_k / k!| (t1/b)^(k-1)`` is below ``_EPS H``.
+    """
+    r = t1 / b
+    rmax = float(r.max())
+    w = [-h]
+    while abs(w[-1]) * rmax ** (len(w) - 1) > _EPS * h:
+        k = len(w) + 1.0
+        w.append(w[-1] * (k - 1.0 - h) / k)
+    ks = np.arange(1.0, len(w) + 1.0)
+    m = _kummer(h - ks, (z / b)[:, None])
+    return b ** h * np.sum(np.array(w) * r[:, None] ** ks * m, axis=1)
 
 
 def _heat_far(h: float, t1, z, a, b):
@@ -210,9 +296,10 @@ def _closed_cov(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
     limit ``(c^2/4)^H sqrt(pi) / Gamma(1/2+H)`` of the first term at A = 0;
     for ``c^2/4 >= 40 B`` the bracket is summed by :func:`_heat_far`, since
     its two terms are of size ``c^(2H)`` and the value of size ``t1
-    c^(2H-2)``.  Exactly zero at ``t1 == 0``, and for the wave at H = 1/2
-    outside the light cones (``c >= s``), where the formula would leave
-    roundoff.
+    c^(2H-2)``, and below that for ``t1 <= B/4`` by :func:`_heat_pair`,
+    since its two terms differ by a part of relative size ``t1/B``.
+    Exactly zero at ``t1 == 0``, and for the wave at H = 1/2 outside the
+    light cones (``c >= s``), where the formula would leave roundoff.
     """
     h = hurst.value
     t1, t2, c = np.broadcast_arrays(
@@ -236,9 +323,13 @@ def _closed_cov(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
             out *= cos_integral_constant(hurst.spectral_exponent) / 2.0
         elif eqn is EquationKind.HEAT:
             z, a, b = c * c / 4.0, d / 2.0, s / 2.0
-            out = np.asarray(_heat_near(h, z, a)
-                             - b ** h * hyp1f1(-h, 0.5, -z / b))
-            far = (z >= _HEAT_FAR_ARG * b) & (t1 > 0.0)
+            live = t1 > 0.0
+            far = live & (z >= _HEAT_FAR_ARG * b)
+            x = np.where(live & ~far, z, 0.0) / np.where(live, b, 1.0)
+            out = np.asarray(_heat_near(h, z, a) - b ** h * _kummer(h, x))
+            pair = live & ~far & (t1 <= _HEAT_PAIR_RATIO * b)
+            if pair.any():
+                out[pair] = _heat_pair(h, t1[pair], z[pair], b[pair])
             if far.any():
                 out[far] = _heat_far(h, t1[far], z[far], a[far], b[far])
             out *= _gamma(-h)
@@ -292,10 +383,12 @@ def _closed_incr(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
             out *= cos_integral_constant(hurst.spectral_exponent) / 2.0
         elif eqn is EquationKind.HEAT:
             z, a, b = c * c / 4.0, d / 2.0, s / 2.0
+            live = t2 > 0.0
+            far = live & (z >= _HEAT_FAR_ARG * b)
+            x = np.where(live & ~far, z, 0.0) / np.where(live, b, 1.0)
             out = np.asarray(-_second_diff(h, b, a)
-                             + 2.0 * b ** h * _kummer_m1(h, -z / b)
+                             + 2.0 * b ** h * _kummer_m1(h, x)
                              - 2.0 * _heat_near(h, z, a))
-            far = (z >= _HEAT_FAR_ARG * b) & (t2 > 0.0)
             if far.any():
                 out[far] = (-(t1[far] ** h + t2[far] ** h)
                             - 2.0 * _heat_far(h, t1[far], z[far], a[far],

@@ -221,7 +221,8 @@ def initial_term(eqn: EquationKind, data: InitialData, t: float, x):
 
     Heat: Gaussian average ``E[u0(x + sqrt(t) Z)]`` via Gauss-Hermite.
     Wave: traveling-wave average ``(u0(x+t) + u0(x-t))/2`` plus half the
-    integral of v0 over ``[x-t, x+t]``.
+    integral of v0 over ``[x-t, x+t]``: in closed form for a registry
+    profile, by adaptive quadrature for any other callable.
     """
     if t < 0.0:
         raise ValueError(f"time must be >= 0, got {t}")
@@ -235,7 +236,9 @@ def initial_term(eqn: EquationKind, data: InitialData, t: float, x):
     elif eqn is EquationKind.WAVE:
         out = 0.5 * (_vec_eval(data.u0, x_arr + t, "u0")
                      + _vec_eval(data.u0, x_arr - t, "u0"))
-        if data.v0 is not None:
+        if isinstance(data.v0, _Profile):
+            out = out + 0.5 * data.v0.span(x_arr, t)
+        elif data.v0 is not None:
             # Imported here, its only use: it pulls in scipy.optimize,
             # which costs every process about 0.2 s at start-up.
             from scipy.integrate import quad as _scipy_quad
@@ -569,23 +572,51 @@ def make_drift(kind: str, **params) -> DriftSpec:
     return builder(**params)
 
 
-def _profile(kind: str, **params):
+@dataclass(frozen=True)
+class _Profile:
+    """A registry profile: the vectorized function, and ``span(x, t)``,
+    its integral over ``[x-t, x+t]`` in closed form."""
+
+    func: object
+    span: object
+
+    def __call__(self, x):
+        return self.func(x)
+
+
+_erf = np.vectorize(math.erf, otypes=[float])
+
+
+def _profile(kind: str, **params) -> _Profile:
     if kind == "zero":
-        return lambda x: np.zeros_like(np.asarray(x, dtype=float))
+        return _Profile(
+            lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+            lambda x, t: np.zeros_like(x))
     if kind == "const":
         c = float(params.get("c", 1.0))
-        return lambda x, _c=c: np.full_like(np.asarray(x, dtype=float), _c)
+        return _Profile(
+            lambda x: np.full_like(np.asarray(x, dtype=float), c),
+            lambda x, t: np.full_like(x, 2.0 * c * t))
     if kind == "sin":
         a = float(params.get("a", 1.0))
         k = float(params.get("k", 1.0))
-        return lambda x, _a=a, _k=k: _a * np.sin(_k * np.asarray(x, dtype=float))
+        # (a/k) (cos k(x-t) - cos k(x+t)), as a product that does not
+        # cancel at small t; the profile is 0 at k = 0.
+        return _Profile(
+            lambda x: a * np.sin(k * np.asarray(x, dtype=float)),
+            lambda x, t: (2.0 * a / k * math.sin(k * t) * np.sin(k * x)
+                          if k != 0.0 else np.zeros_like(x)))
     if kind == "bump":
         a = float(params.get("a", 1.0))
         w = float(params.get("w", 1.0))
         if w <= 0.0:
             raise ValueError(f"bump width must be > 0, got {w}")
-        return lambda x, _a=a, _w=w: _a * np.exp(
-            -np.asarray(x, dtype=float) ** 2 / (2.0 * _w ** 2))
+        s = w * math.sqrt(2.0)
+        return _Profile(
+            lambda x: a * np.exp(-np.asarray(x, dtype=float) ** 2
+                                 / (2.0 * w ** 2)),
+            lambda x, t: (a * s * math.sqrt(math.pi) / 2.0
+                          * (_erf((x + t) / s) - _erf((x - t) / s))))
     raise ValueError(f"unknown initial profile {kind!r}; available: "
                      f"{sorted(INITIAL_KINDS)}")
 

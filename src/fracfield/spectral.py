@@ -17,8 +17,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-from scipy.special import gamma as _gamma
-
 __all__ = [
     "EquationKind",
     "HurstIndex",
@@ -29,6 +27,77 @@ __all__ = [
     "dalang_integral_closed",
     "lemma_constant",
 ]
+
+
+# Moshier's Cephes ``Gamma`` (Methods and Programs for Mathematical
+# Functions, 1989), the routine scipy.special.gamma compiles: a rational
+# approximation on [2, 3) and Stirling's series above 33.
+_GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3,
+            1.04213797561761569935e-2, 4.76367800457137231464e-2,
+            2.07448227648435975150e-1, 4.94214826801497100753e-1,
+            9.99999999999999996796e-1)
+_GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4,
+            -4.45641913851797240494e-3, 1.18139785222060435552e-2,
+            3.58236398605498653373e-2, -2.34591795718243348568e-1,
+            7.14304917030273074085e-2, 1.00000000000000000320e0)
+_STIRLING = (7.87311395793093628397e-4, -2.29549961613378126380e-4,
+             -2.68132617805781232825e-3, 3.47222221605458667310e-3,
+             8.33333333333482257126e-2)
+_SQRT_2PI = 2.50662827463100050242e0
+_EULER = 0.5772156649015329
+_GAMMA_OVERFLOW = 171.624376956302725
+_STIRLING_SPLIT = 143.01608
+
+
+def _polevl(x, coefs: tuple, monic: bool = False):
+    """Horner's rule, highest power first, as Cephes ``polevl``; ``monic``
+    prepends a leading coefficient 1, as Cephes ``p1evl``."""
+    ans = x + coefs[0] if monic else coefs[0]
+    for c in coefs[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _gamma(x: float) -> float:
+    """Gamma function of a float.
+
+    A port of Cephes ``Gamma`` with its operations in the same order, so
+    that it returns the bits of ``scipy.special.gamma``; ``math.gamma``
+    differs from both in the last bits at most arguments.  Negative
+    arguments are shifted up by the recursion, which covers the range
+    (-1, 0) of the heat covariance; Cephes' reflection branch for x < -33
+    is left out.  A pole (0, -1, -2, ...) raises ZeroDivisionError.
+    """
+    if x > 33.0:
+        if x >= _GAMMA_OVERFLOW:
+            return math.inf
+        w = 1.0 / x
+        w = 1.0 + w * _polevl(w, _STIRLING)
+        y = math.exp(x)
+        if x > _STIRLING_SPLIT:
+            v = math.pow(x, 0.5 * x - 0.25)
+            y = v * (v / y)
+        else:
+            y = math.pow(x, x - 0.5) / y
+        return _SQRT_2PI * y * w
+    z = 1.0
+    while x >= 3.0:
+        x -= 1.0
+        z *= x
+    while x < 0.0:
+        if x > -1e-9:
+            return z / ((1.0 + _EULER * x) * x)
+        z /= x
+        x += 1.0
+    while x < 2.0:
+        if x < 1e-9:
+            return z / ((1.0 + _EULER * x) * x)
+        z /= x
+        x += 1.0
+    if x == 2.0:
+        return z
+    x -= 2.0
+    return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
 
 
 class EquationKind(enum.Enum):

@@ -19,7 +19,7 @@ from fracfield import (Direction, EquationKind, HurstIndex, ShiftKind,
                        factor_psd, fit_hoelder, fit_power_law, h_convergence,
                        increment_moment2, marginal_distance, noise_constant,
                        sample_field, verify_lemma_bound)
-from fracfield.analysis import DEFAULT_H_PAIRS
+from fracfield.analysis import DEFAULT_H_PAIRS, _ndtr
 from fracfield.oracle import QuadratureSpec, time_shift_lhs
 
 HEAT = EquationKind.HEAT
@@ -328,3 +328,11 @@ class TestMarginalDistance:
     def test_degenerate_time_zero(self):
         # Both marginals collapse to the point mass at zero.
         assert marginal_distance(WAVE, 0.3, 0.7, (0.0, 1.0)) == 0.0
+
+    def test_normal_cdf_matches_scipy(self):
+        from scipy.special import ndtr
+
+        xs = np.concatenate((np.linspace(-40.0, 40.0, 80001),
+                             [-1e-300, 0.0, 1e-300, -38.5, 8.3]))
+        got = np.array([_ndtr(x) for x in xs.tolist()])
+        assert np.max(np.abs(got - ndtr(xs))) <= 1e-15

@@ -3,9 +3,10 @@
 Oracles: the explicit noise-covariance display, closed variance values
 at the Brownian index, the spectral quadrature engine against the closed
 covariance and increment forms, values computed once at 60 digits with
-mpmath and pinned as literals, and the three-evaluation expansion of
+mpmath and pinned as literals, the three-evaluation expansion of
 increment second moments (kept as an independent route, never collapsed
-into the fused form it checks).
+into the fused form it checks), and scipy.special.hyp1f1 for the Kummer
+series.
 """
 
 import math
@@ -18,6 +19,8 @@ from hypothesis import strategies as st
 from fracfield import (EquationKind, HurstIndex, NumericalError, PointGrid,
                        conv_cov, cov_matrix, increment_moment2,
                        noise_constant, noise_field_cov)
+from fracfield.covariance import (_HEAT_PAIR_RATIO, _heat_near, _heat_pair,
+                                  _kummer, _kummer_m1)
 from fracfield.oracle import DEFAULT_QUAD, _assemble
 
 
@@ -366,3 +369,89 @@ class TestIncrementMoment2:
         moments = [increment_moment2(EquationKind.WAVE, 0.4, (1.0, 0.0),
                                      (1.0 + lag, 0.0)) for lag in lags]
         assert all(b < a for a, b in zip(moments, moments[1:]))
+
+
+class TestKummerSeries:
+    @pytest.mark.parametrize("h", [0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999])
+    def test_matches_scipy(self, h):
+        # Below h = 0.05 scipy's hyp1f1 itself is off by up to 4e-12 near
+        # x = 2.4; the literals below cover that corner.
+        from scipy.special import hyp1f1
+
+        xs = np.linspace(0.0, 40.0, 4001)
+        want = hyp1f1(-h, 0.5, -xs)
+        assert np.max(np.abs(_kummer(h, xs) - want) / want) <= 1e-14
+
+    @pytest.mark.parametrize("h, x, truth", [
+        # M(-h, 1/2, -x), 50-digit mpmath; scipy's hyp1f1 is off by
+        # 4.3e-12, 6.8e-13, 1.9e-13 and 1.5e-13 here.
+        (0.001, 2.4, 1.0025467674153586),
+        (0.005, 2.4, 1.0127674657806738),
+        (0.01, 2.4, 1.0256192237250338),
+        (0.02, 2.4, 1.0515770899930624),
+    ])
+    def test_small_h_matches_high_precision(self, h, x, truth):
+        one_lane = float(_kummer(h, np.array(x)))
+        many_lanes = _kummer(h, np.array([x, 0.5 * x]))[0]
+        assert rel_err(one_lane, truth) <= 3e-15
+        assert rel_err(many_lanes, truth) <= 3e-15
+
+    @pytest.mark.parametrize("h", [0.01, 0.3, 0.5, 0.99])
+    def test_one_lane_agrees_with_many(self, h):
+        # A single lane is summed in Python floats, more lanes in numpy:
+        # the sums may differ by terms below 2^-53 and the exponential by
+        # its last bit.
+        xs = np.array([0.0, 1e-8, 0.3, 2.4, 9.0, 25.0, 40.0])
+        many = _kummer(h, xs)
+        for x, m in zip(xs, many):
+            assert rel_err(float(_kummer(h, np.array(x))), m) <= 2e-15
+
+    def test_m1_is_continuous_at_its_switch(self):
+        h = 0.3
+        below = _kummer_m1(h, np.array([np.nextafter(1.0, 0.0)]))
+        above = _kummer_m1(h, np.array([np.nextafter(1.0, 2.0)]))
+        assert rel_err(below[0], above[0]) <= 1e-14
+
+    def test_masked_lanes_raise_no_floating_point_error(self):
+        # a = 0 is the variance row (limit form), z = 0 the zero lag; no
+        # lane may divide by zero or overflow on the way.
+        z = np.array([0.0, 0.0, 2.0, 2.0, 100.0, 1e-3])
+        a = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 1e-9])
+        with np.errstate(all="raise"):
+            near = _heat_near(0.3, z, a)
+            m1 = _kummer_m1(0.3, np.array([0.0, 0.5, 2.0, 40.0]))
+            pair = _heat_pair(0.3, np.array([1e-3, 0.1]),
+                              np.array([19.8, 0.0]), np.array([0.5, 0.5]))
+        assert np.all(np.isfinite(near)) and np.all(np.isfinite(m1))
+        assert np.all(np.isfinite(pair))
+        assert near[0] == 0.0 and near[1] == 1.0
+
+    @pytest.mark.parametrize("h, truth", [
+        # conv_cov(HEAT, h, (1e-3, 0), (1, 8.9)), 50-digit mpmath: just
+        # below the far-field switch, where the two Kummer terms agree to
+        # four digits (the plain difference was off by up to 5.7e-10).
+        (0.02, -2.7489121860238192e-7),
+        (0.1, -1.6167078099361413e-6),
+        (0.3, -5.7492361612616905e-6),
+        (0.45, -4.1251412291074733e-6),
+        (0.55, 7.7759049205322411e-6),
+        (0.7, 7.5897884604031782e-5),
+        (0.9, 0.00046572253841605356),
+        (0.98, 0.00086225966398146819),
+    ])
+    def test_near_far_switch_matches_high_precision(self, h, truth):
+        got = conv_cov(EquationKind.HEAT, h, (1e-3, 0.0), (1.0, 8.9))
+        assert rel_err(got, truth) <= 1e-13
+
+    @pytest.mark.parametrize("h", [0.05, 0.3, 0.5, 0.7, 0.95])
+    def test_pair_form_agrees_with_difference_at_its_switch(self, h):
+        # At t1 = b/4 and small z/b both forms are accurate enough to be
+        # compared.  At larger z/b and h = 1/2 the difference of the two
+        # terms is exponentially small and only the pair form keeps it.
+        b, z = 0.5, np.array([0.0, 0.1, 0.5, 1.0])
+        t1 = np.full(4, _HEAT_PAIR_RATIO * b)
+        pair = _heat_pair(h, t1, z, np.full(4, b))
+        both = _heat_near(h, np.concatenate((z, z)),
+                          np.concatenate((b - t1, np.full(4, b))))
+        plain = both[:4] - both[4:]
+        assert np.max(np.abs(pair - plain) / np.abs(pair)) <= 1e-12

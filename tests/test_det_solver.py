@@ -254,6 +254,32 @@ class TestInitialTerm:
                            rtol=0, atol=1e-15)
 
 
+    @pytest.mark.parametrize("v0", [
+        ("zero", {}), ("const", {"c": -2.5}), ("sin", {"a": 1.5, "k": 3.0}),
+        ("sin", {"a": 2.0, "k": 0.0}), ("bump", {"a": 2.0, "w": 0.4}),
+        ("bump", {"a": -1.0, "w": 3.0})])
+    def test_wave_v0_closed_form_matches_quadrature(self, v0):
+        # A registry v0 is integrated in closed form; the same function
+        # as a plain callable takes the quadrature route.
+        from scipy.integrate import quad
+
+        data = make_initial_data(v0=v0)
+        xs = np.linspace(-3.0, 3.0, 13)
+        for t in (1e-6, 0.3, 2.0):
+            got = initial_term(WAVE, data, t, xs)
+            want = [0.5 * quad(data.v0.func, x - t, x + t, epsabs=1e-13,
+                               epsrel=1e-12, limit=200)[0] for x in xs]
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_wave_v0_callable_keeps_quadrature(self):
+        data = InitialData(u0=lambda x: np.zeros_like(x),
+                           v0=lambda x: np.cos(np.asarray(x)))
+        got = initial_term(WAVE, data, 0.5, np.array([0.0, 1.0]))
+        want = 0.5 * (np.sin(np.array([0.5, 1.5]))
+                      - np.sin(np.array([-0.5, 0.5])))
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
 class TestOdeOracle:
     def test_zero_drift_returns_forcing_exactly(self):
         ts = np.linspace(0.0, 1.0, 2001)

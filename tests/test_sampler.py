@@ -1,8 +1,9 @@
 """Tests for covariance factorization and replicate-keyed sampling.
 
 Oracles: hand-computed Cholesky factors, Monte Carlo moments with
-standard-error bars, and the replicate-keying contract (stream i depends
-only on the master seed and i).
+standard-error bars, the replicate-keying contract (stream i depends
+only on the master seed and i), and scipy.special.ndtri for the Cephes
+port of the inverse normal CDF.
 """
 
 import math
@@ -16,6 +17,7 @@ from scipy.special import ndtri
 from fracfield import (EquationKind, NotPsdError, cov_matrix, factor_psd,
                        replicate_stream, sample_field, standard_normals)
 from fracfield.covariance import CovarianceMatrix
+from fracfield.sampler import _EXP_M2, _ndtri, _uniforms
 
 
 def make_cov(entries):
@@ -196,3 +198,31 @@ class TestSampleField:
         truth = np.diag(cov.entries)
         se = truth * math.sqrt(2.0 / (n - 1))
         assert np.all(np.abs(est - truth) <= 4.0 * se)
+
+
+class TestNdtriPort:
+    def test_stream_draws_bit_identical_to_scipy(self):
+        u = _uniforms(np.random.default_rng(2024), 1_000_000)
+        assert np.array_equal(_ndtri(u).view(np.uint64),
+                              ndtri(u).view(np.uint64))
+
+    def test_branch_edges_bit_identical_to_scipy(self):
+        # The central branch ends at exp(-2) and 1 - exp(-2); the tail
+        # switches from P1/Q1 to P2/Q2 at sqrt(-2 ln y) = 8, y = exp(-32).
+        edges = [_EXP_M2, 1.0 - _EXP_M2, math.exp(-32.0),
+                 1.0 - math.exp(-32.0), 0.5, 2.0 ** -54,
+                 np.nextafter(1.0, 0.0), 5e-324]
+        u = np.array([np.nextafter(e, d) for e in edges
+                      for d in (0.0, 1.0)] + edges)
+        u = u[(u > 0.0) & (u < 1.0)]
+        assert np.array_equal(_ndtri(u).view(np.uint64),
+                              ndtri(u).view(np.uint64))
+
+    def test_sample_field_uses_standard_normals(self):
+        # sample_field transforms every replicate's uniforms in one call;
+        # the normals are those of standard_normals, replicate by replicate.
+        factor = factor_psd(make_cov(np.eye(5)))
+        values = sample_field(factor, 11, 4).values
+        for i in range(4):
+            z = standard_normals(replicate_stream(11, i), 5)
+            assert np.array_equal(values[i], z)

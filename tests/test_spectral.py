@@ -1,7 +1,8 @@
 """Tests for spectral constants, Fourier multipliers and time kernels.
 
 Oracles: direct Gamma-function formulas, scipy.integrate.quad of the
-defining s-integrals, and frozen closed-form values.
+defining s-integrals, frozen closed-form values, and scipy.special.gamma
+for the Cephes port of the Gamma function.
 """
 
 import math
@@ -10,11 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from fracfield import (EquationKind, HurstIndex, LemmaConstantKind,
                        dalang_integral_closed, lemma_constant, noise_constant)
 from fracfield.oracle import dalang_integral_quad, fourier_kernel, time_kernel
+from fracfield.spectral import _gamma
 
 
 def rel_err(value, truth):
@@ -191,3 +193,38 @@ class TestLemmaConstant:
                 else [-0.5, 0.0, 0.5])
         for parameter in grid:
             assert lemma_constant(kind, parameter) > 0.0
+
+
+class TestGammaPort:
+    # The call sites' argument ranges: (-1, 0) and (1/2, 3/2) in the heat
+    # covariance, (0, 1) in the cos-integral constant and the heat Dalang
+    # integral, (1, 3) in noise_constant, (2, 4) in the wave time rows,
+    # and (1/2, inf) in gaussian_abs_moment, whose Stirling branch starts
+    # at 33 and overflows at 171.62.
+    @pytest.mark.parametrize("lo, hi", [
+        (-1.0, 0.0), (0.0, 1.0), (0.5, 1.5), (1.0, 3.0), (2.0, 4.0),
+        (0.5, 33.0), (33.0, 172.0)])
+    def test_bit_identical_to_scipy(self, lo, hi):
+        xs = np.random.default_rng(int(100 * (lo + 2) + hi)).uniform(
+            lo, hi, 100_000)
+        got = np.array([_gamma(x) for x in xs.tolist()])
+        assert np.array_equal(got, special.gamma(xs))
+
+    def test_branch_edges_bit_identical_to_scipy(self):
+        edges = [-1e-9, 1e-9, 1.0, 2.0, 3.0, 33.0, 143.01608,
+                 171.624376956302725, 0.5, 1.5, 2.5]
+        xs = np.array([np.nextafter(e, d) for e in edges
+                       for d in (-np.inf, np.inf)] + edges
+                      + [-1e-300, 1e-300, -0.999999, 171.7, np.inf])
+        got = np.array([_gamma(x) for x in xs.tolist()])
+        assert np.array_equal(got, special.gamma(xs))
+
+    def test_math_gamma_is_not_the_same_function(self):
+        # Why the port exists: libm's gamma differs in the last bits.
+        xs = np.random.default_rng(0).uniform(1.0, 3.0, 1000).tolist()
+        assert any(math.gamma(x) != _gamma(x) for x in xs)
+
+    def test_pole_raises(self):
+        for x in (0.0, -1.0):
+            with pytest.raises(ZeroDivisionError):
+                _gamma(x)
