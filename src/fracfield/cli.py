@@ -558,16 +558,20 @@ def _write(run: _Run, args, started: float, computed: float) -> None:
 
     ``started`` and ``computed`` are the clock readings before and after
     the handler ran; the manifest records the handler's and the writes'
-    times apart.
+    times apart, and each artifact's render-and-write time and size.
     """
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = {}
+    outputs, writes = {}, {}
     for name, content in run.artifacts.items():
+        path = out_dir / name
+        begun = time.perf_counter()
         if name.endswith(".csv"):
-            outputs[name] = write_csv(out_dir / name, *content)
+            outputs[name] = write_csv(path, *content)
         else:
-            outputs[name] = write_json(out_dir / name, content)
+            outputs[name] = write_json(path, content)
+        writes[name] = {"s": time.perf_counter() - begun,
+                        "bytes": path.stat().st_size}
     written = time.perf_counter()
     write_json(out_dir / "run_manifest.json", {
         "subcommand": args.subcommand,
@@ -576,7 +580,8 @@ def _write(run: _Run, args, started: float, computed: float) -> None:
         "config": run.config,
         "outputs": outputs,
         "diagnostics": {"compute_s": computed - started,
-                        "write_s": written - computed},
+                        "write_s": written - computed,
+                        "write": writes},
         "wall_clock_seconds": time.perf_counter() - started})
 
 

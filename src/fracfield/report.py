@@ -1,18 +1,34 @@
 """Deterministic artifact writing: CSV tables, JSON files, digests.
 
-Tables are given column by column, and each column is rendered by its
-dtype: integers via %d, floats via %.17g so values round-trip exactly,
-strings via %s.  A numeric column that repeats (at most half as many
+Tables are given column by column, and every cell holds the bytes of
+per-cell %d (integers), %.17g (floats, so values round-trip exactly) or
+%s (strings).  A numeric column that repeats (at most half as many
 distinct values as rows) has each distinct bit pattern formatted once
-and its cells copied from those strings, so the bytes are those of
-per-cell %d/%.17g/%s; bit patterns keep -0.0 apart from 0.0.  Files are
-UTF-8 with LF line endings regardless of platform, and every writer
-returns the SHA-256 of the bytes written so manifests can pin outputs.
+and its cells copied from those; bit patterns keep -0.0 apart from 0.0.
+
+A numeric table of at least one chunk of cells is rendered in numpy.
+Each column becomes a block of fixed byte slots per cell, NUL where the
+cell has no character; a chunk of rows is its blocks and separators
+side by side, and dropping the NULs leaves the text.  A float with
+1e-6 < |x| < 1e17 gets its 17 significant digits exactly: Dekker's
+two-product gives |x| * 10**k, with 10**k exact for k <= 22, as the
+unevaluated sum p + err, so p + rint(err) rounds half to even as
+CPython's dtoa does, and the digits are laid out by the %g rules.
+Integers below 10**17 in magnitude are cut into four-digit groups read
+from a table, and zeros are written directly.  Other cells (non-finite
+floats, those with 0 < |x| <= 1e-6 or |x| >= 1e17, the widest integers)
+are formatted one by one with %, as are whole tables that are smaller
+or hold strings.
+
+Files are UTF-8 with LF line endings regardless of platform, and every
+writer returns the SHA-256 of the bytes written so manifests can pin
+outputs.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -32,33 +48,287 @@ ARTIFACT_VERSION = 1
 _CELL_FORMATS = {"i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
 # Rows rendered per chunk, which bounds the memory a large table takes.
 _CHUNK_ROWS = 1 << 13
+# Tables of fewer cells are %-formatted: below this, numpy's fixed cost
+# per call outweighs what it saves per cell.
+_NUMPY_MIN_CELLS = _CHUNK_ROWS
+
+# 10**0 .. 10**22, each an exact double (5**22 < 2**53).
+_POW10 = np.concatenate([[1.0], np.cumprod(np.full(22, 10.0))])
+# The ASCII digits of 0 .. 9999, four to a row.
+_DIGIT_ROWS = np.empty((10, 10, 10, 10, 4), np.uint8)
+for _j in range(4):
+    _DIGIT_ROWS[..., _j] = (48 + np.arange(10, dtype=np.uint8)).reshape(
+        (10,) + (1,) * (3 - _j))
+_DIGIT_ROWS = _DIGIT_ROWS.reshape(10000, 4)
+# '0000' .. '9999' as four bytes each, and spread over eight bytes with a
+# NUL after each digit: the slot where a float's point may go.
+_DIGITS4 = _DIGIT_ROWS.view(np.uint32).ravel()
+_SPREAD4 = np.zeros((10000, 8), np.uint8)
+_SPREAD4[:, ::2] = _DIGIT_ROWS
+_SPREAD4 = _SPREAD4.view("<u8").ravel()
+# Trailing zeros of 0 .. 9999 as four digits (4 for 0).
+_TRAILING = np.zeros(10000, np.uint8)
+for _j in (10, 100, 1000, 10000):
+    _TRAILING[::_j] += 1
+# A float cell is six little-endian words of slots: the head holds the
+# sign, the "0." and zeros of 1e-4 <= |x| < 1, the first digit and its
+# point slot; four body words hold 16 digits with their point slots; the
+# tail holds the "e-0d" of |x| < 1e-4 in its first four bytes.
+_FLOAT_SLOTS = 44
+_HEADS = np.zeros((2, 6, 10, 2, 8), np.uint8)  # sign, lead, digit, point
+_HEADS[1, ..., 0] = 45
+for _j, _lead in ((2, b"0."), (3, b"0.0"), (4, b"0.00"), (5, b"0.000")):
+    _HEADS[:, _j, ..., 1:1 + _j] = np.frombuffer(_lead, np.uint8)
+_HEADS[..., 6] = _DIGIT_ROWS[:10, 3, None]
+_HEADS[..., 1, 7] = 46
+_HEADS = _HEADS.view("<u8").ravel()
+# Per body word: the digit slots kept when the first k digits of 17
+# show, and the point after digit k (none for k = 0, whose point slot is
+# in the head, and for k = 16).
+_KEEP = np.zeros((18, 32), np.uint8)
+_KEEP[:, ::2] = np.where(np.arange(18)[:, None] > np.arange(1, 17), 255, 0)
+_KEEP = _KEEP.view("<u8").T.copy()
+_POINT = np.zeros((17, 32), np.uint8)
+_POINT[np.arange(1, 16), np.arange(1, 31, 2)] = 46
+_POINT = _POINT.view("<u8").T.copy()
+_TAILS = np.zeros((3, 8), np.uint8)
+_TAILS[1:, :4] = np.frombuffer(b"e-06e-05", np.uint8).reshape(2, 4)
+_TAILS = _TAILS.view("<u8").ravel()
+
+
+def _split(a):
+    """Veltkamp's split into 26-bit halves: ``a == hi + lo`` exactly."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _times_pow10(a, k):
+    """Return ``(p, err)`` with ``p + err == a * 10**k`` exactly.
+
+    Dekker's two-product (Numer. Math. 18, 1971): the halves' products
+    are exact, so ``err`` is the rounding error of ``p = a * 10**k``.
+    """
+    p = a * _POW10[k]
+    ah, al = _split(a)
+    bh, bl = _POW10_HI[k], _POW10_LO[k]
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _mantissas(a):
+    """Return ``(m, e)``: ``a`` to 17 digits is ``m * 10**(e - 16)``.
+
+    ``a`` holds floats with 1e-6 < a < 1e17, so ``e`` is in [-6, 16] and
+    ``10**16 <= m < 10**17``; ``m`` is rounded half to even.
+    """
+    e = np.clip(np.floor(np.log10(a)), -6, 16).astype(np.intp)
+    p, err = _times_pow10(a, 16 - e)
+    # log10 may put a near a power of ten into the next decade; the
+    # exact product p + err tells.
+    below = (p < 1e16) | ((p == 1e16) & (err < 0))
+    above = (p > 1e17) | ((p == 1e17) & (err >= 0))
+    off = np.flatnonzero(below | above)
+    if off.size:
+        e[off] += np.where(above[off], 1, -1)
+        p[off], err[off] = _times_pow10(a[off], 16 - e[off])
+    # p >= 1e16 > 2**53 is an even integer, so rounding err half to
+    # even rounds p + err half to even.  Nothing rounds up to 10**17: a
+    # double below 10**(e+1) is at least 1.1e-16 of it below, relatively,
+    # and the one double that could come within 5e-18, the nearest, does
+    # not for any e in range.
+    return p.astype(np.int64) + np.rint(err).astype(np.int64), e
+
+
+def _groups(m, n):
+    """Split ``0 <= m < 10**(4 n)`` into ``n`` four-digit groups, first
+    group first."""
+    groups = []
+    for _ in range(n):
+        q = m // 10000
+        groups.append(m - 10000 * q)
+        m = q
+    return groups[::-1]
+
+
+def _percent(fmt, values, width):
+    """Slots of ``fmt % v`` for each value: ASCII, NUL-padded to ``width``."""
+    texts = [fmt % v for v in values.tolist()]
+    return np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(
+        len(texts), width)
+
+
+def _float_slots(x):
+    """Slots of ``'%.17g' % v`` for each cell of a float64 array."""
+    a = np.abs(x)
+    fast = (a > 1e-6) & (a < 1e17)
+    slots = _float_layout(np.signbit(x), *_mantissas(np.where(fast, a, 1.0)))
+    if fast.all():
+        return slots
+    zeros = np.flatnonzero(x == 0)
+    slots[zeros] = 0
+    slots[zeros, 0] = np.where(np.signbit(x[zeros]), 45, 0)
+    slots[zeros, 6] = 48
+    rest = np.flatnonzero(~fast & (x != 0))
+    slots[rest] = _percent("%.17g", x[rest], _FLOAT_SLOTS)
+    return slots
+
+
+def _float_layout(neg, m, e):
+    """Lay out 17-digit mantissas by the %g rules, trailing zeros cut."""
+    first = m // 10 ** 16
+    groups = _groups(m - first * 10 ** 16, 4)
+    # Trailing zeros of the 16 digits after the first: the last group's,
+    # and while a group is all zeros, those of the groups before it too.
+    zeros = 0
+    for g in groups:
+        trailing = _TRAILING[g]
+        zeros = trailing + (trailing == 4) * zeros
+    kept = 17 - zeros
+    fixed = e >= -4
+    # Digits before the point: none for 1e-4 <= |x| < 1, whose "0." and
+    # zeros are in the head, and one in exponent form.
+    whole = np.where(fixed, np.maximum(e + 1, 0), 1)
+    shown = np.maximum(kept, whole)
+    point = np.where((kept > whole) & (whole > 0), whole - 1, 16)
+    lead = np.where(fixed & (e < 0), 1 - e, 0)
+    words = np.empty((m.size, 6), "<u8")
+    words[:, 0] = _HEADS[((neg * 6 + lead) * 10 + first) * 2 + (point == 0)]
+    for j, g in enumerate(groups):
+        words[:, 1 + j] = (_SPREAD4[g] & _KEEP[j][shown]) | _POINT[j][point]
+    words[:, 5] = _TAILS[np.where(fixed, 0, e + 7)]
+    return words.view(np.uint8)[:, :_FLOAT_SLOTS]
+
+
+def _int_slots(x):
+    """Slots of ``'%d' % v`` for each cell of an integer array."""
+    if x.dtype == np.uint64:
+        fast = x < 10 ** 17
+    else:
+        x = x.astype(np.int64, copy=False)
+        fast = (x > -10 ** 17) & (x < 10 ** 17)
+    magnitude = np.abs(np.where(fast, x, 0).astype(np.int64))
+    groups = _groups(magnitude, (len(str(int(magnitude.max(initial=0)))) + 3)
+                     // 4)
+    digits = _DIGITS4[np.stack(groups, axis=1)].view(np.uint8)
+    # Leading zeros are blank; the last digit always shows.
+    shown = np.logical_or.accumulate(digits != 48, axis=1)
+    shown[:, -1] = True
+    width = 1 + 4 * len(groups)
+    slots = np.zeros((x.size, width if fast.all() else max(width, 20)),
+                     np.uint8)
+    slots[:, 0] = np.where(x < 0, 45, 0)
+    slots[:, 1:width] = np.where(shown, digits, 0)
+    slow = np.flatnonzero(~fast)
+    slots[slow] = _percent("%d", x[slow], slots.shape[1])
+    return slots
+
+
+def _column_blocks(column):
+    """Return ``block(start, stop)``: the slots of a numeric column's rows.
+
+    A repeating column has its distinct values rendered once, less the
+    slots none of them uses, and each block gathers from those.
+    """
+    if column.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):  # signalling NaNs stay NaNs
+            column = column.astype(np.float64, copy=False)
+        render = _float_slots
+    else:
+        render = _int_slots
+    found = _distinct(column)
+    if found is None:
+        return lambda start, stop: render(column[start:stop])
+    values, where = found
+    slots = render(values)
+    slots = np.ascontiguousarray(slots[:, slots.any(axis=0)])
+    width = slots.shape[1]
+    # One void item per value, so that gathering copies a cell whole.
+    cells = slots.view(f"V{width}").ravel()
+    return lambda start, stop: cells[where(start, stop)].view(
+        np.uint8).reshape(stop - start, width)
+
+
+def _numpy_chunks(cols, n_rows):
+    """Yield the rows of a numeric table as bytes, a chunk at a time."""
+    sources = [_column_blocks(c) for c in cols]
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, n_rows)
+        blocks = [block(start, stop) for block in sources]
+        buf = np.empty((stop - start, sum(b.shape[1] + 1 for b in blocks)),
+                       np.uint8)
+        at = 0
+        for block in blocks:
+            buf[:, at:at + block.shape[1]] = block
+            at += block.shape[1]
+            buf[:, at] = 44  # ','
+            at += 1
+        buf[:, -1] = 10  # '\n'
+        buf = buf.ravel()
+        yield np.compress(buf != 0, buf).tobytes()
+
+
+def _percent_chunks(cols, n_rows):
+    """Yield the rows of a table as bytes, %-formatted a chunk at a time."""
+    # A repeating column becomes its distinct values' strings and the
+    # index of each cell into them; the row format pastes it in by %s.
+    cell_formats, sources = [], []
+    for c in cols:
+        fmt = _CELL_FORMATS[c.dtype.kind]
+        found = _distinct(c)
+        if found is None:
+            cell_formats.append(fmt)
+            sources.append((c, None))
+        else:
+            values, where = found
+            texts = np.array([fmt % v for v in values.tolist()],
+                             dtype=object)
+            cell_formats.append("%s")
+            sources.append((texts, where))
+    row_format = ",".join(cell_formats) + "\n"
+    width = len(cols)
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, n_rows)
+        cells = [None] * ((stop - start) * width)
+        for j, (values, where) in enumerate(sources):
+            chunk = (values[start:stop] if where is None
+                     else values[where(start, stop)])
+            cells[j::width] = chunk.tolist()
+        yield ((row_format * (stop - start)) % tuple(cells)).encode("utf-8")
 
 
 def _distinct(column):
-    """Return ``(first, inverse)`` over a column's distinct bit patterns.
+    """Return ``(values, where)`` over a column's distinct bit patterns.
 
-    ``first`` indexes one cell of each distinct pattern and ``inverse``
-    maps every cell to its pattern.  Returns None for string and wider
+    ``values`` holds each distinct pattern once, and ``where(start, stop)``
+    indexes the pattern of each cell of rows ``start:stop``, so no index
+    the size of the column is kept.  Returns None for string and wider
     than 64-bit columns, and for a column where more than half the cells
     are distinct, which is formatted cell by cell.
     """
     if column.dtype.kind == "U" or column.dtype.itemsize > 8:
         return None
     bits = column.view(f"u{column.dtype.itemsize}")
-    # Counting on a plain sort first spares the far costlier indexed
-    # np.unique on columns that hardly repeat.
     ordered = np.sort(bits)
-    if 2 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) > bits.size:
+    new = np.empty(bits.size, bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    if 2 * np.count_nonzero(new) > bits.size:
         return None
-    return np.unique(bits, return_index=True, return_inverse=True)[1:]
+    patterns = ordered[new]
+    return (patterns.view(column.dtype),
+            lambda start, stop: np.searchsorted(patterns, bits[start:stop]))
 
 
-def render_csv(header, columns):
-    """Yield the text of a CSV table, header first, in chunks of rows.
+def _encoded(header, columns):
+    """Check a table and return an iterator over its UTF-8 bytes.
 
     ``columns`` holds one one-dimensional sequence per header name, all
     of one length; each becomes a numpy array whose dtype must be an
-    integer, float or string type.
+    integer, float or string type.  A malformed table raises here, not
+    when the iterator is first advanced.
     """
     cols = [np.asarray(c) for c in columns]
     if len(cols) != len(header):
@@ -67,44 +337,37 @@ def render_csv(header, columns):
     n_rows = cols[0].size if cols else 0
     if any(c.shape != (n_rows,) for c in cols):
         raise ValueError("columns must be one-dimensional and equally long")
-    kinds = [c.dtype.kind for c in cols]
-    if not set(kinds) <= set(_CELL_FORMATS):
+    if not {c.dtype.kind for c in cols} <= set(_CELL_FORMATS):
         raise TypeError(f"unsupported column dtypes "
                         f"{[str(c.dtype) for c in cols]}")
-    # A repeating column becomes its distinct values' strings and the
-    # index of each cell into them; the row format pastes it in by %s.
-    cell_formats, sources = [], []
-    for c, kind in zip(cols, kinds):
-        fmt = _CELL_FORMATS[kind]
-        found = _distinct(c)
-        if found is None:
-            cell_formats.append(fmt)
-            sources.append((c, None))
-        else:
-            first, inverse = found
-            texts = np.array([fmt % v for v in c[first].tolist()],
-                             dtype=object)
-            cell_formats.append("%s")
-            sources.append((texts, inverse))
-    row_format = ",".join(cell_formats) + "\n"
-    width = len(cols)
-    yield ",".join(str(h) for h in header) + "\n"
-    for start in range(0, n_rows, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n_rows)
-        cells = [None] * ((stop - start) * width)
-        for j, (values, inverse) in enumerate(sources):
-            chunk = (values[start:stop] if inverse is None
-                     else values[inverse[start:stop]])
-            cells[j::width] = chunk.tolist()
-        yield (row_format * (stop - start)) % tuple(cells)
+    numeric = all(c.dtype.kind != "U" and c.dtype.itemsize <= 8
+                  for c in cols)
+    rows = (_numpy_chunks if numeric and n_rows * len(cols)
+            >= _NUMPY_MIN_CELLS else _percent_chunks)(cols, n_rows)
+    head = (",".join(str(h) for h in header) + "\n").encode("utf-8")
+    return itertools.chain((head,), rows)
+
+
+def render_csv(header, columns):
+    """Return an iterator over the text of a CSV table: header, then
+    chunks of rows.
+
+    ``columns`` holds one one-dimensional sequence per header name, all
+    of one length; each becomes a numpy array whose dtype must be an
+    integer, float or string type.  A malformed table raises at once.
+    """
+    return (data.decode("utf-8") for data in _encoded(header, columns))
 
 
 def write_csv(path, header, columns) -> str:
-    """Write a CSV table given by columns; return the SHA-256 of its bytes."""
+    """Write a CSV table given by columns; return the SHA-256 of its bytes.
+
+    A malformed table raises before the file is opened.
+    """
+    chunks = _encoded(header, columns)
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for text in render_csv(header, columns):
-            data = text.encode("utf-8")
+        for data in chunks:
             fh.write(data)
             digest.update(data)
     return digest.hexdigest()

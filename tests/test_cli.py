@@ -649,10 +649,19 @@ def test_manifest_times_compute_and_writes_apart(tmp_path):
                  "--out", str(out)]) == 0
     manifest = assert_manifest_digests(out)
     timings = manifest["diagnostics"]
-    assert set(timings) == {"compute_s", "write_s"}
+    assert set(timings) == {"compute_s", "write_s", "write"}
     assert timings["compute_s"] >= 0.0 and timings["write_s"] >= 0.0
     assert timings["compute_s"] + timings["write_s"] \
         <= manifest["wall_clock_seconds"]
+    # Each artifact's render-and-write time and size.
+    writes = timings["write"]
+    assert set(writes) == set(manifest["outputs"])
+    for name, entry in writes.items():
+        assert set(entry) == {"s", "bytes"}
+        assert entry["bytes"] == (out / name).stat().st_size
+        assert entry["s"] >= 0.0
+    assert sum(entry["s"] for entry in writes.values()) \
+        <= timings["write_s"]
     # Timings stay out of the pinned artifacts.
     csv_digests = {name: d for name, d in manifest["outputs"].items()
                    if name.endswith(".csv")}

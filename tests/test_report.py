@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracfield.report import (_CHUNK_ROWS, ARTIFACT_VERSION, render_csv,
-                              sha256_of, write_csv, write_json)
+from fracfield import report
+from fracfield.report import (_CHUNK_ROWS, _NUMPY_MIN_CELLS, ARTIFACT_VERSION,
+                              render_csv, sha256_of, write_csv, write_json)
 
 
 def reference_csv(header, rows) -> bytes:
@@ -97,6 +98,13 @@ class TestWriteCsv:
         with pytest.raises(TypeError):
             write_csv(tmp_path / "c.csv", ["flag"], [[True, False]])
 
+    def test_rejected_table_leaves_no_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_csv(tmp_path / "flag.csv", ["flag"], [[True, False]])
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "short.csv", ["a", "b"], [[1, 2], [3]])
+        assert list(tmp_path.iterdir()) == []
+
 
 # Pools of awkward values.  Drawn from a small pool, a column repeats,
 # so the renderer formats its distinct values once; -0.0 and 0.0 are
@@ -166,6 +174,140 @@ class TestRenderCsv:
         columns = [replicate, position[:n_rows].astype(np.float32),
                    rng.standard_normal(n_rows), label]
         assert_matches_reference(["r", "x", "v", "s"], columns)
+
+
+@pytest.fixture
+def numpy_route(monkeypatch):
+    """Fail any table that would be %-formatted as a whole."""
+    def refuse(cols, n_rows):
+        raise AssertionError("table was not rendered in numpy")
+
+    monkeypatch.setattr(report, "_percent_chunks", refuse)
+
+
+def filler(dtype, n):
+    """``n`` distinct ordinary values of a dtype, none in the tested sets."""
+    if np.dtype(dtype).kind == "f":
+        return (np.arange(n) + 0.375).astype(dtype)
+    return np.arange(1000, 1000 + n).astype(dtype)
+
+
+def assert_numpy_route(values, dtype):
+    """Render values through both numpy routes and check the bytes.
+
+    One column holds each value once among distinct filler, so it is
+    rendered chunk by chunk; the other cycles through the values, so its
+    distinct values are rendered once and gathered.
+    """
+    values = np.asarray(values, dtype)
+    n = max(2 * values.size, _NUMPY_MIN_CELLS)
+    once = np.concatenate([values, filler(dtype, n - values.size)])
+    assert_matches_reference(["once", "cycled"],
+                             [once, np.resize(values, n)])
+
+
+def decimal_ties(rng, per_exponent=40):
+    """Doubles m * 2**-k whose exact decimal has 18 significant digits.
+
+    ``m`` is odd, so the 18th digit is a 5 and the 17-digit rounding is
+    an exact tie; m * 5**k sets the digits and lies in [1e17, 1e18), and
+    m <= 2**53 keeps the double exact.
+    """
+    ties = [9 * 2.0 ** -23]
+    for k in range(2, 24):
+        low = -(-10 ** 17 // 5 ** k)
+        high = min((10 ** 18 - 1) // 5 ** k, 2 ** 53 - 1)
+        for m in rng.integers(low, high, per_exponent, endpoint=True):
+            m = int(m) | 1
+            if m <= high and len(str(m * 5 ** k)) == 18:
+                ties.append(m * 2.0 ** -k)
+    return np.array(ties)
+
+
+class TestNumpyRoute:
+    """The numpy renderer against per-cell %.17g/%d (``reference_csv``)."""
+
+    @pytest.mark.parametrize("dtype, bits", [("float64", "uint64"),
+                                             ("float32", "uint32")])
+    def test_random_bit_patterns(self, numpy_route, dtype, bits):
+        rng = np.random.default_rng(11)
+        values = rng.integers(0, np.iinfo(bits).max, 10 ** 6, dtype=bits,
+                              endpoint=True).view(dtype)
+        assert_matches_reference(["v"], [values])
+
+    def test_powers_of_ten_and_neighbours(self, numpy_route):
+        powers = np.array([float(f"1e{k}") for k in range(-7, 19)])
+        values = np.concatenate([np.nextafter(powers, 0.0), powers,
+                                 np.nextafter(powers, np.inf)])
+        # The nearest doubles below the powers of ten are the only ones
+        # whose 17 digits could round up into the next decade.
+        assert_numpy_route(np.concatenate([values, -values]), "float64")
+
+    def test_exact_decimal_ties_round_half_even(self, numpy_route):
+        ties = decimal_ties(np.random.default_rng(5))
+        assert "%.17g" % ties[0] == "1.0728836059570312e-06"
+        assert len(ties) > 500
+        assert_numpy_route(np.concatenate([ties, -ties]), "float64")
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_range_edges_and_special_values(self, numpy_route, dtype):
+        edges = np.array([1e-6, 1e17], dtype)
+        values = np.concatenate([
+            np.nextafter(edges, np.zeros_like(edges)), edges,
+            np.nextafter(edges, np.full_like(edges, np.inf)),
+            [0.0, -0.0, math.inf, -math.inf, math.nan],
+            [np.finfo(dtype).smallest_subnormal, np.finfo(dtype).tiny,
+             np.finfo(dtype).max, np.finfo(dtype).eps]]).astype(dtype)
+        assert_numpy_route(np.concatenate([values, -values]), dtype)
+
+    @pytest.mark.parametrize("dtype", ["int64", "uint64", "int32", "uint16"])
+    def test_integer_extremes(self, numpy_route, dtype):
+        info = np.iinfo(dtype)
+        values = [v for v in (info.min, info.max, 0, 1, 9, 10, 9999, 10000,
+                              -1, -(10 ** 17) - 1, -(10 ** 17),
+                              -(10 ** 17) + 1, 10 ** 17 - 1, 10 ** 17,
+                              10 ** 17 + 1, 2 ** 63, 2 ** 64 - 1)
+                  if info.min <= v <= info.max]
+        assert_numpy_route(values, dtype)
+
+    @pytest.mark.parametrize("n_rows", [_CHUNK_ROWS - 1, _CHUNK_ROWS,
+                                        _CHUNK_ROWS + 1])
+    def test_chunk_boundaries(self, numpy_route, n_rows):
+        rng = np.random.default_rng(n_rows)
+        replicate = np.repeat(np.arange(n_rows // 561 + 1), 561)[:n_rows]
+        position = np.tile(np.linspace(-1.0, 1.0, 33), n_rows // 33 + 1)
+        columns = [replicate, position[:n_rows],
+                   rng.standard_normal(n_rows),
+                   rng.integers(-10 ** 6, 10 ** 6, n_rows)]
+        assert_matches_reference(["r", "x", "v", "k"], columns)
+
+    def test_one_row(self, numpy_route):
+        rng = np.random.default_rng(1)
+        columns = list(rng.standard_normal((_NUMPY_MIN_CELLS, 1)))
+        assert_matches_reference([f"c{j}" for j in range(len(columns))],
+                                 columns)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["int64", "uint64", "float64", "float32"]),
+           st.data())
+    def test_drawn_values(self, dtype, data):
+        values = data.draw(st.lists(DISTINCT[dtype], min_size=1,
+                                    max_size=40))
+        assert_numpy_route(values, dtype)
+
+
+class TestPercentRoute:
+    def test_small_and_string_tables_are_percent_formatted(self,
+                                                           monkeypatch):
+        def refuse(cols, n_rows):
+            raise AssertionError("table was rendered in numpy")
+
+        monkeypatch.setattr(report, "_numpy_chunks", refuse)
+        small = np.arange(_NUMPY_MIN_CELLS - 1)
+        assert_matches_reference(["k"], [small])
+        strings = np.array(["a", "b"] * _NUMPY_MIN_CELLS)
+        assert_matches_reference(["k", "s"], [np.arange(strings.size),
+                                              strings])
 
 
 class TestWriteJson:
