@@ -14,11 +14,9 @@ side by side, and dropping the NULs leaves the text.  A float with
 two-product gives |x| * 10**k, with 10**k exact for k <= 22, as the
 unevaluated sum p + err, so p + rint(err) rounds half to even as
 CPython's dtoa does, and the digits are laid out by the %g rules.
-Integers below 10**17 in magnitude are cut into four-digit groups read
-from a table, and zeros are written directly.  Other cells (non-finite
-floats, those with 0 < |x| <= 1e-6 or |x| >= 1e17, the widest integers)
-are formatted one by one with %, as are whole tables that are smaller
-or hold strings.
+Zeros are written directly.  Other float cells (non-finite, or with
+0 < |x| <= 1e-6 or |x| >= 1e17) and all integer cells are formatted one
+by one with %, as are whole tables that are smaller or hold strings.
 
 Files are UTF-8 with LF line endings regardless of platform, and every
 writer returns the SHA-256 of the bytes written so manifests can pin
@@ -60,9 +58,8 @@ for _j in range(4):
     _DIGIT_ROWS[..., _j] = (48 + np.arange(10, dtype=np.uint8)).reshape(
         (10,) + (1,) * (3 - _j))
 _DIGIT_ROWS = _DIGIT_ROWS.reshape(10000, 4)
-# '0000' .. '9999' as four bytes each, and spread over eight bytes with a
-# NUL after each digit: the slot where a float's point may go.
-_DIGITS4 = _DIGIT_ROWS.view(np.uint32).ravel()
+# '0000' .. '9999' spread over eight bytes each, with a NUL after each
+# digit: the slot where a float's point may go.
 _SPREAD4 = np.zeros((10000, 8), np.uint8)
 _SPREAD4[:, ::2] = _DIGIT_ROWS
 _SPREAD4 = _SPREAD4.view("<u8").ravel()
@@ -202,30 +199,6 @@ def _float_layout(neg, m, e):
     return words.view(np.uint8)[:, :_FLOAT_SLOTS]
 
 
-def _int_slots(x):
-    """Slots of ``'%d' % v`` for each cell of an integer array."""
-    if x.dtype == np.uint64:
-        fast = x < 10 ** 17
-    else:
-        x = x.astype(np.int64, copy=False)
-        fast = (x > -10 ** 17) & (x < 10 ** 17)
-    magnitude = np.abs(np.where(fast, x, 0).astype(np.int64))
-    groups = _groups(magnitude, (len(str(int(magnitude.max(initial=0)))) + 3)
-                     // 4)
-    digits = _DIGITS4[np.stack(groups, axis=1)].view(np.uint8)
-    # Leading zeros are blank; the last digit always shows.
-    shown = np.logical_or.accumulate(digits != 48, axis=1)
-    shown[:, -1] = True
-    width = 1 + 4 * len(groups)
-    slots = np.zeros((x.size, width if fast.all() else max(width, 20)),
-                     np.uint8)
-    slots[:, 0] = np.where(x < 0, 45, 0)
-    slots[:, 1:width] = np.where(shown, digits, 0)
-    slow = np.flatnonzero(~fast)
-    slots[slow] = _percent("%d", x[slow], slots.shape[1])
-    return slots
-
-
 def _column_blocks(column):
     """Return ``block(start, stop)``: the slots of a numeric column's rows.
 
@@ -237,7 +210,8 @@ def _column_blocks(column):
             column = column.astype(np.float64, copy=False)
         render = _float_slots
     else:
-        render = _int_slots
+        # 20 bytes hold any 64-bit integer, "-9223372036854775808" too.
+        render = lambda x: _percent("%d", x, 20)
     found = _distinct(column)
     if found is None:
         return lambda start, stop: render(column[start:stop])
