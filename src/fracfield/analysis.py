@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import SpaceTimePoint, _closed_incr, _second_diff, conv_cov
+from .covariance import (SpaceTimePoint, _as_point, _closed_cov, _closed_incr,
+                         _second_diff, conv_cov)
 from .spectral import (EquationKind, HurstIndex, LemmaConstantKind, _gamma,
                        cos_integral_constant, gaussian_abs_moment,
                        lemma_constant, noise_constant)
@@ -233,19 +234,21 @@ def h_convergence(eqn: EquationKind, hursts, reference, *,
     """Sup distance of covariances from those at a reference index.
 
     For each trial index the covariance is evaluated on a fixed set of
-    space-time point pairs and compared with the reference; the sup of
-    the absolute differences measures continuity in the index.
+    space-time point pairs, in one closed-form call over all pairs, and
+    compared with the reference, evaluated the same way; the sup of the
+    absolute differences measures continuity in the index.
     """
     ref = _as_hurst(reference)
     hs = tuple(_as_hurst(h) for h in hursts)
     pair_list = tuple(pairs) if pairs is not None else DEFAULT_H_PAIRS
     if not pair_list:
         raise ValueError("need at least one evaluation pair")
-    ref_vals = np.asarray([conv_cov(eqn, ref, a, b) for a, b in pair_list])
-    sups = np.empty(len(hs))
-    for i, h in enumerate(hs):
-        vals = np.asarray([conv_cov(eqn, h, a, b) for a, b in pair_list])
-        sups[i] = float(np.max(np.abs(vals - ref_vals)))
+    pts = [(_as_point(a), _as_point(b)) for a, b in pair_list]
+    t = np.sort([(a.t, b.t) for a, b in pts], axis=1)
+    c = np.abs([a.x - b.x for a, b in pts])
+    ref_vals = _closed_cov(eqn, ref, t[:, 0], t[:, 1], c)
+    sups = np.array([np.max(np.abs(_closed_cov(eqn, h, t[:, 0], t[:, 1], c)
+                                   - ref_vals)) for h in hs])
     return HContinuityResult(eqn=eqn, hursts=hs, reference=ref,
                              sups=sups, pairs=pair_list)
 

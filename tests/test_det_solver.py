@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracfield import det_solver
@@ -559,9 +559,45 @@ def wave_stacks(draw):
     return pool[rng.integers(0, pool.size, shape)]
 
 
+def reference_convolve_heat(f, dt, w):
+    """``G * f`` for the heat kernel by the semigroup recursion, each
+    edge-padded row convolved on its own by ``np.convolve``."""
+    r = (w.size - 1) // 2
+    out = np.zeros_like(f)
+    b = np.zeros_like(f[:, 0])
+    for i in range(1, f.shape[1]):
+        c = 0.5 if i == 1 else 1.0
+        b = np.stack([np.convolve(np.pad(row, r, mode="edge"), w, "valid")
+                      for row in b + c * f[:, i - 1]])
+        out[:, i] = dt * (b + 0.5 * f[:, i])
+    return out
+
+
+def heat_stack(seed, n_rep, n_rows, width, r):
+    """A normal ``(n_rep, n_rows, width)`` forcing and a positive
+    symmetric stencil of ``2r + 1`` taps with unit sum."""
+    rng = np.random.default_rng(seed)
+    half = rng.random(r + 1)
+    w = np.concatenate([half[:0:-1], half])
+    return rng.standard_normal((n_rep, n_rows, width)), w / w.sum()
+
+
+# Half-widths from two ranges, so that both regimes are drawn: numpy
+# correlates stencils of up to 11 taps (r <= 5) by an unrolled loop
+# whose order of summation differs from one dot product per output.
+HEAT_STACKS = st.builds(
+    heat_stack, st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
+    st.integers(2, 5), st.integers(3, 300),
+    st.one_of(st.integers(1, 5), st.integers(6, 150)))
+
+# Stencils wider than the row, in both regimes.
+WIDE_STENCILS = [heat_stack(1, 3, 4, 3, 150), heat_stack(2, 3, 4, 3, 5)]
+
+
 class TestBatchedHelpers:
-    # References for the row sweeps; the arithmetic is unchanged, so
-    # results must be equal bit for bit.
+    # References for the convolutions: the wave sweep, and the heat step
+    # above 11 taps, do the same arithmetic and must equal them bit for
+    # bit.
     @settings(max_examples=300, deadline=None)
     @given(wave_stacks(), st.sampled_from([(0.1, 0.1), (1.0 / 3, 1.0 / 3),
                                            (2.0, 2.0)]))
@@ -591,11 +627,47 @@ class TestBatchedHelpers:
             tracemalloc.stop()
         assert peak <= 3 * f.nbytes
 
-    def test_conv_edge_matches_per_row_convolution(self):
-        rows = np.random.default_rng(1).standard_normal((4, 11))
-        w = det_solver._heat_kernel_weights(0.25, 0.1)
-        r = (w.size - 1) // 2
-        want = np.stack([np.convolve(np.pad(row, r, mode="edge"), w,
-                                     mode="valid") for row in rows])
-        buf = np.empty((4, 11 + 2 * r))
-        assert np.array_equal(det_solver._conv_edge(rows, w, buf), want)
+    @settings(max_examples=200, deadline=None)
+    @given(HEAT_STACKS)
+    @example(WIDE_STENCILS[0])
+    @example(WIDE_STENCILS[1])
+    def test_heat_step_matches_per_row_convolution(self, stack):
+        f, w = stack
+        if w.size > 11:
+            assert bit_equal(det_solver._convolve_heat(f, 0.1, w),
+                             reference_convolve_heat(f, 0.1, w))
+            return
+        # One step from B_0 = 0 with dt = 1 and f_1 = 0 returns K * x
+        # for f_0 = 2x.  A dot of n terms summed in any order is within
+        # about n eps/2 sum |w_k x_k| of the exact one, so two orders
+        # differ by n eps times that sum; the bound allows twice this.
+        x = f[:, 0]
+        got = det_solver._convolve_heat(
+            np.stack([2.0 * x, np.zeros_like(x)], axis=1), 1.0, w)[:, 1]
+        padded = np.pad(x, ((0, 0), (w.size // 2,) * 2), mode="edge")
+        want = np.stack([np.convolve(row, w, "valid") for row in padded])
+        scale = np.stack([np.convolve(row, w, "valid")
+                          for row in np.abs(padded)])
+        assert np.all(np.abs(got - want)
+                      <= 2.0 * w.size * np.finfo(float).eps * scale)
+
+    @settings(max_examples=100, deadline=None)
+    @given(HEAT_STACKS)
+    @example(WIDE_STENCILS[0])
+    @example(WIDE_STENCILS[1])
+    def test_heat_step_replicates_as_if_alone(self, stack):
+        f, w = stack
+        alone = [det_solver._convolve_heat(f[k:k + 1], 0.1, w)
+                 for k in range(f.shape[0])]
+        assert bit_equal(det_solver._convolve_heat(f, 0.1, w),
+                         np.concatenate(alone))
+
+    @settings(max_examples=100, deadline=None)
+    @given(HEAT_STACKS)
+    @example(WIDE_STENCILS[0])
+    @example(WIDE_STENCILS[1])
+    def test_heat_step_keeps_rows_constant_in_x(self, stack):
+        f, w = stack
+        f = np.repeat(f[:, :, :1], f.shape[2], axis=2)
+        out = det_solver._convolve_heat(f, 0.1, w)
+        assert np.all(out == out[:, :, :1])
