@@ -31,12 +31,12 @@ from __future__ import annotations
 from .analysis import (Direction, ExponentFit, ShiftKind,
                        expected_hoelder_slope, fit_hoelder, fit_power_law,
                        h_convergence, marginal_distance, verify_lemma_bound)
-from .covariance import (CovarianceMatrix, SpaceTimePoint, conv_cov,
-                         cov_matrix, increment_moment2, noise_field_cov)
+from .covariance import (CovarianceMatrix, conv_cov, cov_matrix,
+                         increment_moment2, noise_field_cov)
 from .det_solver import (DriftSpec, GridFunction, InitialData, PicardInfo,
                          PointGrid, drift_truncate, initial_term,
                          initial_term_grid, make_drift, make_initial_data,
-                         picard_apply, solve_F, solve_replicates)
+                         picard_apply, solve_replicates)
 from .errors import MaxIterExceededError, NotPsdError, NumericalError
 from .quasilinear import (LadderResult, SimulationConfig, SimulationResult,
                           mild_residual, simulate, truncation_ladder_run)
@@ -69,7 +69,6 @@ __all__ = [
     "ShiftKind",
     "SimulationConfig",
     "SimulationResult",
-    "SpaceTimePoint",
     "conv_cov",
     "cov_matrix",
     "dalang_integral_closed",
@@ -94,7 +93,6 @@ __all__ = [
     "replicate_stream",
     "sample_field",
     "simulate",
-    "solve_F",
     "solve_replicates",
     "standard_normals",
     "truncation_ladder_run",

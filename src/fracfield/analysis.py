@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import (SpaceTimePoint, _as_point, _closed_cov, _closed_incr,
+from .covariance import (_as_hurst, _closed_cov, _closed_incr, _nodes,
                          _second_diff, conv_cov)
 from .spectral import (EquationKind, HurstIndex, LemmaConstantKind, _gamma,
                        cos_integral_constant, gaussian_abs_moment,
@@ -144,10 +144,6 @@ DEFAULT_H_PAIRS = (
 )
 
 
-def _as_hurst(h) -> HurstIndex:
-    return h if isinstance(h, HurstIndex) else HurstIndex(h)
-
-
 def expected_hoelder_slope(eqn: EquationKind, hurst, direction: Direction,
                            p: float = 2.0) -> float:
     """Theoretical log-log slope of the p-th increment moment.
@@ -216,16 +212,15 @@ def fit_hoelder(eqn: EquationKind, hurst, direction: Direction, *,
         raise ValueError(f"moment order p must be a positive even "
                          f"integer, got {p}")
     h = _as_hurst(hurst)
-    base = SpaceTimePoint(float(base_time), float(base_pos))
+    (t0, x0), = _nodes([(base_time, base_pos)]).tolist()
     lag_arr = _DEFAULT_LAGS if lags is None else tuple(float(v) for v in lags)
     if not all(0.0 < v < math.inf for v in lag_arr):
         raise ValueError(f"lags must be positive and finite, got {lag_arr}")
     lag_np = np.array(lag_arr)
     if direction is Direction.TIME:
-        m2 = _closed_incr(eqn, h, base.t, base.t + lag_np, 0.0)
+        m2 = _closed_incr(eqn, h, t0, t0 + lag_np, 0.0)
     else:
-        m2 = _closed_incr(eqn, h, base.t, base.t,
-                          np.abs(base.x - (base.x + lag_np)))
+        m2 = _closed_incr(eqn, h, t0, t0, np.abs(x0 - (x0 + lag_np)))
     return fit_power_law(lag_arr, gaussian_abs_moment(p) * m2 ** (0.5 * p))
 
 
@@ -243,9 +238,9 @@ def h_convergence(eqn: EquationKind, hursts, reference, *,
     pair_list = tuple(pairs) if pairs is not None else DEFAULT_H_PAIRS
     if not pair_list:
         raise ValueError("need at least one evaluation pair")
-    pts = [(_as_point(a), _as_point(b)) for a, b in pair_list]
-    t = np.sort([(a.t, b.t) for a, b in pts], axis=1)
-    c = np.abs([a.x - b.x for a, b in pts])
+    ends = _nodes([q for a, b in pair_list for q in (a, b)])
+    t = np.sort(ends[:, 0].reshape(-1, 2), axis=1)
+    c = np.abs(ends[0::2, 1] - ends[1::2, 1])
     ref_vals = _closed_cov(eqn, ref, t[:, 0], t[:, 1], c)
     sups = np.array([np.max(np.abs(_closed_cov(eqn, h, t[:, 0], t[:, 1], c)
                                    - ref_vals)) for h in hs])

@@ -26,7 +26,7 @@ import numpy as np
 
 from .analysis import (Direction, ShiftKind, expected_hoelder_slope,
                        fit_hoelder, h_convergence, verify_lemma_bound)
-from .covariance import cov_matrix
+from .covariance import _nodes, cov_matrix
 from .det_solver import (InitialData, PointGrid, drift_truncate,
                          initial_term_grid, make_drift, make_initial_data,
                          solve_replicates)
@@ -137,7 +137,7 @@ def _eta_from_csv(path: str, grid: PointGrid) -> np.ndarray:
         raise ValueError(f"eta CSV {path} has {raw.shape[0]} rows, "
                          f"the grid needs {expected}")
     raw = raw[np.lexsort((raw[:, 1], raw[:, 0]))]
-    want_t, want_x = _node_columns(grid)
+    want_t, want_x = grid.nodes()
     tol_t = 1e-9 * max(1.0, grid.horizon)
     tol_x = 1e-9 * max(1.0, grid.half_width)
     if (np.max(np.abs(raw[:, 0] - want_t)) > tol_t
@@ -175,18 +175,16 @@ def _eta_from(cfg: dict, eqn: EquationKind, data: InitialData,
     return values
 
 
-def _points_from(cfg: dict) -> list:
+def _points_from(cfg: dict) -> np.ndarray:
     pts = cfg.get("points")
     if pts is None:
         raise ValueError("config needs 'points': a list of [t, x] pairs")
     if not isinstance(pts, list) or not pts:
         raise ValueError("'points' must be a non-empty list of [t, x] pairs")
-    out = []
     for p in pts:
         if not isinstance(p, (list, tuple)) or len(p) != 2:
             raise ValueError(f"point {p!r} is not a [t, x] pair")
-        out.append((float(p[0]), float(p[1])))
-    return out
+    return _nodes(pts)
 
 
 def _seed_from(cfg: dict, args) -> int:
@@ -219,18 +217,13 @@ class _Run:
     code: int = 0
 
 
-def _node_columns(grid: PointGrid, copies: int = 1) -> tuple:
-    """t and x of every grid node, time-major, repeated ``copies`` times."""
-    t = np.repeat(grid.times(), grid.n_x + 1)
-    x = np.tile(grid.positions(), grid.n_t + 1)
-    return np.tile(t, copies), np.tile(x, copies)
-
-
 def _field_table(grid: PointGrid, fields: np.ndarray) -> tuple:
     n_reps = fields.shape[0]
     replicate = np.repeat(np.arange(n_reps), fields[0].size)
+    t, x = grid.nodes()
     return (("replicate", "t", "x", "value"),
-            (replicate, *_node_columns(grid, n_reps), fields.ravel()))
+            (replicate, np.tile(t, n_reps), np.tile(x, n_reps),
+             fields.ravel()))
 
 
 def _cmd_constants(cfg: dict, args) -> _Run:
@@ -254,13 +247,13 @@ def _cmd_cov(cfg: dict, args) -> _Run:
     cov = cov_matrix(eqn, h, points)
     n = len(points)
     index = np.arange(n)
-    t, x = np.asarray(points).T
+    t, x = points.T
     table = (("i", "j", "t_i", "x_i", "t_j", "x_j", "cov"),
              (np.repeat(index, n), np.tile(index, n),
               np.repeat(t, n), np.repeat(x, n), np.tile(t, n), np.tile(x, n),
               cov.entries.ravel()))
     return _Run(config={"equation": eqn.value, "hurst": h.value,
-                        "points": [list(p) for p in points]},
+                        "points": points.tolist()},
                 artifacts={"cov_matrix.csv": table})
 
 
@@ -274,14 +267,14 @@ def _cmd_sample(cfg: dict, args) -> _Run:
     factor = factor_psd(cov)
     sample = sample_field(factor, seed, n_rep)
     k = len(points)
-    t, x = np.asarray(points).T
+    t, x = points.T
     table = (("replicate", "point_index", "t", "x", "value"),
              (np.repeat(np.arange(n_rep), k), np.tile(np.arange(k), n_rep),
               np.tile(t, n_rep), np.tile(x, n_rep), sample.values.ravel()))
     return _Run(config={"equation": eqn.value, "hurst": h.value,
                         "master_seed": seed, "n_replicates": n_rep,
                         "jitter_used": factor.jitter_used,
-                        "points": [list(p) for p in points]},
+                        "points": points.tolist()},
                 artifacts={"samples.csv": table}, master_seed=seed)
 
 
@@ -295,7 +288,7 @@ def _cmd_solve_det(cfg: dict, args) -> _Run:
     eta = _eta_from(cfg, eqn, data, grid)
     fields, (info,) = solve_replicates(eqn, drift, grid, eta[None],
                                        tol=tol, max_iter=max_iter)
-    table = (("t", "x", "value"), (*_node_columns(grid), fields[0].ravel()))
+    table = (("t", "x", "value"), (*grid.nodes(), fields[0].ravel()))
     return _Run(config={
         "equation": eqn.value, "drift": drift.name, "tol": tol,
         "max_iter": max_iter,

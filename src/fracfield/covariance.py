@@ -25,7 +25,6 @@ from .spectral import (EquationKind, HurstIndex, _gamma,
                        cos_integral_constant, noise_constant)
 
 __all__ = [
-    "SpaceTimePoint",
     "CovarianceMatrix",
     "conv_cov",
     "cov_matrix",
@@ -38,8 +37,9 @@ __all__ = [
 # r <= 1/2, and the wave covariance from its series in (t1+t2)/|dx| once
 # |dx| >= 2 (t1+t2); there 30 terms in r^2 or 30 even terms leave less
 # than 1e-17 relative.  Kummer's M - 1 is summed for arguments of size
-# <= 1, where 20 terms leave less than 1e-18.  Series of unbounded length
-# stop once every lane's last term is below _EPS of its sum.
+# <= 1, where 20 terms leave less than 1e-18.  A series of unbounded
+# length stops in each lane once that lane's last term is below _EPS of
+# its sum, so no lane's bits depend on the others'.
 _SERIES_RATIO = 0.5
 _SERIES_TERMS = 30
 _KUMMER_ARG = 1.0
@@ -63,32 +63,18 @@ _COV_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
-class SpaceTimePoint:
-    """A point (t, x) of the space-time domain, t >= 0."""
-
-    t: float
-    x: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t) and math.isfinite(self.x)):
-            raise ValueError(f"point coordinates must be finite, got "
-                             f"({self.t}, {self.x})")
-        if self.t < 0.0:
-            raise ValueError(f"time coordinate must be >= 0, got {self.t}")
-
-
-@dataclass(frozen=True)
 class CovarianceMatrix:
     """Covariance of the centered linear field on a finite point set.
 
     Attributes
     ----------
-    points : tuple of SpaceTimePoint
+    points : ndarray, shape (k, 2)
+        The (t, x) nodes, one per row.
     entries : ndarray, shape (k, k)
         Exactly symmetric covariance values, PSD up to roundoff.
     """
 
-    points: tuple
+    points: np.ndarray
     entries: np.ndarray
 
     def __post_init__(self):
@@ -97,11 +83,27 @@ class CovarianceMatrix:
             raise ValueError("entry matrix shape does not match point count")
 
 
-def _as_point(p) -> SpaceTimePoint:
-    if isinstance(p, SpaceTimePoint):
-        return p
-    t, x = p
-    return SpaceTimePoint(float(t), float(x))
+def _nodes(points) -> np.ndarray:
+    """Space-time points as a new ``(k, 2)`` float array of (t, x) rows.
+
+    Raises ValueError unless there is at least one point, every
+    coordinate is finite and every time is >= 0.
+    """
+    nodes = np.array(points, dtype=float)
+    if nodes.size == 0:
+        raise ValueError("point list must not be empty")
+    if nodes.ndim != 2 or nodes.shape[1] != 2:
+        raise ValueError(f"points must be (t, x) pairs, got an array of "
+                         f"shape {nodes.shape}")
+    bad = ~np.isfinite(nodes).all(axis=1)
+    if bad.any():
+        t, x = nodes[np.argmax(bad)].tolist()
+        raise ValueError(f"point coordinates must be finite, got ({t}, {x})")
+    early = nodes[:, 0] < 0.0
+    if early.any():
+        raise ValueError(f"time coordinate must be >= 0, got "
+                         f"{nodes[np.argmax(early), 0].tolist()}")
+    return nodes
 
 
 def _spow(p: float, v):
@@ -138,37 +140,30 @@ def _second_diff(p: float, u, e, pm1: float | None = None):
 
 
 def _kummer(h, x):
-    """``M(-h, 1/2, -x)`` for ``0 <= x <= _HEAT_FAR_ARG``; h is a float or
-    a 1-d array, one value per column of x.
+    """``M(-h, 1/2, -x)`` for ``0 <= x <= _HEAT_FAR_ARG``, h broadcast
+    against x.
 
     Kummer's transformation ``e^-x M(1/2+h, 1/2, x)`` (DLMF 13.2.39),
     summed from its power series (DLMF 13.2.2), whose terms are positive
-    for h in (0, 1).  For each h, a term's share of the sum of absolute
-    terms grows with x, so the series stops once, for every h, the term
-    at the largest x is below ``_EPS`` of that sum.  A single lane, the
-    case of every scalar call, is summed in Python floats: the same sum
-    at a tenth of the cost of numpy's per-operation overhead.
+    for h in (0, 1).  Each lane stops once its own term is below
+    ``_EPS`` of its own sum of absolute terms and adds zeros after that,
+    so its value depends on its own h and x only.
     """
-    if x.size == 1 and isinstance(h, float):
-        xv, term, total, n = x.item(), 1.0, 1.0, 0
-        while term > _EPS * total:
-            n += 1
-            term = term * xv * ((n - 0.5 + h) / ((n - 0.5) * n))
-            total += term
-        return np.full(x.shape, math.exp(-xv) * total)
-    hs = np.atleast_1d(h).tolist()
-    xm = float(np.max(x, initial=0.0))
-    tm, sm = [1.0] * len(hs), [1.0] * len(hs)
-    term = total = np.ones(np.broadcast(h, x).shape)
+    shape = np.broadcast(h, x).shape
+    term, total, size = np.ones(shape), np.ones(shape), np.ones(shape)
+    mag = np.empty(shape)
     n = 0
-    while any(t > _EPS * u for t, u in zip(tm, sm)):
+    while True:
         n += 1
-        term = term * x * ((n - 0.5 + h) / ((n - 0.5) * n))
-        total = total + term
-        for j, hj in enumerate(hs):
-            tm[j] *= xm * abs(n - 0.5 + hj) / ((n - 0.5) * n)
-            sm[j] += tm[j]
-    return np.exp(-x) * total
+        term *= x
+        term *= (n - 0.5 + h) / ((n - 0.5) * n)
+        total += term
+        np.abs(term, out=mag)
+        size += mag
+        live = mag > _EPS * size
+        if not live.any():
+            return np.exp(-x) * total
+        term *= live
 
 
 def _kummer_m1(h: float, x):
@@ -194,6 +189,9 @@ def _heat_near(h: float, z, a):
     value at ``a = 0`` is the limit ``z^H sqrt(pi) / Gamma(1/2+H)``.
 
     Each form sees only its own lanes' arguments, the other lanes a 0.
+    The expansion stops in each lane after that lane's first term below
+    ``_EPS`` (the terms fall while ``a/z <= 1/40``), and adds zeros from
+    then on.
     """
     near = (z <= _HEAT_FAR_ARG * a) & (a > 0.0)
     series = expansion = 0.0
@@ -202,12 +200,14 @@ def _heat_near(h: float, z, a):
         series = a_near ** h * _kummer(h, np.where(near, z, 0.0) / a_near)
     if not near.all():
         r = np.where(near, 0.0, a / np.where(z > 0.0, z, 1.0))
-        term, total, coef = 1.0, 1.0, 1.0
+        term, total, coef = np.ones_like(r), 1.0, 1.0
         for n in range(1, _HEAT_FAR_TERMS + 1):
             coef *= (n - 1.0 - h) * (n - 0.5 - h) / n
-            term = term * r
-            total = total + coef * term
-            if (np.abs(coef * term) <= _EPS).all():
+            term *= r
+            step = coef * term
+            total = total + step
+            term *= np.abs(step) > _EPS
+            if not term.any():
                 break
         expansion = z ** h * math.sqrt(math.pi) / _gamma(0.5 + h) * total
     return np.where(near, series, expansion)
@@ -221,13 +221,13 @@ def _heat_pair(h: float, t1, z, b):
     Summed as one Taylor series in t1: with ``F(u) = u^H M(-H, 1/2,
     -z/u)``, ``F^(k)(u) = (-1)^k (-H)_k u^(H-k) M(k-H, 1/2, -z/u)``, so
     the bracket is ``b^H sum_{k>=1} (-H)_k / k! (t1/b)^k M(k-H, 1/2,
-    -z/b)``.  Its terms fall like ``(t1/b)^k``; the sum stops once
-    ``|(-H)_k / k!| (t1/b)^(k-1)`` is below ``_EPS H``.
+    -z/b)``.  Its terms fall like ``(t1/b)^k``; every lane takes the
+    terms up to the first with ``|(-H)_k / k!| _HEAT_PAIR_RATIO^(k-1)``
+    below ``_EPS H``.
     """
     r = t1 / b
-    rmax = float(r.max())
     w = [-h]
-    while abs(w[-1]) * rmax ** (len(w) - 1) > _EPS * h:
+    while abs(w[-1]) * _HEAT_PAIR_RATIO ** (len(w) - 1) > _EPS * h:
         k = len(w) + 1.0
         w.append(w[-1] * (k - 1.0 - h) / k)
     ks = np.arange(1.0, len(w) + 1.0)
@@ -407,40 +407,50 @@ def _closed_incr(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
     return np.maximum(out, 0.0)
 
 
+def _as_hurst(hurst) -> HurstIndex:
+    return hurst if isinstance(hurst, HurstIndex) else HurstIndex(hurst)
+
+
+def _pair(p1, p2) -> tuple:
+    """Ordered times and separation of two points, as 1-element arrays:
+    arithmetic on 0-d arrays calls libm ``pow`` and arrays numpy's own,
+    so the scalar entry points take the route of the matrix."""
+    nodes = _nodes((p1, p2))
+    t = np.sort(nodes[:, 0])
+    return t[:1], t[1:], np.abs(nodes[:1, 1] - nodes[1:, 1])
+
+
 def conv_cov(eqn: EquationKind, hurst: HurstIndex | float, p1, p2) -> float:
     """Covariance of the centered linear field at two space-time points.
 
     Symmetric in its point arguments, stationary in space (depends only
     on |x1 - x2|), and zero whenever either time is zero.  Closed form,
     summed as a series in ``(t1+t2)/|x1-x2|`` far outside the wave light
-    cones.
+    cones; bit for bit the matching entry of :func:`cov_matrix`.
     """
-    h = hurst if isinstance(hurst, HurstIndex) else HurstIndex(hurst)
-    a, b = _as_point(p1), _as_point(p2)
-    t1, t2 = sorted((a.t, b.t))
-    return float(_closed_cov(eqn, h, t1, t2, abs(a.x - b.x)))
+    return float(_closed_cov(eqn, _as_hurst(hurst), *_pair(p1, p2))[0])
 
 
 def cov_matrix(eqn: EquationKind, hurst: HurstIndex | float,
                points) -> CovarianceMatrix:
-    """Covariance matrix of the centered linear field on a point list.
+    """Covariance matrix of the centered linear field on ``(k, 2)`` (t, x)
+    points.
 
     Vectorized closed-form evaluations over the ordered time pairs and
     separations of ``_COV_BLOCK_ROWS`` rows at a time, so the transient
-    arrays span one block; the matrix is exactly symmetric.
+    arrays span one block; the matrix is exactly symmetric, and each
+    entry depends on its own two points only.
     """
-    h = hurst if isinstance(hurst, HurstIndex) else HurstIndex(hurst)
-    pts = tuple(_as_point(p) for p in points)
-    if not pts:
-        raise ValueError("point list must not be empty")
-    t, x = np.array([(p.t, p.x) for p in pts]).T
+    h = _as_hurst(hurst)
+    nodes = _nodes(points)
+    t, x = nodes.T
     entries = np.empty((t.size, t.size))
     for start in range(0, t.size, _COV_BLOCK_ROWS):
         rows = slice(start, start + _COV_BLOCK_ROWS)
         entries[rows] = _closed_cov(eqn, h, np.minimum.outer(t[rows], t),
                                     np.maximum.outer(t[rows], t),
                                     np.abs(np.subtract.outer(x[rows], x)))
-    return CovarianceMatrix(points=pts, entries=entries)
+    return CovarianceMatrix(points=nodes, entries=entries)
 
 
 def increment_moment2(eqn: EquationKind, hurst: HurstIndex | float,
@@ -453,10 +463,7 @@ def increment_moment2(eqn: EquationKind, hurst: HurstIndex | float,
     anything below that, or a non-finite result, raises
     :class:`NumericalError`.
     """
-    h = hurst if isinstance(hurst, HurstIndex) else HurstIndex(hurst)
-    a, b = _as_point(p1), _as_point(p2)
-    t1, t2 = sorted((a.t, b.t))
-    return float(_closed_incr(eqn, h, t1, t2, abs(a.x - b.x)))
+    return float(_closed_incr(eqn, _as_hurst(hurst), *_pair(p1, p2))[0])
 
 
 def noise_field_cov(hurst: HurstIndex | float, p1, p2) -> float:
@@ -466,9 +473,7 @@ def noise_field_cov(hurst: HurstIndex | float, p1, p2) -> float:
     ``(|x1|^2H + |x2|^2H - |x1-x2|^2H) / 2``; vanishes whenever either
     time is zero or either spatial coordinate is at the origin.
     """
-    h = hurst if isinstance(hurst, HurstIndex) else HurstIndex(hurst)
-    a, b = _as_point(p1), _as_point(p2)
-    two_h = 2.0 * h.value
-    r = 0.5 * (abs(a.x) ** two_h + abs(b.x) ** two_h
-               - abs(a.x - b.x) ** two_h)
-    return min(a.t, b.t) * r
+    (t1, x1), (t2, x2) = _nodes((p1, p2)).tolist()
+    two_h = 2.0 * _as_hurst(hurst).value
+    r = 0.5 * (abs(x1) ** two_h + abs(x2) ** two_h - abs(x1 - x2) ** two_h)
+    return min(t1, t2) * r

@@ -10,7 +10,7 @@ the iteration count, so convergence certificates based on the drift's
 Lipschitz constant are available alongside the raw increment test.
 
 :func:`solve_replicates` is the one Picard loop, over a stack of forcings
-each solved as if alone; :func:`solve_F` runs it on a stack of one.
+each solved as if alone, one forcing being a stack of one.
 The heat step is a recursion of spatial stencil convolutions that takes
 one dot product per output over that output's edge-padded window, so a
 row constant in x stays exactly constant; the wave step sweeps running
@@ -43,7 +43,6 @@ __all__ = [
     "initial_term",
     "initial_term_grid",
     "drift_truncate",
-    "solve_F",
     "solve_replicates",
     "picard_apply",
     "make_drift",
@@ -187,9 +186,12 @@ class PointGrid:
     def positions(self) -> np.ndarray:
         return np.linspace(-self.half_width, self.half_width, self.n_x + 1)
 
-    def points(self) -> list:
-        """Reported nodes in time-major order."""
-        return [(t, x) for t in self.times() for x in self.positions()]
+    def nodes(self) -> tuple:
+        """t and x of every reported node, time-major: ``t`` holds each
+        time ``n_x + 1`` times over, ``x`` the positions ``n_t + 1``
+        times over."""
+        return (np.repeat(self.times(), self.n_x + 1),
+                np.tile(self.positions(), self.n_t + 1))
 
     @property
     def is_aligned(self) -> bool:
@@ -496,14 +498,6 @@ def solve_replicates(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
                                increments=tuple(increments[:k, r].tolist()),
                                used_certificate=bool(c))
                     for r, (k, c) in enumerate(zip(iterations, certified)))
-
-
-def solve_F(eqn: EquationKind, drift: DriftSpec, eta: GridFunction,
-            *, tol: float = 1e-8, max_iter: int = 60) -> GridFunction:
-    """:func:`solve_replicates` on one forcing, returning the field only."""
-    fields, _ = solve_replicates(eqn, drift, eta.grid, eta.values[None],
-                                 tol=tol, max_iter=max_iter)
-    return GridFunction(grid=eta.grid, values=fields[0])
 
 
 # Registries of ready-made drifts and initial data for configs and tests.

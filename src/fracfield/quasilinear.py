@@ -79,7 +79,6 @@ class SimulationResult:
     """Replicated solution fields plus the ingredients that made them."""
 
     config: SimulationConfig
-    points: tuple
     noise: np.ndarray
     fields: np.ndarray
     infos: tuple
@@ -100,17 +99,16 @@ class LadderResult:
 def _forcing(config: SimulationConfig) -> tuple:
     """Sample the linear solution ("noise") and add the initial-data term.
 
-    Returns the points, the noise fields, the forcing stack and the jitter.
+    Returns the noise fields, the forcing stack and the jitter.
     """
     grid = config.grid
-    points = grid.points()
-    cov = cov_matrix(config.eqn, config.hurst, points)
+    cov = cov_matrix(config.eqn, config.hurst, np.stack(grid.nodes(), axis=1))
     factor = factor_psd(cov)
     sample = sample_field(factor, config.master_seed, config.n_replicates)
     noise = sample.values.reshape(
         config.n_replicates, grid.n_t + 1, grid.n_x + 1)
     i0 = initial_term_grid(config.eqn, config.data, grid)
-    return tuple(points), noise, noise + i0.values[None], factor.jitter_used
+    return noise, noise + i0.values[None], factor.jitter_used
 
 
 def simulate(config: SimulationConfig) -> SimulationResult:
@@ -123,12 +121,12 @@ def simulate(config: SimulationConfig) -> SimulationResult:
     if config.truncation_ladder is not None:
         raise ValueError(
             "config carries a truncation ladder; use truncation_ladder_run")
-    points, noise, eta_fields, jitter = _forcing(config)
+    noise, eta_fields, jitter = _forcing(config)
     fields, infos = solve_replicates(
         config.eqn, config.drift, config.grid, eta_fields,
         tol=config.tol, max_iter=config.max_iter)
-    return SimulationResult(config=config, points=points, noise=noise,
-                            fields=fields, infos=infos, jitter_used=jitter)
+    return SimulationResult(config=config, noise=noise, fields=fields,
+                            infos=infos, jitter_used=jitter)
 
 
 def truncation_ladder_run(config: SimulationConfig) -> LadderResult:
@@ -142,7 +140,7 @@ def truncation_ladder_run(config: SimulationConfig) -> LadderResult:
     """
     if config.truncation_ladder is None:
         raise ValueError("config has no truncation ladder")
-    _, _, eta_fields, _ = _forcing(config)
+    _, eta_fields, _ = _forcing(config)
     levels = config.truncation_ladder
     per_level = []
     for level in levels:

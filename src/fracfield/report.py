@@ -2,9 +2,8 @@
 
 Tables are given column by column, and every cell holds the bytes of
 per-cell %d (integers), %.17g (floats, so values round-trip exactly) or
-%s (strings).  A numeric column that repeats (at most half as many
-distinct values as rows) has each distinct bit pattern formatted once
-and its cells copied from those; bit patterns keep -0.0 apart from 0.0.
+%s (strings).  Tables that are smaller than one chunk of cells or hold
+strings are %-formatted cell by cell.
 
 A numeric table of at least one chunk of cells is rendered in numpy.
 Each column becomes a block of fixed byte slots per cell, NUL where the
@@ -16,7 +15,9 @@ unevaluated sum p + err, so p + rint(err) rounds half to even as
 CPython's dtoa does, and the digits are laid out by the %g rules.
 Zeros are written directly.  Other float cells (non-finite, or with
 0 < |x| <= 1e-6 or |x| >= 1e17) and all integer cells are formatted one
-by one with %, as are whole tables that are smaller or hold strings.
+by one with %.  A column that repeats (at most half as many distinct
+values as rows) has each distinct bit pattern rendered once and its
+cells copied from those; bit patterns keep -0.0 apart from 0.0.
 
 Files are UTF-8 with LF line endings regardless of platform, and every
 writer returns the SHA-256 of the bytes written so manifests can pin
@@ -246,30 +247,13 @@ def _numpy_chunks(cols, n_rows):
 
 def _percent_chunks(cols, n_rows):
     """Yield the rows of a table as bytes, %-formatted a chunk at a time."""
-    # A repeating column becomes its distinct values' strings and the
-    # index of each cell into them; the row format pastes it in by %s.
-    cell_formats, sources = [], []
-    for c in cols:
-        fmt = _CELL_FORMATS[c.dtype.kind]
-        found = _distinct(c)
-        if found is None:
-            cell_formats.append(fmt)
-            sources.append((c, None))
-        else:
-            values, where = found
-            texts = np.array([fmt % v for v in values.tolist()],
-                             dtype=object)
-            cell_formats.append("%s")
-            sources.append((texts, where))
-    row_format = ",".join(cell_formats) + "\n"
+    row_format = ",".join(_CELL_FORMATS[c.dtype.kind] for c in cols) + "\n"
     width = len(cols)
     for start in range(0, n_rows, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, n_rows)
         cells = [None] * ((stop - start) * width)
-        for j, (values, where) in enumerate(sources):
-            chunk = (values[start:stop] if where is None
-                     else values[where(start, stop)])
-            cells[j::width] = chunk.tolist()
+        for j, c in enumerate(cols):
+            cells[j::width] = c[start:stop].tolist()
         yield ((row_format * (stop - start)) % tuple(cells)).encode("utf-8")
 
 
@@ -278,12 +262,9 @@ def _distinct(column):
 
     ``values`` holds each distinct pattern once, and ``where(start, stop)``
     indexes the pattern of each cell of rows ``start:stop``, so no index
-    the size of the column is kept.  Returns None for string and wider
-    than 64-bit columns, and for a column where more than half the cells
-    are distinct, which is formatted cell by cell.
+    the size of the column is kept.  Returns None for a column where
+    more than half the cells are distinct, which is rendered cell by cell.
     """
-    if column.dtype.kind == "U" or column.dtype.itemsize > 8:
-        return None
     bits = column.view(f"u{column.dtype.itemsize}")
     ordered = np.sort(bits)
     new = np.empty(bits.size, bool)

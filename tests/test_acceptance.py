@@ -18,8 +18,8 @@ from fracfield import (Direction, EquationKind, GridFunction, HurstIndex,
                        cov_matrix, dalang_integral_closed, drift_truncate,
                        expected_hoelder_slope, factor_psd, fit_hoelder,
                        h_convergence, make_drift, make_initial_data,
-                       noise_field_cov, sample_field, solve_F,
-                       solve_replicates, truncation_ladder_run,
+                       noise_field_cov, sample_field, solve_replicates,
+                       truncation_ladder_run,
                        verify_lemma_bound)
 from fracfield.cli import main
 from fracfield.oracle import dalang_integral_quad, ode_oracle
@@ -149,10 +149,11 @@ def test_criterion_7a_solver_matches_ode_oracle():
         (HEAT, BLIN, 1.0),
     )
     for eqn, drift, eta_value in cases:
-        field = solve_F(eqn, drift, const_field(grid, eta_value))
+        (field,), _ = solve_replicates(
+            eqn, drift, grid, const_field(grid, eta_value).values[None])
         oracle = ode_oracle(eqn, drift, eta_value, grid.horizon,
                             n_steps=100000)[::100]
-        sup = np.max(np.abs(field.values - oracle[:, None]))
+        sup = np.max(np.abs(field - oracle[:, None]))
         assert sup <= 1e-3, (eqn, drift.name, sup)
 
 
@@ -191,11 +192,13 @@ def test_criterion_7c_perturbation_response_is_linear():
     )
     drift = make_drift("tanh_scaled", a=1.0)
     for eqn, grid, factor in cases:
-        base = solve_F(eqn, drift, const_field(grid, 1.0))
+        (base,), _ = solve_replicates(eqn, drift, grid,
+                                      const_field(grid, 1.0).values[None])
         moved = []
         for delta in (1e-3, 1e-2):
-            shifted = solve_F(eqn, drift, const_field(grid, 1.0 + delta))
-            d = float(np.max(np.abs(shifted.values - base.values)))
+            (shifted,), _ = solve_replicates(
+                eqn, drift, grid, const_field(grid, 1.0 + delta).values[None])
+            d = float(np.max(np.abs(shifted - base)))
             assert d <= factor * delta, (eqn, delta, d)
             moved.append(d)
         slope = math.log10(moved[1] / moved[0])

@@ -148,6 +148,12 @@ class TestCov:
                      "--hurst", "0.5"]) == 1
         assert "points" in capsys.readouterr().err
 
+    def test_negative_time_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"points": [[0.5, 0.0], [-1.0, 0.0]]})
+        assert main(["cov", "--config", cfg, "--equation", "heat",
+                     "--hurst", "0.5"]) == 1
+        assert "time coordinate must be >= 0" in capsys.readouterr().err
+
     def test_bad_config_json_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

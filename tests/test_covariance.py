@@ -13,14 +13,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracfield import (EquationKind, HurstIndex, NumericalError, PointGrid,
                        conv_cov, cov_matrix, increment_moment2,
                        noise_constant, noise_field_cov)
-from fracfield.covariance import (_HEAT_PAIR_RATIO, _heat_near, _heat_pair,
-                                  _kummer, _kummer_m1)
+from fracfield.covariance import (_COV_BLOCK_ROWS, _HEAT_FAR_ARG,
+                                  _HEAT_PAIR_RATIO, _closed_incr, _heat_near,
+                                  _heat_pair, _kummer, _kummer_m1)
 from fracfield.oracle import DEFAULT_QUAD, _assemble
 
 
@@ -190,8 +191,7 @@ class TestCovMatrix:
         cov = cov_matrix(eqn, 0.6, self.POINTS)
         for i, p in enumerate(self.POINTS):
             for j, q in enumerate(self.POINTS):
-                assert cov.entries[i, j] == pytest.approx(
-                    conv_cov(eqn, 0.6, p, q), rel=1e-12, abs=1e-15)
+                assert cov.entries[i, j] == conv_cov(eqn, 0.6, p, q)
 
     @pytest.mark.parametrize("eqn", [EquationKind.HEAT, EquationKind.WAVE])
     def test_symmetric_psd(self, eqn):
@@ -202,9 +202,8 @@ class TestCovMatrix:
 
     def test_wave_entries_nonzero_outside_cones(self):
         grid = PointGrid(1.0, 1.0, 16, 32)
-        cov = cov_matrix(EquationKind.WAVE, 0.3, grid.points())
-        t = np.array([p[0] for p in grid.points()])
-        x = np.array([p[1] for p in grid.points()])
+        t, x = grid.nodes()
+        cov = cov_matrix(EquationKind.WAVE, 0.3, np.stack((t, x), axis=1))
         outside = (np.abs(np.subtract.outer(x, x)) > np.add.outer(t, t)) \
             & (np.minimum.outer(t, t) > 0.0)
         assert outside.any()
@@ -217,13 +216,81 @@ class TestCovMatrix:
         cov = cov_matrix(EquationKind.HEAT, 0.3, points)
         for i, p in enumerate(points):
             for j, q in enumerate(points):
-                assert cov.entries[i, j] == pytest.approx(
-                    conv_cov(EquationKind.HEAT, 0.3, p, q), rel=1e-14,
-                    abs=0.0)
+                assert cov.entries[i, j] == conv_cov(EquationKind.HEAT, 0.3,
+                                                     p, q)
 
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
             cov_matrix(EquationKind.HEAT, 0.5, [])
+
+    @pytest.mark.parametrize("bad, message", [
+        ((-0.5, 0.0), "time coordinate must be >= 0, got -0.5"),
+        ((math.nan, 0.0), r"must be finite, got \(nan, 0.0\)"),
+        ((1.0, math.inf), r"must be finite, got \(1.0, inf\)"),
+    ])
+    def test_invalid_points_rejected(self, bad, message):
+        good = (1.0, 0.0)
+        for call in (lambda: cov_matrix(EquationKind.HEAT, 0.5, [good, bad]),
+                     lambda: conv_cov(EquationKind.WAVE, 0.5, bad, good),
+                     lambda: increment_moment2(EquationKind.HEAT, 0.5, good,
+                                               bad),
+                     lambda: noise_field_cov(0.5, bad, good)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_points_must_be_pairs(self):
+        with pytest.raises(ValueError, match="pairs"):
+            cov_matrix(EquationKind.HEAT, 0.5, [[1.0, 0.0, 2.0]])
+
+
+@st.composite
+def spanning_point_sets(draw):
+    """More than one block of points, on every branch of the closed forms.
+
+    Time 0, a time at most 1/8 of another's sum with it (the heat pair
+    form), and a position 40 beyond another, which reaches the wave far
+    field (|dx| >= 2 (t1+t2)) and the heat far field (|dx|^2/4 >= 40
+    (t1+t2)/2) for times up to 2.
+    """
+    times = draw(st.lists(st.floats(1e-3, 2.0), min_size=4, max_size=5,
+                          unique=True))
+    times = [0.0, *times, times[0] / 16.0]
+    xs = draw(st.lists(st.floats(-30.0, 30.0), min_size=11, max_size=12))
+    xs.append(xs[0] + 40.0)
+    return np.array([(t, x) for t in times for x in xs])
+
+
+class TestOneRoute:
+    # The scalar calls and the matrix take one route, and a value's bits
+    # depend on its own arguments only: not on its block of rows, its
+    # neighbours or the order of the points.
+    @settings(max_examples=8)
+    @given(st.floats(1e-9, 1.0 - 1e-9), spanning_point_sets(),
+           st.integers(0, 71), st.randoms(use_true_random=False))
+    @pytest.mark.parametrize("eqn", [EquationKind.HEAT, EquationKind.WAVE])
+    def test_scalar_calls_equal_the_matrix_bit_for_bit(self, eqn, h, points,
+                                                       row, rnd):
+        k = len(points)
+        assert k > _COV_BLOCK_ROWS
+        t, x = points.T
+        t1, t2 = np.minimum.outer(t, t), np.maximum.outer(t, t)
+        c = np.abs(np.subtract.outer(x, x))
+        s = t1 + t2
+        assert ((t1 == 0.0) & (t2 > 0.0)).any()
+        assert ((t1 > 0.0) & (t1 <= _HEAT_PAIR_RATIO * s / 2.0)).any()
+        assert ((t1 > 0.0) & (c >= 2.0 * s)).any()
+        assert ((t1 > 0.0) & (c * c / 4.0 >= _HEAT_FAR_ARG * s / 2.0)).any()
+        cov = cov_matrix(eqn, h, points).entries
+        incr = _closed_incr(eqn, HurstIndex(h), t1, t2, c)
+        # Rows on both sides of the first block boundary, and one drawn.
+        for i in {_COV_BLOCK_ROWS - 1, _COV_BLOCK_ROWS, row}:
+            for j in range(k):
+                p, q = points[i], points[j]
+                assert conv_cov(eqn, h, p, q) == cov[i, j]
+                assert increment_moment2(eqn, h, p, q) == incr[i, j]
+        perm = np.array(rnd.sample(range(k), k))
+        assert np.array_equal(cov_matrix(eqn, h, points[perm]).entries,
+                              cov[np.ix_(perm, perm)])
 
 
 class TestIncrementMoment2:
@@ -396,15 +463,19 @@ class TestKummerSeries:
         assert rel_err(one_lane, truth) <= 3e-15
         assert rel_err(many_lanes, truth) <= 3e-15
 
-    @pytest.mark.parametrize("h", [0.01, 0.3, 0.5, 0.99])
+    # h - k < 0 as the pair form calls it, too: there the terms change
+    # sign, and a lane kept summing past its own stop moves its last bits.
+    @pytest.mark.parametrize("h", [0.01, 0.3, 0.5, 0.99, -0.7, -2.7, -9.7])
     def test_one_lane_agrees_with_many(self, h):
-        # A single lane is summed in Python floats, more lanes in numpy:
-        # the sums may differ by terms below 2^-53 and the exponential by
-        # its last bit.
-        xs = np.array([0.0, 1e-8, 0.3, 2.4, 9.0, 25.0, 40.0])
+        # Each lane stops on its own test, so its bits do not depend on
+        # the lanes summed beside it.
+        xs = np.array([0.0, 1e-8, 0.3, 1.5069320216067883, 2.4,
+                       6.617358245322156, 9.0, 19.299011582503333, 25.0,
+                       40.0])
         many = _kummer(h, xs)
         for x, m in zip(xs, many):
-            assert rel_err(float(_kummer(h, np.array(x))), m) <= 2e-15
+            assert _kummer(h, np.array([x]))[0] == m
+        assert np.array_equal(_kummer(h, xs[::-1]), many[::-1])
 
     def test_m1_is_continuous_at_its_switch(self):
         h = 0.3
@@ -442,6 +513,19 @@ class TestKummerSeries:
     def test_near_far_switch_matches_high_precision(self, h, truth):
         got = conv_cov(EquationKind.HEAT, h, (1e-3, 0.0), (1.0, 8.9))
         assert rel_err(got, truth) <= 1e-13
+
+    @pytest.mark.parametrize("h, t1, z", [
+        # A lane whose last bit moved when its term count came from the
+        # largest t1/b of its batch.
+        (0.6977594456842199, 0.0007003118898524782, 36.283439478494536),
+        (0.3, 1e-3, 19.8),
+        (0.5, 0.1, 0.0),
+    ])
+    def test_pair_lane_does_not_depend_on_its_neighbours(self, h, t1, z):
+        alone = _heat_pair(h, np.array([t1]), np.array([z]), np.ones(1))
+        beside = _heat_pair(h, np.array([t1, _HEAT_PAIR_RATIO, 1e-9]),
+                            np.array([z, 1.0, 30.0]), np.ones(3))
+        assert alone[0] == beside[0]
 
     @pytest.mark.parametrize("h", [0.05, 0.3, 0.5, 0.7, 0.95])
     def test_pair_form_agrees_with_difference_at_its_switch(self, h):

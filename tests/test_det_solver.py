@@ -19,8 +19,7 @@ from fracfield import det_solver
 from fracfield import (DriftSpec, EquationKind, GridFunction, InitialData,
                        MaxIterExceededError, PointGrid, drift_truncate,
                        initial_term, initial_term_grid, make_drift,
-                       make_initial_data, picard_apply, solve_F,
-                       solve_replicates)
+                       make_initial_data, picard_apply, solve_replicates)
 from fracfield.oracle import ode_oracle
 
 HEAT = EquationKind.HEAT
@@ -55,10 +54,14 @@ class TestPointGrid:
         assert g.dx == 0.25
         assert np.array_equal(g.times(), np.linspace(0.0, 2.0, 5))
         assert np.array_equal(g.positions(), np.linspace(-1.0, 1.0, 9))
-        pts = g.points()
-        assert len(pts) == 45
-        assert pts[0] == (0.0, -1.0)
-        assert pts[-1] == (2.0, 1.0)
+        t, x = g.nodes()
+        assert t.shape == x.shape == (45,)
+        assert (t[0], x[0]) == (0.0, -1.0)
+        assert (t[-1], x[-1]) == (2.0, 1.0)
+        # Time-major: the positions run fastest.
+        assert np.array_equal(t.reshape(5, 9), np.repeat(
+            g.times()[:, None], 9, axis=1))
+        assert np.array_equal(x.reshape(5, 9), np.tile(g.positions(), (5, 1)))
 
     def test_alignment_flag(self):
         assert wave_grid().is_aligned
@@ -411,10 +414,9 @@ class TestSolveF:
         errs = []
         for n_t, n_x in ((100, 16), (200, 32)):
             g = wave_grid(n_t=n_t, n_x=n_x)
-            z = solve_F(WAVE, make_drift("linear", a=-1.0),
-                        const_field(g, 1.0))
-            errs.append(np.max(np.abs(
-                z.values - np.cos(g.times())[:, None])))
+            (z,), _ = solve_replicates(WAVE, make_drift("linear", a=-1.0),
+                                       g, const_field(g, 1.0).values[None])
+            errs.append(np.max(np.abs(z - np.cos(g.times())[:, None])))
         assert errs[0] <= 1.2e-5
         assert errs[1] <= 3e-6
         assert errs[1] < errs[0]
@@ -428,17 +430,18 @@ class TestSolveF:
 
     def test_bad_controls_rejected(self):
         g = heat_grid()
-        eta = const_field(g, 0.0)
+        etas = const_field(g, 0.0).values[None]
         with pytest.raises(ValueError):
-            solve_F(HEAT, make_drift("zero"), eta, tol=0.0)
+            solve_replicates(HEAT, make_drift("zero"), g, etas, tol=0.0)
         with pytest.raises(ValueError):
-            solve_F(HEAT, make_drift("zero"), eta, max_iter=0)
+            solve_replicates(HEAT, make_drift("zero"), g, etas, max_iter=0)
 
     def test_iteration_budget_enforced(self):
         g = heat_grid()
         with pytest.raises(MaxIterExceededError) as exc_info:
-            solve_F(HEAT, make_drift("tanh_scaled", a=1.0),
-                    const_field(g, 1.0), tol=1e-12, max_iter=1)
+            solve_replicates(HEAT, make_drift("tanh_scaled", a=1.0), g,
+                             const_field(g, 1.0).values[None], tol=1e-12,
+                             max_iter=1)
         assert exc_info.value.iterations == 1
         assert exc_info.value.last_increment > 1e-12
 
@@ -454,7 +457,8 @@ class TestSolveReplicates:
         with pytest.raises(MaxIterExceededError) as batch:
             solve_replicates(HEAT, drift, g, etas, tol=1e-12, max_iter=1)
         with pytest.raises(MaxIterExceededError) as solo:
-            solve_F(HEAT, drift, const_field(g, 1.0), tol=1e-12, max_iter=1)
+            solve_replicates(HEAT, drift, g, const_field(g, 1.0).values[None],
+                             tol=1e-12, max_iter=1)
         assert batch.value.replicate_index == 1
         assert solo.value.replicate_index == 0
         assert batch.value.last_increment == solo.value.last_increment
@@ -473,9 +477,6 @@ class TestSolveReplicates:
             (z,), (solo,) = solve_replicates(WAVE, drift, g, eta[None])
             assert np.array_equal(field, z)
             assert info == solo
-            assert np.array_equal(
-                field, solve_F(WAVE, drift,
-                               GridFunction(grid=g, values=eta)).values)
 
     def test_stack_shape_checked_before_iterating(self):
         # Every field of the stack must cover the grid: a 5-row stack on

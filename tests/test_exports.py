@@ -76,7 +76,31 @@ def test_analysis_does_not_sample():
     ("DriftSpec", {"truncation_level"}),
     ("PsdFactor", {"points"}),
     ("FieldSample", {"points", "master_seed"}),
+    ("SimulationResult", {"points"}),
 ])
 def test_unread_fields_are_gone(cls, gone):
     names = {f.name for f in dataclasses.fields(getattr(fracfield, cls))}
     assert not names & gone
+
+
+# Points are one (k, 2) node array, and one forcing is a stack of one for
+# solve_replicates: the point class, its converter, the grid's list of
+# point tuples and the one-forcing solve wrapper are gone.
+@pytest.mark.parametrize("module, name", [
+    ("fracfield", "SpaceTimePoint"),
+    ("fracfield.covariance", "SpaceTimePoint"),
+    ("fracfield.covariance", "_as_point"),
+    ("fracfield.analysis", "SpaceTimePoint"),
+    ("fracfield.analysis", "_as_point"),
+    ("fracfield", "solve_F"),
+    ("fracfield.det_solver", "solve_F"),
+])
+def test_point_class_and_one_forcing_solve_are_gone(module, name):
+    mod = importlib.import_module(module)
+    assert name not in getattr(mod, "__all__", ())
+    assert not hasattr(mod, name)
+
+
+def test_grid_gives_node_arrays_not_point_tuples():
+    assert not hasattr(fracfield.PointGrid, "points")
+    assert callable(fracfield.PointGrid.nodes)

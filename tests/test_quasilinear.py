@@ -16,7 +16,7 @@ from fracfield import (DriftSpec, EquationKind, GridFunction, HurstIndex,
                        MaxIterExceededError, PointGrid, SimulationConfig,
                        cov_matrix, drift_truncate, factor_psd,
                        initial_term_grid, make_drift, make_initial_data,
-                       mild_residual, sample_field, simulate, solve_F,
+                       mild_residual, sample_field, simulate,
                        solve_replicates, truncation_ladder_run)
 
 HEAT = EquationKind.HEAT
@@ -88,7 +88,6 @@ class TestSimulate:
         i0 = initial_term_grid(WAVE, cfg.data, cfg.grid)
         assert np.array_equal(res.fields, res.noise + i0.values[None])
         assert res.fields.shape == (3, 5, 5)
-        assert len(res.points) == 25
         assert res.jitter_used >= 0.0
 
     def test_same_seed_couples_noise_across_drifts(self):
@@ -163,24 +162,24 @@ class TestSimulate:
         g = PointGrid(horizon=1.0, half_width=0.5, n_t=500, n_x=8)
         eta = GridFunction(grid=g, values=np.ones((501, 9)))
         drift = drift_truncate(make_drift("linear", a=-1.0), 5.0)
-        z = solve_F(HEAT, drift, eta)
-        err = np.max(np.abs(z.values - np.exp(-g.times())[:, None]))
+        (z,), _ = solve_replicates(HEAT, drift, g, eta.values[None])
+        err = np.max(np.abs(z - np.exp(-g.times())[:, None]))
         assert err <= 1e-5
 
     def test_forcing_perturbation_is_lipschitz_stable(self):
         # Scaling the noise by (1 + eps) moves the solution by at most
         # e^{L T} times the forcing change (heat).
         g = PointGrid(horizon=1.0, half_width=0.5, n_t=100, n_x=4)
-        factor = factor_psd(cov_matrix(HEAT, 0.5, g.points()))
+        factor = factor_psd(cov_matrix(HEAT, 0.5, np.stack(g.nodes(), 1)))
         drift = make_drift("tanh_scaled", a=1.0)
         eps = 0.01
         bound = 1.5 * math.exp(drift.lipschitz_constant * g.horizon)
         for seed in range(10):
             xi = sample_field(factor, seed, 1).values.reshape(101, 5)
-            za = solve_F(HEAT, drift, GridFunction(grid=g, values=xi))
-            zb = solve_F(HEAT, drift,
-                         GridFunction(grid=g, values=(1.0 + eps) * xi))
-            moved = np.max(np.abs(zb.values - za.values))
+            (za,), _ = solve_replicates(HEAT, drift, g, xi[None])
+            (zb,), _ = solve_replicates(HEAT, drift, g,
+                                        (1.0 + eps) * xi[None])
+            moved = np.max(np.abs(zb - za))
             assert moved <= bound * eps * np.max(np.abs(xi))
 
 
