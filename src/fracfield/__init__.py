@@ -9,8 +9,8 @@ The package is organized bottom-up:
   linear solution in closed form;
 * :mod:`fracfield.sampler` -- reproducible Gaussian sampling from those
   covariances;
-* :mod:`fracfield.det_solver` -- deterministic fixed-point solver for the
-  quasi-linear integral equation;
+* :mod:`fracfield.det_solver` -- deterministic causal-march solver for
+  the quasi-linear integral equation;
 * :mod:`fracfield.quasilinear` -- full simulation pipeline and drift
   truncation ladders;
 * :mod:`fracfield.analysis` -- regularity fits, continuity in the Hurst
@@ -20,10 +20,11 @@ The package is organized bottom-up:
 :mod:`fracfield.oracle` is not imported here: it holds the independent
 numeric routes that the tests check the run-time path against, the
 spectral quadrature engine for the closed forms and the scalar Volterra
-solution ``ode_oracle`` for the grid solver.  The engine's settings
+solution ``ode_oracle`` and the global Picard iteration
+``picard_oracle`` for the grid solver.  The engine's settings
 (``QuadratureSpec``), its error type, the propagator multipliers in
-spectral form, the integrated ``dalang_integral_quad`` and
-``ode_oracle`` are imported from there.
+spectral form, the integrated ``dalang_integral_quad``, ``ode_oracle``
+and ``picard_oracle`` are imported from there.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .analysis import (Direction, ExponentFit, ShiftKind,
                        h_convergence, marginal_distance, verify_lemma_bound)
 from .covariance import (CovarianceMatrix, conv_cov, cov_matrix,
                          increment_moment2, noise_field_cov)
-from .det_solver import (DriftSpec, GridFunction, InitialData, PicardInfo,
+from .det_solver import (DriftSpec, GridFunction, InitialData, MarchRecord,
                          PointGrid, drift_truncate, initial_term,
                          initial_term_grid, make_drift, make_initial_data,
                          picard_apply, solve_replicates)
@@ -60,10 +61,10 @@ __all__ = [
     "InitialData",
     "LadderResult",
     "LemmaConstantKind",
+    "MarchRecord",
     "MaxIterExceededError",
     "NotPsdError",
     "NumericalError",
-    "PicardInfo",
     "PointGrid",
     "PsdFactor",
     "ShiftKind",

@@ -8,8 +8,8 @@ overrides; with ``--out`` every table lands in CSV files next to a
 ``run_manifest.json`` pinning the resolved configuration and digests.
 
 Exit codes: 0 on success, 1 on configuration or validation errors, 2 on
-numerical failures (overflow, factorization, non-convergence) and on a
-violated increment bound.
+numerical failures (overflow, factorization, a heat node that does not
+settle) and on a violated increment bound.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -207,7 +207,7 @@ class _Run:
     ``artifacts`` maps file names, in writing order, to a JSON document
     or, for a ``.csv`` name, to a ``(header, columns)`` table.  Without
     ``--out`` the ``lines`` are printed, or the first table when there
-    are none.
+    are none.  ``diagnostics`` joins the manifest's diagnostics.
     """
 
     config: dict
@@ -215,6 +215,7 @@ class _Run:
     lines: list | None = None
     master_seed: int | None = None
     code: int = 0
+    diagnostics: dict = field(default_factory=dict)
 
 
 def _field_table(grid: PointGrid, fields: np.ndarray) -> tuple:
@@ -283,21 +284,16 @@ def _cmd_solve_det(cfg: dict, args) -> _Run:
     grid = _grid_from(cfg)
     drift = _drift_from(cfg)
     data = _initial_from(cfg)
-    tol = float(cfg.get("tol", 1e-8))
-    max_iter = int(cfg.get("max_iter", 60))
     eta = _eta_from(cfg, eqn, data, grid)
-    fields, (info,) = solve_replicates(eqn, drift, grid, eta[None],
-                                       tol=tol, max_iter=max_iter)
+    fields, solve = solve_replicates(eqn, drift, grid, eta[None])
     table = (("t", "x", "value"), (*grid.nodes(), fields[0].ravel()))
     return _Run(config={
-        "equation": eqn.value, "drift": drift.name, "tol": tol,
-        "max_iter": max_iter,
+        "equation": eqn.value, "drift": drift.name,
         "eta": cfg.get("eta", {"kind": "initial"}),
         "grid": {"horizon": grid.horizon, "half_width": grid.half_width,
-                 "n_t": grid.n_t, "n_x": grid.n_x},
-        "iterations": info.iterations,
-        "used_certificate": info.used_certificate},
-        artifacts={"field.csv": table})
+                 "n_t": grid.n_t, "n_x": grid.n_x}},
+        artifacts={"field.csv": table},
+        diagnostics={"solve": asdict(solve)})
 
 
 def _sim_config(cfg: dict, args) -> SimulationConfig:
@@ -307,9 +303,7 @@ def _sim_config(cfg: dict, args) -> SimulationConfig:
         drift=_drift_from(cfg), data=_initial_from(cfg), grid=_grid_from(cfg),
         master_seed=_seed_from(cfg, args),
         n_replicates=_replicates_from(cfg, args),
-        truncation_ladder=tuple(ladder) if ladder else None,
-        tol=float(cfg.get("tol", 1e-8)),
-        max_iter=int(cfg.get("max_iter", 60)))
+        truncation_ladder=tuple(ladder) if ladder else None)
 
 
 def _describe_sim(config: SimulationConfig) -> dict:
@@ -317,7 +311,6 @@ def _describe_sim(config: SimulationConfig) -> dict:
         "equation": config.eqn.value, "hurst": config.hurst.value,
         "drift": config.drift.name, "master_seed": config.master_seed,
         "n_replicates": config.n_replicates,
-        "tol": config.tol, "max_iter": config.max_iter,
         "truncation_ladder": list(config.truncation_ladder)
         if config.truncation_ladder else None,
         "grid": {"horizon": config.grid.horizon,
@@ -338,7 +331,9 @@ def _cmd_simulate(cfg: dict, args) -> _Run:
                         "ladder_consecutive.csv": (
                             ("truncation_level", "deviation_to_next"),
                             (result.levels[:-1],
-                             result.deviation_consecutive))})
+                             result.deviation_consecutive))},
+                    diagnostics={"solves": [asdict(s) for s in
+                                            result.solves]})
     result = simulate(config)
     described["jitter_used"] = result.jitter_used
     n_reps = result.fields.shape[0]
@@ -355,7 +350,8 @@ def _cmd_simulate(cfg: dict, args) -> _Run:
                 artifacts={
                     "fields.csv": _field_table(config.grid, result.fields),
                     "noise.csv": _field_table(config.grid, result.noise),
-                    "summary.json": summary})
+                    "summary.json": summary},
+                diagnostics={"solve": asdict(result.solve)})
 
 
 def _cmd_hoelder(cfg: dict, args) -> _Run:
@@ -574,7 +570,7 @@ def _write(run: _Run, args, started: float, computed: float) -> None:
         "outputs": outputs,
         "diagnostics": {"compute_s": computed - started,
                         "write_s": written - computed,
-                        "write": writes},
+                        "write": writes, **run.diagnostics},
         "wall_clock_seconds": time.perf_counter() - started})
 
 

@@ -282,6 +282,17 @@ def _wave_far(q: float, t1, t2, c):
     return 4.0 * t1 * t1 * c ** (q - 1.0) * total
 
 
+def _wave_constant(hurst: HurstIndex) -> float:
+    """``C(1 - 2H) / 2`` of the wave forms, C = :func:`cos_integral_constant`,
+    which diverges where ``1 - 2H`` rounds to 1 (H <= 2**-55)."""
+    if hurst.spectral_exponent == 1.0:
+        raise NumericalError(
+            f"the wave covariance at H = {hurst.value!r} needs the spectral "
+            f"exponent 1 - 2H, which rounds to 1 in double precision for "
+            f"H <= 2**-55; its constant C(1 - 2H) diverges there")
+    return cos_integral_constant(hurst.spectral_exponent) / 2.0
+
+
 def _closed_cov(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
     """Covariance on broadcast arrays with ``t1 <= t2`` and ``c = |dx|``.
 
@@ -320,7 +331,7 @@ def _closed_cov(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
             if far.any():
                 out[far] = _wave_far(q, t1[far], t2[far], c[far])
             out = np.where((h == 0.5) & (c >= s), 0.0, out)
-            out *= cos_integral_constant(hurst.spectral_exponent) / 2.0
+            out *= _wave_constant(hurst)
         elif eqn is EquationKind.HEAT:
             z, a, b = c * c / 4.0, d / 2.0, s / 2.0
             live = t1 > 0.0
@@ -380,7 +391,7 @@ def _closed_incr(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
             if far.any():
                 out[far] = (prim(2.0 * t1[far]) + prim(2.0 * t2[far])
                             - 2.0 * _wave_far(q, t1[far], t2[far], c[far]))
-            out *= cos_integral_constant(hurst.spectral_exponent) / 2.0
+            out *= _wave_constant(hurst)
         elif eqn is EquationKind.HEAT:
             z, a, b = c * c / 4.0, d / 2.0, s / 2.0
             live = t2 > 0.0

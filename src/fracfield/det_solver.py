@@ -1,20 +1,16 @@
-"""Deterministic fixed-point solver for the quasi-linear integral equation.
+"""Deterministic solver for the quasi-linear integral equation.
 
-Given a forcing field eta on a space-time grid, the solver iterates
-
-``z_{n+1} = eta + G * b(z_n)``
-
-where ``G *`` is space-time convolution with the fundamental solution,
-discretized by trapezoid rules on the grid.  Contraction is factorial in
-the iteration count, so convergence certificates based on the drift's
-Lipschitz constant are available alongside the raw increment test.
-
-:func:`solve_replicates` is the one Picard loop, over a stack of forcings
-each solved as if alone, one forcing being a stack of one.
-The heat step is a recursion of spatial stencil convolutions that takes
-one dot product per output over that output's edge-padded window, so a
-row constant in x stays exactly constant; the wave step sweeps running
-sums along the light cone's diagonals.  Neither mixes replicates.
+Given a forcing field eta on a space-time grid, the solver finds the
+fixed point of ``z = eta + G * b(z)``, where ``G *`` is space-time
+convolution with the fundamental solution, discretized by trapezoid
+rules on the grid.  The discrete system is lower triangular in time, so
+:func:`solve_replicates` solves it in one causal march over the time
+rows, for a stack of forcings each solved as if alone.  The march and
+:func:`picard_apply`, one application of the map, share one row sweep
+per kernel: the heat's semigroup recursion of spatial stencil
+convolutions, one dot product per output over its edge-padded window,
+and the wave's running sums along the light cone's diagonals.  Neither
+mixes replicates.
 
 The forcing is only known on the reported grid ``[0, T] x [-L, L]``; the
 convolution needs values on the wider strip ``[-L - T, L + T]``, which is
@@ -31,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .errors import MaxIterExceededError
+from .errors import MaxIterExceededError, NumericalError
 from .spectral import EquationKind
 
 __all__ = [
@@ -39,7 +35,7 @@ __all__ = [
     "InitialData",
     "PointGrid",
     "GridFunction",
-    "PicardInfo",
+    "MarchRecord",
     "initial_term",
     "initial_term_grid",
     "drift_truncate",
@@ -217,12 +213,14 @@ class GridFunction:
 
 
 @dataclass(frozen=True)
-class PicardInfo:
-    """Convergence record of a fixed-point solve that met its tolerance."""
+class MarchRecord:
+    """What one march of :func:`solve_replicates` did: ``method`` is
+    ``"explicit_march"`` (wave) or ``"pointwise_march"`` (heat), and for
+    the heat ``pointwise_iterations[k]`` counts the nodes, over all
+    replicates and rows after the first, that took k evaluations."""
 
-    iterations: int
-    increments: tuple
-    used_certificate: bool
+    method: str
+    pointwise_iterations: tuple = ()
 
 
 def initial_term(eqn: EquationKind, data: InitialData, t: float, x):
@@ -303,122 +301,82 @@ def _heat_kernel_weights(dt: float, dx: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _convolve_heat(f: np.ndarray, dt: float, w: np.ndarray) -> np.ndarray:
-    """``G * f`` for the heat kernel on ``(R, n_t + 1, width)`` fields.
+def _heat_sweep(rows, f0: np.ndarray, n_t: int, w: np.ndarray) -> None:
+    """The semigroup recursion of the heat kernel's ``G * f``, row by row.
 
-    Trapezoid in time composed with per-step spatial convolutions,
-    evaluated by the semigroup recursion ``B_{i+1} = K * (B_i + c_i
-    f_i)``.  Every step edge-pads ``B_i + c_i f_i`` into one ``(R, width +
-    2r)`` buffer and takes one dot product of the symmetric stencil w
-    with each output's window of it, through a sliding-window view built
-    once: only the kept outputs are computed, and each depends on its
-    own replicate and window alone.  Above 11 taps the bits are those of
-    ``np.convolve`` of the padded row; at 11 or fewer numpy's unrolled
-    small-kernel loop sums in another order.  The working set is
-    O(R * width) besides the output.
+    From row 0 of f, ``f0`` of shape ``(R, width)``, the sweep forms
+    ``B_i = K * (B_{i-1} + c_{i-1} f_{i-1})`` (``B_0 = 0``, ``c_0 = 1/2``,
+    else 1) for i = 1 .. n_t, and ``rows(i, B_i)`` returns row i of f;
+    ``G * f`` at row i is ``dt (B_i + f_i / 2)``.  Each step takes one dot
+    product of the symmetric stencil w with each output's window of the
+    edge-padded ``B + c f``, so an output depends on its own replicate and
+    window alone; above 11 taps the bits are those of ``np.convolve`` of
+    the padded row.  ``B_i`` is overwritten after ``rows`` returns.
     """
-    n_rep, n_rows, width = f.shape
+    n_rep, width = f0.shape
     r = (w.size - 1) // 2
     buf = np.empty((n_rep, width + 2 * r))
     inner = buf[:, r:r + width]
     windows = np.lib.stride_tricks.sliding_window_view(buf, w.size, axis=1)
-    out = np.zeros_like(f)
-    b = np.zeros_like(f[:, 0])
-    for i in range(1, n_rows):
-        c = 0.5 if i == 1 else 1.0
-        np.add(b, c * f[:, i - 1], out=inner)
+    b = np.zeros((n_rep, width))
+    f_prev = f0
+    for i in range(1, n_t + 1):
+        np.add(b, (0.5 if i == 1 else 1.0) * f_prev, out=inner)
         buf[:, :r] = inner[:, :1]
         buf[:, r + width:] = inner[:, -1:]
         np.vecdot(windows, w, out=b)
-        out[:, i] = dt * (b + 0.5 * f[:, i])
-    return out
+        f_prev = rows(i, b)
 
 
-def _convolve_wave(f: np.ndarray, dt: float, dx: float) -> np.ndarray:
-    """``G * f`` for the wave kernel on ``(R, n_t + 1, width)`` fields.
+def _wave_sweep(rows, f0: np.ndarray, n_t: int, dt: float,
+                dx: float) -> None:
+    """The wave kernel's ``G * f``, row by row.
 
-    The kernel is half the indicator of the light cone, so the update at
+    The kernel is half the indicator of the light cone, so ``G * f`` at
     node (i, l) is half the 2-D trapezoid of f over the cone of width
-    ``i - j`` cells.  One sweep over the time rows keeps four running
-    sums along the cone's two diagonals: of the x-prefix sums ``d`` of
-    the edge-padded row ``g``, and of ``g`` itself.  Row j enters them
+    ``i - j`` cells, and reads only the rows before i.  ``f0`` is row 0,
+    ``(R, width)``; for i = 1 .. n_t, ``rows(i, out_i)`` takes row i of
+    ``G * f`` and returns row i of f.  The sweep keeps four running sums
+    along the cone's two diagonals: of the x-prefix sums ``d`` of the
+    edge-padded row ``g``, and of ``g`` itself.  Row j enters them
     shifted by j columns, and output row i reads them, as they stand
     after rows ``0 .. i-1``, through contiguous slices.  The work is
-    O(R * n_t * width) and the working set O(R * width) besides the
-    output.
+    O(R * n_t * width) and the working set O(R * width).
     """
-    n_rep, n_rows, width = f.shape
-    n_t = n_rows - 1
+    n_rep, width = f0.shape
     n_g = width + 2 * n_t
     g = np.empty((n_rep, n_g))
     d = np.zeros((n_rep, n_g + 1))
 
-    def pad_row(j):
-        # Row j of f edge-padded by n_t cells on each side, and its
-        # x-prefix sums from 0.
-        g[:, :n_t] = f[:, j, :1]
-        g[:, n_t:n_t + width] = f[:, j]
-        g[:, n_t + width:] = f[:, j, -1:]
+    def pad_row(row):
+        # The row edge-padded by n_t cells on each side, and its x-prefix
+        # sums from 0.
+        g[:, :n_t] = row[:, :1]
+        g[:, n_t:n_t + width] = row
+        g[:, n_t + width:] = row[:, -1:]
         np.cumsum(g, axis=1, out=d[:, 1:])
 
-    pad_row(0)
+    pad_row(f0)
     g0, d0 = g.copy(), d.copy()
     ad, dg, ga, gd = d.copy(), d.copy(), g.copy(), g.copy()
-    out = np.zeros_like(f)
     scale = 0.5 * dt * dx
-    for i in range(1, n_rows):
+    for i in range(1, n_t + 1):
         # Row i reads the cone's right (hi) and left (lo) edges.
         hi = slice(i + n_t + 1, i + n_t + 1 + width)
         hi_g = slice(i + n_t, i + n_t + width)
         lo = slice(n_t - i, n_t - i + width)
         full = ad[:, hi] - dg[:, lo] - 0.5 * (ga[:, hi_g] + gd[:, lo])
         row0 = d0[:, hi] - d0[:, lo] - 0.5 * (g0[:, hi_g] + g0[:, lo])
-        out[:, i] = scale * (full - 0.5 * row0)
+        f_i = rows(i, scale * (full - 0.5 * row0))
         if i == n_t:
             break
         # Row i enters the diagonal sums shifted by i columns; the
         # columns it does not reach are never read again.
-        pad_row(i)
+        pad_row(f_i)
         ad[:, i:] += d[:, :n_g + 1 - i]
         dg[:, :n_g + 1 - i] += d[:, i:]
         ga[:, i:] += g[:, :n_g - i]
         gd[:, :n_g - i] += g[:, i:]
-    return out
-
-
-def _picard_step(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
-                 z: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """One application ``eta + G * b(z)`` on ``(R, n_t + 1, n_x + 1)`` fields.
-
-    The drift is applied on the reported window and its values extended
-    into the spatial margin by edge replication, which for an elementwise
-    drift equals the drift of the edge-extended z; the result is
-    convolved there, and only the reported window returned.
-    """
-    mc = _margin_cells(grid)
-    f = np.pad(np.asarray(drift(z), dtype=float), ((0, 0), (0, 0), (mc, mc)),
-               mode="edge")
-    if eqn is EquationKind.HEAT:
-        conv = _convolve_heat(f, grid.dt,
-                              _heat_kernel_weights(grid.dt, grid.dx))
-    else:
-        conv = _convolve_wave(f, grid.dt, grid.dx)
-    return eta + conv[:, :, mc:mc + grid.n_x + 1]
-
-
-def picard_apply(eqn: EquationKind, drift: DriftSpec, z: GridFunction,
-                 eta: GridFunction) -> GridFunction:
-    """One fixed-point application ``eta + G * b(z)`` on the grid.
-
-    z is extended into the spatial margin by edge replication before
-    convolving; only the reported window is returned.
-    """
-    grid = z.grid
-    if eta.grid != grid:
-        raise ValueError("z and eta must live on the same grid")
-    _check_solvable(eqn, drift, grid)
-    out = _picard_step(eqn, drift, grid, z.values[None], eta.values[None])
-    return GridFunction(grid=grid, values=out[0])
 
 
 def _check_solvable(eqn: EquationKind, drift: DriftSpec,
@@ -433,30 +391,133 @@ def _check_solvable(eqn: EquationKind, drift: DriftSpec,
             f"got dx={grid.dx:.6g}, dt={grid.dt:.6g}")
 
 
-def _contraction_ratio(eqn: EquationKind, lip: float, horizon: float,
-                       n: int) -> float:
+def _settle(drift: DriftSpec, e: np.ndarray, b: np.ndarray, dt: float,
+            cap: int) -> tuple:
+    """Solve ``z = e + dt * (b + 0.5 * drift(z))`` at every node of flat
+    arrays, each node on its own.
+
+    The map is written as the heat step writes a row.  From ``z = e + dt
+    * b`` a node iterates it until its increment is 0, at most ``eps``
+    times its terms' magnitudes, or no smaller than the one before (in
+    exact arithmetic it shrinks by ``dt L / 2 < 1``), and keeps the
+    iterate of smallest increment.  Returns z, the increments, the flat
+    indices of nodes unsettled after ``cap`` evaluations or with a
+    non-finite increment, and the count of nodes that took 1, 2, ...
+    """
+    z = e + dt * b
+    bz = np.asarray(drift(z), dtype=float)
+    tiny = np.finfo(float).eps * (np.abs(e) + dt * (np.abs(b)
+                                                    + 0.5 * np.abs(bz)))
+    fz = e + dt * (b + 0.5 * bz)
+    d = np.abs(fz - z)
+    live = ~(d <= tiny)
+    reached = [z.size]
+    for _ in range(cap - 1):
+        reached.append(np.count_nonzero(live))
+        if reached[-1] == 0:
+            break
+        f2 = e + dt * (b + 0.5 * np.asarray(drift(fz), dtype=float))
+        d2 = np.abs(f2 - fz)
+        better = live & (d2 < d)
+        np.copyto(z, fz, where=better)
+        np.copyto(fz, f2, where=better)
+        np.copyto(d, d2, where=better)
+        live = better & ~(d2 <= tiny)
+    bad = np.flatnonzero(live | ~np.isfinite(d))
+    return z, d, bad, -np.diff(reached, append=0)
+
+
+def _sweep(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
+           eta: np.ndarray, z: np.ndarray | None = None) -> tuple:
+    """``eta + G * b(z)`` on ``(R, n_t + 1, n_x + 1)`` stacks, row by row.
+
+    The drift is applied on the reported window and edge-extended into a
+    spatial margin, which for an elementwise drift is the drift of the
+    edge-extended z; only the window is returned.  Without z the output
+    is z itself: the wave's row i is explicit, and each heat node of row
+    i is a fixed point for :func:`_settle`.  Returns the rows and, at
+    index k, the count of heat nodes that took k evaluations.
+    """
+    dt, q = grid.dt, 0.5 * grid.dt * drift.lipschitz_constant
+    if z is None and eqn is EquationKind.HEAT and not q < 1.0:
+        raise NumericalError(
+            f"the heat march needs dt L / 2 < 1, but the grid's dt = {dt:.6g} "
+            f"({grid.n_t} steps over horizon {grid.horizon:g}) and the "
+            f"drift's L = {drift.lipschitz_constant:.6g} give {q:.6g}; use "
+            f"more time steps")
+    cap = 16 + (math.ceil(64.0 * math.log(2.0) / -math.log(q))
+                if 0.0 < q < 1.0 else 0)
+    counts, stuck = np.zeros(cap + 1, dtype=np.int64), {}
+    mc = _margin_cells(grid)
+    win = slice(mc, mc + grid.n_x + 1)
+    out = np.empty_like(eta)
+    out[:, 0] = eta[:, 0]
+    src = out if z is None else z
+
+    def drift_row(i):
+        return np.pad(np.asarray(drift(src[:, i]), dtype=float),
+                      ((0, 0), (mc, mc)), mode="edge")
+
+    def wave_row(i, conv):
+        np.add(eta[:, i], conv[:, win], out=out[:, i])
+        return drift_row(i)
+
+    def heat_row(i, b):
+        if z is not None:
+            f = drift_row(i)
+            out[:, i] = eta[:, i] + dt * (b[:, win] + 0.5 * f[:, win])
+            return f
+        zi, d, bad, took = _settle(drift, eta[:, i].ravel(),
+                                   b[:, win].ravel(), dt, cap)
+        out[:, i] = zi.reshape(out.shape[0], -1)
+        counts[1:took.size + 1] += took
+        for k in bad.tolist():
+            stuck.setdefault(k // out.shape[2],
+                             (i, k % out.shape[2], float(d[k])))
+        return drift_row(i)
+
     if eqn is EquationKind.WAVE:
-        return 2.0 * lip * horizon ** 2 / (n + 1)
-    return lip * horizon / (n + 1)
+        _wave_sweep(wave_row, drift_row(0), grid.n_t, dt, grid.dx)
+    else:
+        _heat_sweep(heat_row, drift_row(0), grid.n_t,
+                    _heat_kernel_weights(dt, grid.dx))
+    if stuck:
+        r = min(stuck)
+        i, col, last = stuck[r]
+        raise MaxIterExceededError(
+            f"replicate {r}: the pointwise solve at node (t, x) = "
+            f"({grid.times()[i]:.6g}, {grid.positions()[col]:.6g}) did not "
+            f"settle within {cap} evaluations (last increment {last:.3e})",
+            last_increment=last, iterations=cap, replicate_index=r,
+            node=(i, col))
+    return out, counts
+
+
+def picard_apply(eqn: EquationKind, drift: DriftSpec, z: GridFunction,
+                 eta: GridFunction) -> GridFunction:
+    """One fixed-point application ``eta + G * b(z)`` on the grid, through
+    the row sweep that :func:`solve_replicates` marches."""
+    grid = z.grid
+    if eta.grid != grid:
+        raise ValueError("z and eta must live on the same grid")
+    _check_solvable(eqn, drift, grid)
+    out, _ = _sweep(eqn, drift, grid, eta.values[None], z.values[None])
+    return GridFunction(grid=grid, values=out[0])
 
 
 def solve_replicates(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
-                     eta_fields: np.ndarray, *, tol: float = 1e-8,
-                     max_iter: int = 60) -> tuple:
-    """Solve ``z = eta + G * b(z)`` for a stack ``(R, n_t + 1, n_x + 1)``.
+                     eta_fields: np.ndarray) -> tuple:
+    """Solve ``z = eta + G * b(z)`` for a stack ``(R, n_t + 1, n_x + 1)``
+    by one forward march, ``z_0 = eta_0`` and row i from the rows before.
 
-    Iteration starts at eta.  A replicate stops, where it would alone, once
-    its sup-norm increment drops below ``tol`` or the factorial certificate
-    ``d_n rho_n / (1 - rho_n) < tol`` (``rho_n`` from the drift's Lipschitz
-    constant) bounds the rest.  Returns the fields and one
-    :class:`PicardInfo` per replicate.  A mis-shaped or non-finite stack
-    raises ``ValueError`` before iterating; past ``max_iter``,
-    :class:`MaxIterExceededError` names the lowest replicate still active.
+    Wave: row i is explicit, and one more :func:`picard_apply` leaves the
+    field bit for bit.  Heat: row i is ``eta_i + dt (B_i + b(z_i) / 2)``,
+    a scalar fixed point at each node that contracts by ``q = dt L / 2``;
+    q >= 1 raises :class:`NumericalError`, and a node unsettled after
+    ``16 + 64 ln 2 / ln(1/q)`` evaluations raises
+    :class:`MaxIterExceededError` naming the lowest such replicate and
+    its first such node.  Returns the fields and a :class:`MarchRecord`.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     _check_solvable(eqn, drift, grid)
     eta = np.asarray(eta_fields, dtype=float)
     want = (grid.n_t + 1, grid.n_x + 1)
@@ -465,39 +526,13 @@ def solve_replicates(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
                          f"(R >= 1, {want[0]}, {want[1]})")
     if not np.all(np.isfinite(eta)):
         raise ValueError("forcing stack carries non-finite values")
-    z = eta.copy()
-    increments = np.zeros((max_iter, z.shape[0]))
-    iterations = np.full(z.shape[0], max_iter)
-    certified = np.zeros(z.shape[0], dtype=bool)
-    active = np.arange(z.shape[0])
-    for n in range(1, max_iter + 1):
-        z_old = z[active]
-        z_new = _picard_step(eqn, drift, grid, z_old, eta[active])
-        d = np.max(np.abs(z_new - z_old), axis=(1, 2))
-        z[active] = z_new
-        increments[n - 1, active] = d
-        done = d < tol
-        rho = _contraction_ratio(eqn, drift.lipschitz_constant,
-                                 grid.horizon, n)
-        if rho < 0.5:
-            cert = ~done & (d * rho / (1.0 - rho) < tol)
-            certified[active] = cert
-            done |= cert
-        iterations[active[done]] = n
-        active = active[~done]
-        if active.size == 0:
-            break
-    if active.size:
-        r = int(active[0])
-        last = float(increments[-1, r])
-        raise MaxIterExceededError(
-            f"replicate {r}: fixed-point iteration did not reach tol={tol} "
-            f"within {max_iter} iterations (last increment {last:.3e})",
-            last_increment=last, iterations=max_iter, replicate_index=r)
-    return z, tuple(PicardInfo(iterations=int(k),
-                               increments=tuple(increments[:k, r].tolist()),
-                               used_certificate=bool(c))
-                    for r, (k, c) in enumerate(zip(iterations, certified)))
+    z, counts = _sweep(eqn, drift, grid, eta)
+    if not np.all(np.isfinite(z)):
+        raise NumericalError("the march overflowed: the drift grew past "
+                             "double precision")
+    return z, MarchRecord(
+        "explicit_march" if eqn is EquationKind.WAVE else "pointwise_march",
+        tuple(np.trim_zeros(counts, "b").tolist()))
 
 
 # Registries of ready-made drifts and initial data for configs and tests.

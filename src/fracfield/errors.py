@@ -32,22 +32,20 @@ class NotPsdError(NumericalError):
 
 
 class MaxIterExceededError(NumericalError):
-    """Fixed-point solver hit its iteration cap before reaching tolerance.
+    """A fixed point did not settle within its iteration cap.
 
-    Attributes
-    ----------
-    last_increment : float
-        Sup-norm of the final iteration's update.
-    iterations : int
-        Number of iterations performed.
-    replicate_index : int
-        Position in the forcing stack of the lowest-index replicate still
-        iterating; 0 for a solve of one forcing.
+    For the heat march, ``replicate_index`` is the position in the
+    forcing stack of the lowest replicate with a node that did not
+    settle (0 for one forcing), ``node`` that replicate's first such
+    ``(time index, position index)``, rows first, ``iterations`` the cap
+    and ``last_increment`` the node's last increment.
     """
 
     def __init__(self, message: str, last_increment: float = float("nan"),
-                 iterations: int = 0, replicate_index: int = 0):
+                 iterations: int = 0, replicate_index: int = 0,
+                 node: tuple = ()):
         super().__init__(message)
         self.last_increment = last_increment
         self.iterations = iterations
         self.replicate_index = replicate_index
+        self.node = node

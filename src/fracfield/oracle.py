@@ -10,9 +10,11 @@ formula.  It owns everything that only this route uses: the engine's
 settings (:class:`QuadratureSpec`), its error type, the multipliers
 (:func:`fourier_kernel`, :func:`time_kernel`) and the integrated
 integrability functional :func:`dalang_integral_quad`.  It also holds
-:func:`ode_oracle`, the scalar Volterra solution that the grid solver of
-:mod:`fracfield.det_solver` is checked against for forcing constant in
-space.  Nothing the CLI imports loads it; the tests do.
+two routes that the grid solver of :mod:`fracfield.det_solver` is checked
+against: :func:`ode_oracle`, the scalar Volterra solution for forcing
+constant in space, and :func:`picard_oracle`, global Picard iteration of
+the whole grid to a tight tolerance instead of the solver's causal
+march.  Nothing the CLI imports loads it; the tests do.
 
 The engine splits the half line into three zones:
 
@@ -36,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .det_solver import DriftSpec
-from .errors import NumericalError
+from .det_solver import DriftSpec, GridFunction, picard_apply
+from .errors import MaxIterExceededError, NumericalError
 from .spectral import EquationKind, _check_alpha_horizon
 
 __all__ = [
@@ -53,6 +55,7 @@ __all__ = [
     "dalang_integral_quad",
     "time_shift_lhs",
     "ode_oracle",
+    "picard_oracle",
 ]
 
 # Gauss-Legendre rules reused everywhere; GL8 provides the embedded error
@@ -795,3 +798,20 @@ def ode_oracle(eqn: EquationKind, drift: DriftSpec, eta, horizon: float,
         if delta < 1e-13:
             break
     return z
+
+
+def picard_oracle(eqn: EquationKind, drift: DriftSpec, eta: GridFunction,
+                  tol: float = 1e-14, max_iter: int = 200) -> tuple:
+    """Fixed point of ``z = eta + G * b(z)`` by global Picard iteration of
+    :func:`fracfield.det_solver.picard_apply` from eta, to a sup-norm
+    increment below tol; returns the field and the increments."""
+    z, increments = eta, []
+    while len(increments) < max_iter:
+        z, last = picard_apply(eqn, drift, z, eta), z
+        increments.append(float(np.max(np.abs(z.values - last.values))))
+        if increments[-1] < tol:
+            return z, tuple(increments)
+    raise MaxIterExceededError(
+        f"Picard iteration did not reach tol={tol} within {max_iter} "
+        f"iterations (last increment {increments[-1]:.3e})",
+        last_increment=increments[-1], iterations=max_iter)

@@ -314,8 +314,19 @@ class TestSolveDet:
         assert main(["solve-det", "--config", cfg, "--equation", "wave",
                      "--out", str(out)]) == 0
         manifest = assert_manifest_digests(out)
-        assert manifest["config"]["iterations"] == 1
+        assert manifest["diagnostics"]["solve"] == {
+            "method": "explicit_march", "pointwise_iterations": []}
+        assert not set(manifest["config"]) & {
+            "iterations", "used_certificate", "tol", "max_iter"}
         assert manifest["config"]["eta"] == {"kind": "zero"}
+        # A heat solve records how many evaluations its nodes took: the
+        # constant drift settles every one of the 2 x 3 nodes after the
+        # first row in two.
+        assert main(["solve-det", "--config", cfg, "--equation", "heat",
+                     "--out", str(tmp_path / "heat")]) == 0
+        manifest = assert_manifest_digests(tmp_path / "heat")
+        assert manifest["diagnostics"]["solve"] == {
+            "method": "pointwise_march", "pointwise_iterations": [0, 0, 6]}
 
     def test_hurst_flag_rejected(self, tmp_path, capsys):
         # A deterministic solve has no roughness index to select.
@@ -334,6 +345,35 @@ SIM_CONFIG = {
     "drift": {"kind": "tanh_scaled", "params": {"a": 1.0}},
     "initial": {"u0": {"kind": "const", "params": {"c": 1.0}}},
     "n_replicates": 2, "master_seed": 11}
+
+
+@pytest.mark.parametrize("hurst", [1e-300, 2.0 ** -55, 1e-9])
+@pytest.mark.parametrize("equation", ["wave", "heat"])
+def test_hurst_near_zero(tmp_path, capsys, equation, hurst):
+    # At H <= 2**-55 the wave's spectral exponent 1 - 2H rounds to 1:
+    # cov, sample and simulate fail as numerical failures saying why.
+    # The heat at every such H, and the wave at 1e-9, run.
+    points = {"points": [[0.5, 0.0], [1.0, 0.25], [1.0, -0.5]],
+              "master_seed": 1}
+    runs = (["cov"], ["sample", "--replicates", "2"])
+    configs = [points, points, dict(SIM_CONFIG, equation=equation)]
+    fails = equation == "wave" and hurst <= 2.0 ** -55
+    for k, (argv, cfg) in enumerate(zip([*runs, ["simulate"]], configs)):
+        path = write_config(tmp_path, dict(cfg, hurst=hurst), f"c{k}.json")
+        out = tmp_path / f"run{k}"
+        code = main([*argv, "--config", path, "--equation", equation,
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        if fails:
+            assert code == 2
+            assert "numerical failure" in err and "rounds to 1" in err
+        else:
+            assert code == 0, err
+            for name in assert_manifest_digests(out)["outputs"]:
+                if name.endswith(".csv"):
+                    table = np.loadtxt(out / name, delimiter=",",
+                                       skiprows=1, ndmin=2)
+                    assert np.all(np.isfinite(table))
 
 
 LADDER_CONFIG = {
@@ -407,11 +447,43 @@ class TestSimulate:
         assert capsys.readouterr().out == ""
         assert printed == (out / "fields.csv").read_text()
 
-    def test_iteration_cap_exits_two(self, tmp_path, capsys):
-        cfg = dict(SIM_CONFIG, tol=1e-14, max_iter=1)
+    def test_march_failure_exits_two(self, tmp_path, capsys):
+        # Heat steps of 1/4 with a drift of slope 8 leave each node's
+        # map without a contraction (dt L / 2 = 1): a numerical failure.
+        cfg = dict(SIM_CONFIG, equation="heat",
+                   drift={"kind": "tanh_scaled", "params": {"a": 8.0}})
         path = write_config(tmp_path, cfg)
         assert main(["simulate", "--config", path]) == 2
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "dt L / 2 < 1" in err
+
+    def test_old_solver_keys_are_ignored(self, tmp_path):
+        # Configs written for the Picard loop still run, to the same
+        # bytes.
+        a = self.run_sim(tmp_path, "a")
+        path = write_config(tmp_path, dict(SIM_CONFIG, tol=1e-14,
+                                           max_iter=1))
+        out = tmp_path / "b"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        assert (a / "fields.csv").read_bytes() \
+            == (out / "fields.csv").read_bytes()
+        manifest = assert_manifest_digests(out)
+        assert not set(manifest["config"]) & {"tol", "max_iter"}
+
+    def test_manifest_records_the_solve(self, tmp_path):
+        out = self.run_sim(tmp_path, "run")
+        manifest = assert_manifest_digests(out)
+        assert manifest["diagnostics"]["solve"]["method"] == "explicit_march"
+        path = write_config(tmp_path, LADDER_CONFIG)
+        out = tmp_path / "ladder"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        solves = assert_manifest_digests(out)["diagnostics"]["solves"]
+        assert len(solves) == len(LADDER_CONFIG["truncation_ladder"])
+        for solve in solves:
+            assert solve["method"] == "pointwise_march"
+            # 3 replicates, 6 rows after the first, 5 nodes a row.
+            assert sum(solve["pointwise_iterations"]) == 3 * 6 * 5
 
     def test_ladder_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, LADDER_CONFIG)
@@ -613,10 +685,11 @@ GOLDEN_RUNS = {
         "noise.csv": "495cf096e4612f4690fff749e958aa5d"
                      "2edfbdda1f6a3a9378414d2d08703a12"}),
     # This run and "cov" were recorded with Kummer's function summed from
-    # its series in covariance, not by scipy's hyp1f1.
+    # its series in covariance, not by scipy's hyp1f1; its fields.csv
+    # with the causal march, 1.1e-8 from the Picard loop's at tol 1e-8.
     "simulate-heat": (["simulate"], GOLDEN_HEAT, {
-        "fields.csv": "a28bfe41813c74db7dd3e5d82d4268e6"
-                      "14848b563526855bce7bbc67047f39b4",
+        "fields.csv": "79dd35c4dd06e460428f8521b025632d"
+                      "158c4f7adca8d5b9f9655790bd692bdd",
         "noise.csv": "cf55d6351af0c2ffbb49c5cd6d2914bf"
                      "a7cc341710f3d6d0c4eab20c5c35665b"}),
     "sample": (["sample", "--equation", "wave", "--hurst", "0.5",
@@ -655,7 +728,9 @@ def test_manifest_times_compute_and_writes_apart(tmp_path):
                  "--out", str(out)]) == 0
     manifest = assert_manifest_digests(out)
     timings = manifest["diagnostics"]
-    assert set(timings) == {"compute_s", "write_s", "write"}
+    assert set(timings) == {"compute_s", "write_s", "write", "solve"}
+    assert timings["solve"] == {"method": "explicit_march",
+                                "pointwise_iterations": []}
     assert timings["compute_s"] >= 0.0 and timings["write_s"] >= 0.0
     assert timings["compute_s"] + timings["write_s"] \
         <= manifest["wall_clock_seconds"]
@@ -674,3 +749,4 @@ def test_manifest_times_compute_and_writes_apart(tmp_path):
     assert csv_digests == digests
     for name in manifest["outputs"]:
         assert "compute_s" not in (out / name).read_text()
+        assert "march" not in (out / name).read_text()

@@ -3,8 +3,9 @@
 Oracles: closed-form solutions of the scalar integral equations (t,
 t^2/2, e^t, cos t), exact Gaussian smoothing of sines, d'Alembert
 averages, structural facts (light-cone support, spatial-constancy
-preservation, contraction of the iteration), and whole-stack references
-that the row sweeps of the convolutions must match bit for bit.
+preservation, contraction of the Picard map), global Picard iteration
+to a tight tolerance, and whole-stack references that the row sweeps of
+the convolutions must match bit for bit.
 """
 
 import math
@@ -12,15 +13,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from fracfield import det_solver
-from fracfield import (DriftSpec, EquationKind, GridFunction, InitialData,
-                       MaxIterExceededError, PointGrid, drift_truncate,
-                       initial_term, initial_term_grid, make_drift,
-                       make_initial_data, picard_apply, solve_replicates)
-from fracfield.oracle import ode_oracle
+from fracfield import (DriftSpec, EquationKind, GridFunction, HurstIndex,
+                       InitialData, MaxIterExceededError, NotPsdError,
+                       NumericalError, PointGrid, cov_matrix, drift_truncate,
+                       factor_psd, initial_term, initial_term_grid,
+                       make_drift, make_initial_data, picard_apply,
+                       sample_field, solve_replicates)
+from fracfield.oracle import ode_oracle, picard_oracle
 
 HEAT = EquationKind.HEAT
 WAVE = EquationKind.WAVE
@@ -45,6 +48,21 @@ def wave_grid(n_t=100, n_x=16):
 # Clipped identity drift: b(z) = z wherever |z| <= 10, declared bounded
 # so the heat solver accepts it.
 BLIN = drift_truncate(make_drift("linear", a=1.0), 10.0)
+
+# A drift that declares L = 1 and passes the probe on [-8, 8], but has
+# slope -15.9 beyond it.  On LYING_GRID (dt = 1/8) a heat node near
+# z = 50 then contracts by 15.9 dt / 2 = 0.994 per evaluation, not by
+# dt / 2, and cannot settle within the cap that dt / 2 sets.
+LYING = DriftSpec(
+    func=lambda z: np.where(np.abs(z) <= 8.0, np.tanh(z),
+                            np.tanh(z) - 15.9 * (z - 50.0)),
+    lipschitz_constant=1.0, bound=1.0, name="lying")
+LYING_GRID = PointGrid(horizon=1.0, half_width=0.5, n_t=8, n_x=4)
+
+
+def ulps_of_sup(residual, field):
+    """A residual in units of the spacing of doubles at the field's sup."""
+    return residual / np.spacing(np.max(np.abs(field)))
 
 
 class TestPointGrid:
@@ -385,30 +403,35 @@ class TestPicardApply:
 
 
 class TestSolveF:
-    def test_heat_unit_drift_certified_in_one_step(self):
+    def test_heat_unit_drift_settles_in_two_evaluations(self):
+        # A constant drift makes each node's map constant: the first
+        # evaluation lands on the fixed point, the second confirms it.
         g = heat_grid()
-        (z,), (info,) = solve_replicates(HEAT, make_drift("const", c=1.0),
-                                         g, const_field(g, 0.0).values[None])
+        (z,), record = solve_replicates(HEAT, make_drift("const", c=1.0),
+                                        g, const_field(g, 0.0).values[None])
         want = g.times()[:, None] * np.ones((1, g.n_x + 1))
         assert np.max(np.abs(z - want)) <= 1e-12
-        assert info.iterations == 1
-        assert info.used_certificate
+        assert record.method == "pointwise_march"
+        assert record.pointwise_iterations == (0, 0, g.n_t * (g.n_x + 1))
 
     def test_wave_unit_drift(self):
         g = wave_grid()
-        (z,), (info,) = solve_replicates(WAVE, make_drift("const", c=1.0),
-                                         g, const_field(g, 0.0).values[None])
+        (z,), record = solve_replicates(WAVE, make_drift("const", c=1.0),
+                                        g, const_field(g, 0.0).values[None])
         want = (g.times() ** 2 / 2.0)[:, None] * np.ones((1, g.n_x + 1))
         assert np.max(np.abs(z - want)) <= 1e-13
-        assert info.iterations == 1
+        assert record.method == "explicit_march"
+        assert record.pointwise_iterations == ()
 
     def test_heat_identity_drift_tracks_exponential(self):
         g = PointGrid(horizon=1.0, half_width=0.016, n_t=1000, n_x=32)
-        (z,), (info,) = solve_replicates(HEAT, BLIN, g,
-                                         const_field(g, 1.0).values[None])
+        (z,), record = solve_replicates(HEAT, BLIN, g,
+                                        const_field(g, 1.0).values[None])
         err = np.max(np.abs(z - np.exp(g.times())[:, None]))
         assert err <= 1e-3
-        assert info.iterations <= 20
+        # dt / 2 = 5e-4 gains 11 bits per evaluation.
+        assert len(record.pointwise_iterations) - 1 <= 8
+        assert sum(record.pointwise_iterations) == g.n_t * (g.n_x + 1)
 
     def test_wave_restoring_drift_tracks_cosine(self):
         errs = []
@@ -422,61 +445,114 @@ class TestSolveF:
         assert errs[1] < errs[0]
 
     def test_increments_shrink(self):
+        # The global Picard map contracts: the oracle's increments fall.
         g = heat_grid()
-        _, (info,) = solve_replicates(HEAT, make_drift("tanh_scaled", a=1.0),
-                                      g, const_field(g, 1.0).values[None])
-        inc = info.increments
+        eta = const_field(g, 1.0)
+        _, inc = picard_oracle(HEAT, make_drift("tanh_scaled", a=1.0), eta)
         assert all(b < a for a, b in zip(inc[1:], inc[2:]))
 
-    def test_bad_controls_rejected(self):
-        g = heat_grid()
-        etas = const_field(g, 0.0).values[None]
-        with pytest.raises(ValueError):
-            solve_replicates(HEAT, make_drift("zero"), g, etas, tol=0.0)
-        with pytest.raises(ValueError):
-            solve_replicates(HEAT, make_drift("zero"), g, etas, max_iter=0)
+    @pytest.mark.parametrize("a, n_t", [(4.0, 2), (16.0, 8), (20.0, 8)])
+    def test_heat_contraction_checked_up_front(self, a, n_t):
+        # dt L / 2 >= 1 leaves the pointwise map without a contraction;
+        # the error names the grid before any row is solved.
+        g = PointGrid(horizon=1.0, half_width=0.5, n_t=n_t, n_x=4)
+        with pytest.raises(NumericalError, match="dt L / 2 < 1") as exc:
+            solve_replicates(HEAT, make_drift("tanh_scaled", a=a), g,
+                             np.zeros((1, n_t + 1, 5)))
+        assert f"{n_t} steps over horizon 1" in str(exc.value)
+        assert not isinstance(exc.value, MaxIterExceededError)
 
     def test_iteration_budget_enforced(self):
-        g = heat_grid()
+        g = LYING_GRID
         with pytest.raises(MaxIterExceededError) as exc_info:
-            solve_replicates(HEAT, make_drift("tanh_scaled", a=1.0), g,
-                             const_field(g, 1.0).values[None], tol=1e-12,
-                             max_iter=1)
-        assert exc_info.value.iterations == 1
-        assert exc_info.value.last_increment > 1e-12
+            solve_replicates(HEAT, LYING, g,
+                             const_field(g, 50.0).values[None])
+        assert exc_info.value.replicate_index == 0
+        assert exc_info.value.node == (1, 0)
+        # 16 spare evaluations past 64 bits at dt L / 2 = 1/16.
+        assert exc_info.value.iterations == 32
+        assert exc_info.value.last_increment > 0.0
+
+    def test_heat_settles_at_contraction_point_nine(self):
+        # dt L / 2 = 0.9: a clipped linear drift of slope 2 on steps of
+        # 0.9, its clip reached by part of the nodes.  Every node settles
+        # within the cap, and the field is the fixed point.
+        g = PointGrid(horizon=3.6, half_width=1.0, n_t=4, n_x=8)
+        drift = drift_truncate(make_drift("linear", a=2.0), 3.0)
+        etas = np.random.default_rng(9).normal(
+            0.0, 2.0, (16, g.n_t + 1, g.n_x + 1))
+        fields, record = solve_replicates(HEAT, drift, g, etas)
+        assert sum(record.pointwise_iterations) == 16 * g.n_t * (g.n_x + 1)
+        assert len(record.pointwise_iterations) - 1 > 100
+        assert np.any(np.abs(fields[:, 1:]) > 3.0)
+        assert np.any(np.abs(fields[:, 1:]) < 3.0)
+        for eta, z in zip(etas, fields):
+            # Global Picard contracts by 0.9 per sweep on each row's own
+            # drift term, so it needs some hundreds of sweeps.
+            want, _ = picard_oracle(HEAT, drift, GridFunction(g, eta),
+                                    max_iter=1000)
+            assert np.max(np.abs(z - want.values)) <= 1e-12
 
 
 class TestSolveReplicates:
     def test_batch_failure_names_lowest_failing_replicate(self):
-        # Replicate 0 is a fixed point of tanh from the start; replicates
-        # 1 and 2 miss the budget, and the error reports replicate 1
-        # with the increment of its own solo solve.
-        g = heat_grid(n_t=20)
-        drift = make_drift("tanh_scaled", a=1.0)
-        etas = np.stack([const_field(g, v).values for v in (0.0, 1.0, 2.0)])
+        # Replicate 0 settles; replicates 1 and 2 (forcing 50, where the
+        # lying drift's slope is steep) do not, replicate 2 from a later
+        # row on.  The error reports replicate 1 with the node and the
+        # increment of its own solo solve.
+        g = LYING_GRID
+        etas = np.stack([const_field(g, 0.0).values,
+                         const_field(g, 50.0).values,
+                         const_field(g, 50.0).values])
+        etas[2, 1] = 0.0
         with pytest.raises(MaxIterExceededError) as batch:
-            solve_replicates(HEAT, drift, g, etas, tol=1e-12, max_iter=1)
+            solve_replicates(HEAT, LYING, g, etas)
         with pytest.raises(MaxIterExceededError) as solo:
-            solve_replicates(HEAT, drift, g, const_field(g, 1.0).values[None],
-                             tol=1e-12, max_iter=1)
+            solve_replicates(HEAT, LYING, g, etas[1:2])
         assert batch.value.replicate_index == 1
         assert solo.value.replicate_index == 0
+        assert batch.value.node == solo.value.node == (1, 0)
         assert batch.value.last_increment == solo.value.last_increment
-        assert batch.value.iterations == 1
+        assert batch.value.iterations == solo.value.iterations
+        with pytest.raises(MaxIterExceededError) as late:
+            solve_replicates(HEAT, LYING, g, etas[2:])
+        assert late.value.node == (2, 0)
 
-    def test_replicates_freeze_at_their_own_iteration(self):
-        # Forcings of different sizes need different iteration counts;
-        # each replicate must stop where its solo solve stops.
-        g = wave_grid(n_t=20, n_x=8)
+    @pytest.mark.parametrize("eqn", [WAVE, HEAT])
+    def test_nodes_settle_at_their_own_iteration(self, eqn):
+        # Forcings of different sizes settle after different numbers of
+        # evaluations; each replicate must equal its solo solve bit for
+        # bit, and the solo counts add up to the batch's.
+        g = wave_grid(n_t=20, n_x=8) if eqn is WAVE else heat_grid(n_t=20)
         drift = make_drift("tanh_scaled", a=1.0)
         etas = np.stack([const_field(g, v).values
                          for v in (0.0, 0.1, 1.0, 5.0)])
-        fields, infos = solve_replicates(WAVE, drift, g, etas)
-        assert len({info.iterations for info in infos}) > 1
-        for eta, field, info in zip(etas, fields, infos):
-            (z,), (solo,) = solve_replicates(WAVE, drift, g, eta[None])
-            assert np.array_equal(field, z)
-            assert info == solo
+        etas[1:, 3:] += np.random.default_rng(4).standard_normal(
+            (3, g.n_t - 2, g.n_x + 1))
+        fields, record = solve_replicates(eqn, drift, g, etas)
+        counts = np.zeros(len(record.pointwise_iterations), dtype=int)
+        for eta, field in zip(etas, fields):
+            (z,), solo = solve_replicates(eqn, drift, g, eta[None])
+            assert bit_equal(field, z)
+            assert solo.method == record.method
+            took = np.asarray(solo.pointwise_iterations, dtype=int)
+            counts[:took.size] += took
+        assert tuple(counts.tolist()) == record.pointwise_iterations
+        if eqn is HEAT:
+            assert np.count_nonzero(counts) > 1
+
+    @pytest.mark.parametrize("eqn", [WAVE, HEAT])
+    def test_overflow_raises_numerical_error(self, eqn):
+        # A drift that is honest on the probe but returns 1e308 far out
+        # drives the field past double precision: a NumericalError, not
+        # a field of infinities.
+        drift = DriftSpec(
+            func=lambda z: np.where(np.abs(z) <= 8.0, np.tanh(z), 1e308),
+            lipschitz_constant=1.0, bound=1.0, name="huge")
+        g = wave_grid(n_t=8, n_x=4) if eqn is WAVE else LYING_GRID
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError):
+            solve_replicates(eqn, drift, g, const_field(g, 50.0).values[None])
 
     def test_stack_shape_checked_before_iterating(self):
         # Every field of the stack must cover the grid: a 5-row stack on
@@ -495,8 +571,101 @@ class TestSolveReplicates:
         etas = np.zeros((3, g.n_t + 1, g.n_x + 1))
         etas[2, 4, 3] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            solve_replicates(HEAT, make_drift("tanh_scaled", a=1.0), g, etas,
-                             max_iter=1)
+            solve_replicates(HEAT, make_drift("tanh_scaled", a=1.0), g, etas)
+
+
+def table_drift(start, steps):
+    """A table drift from ``start`` through knots ``dx`` apart with slope
+    ``s`` on each ``(dx, s)`` step."""
+    xs = start + np.cumsum([0.0] + [dx for dx, _ in steps])
+    ys = np.cumsum([0.0] + [dx * s for dx, s in steps])
+    return make_drift("table", xs=xs, ys=ys)
+
+
+# Drifts of slope at most 2: with steps of at most 0.75 the heat map
+# contracts by at most 0.75.
+SLOPES = st.floats(-2.0, 2.0)
+DRIFTS = st.one_of(
+    st.builds(lambda a: make_drift("tanh_scaled", a=a), SLOPES),
+    st.builds(lambda a, level: drift_truncate(make_drift("linear", a=a),
+                                              level),
+              SLOPES, st.floats(0.25, 16.0)),
+    st.builds(table_drift, st.floats(-3.0, 0.0),
+              st.lists(st.tuples(st.floats(0.1, 2.0), SLOPES),
+                       min_size=1, max_size=6)))
+
+
+@st.composite
+def march_cases(draw, eqn):
+    """A grid, a drift and two forcings: the linear field at a drawn H
+    plus a constant initial term."""
+    n_t, n_x = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    horizon = draw(st.floats(0.1, 1.5))
+    half_width = (0.5 * horizon * n_x / n_t if eqn is WAVE
+                  else draw(st.floats(0.1, 2.0)))
+    grid = PointGrid(horizon=horizon, half_width=half_width, n_t=n_t,
+                     n_x=n_x)
+    hurst = HurstIndex(draw(st.floats(0.01, 0.99)))
+    cov = cov_matrix(eqn, hurst, np.stack(grid.nodes(), axis=1))
+    try:
+        factor = factor_psd(cov)
+    except NotPsdError:
+        # The wave covariance at H near 0 is not PSD on some aligned
+        # grids (test_covariance.py,
+        # test_wave_matrix_psd_near_h_zero_on_aligned_grid); that
+        # defect is not the solver's subject.
+        reject()
+    noise = sample_field(factor, draw(st.integers(0, 2 ** 32 - 1)),
+                         2).values.reshape(2, n_t + 1, n_x + 1)
+    return grid, draw(DRIFTS), noise + draw(st.floats(-2.0, 2.0))
+
+
+class TestMarchAgainstPicard:
+    # The march against global Picard iteration to 1e-14 over the whole
+    # box: H in (0, 1), three drift families, any grid.
+    @pytest.mark.parametrize("eqn", [WAVE, HEAT])
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_march_matches_picard_oracle(self, eqn, data):
+        grid, drift, etas = data.draw(march_cases(eqn))
+        fields, _ = solve_replicates(eqn, drift, grid, etas)
+        for eta, z in zip(etas, fields):
+            eta = GridFunction(grid, eta)
+            want, _ = picard_oracle(eqn, drift, eta, tol=1e-14)
+            scale = max(1.0, float(np.max(np.abs(want.values))))
+            assert np.max(np.abs(z - want.values)) <= 1e-12 * scale
+            again = picard_apply(eqn, drift, GridFunction(grid, z), eta)
+            if eqn is WAVE:
+                assert bit_equal(again.values, z)
+            else:
+                assert ulps_of_sup(np.max(np.abs(again.values - z)), z) \
+                    <= 16.0
+
+
+def convolve_wave(f, dt, dx):
+    """``G * f`` for the wave kernel on ``(R, n_t + 1, width)`` stacks, by
+    the solver's row sweep."""
+    out = np.zeros_like(f)
+
+    def rows(i, conv):
+        out[:, i] = conv
+        return f[:, i]
+
+    det_solver._wave_sweep(rows, f[:, 0], f.shape[1] - 1, dt, dx)
+    return out
+
+
+def convolve_heat(f, dt, w):
+    """``G * f`` for the heat kernel on ``(R, n_t + 1, width)`` stacks, by
+    the solver's row sweep and the trapezoid ``dt (B_i + f_i / 2)``."""
+    out = np.zeros_like(f)
+
+    def rows(i, b):
+        out[:, i] = dt * (b + 0.5 * f[:, i])
+        return f[:, i]
+
+    det_solver._heat_sweep(rows, f[:, 0], f.shape[1] - 1, w)
+    return out
 
 
 def reference_convolve_wave(f, dt, dx):
@@ -505,7 +674,7 @@ def reference_convolve_wave(f, dt, dx):
     Every row is edge-padded, prefix-summed in x, shifted by its row
     index with zero fill, and cumulatively summed in time, all at once;
     output row i gathers row i - 1 of those sums.  The same arithmetic
-    in the same order as the row sweep of ``_convolve_wave``.
+    in the same order as the row sweep of ``det_solver._wave_sweep``.
     """
     def shift_rows(a, sign):
         # Zero-filled: out[..., j, c] = a[..., j, c + sign * j].
@@ -605,7 +774,7 @@ class TestBatchedHelpers:
     def test_wave_sweep_matches_reference(self, f, spacing):
         with np.errstate(over="ignore", invalid="ignore"):
             want = reference_convolve_wave(f, *spacing)
-            got = det_solver._convolve_wave(f, *spacing)
+            got = convolve_wave(f, *spacing)
         assert bit_equal(got, want)
 
     @pytest.mark.parametrize("shape", [(400, 17, 65), (3, 2, 5), (2, 9, 3)])
@@ -613,7 +782,7 @@ class TestBatchedHelpers:
         f = np.random.default_rng(2).standard_normal(shape)
         f[f > 1.0] = -0.0
         f[f < -1.0] = 0.0
-        assert bit_equal(det_solver._convolve_wave(f, 0.05, 0.05),
+        assert bit_equal(convolve_wave(f, 0.05, 0.05),
                          reference_convolve_wave(f, 0.05, 0.05))
 
     def test_wave_sweep_peak_memory(self):
@@ -622,7 +791,7 @@ class TestBatchedHelpers:
         f = np.random.default_rng(3).standard_normal((400, 17, 65))
         tracemalloc.start()
         try:
-            det_solver._convolve_wave(f, 0.05, 0.05)
+            convolve_wave(f, 0.05, 0.05)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -635,7 +804,7 @@ class TestBatchedHelpers:
     def test_heat_step_matches_per_row_convolution(self, stack):
         f, w = stack
         if w.size > 11:
-            assert bit_equal(det_solver._convolve_heat(f, 0.1, w),
+            assert bit_equal(convolve_heat(f, 0.1, w),
                              reference_convolve_heat(f, 0.1, w))
             return
         # One step from B_0 = 0 with dt = 1 and f_1 = 0 returns K * x
@@ -643,7 +812,7 @@ class TestBatchedHelpers:
         # about n eps/2 sum |w_k x_k| of the exact one, so two orders
         # differ by n eps times that sum; the bound allows twice this.
         x = f[:, 0]
-        got = det_solver._convolve_heat(
+        got = convolve_heat(
             np.stack([2.0 * x, np.zeros_like(x)], axis=1), 1.0, w)[:, 1]
         padded = np.pad(x, ((0, 0), (w.size // 2,) * 2), mode="edge")
         want = np.stack([np.convolve(row, w, "valid") for row in padded])
@@ -658,9 +827,9 @@ class TestBatchedHelpers:
     @example(WIDE_STENCILS[1])
     def test_heat_step_replicates_as_if_alone(self, stack):
         f, w = stack
-        alone = [det_solver._convolve_heat(f[k:k + 1], 0.1, w)
+        alone = [convolve_heat(f[k:k + 1], 0.1, w)
                  for k in range(f.shape[0])]
-        assert bit_equal(det_solver._convolve_heat(f, 0.1, w),
+        assert bit_equal(convolve_heat(f, 0.1, w),
                          np.concatenate(alone))
 
     @settings(max_examples=100, deadline=None)
@@ -670,5 +839,5 @@ class TestBatchedHelpers:
     def test_heat_step_keeps_rows_constant_in_x(self, stack):
         f, w = stack
         f = np.repeat(f[:, :, :1], f.shape[2], axis=2)
-        out = det_solver._convolve_heat(f, 0.1, w)
+        out = convolve_heat(f, 0.1, w)
         assert np.all(out == out[:, :, :1])

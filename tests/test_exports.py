@@ -8,6 +8,7 @@ fail while ordinary imports of other names keep working.
 
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -40,10 +41,38 @@ def test_root_exports_benchmark_imports(name):
 
 def test_quasilinear_solves_through_solve_replicates():
     # The traced benchmark wraps quasilinear's binding of solve_F, if it
-    # has one, and reads a PicardInfo off each result.
+    # has one; solve_replicates returns the fields and a MarchRecord.
     from fracfield import quasilinear
     assert hasattr(quasilinear, "solve_replicates")
     assert not hasattr(quasilinear, "solve_F")
+
+
+# The march replaced the Picard loop: its record, its contraction ratio,
+# and the tolerance and budget that selected nothing are gone.
+@pytest.mark.parametrize("module, name", [
+    ("fracfield", "PicardInfo"),
+    ("fracfield.det_solver", "PicardInfo"),
+    ("fracfield.det_solver", "_contraction_ratio"),
+    ("fracfield.det_solver", "_picard_step"),
+])
+def test_picard_loop_is_gone(module, name):
+    mod = importlib.import_module(module)
+    assert name not in mod.__all__
+    assert not hasattr(mod, name)
+
+
+def test_solver_controls_are_gone():
+    names = {f.name for f in dataclasses.fields(fracfield.SimulationConfig)}
+    assert not names & {"tol", "max_iter"}
+    params = inspect.signature(fracfield.solve_replicates).parameters
+    assert not set(params) & {"tol", "max_iter"}
+    assert "MarchRecord" in fracfield.__all__
+
+
+def test_picard_oracle_lives_in_oracle():
+    from fracfield import det_solver, oracle
+    assert "picard_oracle" in oracle.__all__
+    assert not hasattr(det_solver, "picard_oracle")
 
 
 # Test oracles live in fracfield.oracle, not in the run-time modules.
