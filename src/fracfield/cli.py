@@ -227,9 +227,18 @@ def _field_table(grid: PointGrid, fields: np.ndarray) -> tuple:
              fields.ravel()))
 
 
-def _cmd_constants(cfg: dict, args) -> _Run:
+def _alpha_from(cfg: dict, args) -> tuple:
+    """H and alpha = 1 - 2H, which the Dalang and lemma forms need in
+    (-1, 1) but which rounds to 1 for H <= 2**-55."""
     h = _hurst_from(cfg, args)
-    alpha = h.spectral_exponent
+    if h.spectral_exponent == 1.0:
+        raise NumericalError(f"1 - 2H rounds to 1 at H = {h.value!r}; the "
+                             f"Dalang and lemma forms need it in (-1, 1)")
+    return h, h.spectral_exponent
+
+
+def _cmd_constants(cfg: dict, args) -> _Run:
+    h, alpha = _alpha_from(cfg, args)
     names = ("noise_constant", "spectral_exponent", "dalang_wave_t1",
              "dalang_heat_t1")
     values = (noise_constant(h), alpha,
@@ -416,7 +425,7 @@ def _cmd_verify_lemmas(cfg: dict, args) -> _Run:
     alphas = sub.get("alphas")
     if alphas is None:
         if getattr(args, "hurst", None) is not None or "hurst" in cfg:
-            alphas = [_hurst_from(cfg, args).spectral_exponent]
+            alphas = [_alpha_from(cfg, args)[1]]
         else:
             alphas = [-0.5, 0.0, 0.5]
     alphas = [float(a) for a in alphas]

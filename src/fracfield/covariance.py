@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .spectral import (EquationKind, HurstIndex, _gamma,
-                       cos_integral_constant, noise_constant)
+from .spectral import EquationKind, HurstIndex, _gamma, noise_constant
 
 __all__ = [
     "CovarianceMatrix",
@@ -282,26 +281,17 @@ def _wave_far(q: float, t1, t2, c):
     return 4.0 * t1 * t1 * c ** (q - 1.0) * total
 
 
-def _wave_constant(hurst: HurstIndex) -> float:
-    """``C(1 - 2H) / 2`` of the wave forms, C = :func:`cos_integral_constant`,
-    which diverges where ``1 - 2H`` rounds to 1 (H <= 2**-55)."""
-    if hurst.spectral_exponent == 1.0:
-        raise NumericalError(
-            f"the wave covariance at H = {hurst.value!r} needs the spectral "
-            f"exponent 1 - 2H, which rounds to 1 in double precision for "
-            f"H <= 2**-55; its constant C(1 - 2H) diverges there")
-    return cos_integral_constant(hurst.spectral_exponent) / 2.0
-
-
 def _closed_cov(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
     """Covariance on broadcast arrays with ``t1 <= t2`` and ``c = |dx|``.
 
     With ``q = 2H``, ``s = t1 + t2``, ``d = t2 - t1`` and nc =
-    :func:`noise_constant`.  Wave: ``nc C(1-2H)/2 * (1/2 [G(s+c) - G(d+c)
-    + G(s-c) - G(d-c)] - t1 (|c-d|^q + |c+d|^q))``, ``G(u) = sign(u)
-    |u|^(q+1)/(q+1)``, C = :func:`cos_integral_constant`; for ``c >= 2s``
-    the bracket is summed by :func:`_wave_far`, since its terms are of
-    size ``c^(q+1)`` and the value of size ``t1^2 c^(q-1)``.  Heat: ``nc
+    :func:`noise_constant`.  Wave: ``1/8 (1/2 [G(s+c) - G(d+c) + G(s-c)
+    - G(d-c)] - t1 (|c-d|^q + |c+d|^q))``, ``G(u) = sign(u)
+    |u|^(q+1)/(q+1)``; the factor is ``nc C(1-2H)/2``, C =
+    :func:`~fracfield.spectral.cos_integral_constant`, which Gamma
+    reflection makes exactly 1/8 for every H.  For ``c >= 2s`` the
+    bracket is summed by :func:`_wave_far`, since its terms are of size
+    ``c^(q+1)`` and the value of size ``t1^2 c^(q-1)``.  Heat: ``nc
     Gamma(-H) [A^H M(-H, 1/2, -c^2/4A) - B^H M(-H, 1/2, -c^2/4B)]``,
     ``A = d/2``, ``B = s/2``, M Kummer's function (DLMF 13.2), with the
     limit ``(c^2/4)^H sqrt(pi) / Gamma(1/2+H)`` of the first term at A = 0;
@@ -331,7 +321,7 @@ def _closed_cov(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
             if far.any():
                 out[far] = _wave_far(q, t1[far], t2[far], c[far])
             out = np.where((h == 0.5) & (c >= s), 0.0, out)
-            out *= _wave_constant(hurst)
+            out *= 0.125
         elif eqn is EquationKind.HEAT:
             z, a, b = c * c / 4.0, d / 2.0, s / 2.0
             live = t1 > 0.0
@@ -344,9 +334,10 @@ def _closed_cov(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
             if far.any():
                 out[far] = _heat_far(h, t1[far], z[far], a[far], b[far])
             out *= _gamma(-h)
+            out *= noise_constant(hurst)
         else:
             raise TypeError(f"expected EquationKind, got {eqn!r}")
-    out = np.where(t1 == 0.0, 0.0, noise_constant(hurst) * out)
+    out = np.where(t1 == 0.0, 0.0, out)
     if not np.all(np.isfinite(out)):
         raise NumericalError("closed-form covariance overflowed: a time or "
                              "separation is too large for double precision")
@@ -360,9 +351,9 @@ def _closed_incr(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
     The two variances minus twice :func:`_closed_cov`, regrouped so that
     no terms of size one are subtracted; notation as there, with
     ``D2_e f(u) = f(u+e) + f(u-e) - 2 f(u)`` from :func:`_second_diff`.
-    Wave: ``nc C/2 [D2_d G(s) - D2_c G(s) + G(d+c) + G(d-c) + 2 t1
+    Wave: ``1/8 [D2_d G(s) - D2_c G(s) + G(d+c) + G(d-c) + 2 t1
     (|c-d|^q + (c+d)^q)]``, and for ``c >= 2s``, where those terms
-    are of size ``c^(q+1)``, the two variances ``nc C/2 G(2 t_i)`` minus
+    are of size ``c^(q+1)``, 1/8 of the two variances ``G(2 t_i)`` minus
     twice :func:`_wave_far`.  Heat: ``nc Gamma(-H) [-D2_A(u^H)(B) + 2 B^H
     (M(-H, 1/2, -z/B) - 1) - 2 A^H M(-H, 1/2, -z/A)]``, ``z = c^2/4``,
     and for ``z >= 40 B`` the two variances ``-nc Gamma(-H) t_i^H`` minus
@@ -391,7 +382,7 @@ def _closed_incr(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
             if far.any():
                 out[far] = (prim(2.0 * t1[far]) + prim(2.0 * t2[far])
                             - 2.0 * _wave_far(q, t1[far], t2[far], c[far]))
-            out *= _wave_constant(hurst)
+            out *= 0.125
         elif eqn is EquationKind.HEAT:
             z, a, b = c * c / 4.0, d / 2.0, s / 2.0
             live = t2 > 0.0
@@ -405,9 +396,10 @@ def _closed_incr(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
                             - 2.0 * _heat_far(h, t1[far], z[far], a[far],
                                               b[far]))
             out *= _gamma(-h)
+            out *= noise_constant(hurst)
         else:
             raise TypeError(f"expected EquationKind, got {eqn!r}")
-    out = np.where(t2 == 0.0, 0.0, noise_constant(hurst) * out)
+    out = np.where(t2 == 0.0, 0.0, out)
     if not np.all(np.isfinite(out)):
         raise NumericalError("closed-form increment moment is not finite: a "
                              "time or separation is too large for double "

@@ -379,18 +379,6 @@ def _wave_sweep(rows, f0: np.ndarray, n_t: int, dt: float,
         gd[:, :n_g - i] += g[:, i:]
 
 
-def _check_solvable(eqn: EquationKind, drift: DriftSpec,
-                    grid: PointGrid) -> None:
-    if eqn is EquationKind.HEAT and not drift.is_bounded:
-        raise ValueError(
-            "the heat solver requires a bounded drift; truncate an "
-            "unbounded drift with drift_truncate first")
-    if eqn is EquationKind.WAVE and not grid.is_aligned:
-        raise ValueError(
-            f"wave solver requires dx == dt (light-cone alignment); "
-            f"got dx={grid.dx:.6g}, dt={grid.dt:.6g}")
-
-
 def _settle(drift: DriftSpec, e: np.ndarray, b: np.ndarray, dt: float,
             cap: int) -> tuple:
     """Solve ``z = e + dt * (b + 0.5 * drift(z))`` at every node of flat
@@ -400,7 +388,8 @@ def _settle(drift: DriftSpec, e: np.ndarray, b: np.ndarray, dt: float,
     * b`` a node iterates it until its increment is 0, at most ``eps``
     times its terms' magnitudes, or no smaller than the one before (in
     exact arithmetic it shrinks by ``dt L / 2 < 1``), and keeps the
-    iterate of smallest increment.  Returns z, the increments, the flat
+    iterate of smallest increment; a node whose increment is not finite
+    has overflowed and gets NaN.  Returns z, the increments, the flat
     indices of nodes unsettled after ``cap`` evaluations or with a
     non-finite increment, and the count of nodes that took 1, 2, ...
     """
@@ -423,6 +412,7 @@ def _settle(drift: DriftSpec, e: np.ndarray, b: np.ndarray, dt: float,
         np.copyto(fz, f2, where=better)
         np.copyto(d, d2, where=better)
         live = better & ~(d2 <= tiny)
+    z[~np.isfinite(d)] = np.nan
     bad = np.flatnonzero(live | ~np.isfinite(d))
     return z, d, bad, -np.diff(reached, append=0)
 
@@ -438,6 +428,10 @@ def _sweep(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
     i is a fixed point for :func:`_settle`.  Returns the rows and, at
     index k, the count of heat nodes that took k evaluations.
     """
+    if eqn is EquationKind.WAVE and not grid.is_aligned:
+        raise ValueError(
+            f"wave solver requires dx == dt (light-cone alignment); "
+            f"got dx={grid.dx:.6g}, dt={grid.dt:.6g}")
     dt, q = grid.dt, 0.5 * grid.dt * drift.lipschitz_constant
     if z is None and eqn is EquationKind.HEAT and not q < 1.0:
         raise NumericalError(
@@ -476,11 +470,21 @@ def _sweep(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
                              (i, k % out.shape[2], float(d[k])))
         return drift_row(i)
 
-    if eqn is EquationKind.WAVE:
-        _wave_sweep(wave_row, drift_row(0), grid.n_t, dt, grid.dx)
-    else:
-        _heat_sweep(heat_row, drift_row(0), grid.n_t,
-                    _heat_kernel_weights(dt, grid.dx))
+    # A field that overflows is reported below, not by numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if eqn is EquationKind.WAVE:
+            _wave_sweep(wave_row, drift_row(0), grid.n_t, dt, grid.dx)
+        else:
+            _heat_sweep(heat_row, drift_row(0), grid.n_t,
+                        _heat_kernel_weights(dt, grid.dx))
+    blown = ~np.isfinite(out)
+    if blown.any():
+        r = int(np.flatnonzero(blown.any(axis=(1, 2)))[0])
+        i, col = divmod(int(np.argmax(blown[r])), out.shape[2])
+        raise NumericalError(
+            f"replicate {r}: the field overflowed double precision; its "
+            f"first non-finite node is (t, x) = ({grid.times()[i]:.6g}, "
+            f"{grid.positions()[col]:.6g})")
     if stuck:
         r = min(stuck)
         i, col, last = stuck[r]
@@ -500,7 +504,6 @@ def picard_apply(eqn: EquationKind, drift: DriftSpec, z: GridFunction,
     grid = z.grid
     if eta.grid != grid:
         raise ValueError("z and eta must live on the same grid")
-    _check_solvable(eqn, drift, grid)
     out, _ = _sweep(eqn, drift, grid, eta.values[None], z.values[None])
     return GridFunction(grid=grid, values=out[0])
 
@@ -512,13 +515,15 @@ def solve_replicates(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
 
     Wave: row i is explicit, and one more :func:`picard_apply` leaves the
     field bit for bit.  Heat: row i is ``eta_i + dt (B_i + b(z_i) / 2)``,
-    a scalar fixed point at each node that contracts by ``q = dt L / 2``;
-    q >= 1 raises :class:`NumericalError`, and a node unsettled after
-    ``16 + 64 ln 2 / ln(1/q)`` evaluations raises
-    :class:`MaxIterExceededError` naming the lowest such replicate and
-    its first such node.  Returns the fields and a :class:`MarchRecord`.
+    a scalar fixed point at each node that contracts by ``q = dt L / 2``,
+    for any drift of Lipschitz constant L, bounded or not; q >= 1 raises
+    :class:`NumericalError`, and a node unsettled after ``16 + 64 ln 2 /
+    ln(1/q)`` evaluations raises :class:`MaxIterExceededError` naming the
+    lowest such replicate and its first such node.  A field that
+    overflows double precision raises :class:`NumericalError` naming its
+    lowest replicate and first non-finite node.  Returns the fields and a
+    :class:`MarchRecord`.
     """
-    _check_solvable(eqn, drift, grid)
     eta = np.asarray(eta_fields, dtype=float)
     want = (grid.n_t + 1, grid.n_x + 1)
     if eta.ndim != 3 or eta.shape[0] < 1 or eta.shape[1:] != want:
@@ -527,9 +532,6 @@ def solve_replicates(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
     if not np.all(np.isfinite(eta)):
         raise ValueError("forcing stack carries non-finite values")
     z, counts = _sweep(eqn, drift, grid, eta)
-    if not np.all(np.isfinite(z)):
-        raise NumericalError("the march overflowed: the drift grew past "
-                             "double precision")
     return z, MarchRecord(
         "explicit_march" if eqn is EquationKind.WAVE else "pointwise_march",
         tuple(np.trim_zeros(counts, "b").tolist()))

@@ -65,11 +65,6 @@ class SimulationConfig:
                 raise ValueError(
                     "the truncation ladder study is a heat-equation tool")
             object.__setattr__(self, "truncation_ladder", ladder)
-        if (self.eqn is EquationKind.HEAT and not self.drift.is_bounded
-                and self.truncation_ladder is None):
-            raise ValueError(
-                "heat with an unbounded drift needs either a truncated "
-                "drift or a truncation ladder")
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,8 +27,9 @@ from fracfield.oracle import dalang_integral_quad, ode_oracle, picard_oracle
 HEAT = EquationKind.HEAT
 WAVE = EquationKind.WAVE
 
-# b(z) = z clipped at 10: bounded, so the heat solver accepts it, and
-# the clip never activates on the solution scales used below.
+# b(z) = z clipped at 10: bounded by 10, the ||b|| of criterion 7b's
+# heat envelope, and the clip never activates on the solution scales
+# used below.
 BLIN = drift_truncate(make_drift("linear", a=1.0), 10.0)
 
 
@@ -140,13 +141,15 @@ def test_criterion_6_continuity_in_the_index():
 
 
 def test_criterion_7a_solver_matches_ode_oracle():
-    # Three spatially constant solves at time step 1e-3 agree with the
-    # scalar Volterra oracle to 1e-3 sup norm.
+    # Six spatially constant solves at time step 1e-3 agree with the
+    # scalar Volterra oracle to 1e-3 sup norm, the last three with an
+    # unbounded linear drift, which the heat solver takes unclipped.
     grid = PointGrid(horizon=1.0, half_width=0.016, n_t=1000, n_x=32)
     cases = (
         (HEAT, make_drift("const", c=1.0), 0.0),
         (WAVE, make_drift("const", c=1.0), 0.0),
         (HEAT, BLIN, 1.0),
+        *((HEAT, make_drift("linear", a=a), 1.0) for a in (-2.0, 1.0, 2.0)),
     )
     for eqn, drift, eta_value in cases:
         (field,), _ = solve_replicates(

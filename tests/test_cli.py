@@ -350,30 +350,48 @@ SIM_CONFIG = {
 @pytest.mark.parametrize("hurst", [1e-300, 2.0 ** -55, 1e-9])
 @pytest.mark.parametrize("equation", ["wave", "heat"])
 def test_hurst_near_zero(tmp_path, capsys, equation, hurst):
-    # At H <= 2**-55 the wave's spectral exponent 1 - 2H rounds to 1:
-    # cov, sample and simulate fail as numerical failures saying why.
-    # The heat at every such H, and the wave at 1e-9, run.
+    # cov, sample and simulate run at every such H, the wave's too,
+    # although its spectral exponent 1 - 2H rounds to 1 at H <= 2**-55:
+    # the wave forms' factor is exactly 1/8 and needs no exponent.
     points = {"points": [[0.5, 0.0], [1.0, 0.25], [1.0, -0.5]],
               "master_seed": 1}
     runs = (["cov"], ["sample", "--replicates", "2"])
     configs = [points, points, dict(SIM_CONFIG, equation=equation)]
-    fails = equation == "wave" and hurst <= 2.0 ** -55
     for k, (argv, cfg) in enumerate(zip([*runs, ["simulate"]], configs)):
         path = write_config(tmp_path, dict(cfg, hurst=hurst), f"c{k}.json")
         out = tmp_path / f"run{k}"
         code = main([*argv, "--config", path, "--equation", equation,
                      "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        for name in assert_manifest_digests(out)["outputs"]:
+            if name.endswith(".csv"):
+                table = np.loadtxt(out / name, delimiter=",",
+                                   skiprows=1, ndmin=2)
+                assert np.all(np.isfinite(table))
+
+
+@pytest.mark.parametrize("hurst", [1e-300, 2.0 ** -55, 1e-9, 1.0 - 1e-9,
+                                   1.0 - 2.0 ** -53])
+def test_analysis_commands_at_extreme_hurst(tmp_path, capsys, hurst):
+    # constants and verify-lemmas work in alpha = 1 - 2H, which rounds
+    # to 1 at H <= 2**-55: a numerical failure saying so.  hconv's
+    # default ladder, reference + 0.2 * 2**-k, leaves (0, 1) for H near
+    # 1: an invalid configuration.  Every other call runs.
+    tiny = hurst <= 2.0 ** -55
+    runs = ((["constants"], 2 if tiny else 0),
+            (["hoelder", "--equation", "wave"], 0),
+            (["hoelder", "--equation", "heat"], 0),
+            (["verify-lemmas"], 2 if tiny else 0),
+            (["hconv", "--equation", "wave"], 1 if hurst > 0.8 else 0))
+    for k, (argv, want) in enumerate(runs):
+        code = main([*argv, "--hurst", repr(hurst),
+                     "--out", str(tmp_path / f"run{k}")])
         err = capsys.readouterr().err
-        if fails:
-            assert code == 2
+        assert code == want, (argv, err)
+        if want == 2:
             assert "numerical failure" in err and "rounds to 1" in err
-        else:
-            assert code == 0, err
-            for name in assert_manifest_digests(out)["outputs"]:
-                if name.endswith(".csv"):
-                    table = np.loadtxt(out / name, delimiter=",",
-                                       skiprows=1, ndmin=2)
-                    assert np.all(np.isfinite(table))
+        elif want == 1:
+            assert "Hurst index must lie in (0, 1)" in err
 
 
 LADDER_CONFIG = {
@@ -703,11 +721,12 @@ GOLDEN_RUNS = {
         "cov_matrix.csv": "98e6b7fd4c433c3316658d11a75c7b65"
                           "076aa4859ae988084f79ad420581a213"}),
     # Recorded from the closed-form time-shift rows, with the heat rows
-    # written through d = (1 + alpha)/2.
+    # written through d = (1 + alpha)/2 and the wave's factor the exact
+    # 1/8.
     "verify-lemmas": (["verify-lemmas"],
                       {"lemmas": {"alphas": [-0.5, 0.0, 0.5]}}, {
-        "lemma_margins.csv": "d44a8489a2a03234c45480ae651ffe56"
-                             "10c9655b69cdc58df97a8756ab72f34b"}),
+        "lemma_margins.csv": "a37bb5a50626de58b0090f9d38dd6a62"
+                             "60ec04146db9e9d082a8f8ce8718aaea"}),
 }
 
 

@@ -189,13 +189,18 @@ class TestHurstNearZero:
     POINTS = [(0.5, 0.0), (1.0, 0.25), (1.0, -0.5)]
 
     @pytest.mark.parametrize("h", [1e-300, 2.0 ** -55])
-    def test_wave_raises_numerical_error_saying_why(self, h):
-        for call in (lambda: cov_matrix(EquationKind.WAVE, h, self.POINTS),
-                     lambda: conv_cov(EquationKind.WAVE, h, *self.POINTS[:2]),
-                     lambda: increment_moment2(EquationKind.WAVE, h,
-                                               *self.POINTS[:2])):
-            with pytest.raises(NumericalError, match="rounds to 1"):
-                call()
+    def test_wave_is_finite_where_exponent_rounds_to_1(self, h):
+        # The wave forms' factor is exactly 1/8, so they need no 1 - 2H:
+        # the variance at t is its H -> 0 limit t / 4, to the last bit.
+        cov = cov_matrix(EquationKind.WAVE, h, self.POINTS)
+        assert np.all(np.isfinite(cov.entries))
+        assert np.diag(cov.entries).tolist() == [0.125, 0.25, 0.25]
+        assert conv_cov(EquationKind.WAVE, h, *self.POINTS[:2]) \
+            == cov.entries[0, 1]
+        incr = increment_moment2(EquationKind.WAVE, h, *self.POINTS[:2])
+        assert math.isfinite(incr) and incr > 0.0
+        sample = sample_field(factor_psd(cov), 1, 4)
+        assert np.all(np.isfinite(sample.values))
 
     def test_wave_just_above_the_rounding_edge_is_finite(self):
         # 1 - 2H for H = 1e-9 is not 1; the variance at t nears its
@@ -216,6 +221,17 @@ class TestHurstNearZero:
         assert np.allclose(np.diag(cov.entries), 0.5, rtol=1e-6, atol=0.0)
         sample = sample_field(factor_psd(cov), 1, 4)
         assert np.all(np.isfinite(sample.values))
+
+
+@pytest.mark.parametrize("h", [1e-300, 2.0 ** -55, 1e-9, 0.3, 0.5, 0.7,
+                               1.0 - 1e-9, 1.0 - 2.0 ** -53])
+def test_wave_variance_is_exact_for_every_h(h):
+    # The wave variance at (t, 0) is (2t)^(2H+1) / (8 (2H+1)) for every
+    # H in (0, 1), its factor 1/8 exact at both ends of the range.
+    for t in (0.5, 1.0, 2.0):
+        got = cov_matrix(EquationKind.WAVE, h, [(t, 0.0)]).entries[0, 0]
+        want = (2.0 * t) ** (2.0 * h + 1.0) / (8.0 * (2.0 * h + 1.0))
+        assert abs(got - want) <= 2.0 * np.spacing(want), (h, t, got, want)
 
 
 class TestCovMatrix:

@@ -45,8 +45,8 @@ def wave_grid(n_t=100, n_x=16):
                      n_t=n_t, n_x=n_x)
 
 
-# Clipped identity drift: b(z) = z wherever |z| <= 10, declared bounded
-# so the heat solver accepts it.
+# Clipped identity drift: b(z) = z wherever |z| <= 10, which covers
+# every value the tests below reach, so the clip never acts.
 BLIN = drift_truncate(make_drift("linear", a=1.0), 10.0)
 
 # A drift that declares L = 1 and passes the probe on [-8, 8], but has
@@ -389,11 +389,14 @@ class TestPicardApply:
         with pytest.raises(ValueError):
             picard_apply(HEAT, make_drift("zero"), z, eta)
 
-    def test_heat_requires_bounded_drift(self):
+    def test_heat_accepts_unbounded_drift(self):
+        # Any globally Lipschitz drift, bounded or not: G * z for z = 1
+        # is t, as the unit drift of the first test gives.
         g = heat_grid()
-        with pytest.raises(ValueError, match="bounded"):
-            picard_apply(HEAT, make_drift("linear", a=1.0),
-                         const_field(g, 0.0), const_field(g, 0.0))
+        out = picard_apply(HEAT, make_drift("linear", a=1.0),
+                           const_field(g, 1.0), const_field(g, 0.0))
+        want = g.times()[:, None] * np.ones((1, g.n_x + 1))
+        assert np.max(np.abs(out.values - want)) <= 1e-12
 
     def test_wave_requires_aligned_grid(self):
         g = PointGrid(horizon=1.0, half_width=1.0, n_t=10, n_x=10)
@@ -541,18 +544,43 @@ class TestSolveReplicates:
         if eqn is HEAT:
             assert np.count_nonzero(counts) > 1
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("eqn", [WAVE, HEAT])
     def test_overflow_raises_numerical_error(self, eqn):
         # A drift that is honest on the probe but returns 1e308 far out
         # drives the field past double precision: a NumericalError, not
-        # a field of infinities.
+        # a field of infinities, and no numpy warning on the way.
         drift = DriftSpec(
             func=lambda z: np.where(np.abs(z) <= 8.0, np.tanh(z), 1e308),
             lipschitz_constant=1.0, bound=1.0, name="huge")
         g = wave_grid(n_t=8, n_x=4) if eqn is WAVE else LYING_GRID
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="overflowed") as exc:
             solve_replicates(eqn, drift, g, const_field(g, 50.0).values[None])
+        assert type(exc.value) is NumericalError
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eqn, drift, grid, node", [
+        (WAVE, make_drift("linear", a=100.0), PointGrid(1.0, 1.0, 8, 16),
+         "(0.125, -1)"),
+        (HEAT, drift_truncate(make_drift("linear", a=1.0), 1e308),
+         PointGrid(1.0, 1.0, 8, 8), "(0.25, -1)")])
+    def test_overflow_names_replicate_and_node(self, eqn, drift, grid, node):
+        # Both marches fail alike when a replicate leaves double
+        # precision: one NumericalError naming the lowest non-finite
+        # replicate and its first node, rows first.  The heat node at
+        # t = 0.25 has a finite iterate but a map that overflows; it
+        # counts as overflowed, not as a node that did not settle.
+        zeros = np.zeros((grid.n_t + 1, grid.n_x + 1))
+        etas = np.stack([zeros, zeros + 1.5e308])
+        with pytest.raises(NumericalError) as exc:
+            solve_replicates(eqn, drift, grid, etas)
+        assert type(exc.value) is NumericalError
+        assert str(exc.value) == (
+            f"replicate 1: the field overflowed double precision; its "
+            f"first non-finite node is (t, x) = {node}")
+        # Replicate 0 alone is finite.
+        (z,), _ = solve_replicates(eqn, drift, grid, etas[:1])
+        assert np.all(z == 0.0)
 
     def test_stack_shape_checked_before_iterating(self):
         # Every field of the stack must cover the grid: a 5-row stack on

@@ -6,6 +6,7 @@ and truncation levels (with exact clipping arithmetic), and the
 Lipschitz stability bound for perturbed forcing.
 """
 
+import dataclasses
 import math
 import typing
 
@@ -41,9 +42,14 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             small_config(WAVE, make_drift("zero"), master_seed=-1)
 
-    def test_heat_unbounded_drift_needs_ladder(self):
-        with pytest.raises(ValueError, match="unbounded"):
-            small_config(HEAT, make_drift("linear", a=1.0))
+    def test_heat_unbounded_drift_runs_without_ladder(self):
+        # The heat march takes any globally Lipschitz drift: a linear
+        # drift needs neither a clip nor a ladder.
+        cfg = small_config(HEAT, make_drift("linear", a=1.0))
+        res = simulate(cfg)
+        assert res.fields.shape == (3, 5, 5)
+        assert np.all(np.isfinite(res.fields))
+        assert res.solve.method == "pointwise_march"
 
     def test_ladder_needs_two_increasing_levels(self):
         drift = make_drift("linear", a=1.0)
@@ -261,6 +267,22 @@ class TestTruncationLadder:
                 (8.0 * 0.5) ** 2, (16.0 * 0.5) ** 2]
         assert ladder.deviation_consecutive[:4] == pytest.approx(
             want, rel=1e-9)
+
+    def test_top_rung_equals_unclipped_solve(self):
+        # On criterion 8's grid the field stays below 256 (max |z| is
+        # about 68.5), so the top rung is the unclipped solve bit for
+        # bit: the reference the ladder stands in for.
+        cfg = SimulationConfig(
+            eqn=HEAT, hurst=HurstIndex(0.5),
+            drift=make_drift("linear", a=1.0),
+            data=make_initial_data(u0=("const", {"c": 40.0})),
+            grid=PointGrid(horizon=0.5, half_width=0.75, n_t=24, n_x=8),
+            master_seed=12, n_replicates=200,
+            truncation_ladder=LADDER_LEVELS)
+        top = truncation_ladder_run(cfg).fields_by_level[-1]
+        plain = simulate(dataclasses.replace(cfg, truncation_ladder=None))
+        assert np.array_equal(plain.fields, top)
+        assert 32.0 < np.max(np.abs(top)) < 256.0
 
     def test_inactive_ladder_has_zero_deviation(self):
         # A drift that never reaches the lowest rung makes every level
