@@ -66,8 +66,9 @@ class ShiftKind(enum.Enum):
 class ExponentFit:
     """Least-squares power-law fit of moments against lags.
 
-    A degenerate regression (non-positive or constant moments) is
-    reported with slope nan and r_squared 0 rather than raised.
+    Non-positive moments, which have no logarithm, are reported with
+    slope nan and r_squared 0 rather than raised; constant moments fit
+    slope 0 exactly, with r_squared 1 and stderr_slope 0.
     """
 
     slope: float
@@ -182,9 +183,8 @@ def fit_power_law(lags, moments) -> ExponentFit:
     lx = np.log(lag_arr)
     ly = np.log(mom_arr)
     if np.ptp(ly) == 0.0:
-        return ExponentFit(slope=math.nan, intercept=math.nan,
-                           r_squared=0.0, stderr_slope=math.inf,
-                           lags=lag_t, moments=mom_t)
+        return ExponentFit(slope=0.0, intercept=float(ly[0]), r_squared=1.0,
+                           stderr_slope=0.0, lags=lag_t, moments=mom_t)
     coeffs, cov = np.polyfit(lx, ly, 1, cov=True)
     slope, intercept = float(coeffs[0]), float(coeffs[1])
     fitted = slope * lx + intercept
@@ -258,7 +258,7 @@ def _heat_smoothing_constant(alpha: float) -> float:
     keep its digits as d vanishes.
     """
     d = 0.5 * (1.0 + alpha)
-    return math.gamma(d) / (1.0 - alpha) * math.expm1(d * _LN2)
+    return _gamma(d) / (1.0 - alpha) * math.expm1(d * _LN2)
 
 
 def _heat_time_lhs(alpha: float, horizon: float, h: np.ndarray):
@@ -278,7 +278,7 @@ def _heat_time_lhs(alpha: float, horizon: float, h: np.ndarray):
     :func:`_second_diff`.
     """
     a, d, e = 0.5 * h, 0.5 * (1.0 + alpha), 0.5 * (1.0 - alpha)
-    return math.gamma(1.0 + d) / (-e * d) * (
+    return _gamma(1.0 + d) / (-e * d) * (
         a ** e * 2.0 * math.expm1(-d * _LN2)
         - _second_diff(e, a + horizon, a, pm1=-d))
 

@@ -399,7 +399,9 @@ def _cmd_hconv(cfg: dict, args) -> _Run:
     reference = float(sub.get("reference", hurst))
     hursts = sub.get("hursts")
     if hursts is None:
-        hursts = [reference + 0.2 * 2.0 ** -k for k in range(0, 8)]
+        # Towards the reference from inside (0, 1).
+        step = 0.2 if reference + 0.2 < 1.0 else -0.2
+        hursts = [reference + step * 2.0 ** -k for k in range(0, 8)]
     res = h_convergence(eqn, hursts, reference)
     ratio = float(res.sups[-1] / res.sups[0]) if res.sups[0] > 0 else 0.0
     decreasing = bool(np.all(np.diff(res.sups) < 0.0))

@@ -14,8 +14,8 @@ mixes replicates.
 
 The forcing is only known on the reported grid ``[0, T] x [-L, L]``; the
 convolution needs values on the wider strip ``[-L - T, L + T]``, which is
-filled by constant edge extension.  For the wave equation the light cone
-makes reported values exact for truthfully extended data; for the heat
+filled once by constant edge extension.  For the wave equation the light
+cone makes reported values exact for truthfully extended data; for the heat
 equation the Gaussian tails reach farther, a documented approximation.
 """
 
@@ -330,53 +330,44 @@ def _heat_sweep(rows, f0: np.ndarray, n_t: int, w: np.ndarray) -> None:
 
 def _wave_sweep(rows, f0: np.ndarray, n_t: int, dt: float,
                 dx: float) -> None:
-    """The wave kernel's ``G * f``, row by row.
+    """The wave kernel's ``G * f`` on the window, row by row.
 
     The kernel is half the indicator of the light cone, so ``G * f`` at
     node (i, l) is half the 2-D trapezoid of f over the cone of width
-    ``i - j`` cells, and reads only the rows before i.  ``f0`` is row 0,
-    ``(R, width)``; for i = 1 .. n_t, ``rows(i, out_i)`` takes row i of
-    ``G * f`` and returns row i of f.  The sweep keeps four running sums
-    along the cone's two diagonals: of the x-prefix sums ``d`` of the
-    edge-padded row ``g``, and of ``g`` itself.  Row j enters them
-    shifted by j columns, and output row i reads them, as they stand
-    after rows ``0 .. i-1``, through contiguous slices.  The work is
-    O(R * n_t * width) and the working set O(R * width).
+    ``i - j`` cells, and reads only the rows before i.  ``f0`` is row 0
+    of f on the window widened by exactly n_t cells per side, which
+    holds every cone; for i = 1 .. n_t, ``rows(i, out_i)`` takes row i of
+    ``G * f`` on the window, n_t cells narrower per side, and returns row
+    i of f as wide as f0.  The sweep keeps four running sums along the
+    cone's two diagonals: of each row's x-prefix sums ``d`` from 0, and
+    of the row itself, with row 0 at its trapezoid weight 1/2.  Row j
+    enters them shifted by j columns, and output row i reads them, as
+    they stand after rows ``0 .. i-1``, through contiguous slices.  The
+    work is O(R * n_t * width) and the working set O(R * width).
     """
-    n_rep, width = f0.shape
-    n_g = width + 2 * n_t
-    g = np.empty((n_rep, n_g))
-    d = np.zeros((n_rep, n_g + 1))
-
-    def pad_row(row):
-        # The row edge-padded by n_t cells on each side, and its x-prefix
-        # sums from 0.
-        g[:, :n_t] = row[:, :1]
-        g[:, n_t:n_t + width] = row
-        g[:, n_t + width:] = row[:, -1:]
-        np.cumsum(g, axis=1, out=d[:, 1:])
-
-    pad_row(f0)
-    g0, d0 = g.copy(), d.copy()
-    ad, dg, ga, gd = d.copy(), d.copy(), g.copy(), g.copy()
+    n_rep, n_g = f0.shape
+    width = n_g - 2 * n_t
+    ga = 0.5 * f0
+    ad = np.zeros((n_rep, n_g + 1))
+    np.cumsum(ga, axis=1, out=ad[:, 1:])
+    dg, gd, d = ad.copy(), ga.copy(), np.zeros_like(ad)
     scale = 0.5 * dt * dx
     for i in range(1, n_t + 1):
         # Row i reads the cone's right (hi) and left (lo) edges.
         hi = slice(i + n_t + 1, i + n_t + 1 + width)
         hi_g = slice(i + n_t, i + n_t + width)
         lo = slice(n_t - i, n_t - i + width)
-        full = ad[:, hi] - dg[:, lo] - 0.5 * (ga[:, hi_g] + gd[:, lo])
-        row0 = d0[:, hi] - d0[:, lo] - 0.5 * (g0[:, hi_g] + g0[:, lo])
-        f_i = rows(i, scale * (full - 0.5 * row0))
+        f_i = rows(i, scale * (ad[:, hi] - dg[:, lo]
+                               - 0.5 * (ga[:, hi_g] + gd[:, lo])))
         if i == n_t:
             break
         # Row i enters the diagonal sums shifted by i columns; the
         # columns it does not reach are never read again.
-        pad_row(f_i)
+        np.cumsum(f_i, axis=1, out=d[:, 1:])
         ad[:, i:] += d[:, :n_g + 1 - i]
         dg[:, :n_g + 1 - i] += d[:, i:]
-        ga[:, i:] += g[:, :n_g - i]
-        gd[:, :n_g - i] += g[:, i:]
+        ga[:, i:] += f_i[:, :n_g - i]
+        gd[:, :n_g - i] += f_i[:, i:]
 
 
 def _settle(drift: DriftSpec, e: np.ndarray, b: np.ndarray, dt: float,
@@ -421,12 +412,15 @@ def _sweep(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
            eta: np.ndarray, z: np.ndarray | None = None) -> tuple:
     """``eta + G * b(z)`` on ``(R, n_t + 1, n_x + 1)`` stacks, row by row.
 
-    The drift is applied on the reported window and edge-extended into a
-    spatial margin, which for an elementwise drift is the drift of the
-    edge-extended z; only the window is returned.  Without z the output
-    is z itself: the wave's row i is explicit, and each heat node of row
-    i is a fixed point for :func:`_settle`.  Returns the rows and, at
-    index k, the count of heat nodes that took k evaluations.
+    The drift is applied on the reported window and edge-extended once
+    into a spatial margin, which for an elementwise drift is the drift of
+    the edge-extended z.  The wave's margin is exactly n_t cells per
+    side, its light cone from the window, and its sweep returns window
+    rows; the heat's is :func:`_margin_cells`, and only the window of
+    its rows is kept.  Without z the output is z itself: the wave's row
+    i is explicit, and each heat node of row i is a fixed point for
+    :func:`_settle`.  Returns the rows and, at index k, the count of heat
+    nodes that took k evaluations.
     """
     if eqn is EquationKind.WAVE and not grid.is_aligned:
         raise ValueError(
@@ -442,7 +436,7 @@ def _sweep(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
     cap = 16 + (math.ceil(64.0 * math.log(2.0) / -math.log(q))
                 if 0.0 < q < 1.0 else 0)
     counts, stuck = np.zeros(cap + 1, dtype=np.int64), {}
-    mc = _margin_cells(grid)
+    mc = grid.n_t if eqn is EquationKind.WAVE else _margin_cells(grid)
     win = slice(mc, mc + grid.n_x + 1)
     out = np.empty_like(eta)
     out[:, 0] = eta[:, 0]
@@ -453,7 +447,7 @@ def _sweep(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
                       ((0, 0), (mc, mc)), mode="edge")
 
     def wave_row(i, conv):
-        np.add(eta[:, i], conv[:, win], out=out[:, i])
+        np.add(eta[:, i], conv, out=out[:, i])
         return drift_row(i)
 
     def heat_row(i, b):

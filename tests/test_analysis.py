@@ -60,19 +60,24 @@ class TestFitPowerLaw:
     @given(st.floats(min_value=-3.0, max_value=3.0),
            st.floats(min_value=-2.0, max_value=2.0))
     def test_recovers_random_power_laws(self, slope, log_c):
-        # Slope zero is the documented degenerate (flat) branch.
-        assume(abs(slope) > 1e-3)
         lags = np.array([0.01, 0.04, 0.09, 0.2, 0.5, 1.3])
         fit = fit_power_law(lags, math.exp(log_c) * lags ** slope)
         assert fit.slope == pytest.approx(slope, abs=1e-8)
 
     def test_degenerate_moments_flagged(self):
+        # Non-positive moments have no logarithm: flagged by slope nan.
         lags = [0.1, 0.2, 0.4, 0.8]
-        for moments in ([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 1.0]):
+        for moments in ([0.0, 1.0, 2.0, 3.0], [-1.0] * 4):
             fit = fit_power_law(lags, moments)
             assert math.isnan(fit.slope)
             assert fit.r_squared == 0.0
             assert fit.stderr_slope == math.inf
+        # Constant positive moments lie on a flat line, fitted exactly.
+        for value in (1.0, 1.0 - 2.0 ** -53):
+            fit = fit_power_law(lags, [value] * 4)
+            assert (fit.slope, fit.r_squared, fit.stderr_slope) == \
+                (0.0, 1.0, 0.0)
+            assert fit.intercept == math.log(value)
 
     @pytest.mark.parametrize("lags,moments", [
         ([0.1, 0.2, 0.4], [1.0, 2.0, 3.0]),

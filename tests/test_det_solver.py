@@ -582,6 +582,23 @@ class TestSolveReplicates:
         (z,), _ = solve_replicates(eqn, drift, grid, etas[:1])
         assert np.all(z == 0.0)
 
+    def test_wave_cone_is_n_t_cells_on_near_aligned_grid(self):
+        # dx equals dt to 5e-13, so the grid is aligned, but horizon / dx
+        # exceeds n_t by more than the heat margin's 1e-9 slack: that
+        # margin is n_t + 1 cells.  The wave's light cone is n_t cells
+        # whatever the heat margin, and one more application of the map
+        # leaves the marched field bit for bit: a residual of exactly 0.
+        g = PointGrid(1.0, (1.0 - 5e-13) / 2500, 2500, 2)
+        assert g.is_aligned and det_solver._margin_cells(g) == g.n_t + 1
+        drift = make_drift("tanh_scaled", a=1.0)
+        etas = np.random.default_rng(6).standard_normal(
+            (2, g.n_t + 1, g.n_x + 1))
+        fields, _ = solve_replicates(WAVE, drift, g, etas)
+        for eta, z in zip(etas, fields):
+            again = picard_apply(WAVE, drift, GridFunction(g, z),
+                                 GridFunction(g, eta))
+            assert bit_equal(again.values, z)
+
     def test_stack_shape_checked_before_iterating(self):
         # Every field of the stack must cover the grid: a 5-row stack on
         # a 9-row grid is refused, not solved on its rows.
@@ -670,16 +687,28 @@ class TestMarchAgainstPicard:
                     <= 16.0
 
 
+def widen(f):
+    """A ``(R, n_t + 1, width)`` stack edge-padded by n_t cells per side,
+    the light cone of its window."""
+    n_t = f.shape[1] - 1
+    return np.pad(f, ((0, 0), (0, 0), (n_t, n_t)), mode="edge")
+
+
 def convolve_wave(f, dt, dx):
     """``G * f`` for the wave kernel on ``(R, n_t + 1, width)`` stacks, by
-    the solver's row sweep."""
+    the solver's row sweep over each row edge-padded by n_t cells, as
+    :func:`widen` pads the stack."""
+    n_t = f.shape[1] - 1
     out = np.zeros_like(f)
+
+    def widened(i):
+        return np.pad(f[:, i], ((0, 0), (n_t, n_t)), mode="edge")
 
     def rows(i, conv):
         out[:, i] = conv
-        return f[:, i]
+        return widened(i)
 
-    det_solver._wave_sweep(rows, f[:, 0], f.shape[1] - 1, dt, dx)
+    det_solver._wave_sweep(rows, widened(0), n_t, dt, dx)
     return out
 
 
@@ -696,13 +725,16 @@ def convolve_heat(f, dt, w):
     return out
 
 
-def reference_convolve_wave(f, dt, dx):
-    """``G * f`` for the wave kernel from whole-stack diagonal prefix sums.
+def reference_convolve_wave(g, dt, dx):
+    """``G * f`` on the window for the wave kernel from whole-stack
+    diagonal prefix sums of the widened stack g, ``(R, n_t + 1, width + 2
+    n_t)``.
 
-    Every row is edge-padded, prefix-summed in x, shifted by its row
-    index with zero fill, and cumulatively summed in time, all at once;
-    output row i gathers row i - 1 of those sums.  The same arithmetic
-    in the same order as the row sweep of ``det_solver._wave_sweep``.
+    Row 0 is halved, its trapezoid weight; every row is prefix-summed in
+    x, shifted by its row index with zero fill, and cumulatively summed
+    in time, all at once; output row i gathers row i - 1 of those sums.
+    The same arithmetic in the same order as the row sweep of
+    ``det_solver._wave_sweep``.
     """
     def shift_rows(a, sign):
         # Zero-filled: out[..., j, c] = a[..., j, c + sign * j].
@@ -712,8 +744,8 @@ def reference_convolve_wave(f, dt, dx):
         out[..., (src < 0) | (src >= cols)] = 0.0
         return out
 
-    n_t = f.shape[1] - 1
-    g = np.pad(f, ((0, 0), (0, 0), (n_t, n_t)), mode="edge")
+    n_t = g.shape[1] - 1
+    g = np.concatenate([0.5 * g[:, :1], g[:, 1:]], axis=1)
     d = np.concatenate([np.zeros(g.shape[:2] + (1,)), np.cumsum(g, axis=2)],
                        axis=2)
     ad = np.cumsum(shift_rows(d, -1), axis=1)
@@ -721,15 +753,13 @@ def reference_convolve_wave(f, dt, dx):
     ga = np.cumsum(shift_rows(g, -1), axis=1)
     gd = np.cumsum(shift_rows(g, 1), axis=1)
     i = np.arange(1, n_t + 1)[:, None]
-    cols = np.arange(f.shape[2])
+    cols = np.arange(g.shape[2] - 2 * n_t)
     prev, lo = i - 1, n_t - i + cols
     hi, hi_g = i + n_t + 1 + cols, i + n_t + cols
-    full = (ad[:, prev, hi] - dg[:, prev, lo]
-            - 0.5 * (ga[:, prev, hi_g] + gd[:, prev, lo]))
-    row0 = (d[:, 0, hi] - d[:, 0, lo]
-            - 0.5 * (g[:, 0, hi_g] + g[:, 0, lo]))
-    out = np.zeros_like(f)
-    out[:, 1:] = 0.5 * dt * dx * (full - 0.5 * row0)
+    out = np.zeros(g.shape[:2] + cols.shape)
+    out[:, 1:] = 0.5 * dt * dx * (ad[:, prev, hi] - dg[:, prev, lo]
+                                  - 0.5 * (ga[:, prev, hi_g]
+                                           + gd[:, prev, lo]))
     return out
 
 
@@ -801,7 +831,7 @@ class TestBatchedHelpers:
                                            (2.0, 2.0)]))
     def test_wave_sweep_matches_reference(self, f, spacing):
         with np.errstate(over="ignore", invalid="ignore"):
-            want = reference_convolve_wave(f, *spacing)
+            want = reference_convolve_wave(widen(f), *spacing)
             got = convolve_wave(f, *spacing)
         assert bit_equal(got, want)
 
@@ -811,7 +841,7 @@ class TestBatchedHelpers:
         f[f > 1.0] = -0.0
         f[f < -1.0] = 0.0
         assert bit_equal(convolve_wave(f, 0.05, 0.05),
-                         reference_convolve_wave(f, 0.05, 0.05))
+                         reference_convolve_wave(widen(f), 0.05, 0.05))
 
     def test_wave_sweep_peak_memory(self):
         # The sweep keeps O(R * width) running sums besides its output;
