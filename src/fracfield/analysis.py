@@ -235,6 +235,8 @@ def h_convergence(eqn: EquationKind, hursts, reference, *,
     """
     ref = _as_hurst(reference)
     hs = tuple(_as_hurst(h) for h in hursts)
+    if not hs:
+        raise ValueError("need at least one trial index")
     pair_list = tuple(pairs) if pairs is not None else DEFAULT_H_PAIRS
     if not pair_list:
         raise ValueError("need at least one evaluation pair")

@@ -312,7 +312,7 @@ def _sim_config(cfg: dict, args) -> SimulationConfig:
         drift=_drift_from(cfg), data=_initial_from(cfg), grid=_grid_from(cfg),
         master_seed=_seed_from(cfg, args),
         n_replicates=_replicates_from(cfg, args),
-        truncation_ladder=tuple(ladder) if ladder else None)
+        truncation_ladder=None if ladder is None else tuple(ladder))
 
 
 def _describe_sim(config: SimulationConfig) -> dict:
@@ -320,8 +320,8 @@ def _describe_sim(config: SimulationConfig) -> dict:
         "equation": config.eqn.value, "hurst": config.hurst.value,
         "drift": config.drift.name, "master_seed": config.master_seed,
         "n_replicates": config.n_replicates,
-        "truncation_ladder": list(config.truncation_ladder)
-        if config.truncation_ladder else None,
+        "truncation_ladder": None if config.truncation_ladder is None
+        else list(config.truncation_ladder),
         "grid": {"horizon": config.grid.horizon,
                  "half_width": config.grid.half_width,
                  "n_t": config.grid.n_t, "n_x": config.grid.n_x}}
@@ -330,7 +330,7 @@ def _describe_sim(config: SimulationConfig) -> dict:
 def _cmd_simulate(cfg: dict, args) -> _Run:
     config = _sim_config(cfg, args)
     described = _describe_sim(config)
-    if cfg.get("truncation_ladder") is not None:
+    if config.truncation_ladder is not None:
         result = truncation_ladder_run(config)
         return _Run(config=described, master_seed=config.master_seed,
                     artifacts={

@@ -281,8 +281,10 @@ def _wave_far(q: float, t1, t2, c):
     return 4.0 * t1 * t1 * c ** (q - 1.0) * total
 
 
-def _closed_cov(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
-    """Covariance on broadcast arrays with ``t1 <= t2`` and ``c = |dx|``.
+def _closed_cov(eqn: EquationKind, hurst: HurstIndex, t1, t2, c, lag=None):
+    """Covariance on broadcast arrays with ``t1 <= t2`` and ``c = |dx|``;
+    the wave's ``|c - d|`` is ``lag`` (:func:`_cone_lag`) when given, else
+    it is taken from the rounded c and d.
 
     With ``q = 2H``, ``s = t1 + t2``, ``d = t2 - t1`` and nc =
     :func:`noise_constant`.  Wave: ``1/8 (1/2 [G(s+c) - G(d+c) + G(s-c)
@@ -310,13 +312,14 @@ def _closed_cov(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
     with np.errstate(all="ignore"):
         if eqn is EquationKind.WAVE:
             q = 2.0 * h
+            lag = np.abs(c - d) if lag is None else lag
 
             def prim(u):
                 return _spow(q + 1.0, u) / (q + 1.0)
 
             out = np.asarray(
                 0.5 * (prim(s + c) - prim(d + c) + prim(s - c) - prim(d - c))
-                - t1 * (np.abs(c - d) ** q + (c + d) ** q))
+                - t1 * (lag ** q + (c + d) ** q))
             far = (c >= 2.0 * s) & (t1 > 0.0)
             if far.any():
                 out[far] = _wave_far(q, t1[far], t2[far], c[far])
@@ -344,9 +347,11 @@ def _closed_cov(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
     return out
 
 
-def _closed_incr(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
+def _closed_incr(eqn: EquationKind, hurst: HurstIndex, t1, t2, c,
+                 lag=None):
     """Increment moment ``E[(u(t2, x+c) - u(t1, x))^2]`` on broadcast
-    arrays with ``t1 <= t2`` and ``c = |dx|``.
+    arrays with ``t1 <= t2``, ``c = |dx|`` and ``lag`` as in
+    :func:`_closed_cov`.
 
     The two variances minus twice :func:`_closed_cov`, regrouped so that
     no terms of size one are subtracted; notation as there, with
@@ -369,6 +374,7 @@ def _closed_incr(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
     with np.errstate(all="ignore"):
         if eqn is EquationKind.WAVE:
             q = 2.0 * h
+            lag = np.abs(c - d) if lag is None else lag
             p = q + 1.0
 
             def prim(u):
@@ -377,7 +383,7 @@ def _closed_incr(eqn: EquationKind, hurst: HurstIndex, t1, t2, c):
             out = np.asarray(
                 (_second_diff(p, s, d) - _second_diff(p, s, c)) / p
                 + prim(d + c) + prim(d - c)
-                + 2.0 * t1 * (np.abs(c - d) ** q + (c + d) ** q))
+                + 2.0 * t1 * (lag ** q + (c + d) ** q))
             far = (c >= 2.0 * s) & (t2 > 0.0)
             if far.any():
                 out[far] = (prim(2.0 * t1[far]) + prim(2.0 * t2[far])
@@ -414,13 +420,43 @@ def _as_hurst(hurst) -> HurstIndex:
     return hurst if isinstance(hurst, HurstIndex) else HurstIndex(hurst)
 
 
+def _two_sum(a, b) -> tuple:
+    """``a + b`` rounded, and its rounding error exactly (Knuth's
+    TwoSum)."""
+    total = a + b
+    b_part = total - a
+    return total, (a - (total - b_part)) + (b - b_part)
+
+
+def _cone_lag(ta, xa, tb, xb):
+    """``||xa - xb| - |ta - tb||``, the wave forms' ``|c - d|``: the
+    smaller distance of the nodes in the light-cone coordinates ``x + t``
+    and ``x - t``, each kept with its rounding error.
+
+    So the lag is 0 exactly on a common light cone, and elsewhere within
+    two roundings of the exact lag of the coordinates.  From the rounded
+    c and d some lags of 1e-17 come out 0 and others do not, and at H =
+    0.01 ``t1 |c - d|^(2H)`` jumps from 0 to about t1/2 between them:
+    the matrix would be no point set's covariance.
+    """
+    lags = []
+    for sign in (1.0, -1.0):
+        (wa, ea), (wb, eb) = _two_sum(xa, sign * ta), _two_sum(xb, sign * tb)
+        # Near the cone wa and wb are within a factor 2, so wa - wb is
+        # exact (Sterbenz).
+        lags.append(np.abs((wa - wb) + (ea - eb)))
+    return np.minimum(*lags)
+
+
 def _pair(p1, p2) -> tuple:
-    """Ordered times and separation of two points, as 1-element arrays:
-    arithmetic on 0-d arrays calls libm ``pow`` and arrays numpy's own,
-    so the scalar entry points take the route of the matrix."""
+    """Ordered times, separation and :func:`_cone_lag` of two points, as
+    1-element arrays: arithmetic on 0-d arrays calls libm ``pow`` and
+    arrays numpy's own, so the scalar entry points take the route of the
+    matrix."""
     nodes = _nodes((p1, p2))
+    (ta, xa), (tb, xb) = nodes[:1].T, nodes[1:].T
     t = np.sort(nodes[:, 0])
-    return t[:1], t[1:], np.abs(nodes[:1, 1] - nodes[1:, 1])
+    return t[:1], t[1:], np.abs(xa - xb), _cone_lag(ta, xa, tb, xb)
 
 
 def conv_cov(eqn: EquationKind, hurst: HurstIndex | float, p1, p2) -> float:
@@ -450,9 +486,10 @@ def cov_matrix(eqn: EquationKind, hurst: HurstIndex | float,
     entries = np.empty((t.size, t.size))
     for start in range(0, t.size, _COV_BLOCK_ROWS):
         rows = slice(start, start + _COV_BLOCK_ROWS)
-        entries[rows] = _closed_cov(eqn, h, np.minimum.outer(t[rows], t),
-                                    np.maximum.outer(t[rows], t),
-                                    np.abs(np.subtract.outer(x[rows], x)))
+        tr, xr = t[rows, None], x[rows, None]
+        entries[rows] = _closed_cov(eqn, h, np.minimum(tr, t),
+                                    np.maximum(tr, t), np.abs(xr - x),
+                                    _cone_lag(tr, xr, t, x))
     return CovarianceMatrix(points=nodes, entries=entries)
 
 

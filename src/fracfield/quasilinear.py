@@ -3,8 +3,9 @@
 Pipeline: build the exact covariance of the linear solution field on the
 reported grid, factor it, draw Gaussian replicates, add the initial-data
 term, and march the fixed-point equation for all replicates as one batch.
-Replicates are independent CBRNG streams, each solved as it would be
-alone, so replicate i is byte-identical for any replicate count.
+Replicate i draws from its own PCG64 stream, seeded by the
+``SeedSequence`` of ``master_seed`` and spawn key ``(i,)``, and is solved
+as it would be alone, so it is byte-identical for any replicate count.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """Reproducible Gaussian sampling from covariance matrices.
 
-Replicates are generated from independent counter-derived streams keyed
-by ``(master_seed, replicate_index)``, so the i-th replicate is the same
-bit pattern no matter how many replicates are requested or in what
-order they are drawn.  Uniform draws are mapped to normals through the
-inverse CDF, keeping the stream usage per replicate a fixed, documented
-quantity (one 53-bit uniform per matrix dimension).
+Replicate i draws from its own PCG64 stream, seeded by the
+``SeedSequence`` of entropy ``master_seed`` and spawn key ``(i,)``, so it
+is the same bit pattern no matter how many replicates are requested or
+in what order they are drawn.  Uniform draws are mapped to normals
+through the inverse CDF, keeping the stream usage per replicate a fixed,
+documented quantity (one 53-bit uniform per matrix dimension).
 """
 
 from __future__ import annotations

@@ -302,6 +302,10 @@ class TestHConvergence:
         with pytest.raises(ValueError):
             h_convergence(WAVE, (0.4,), 0.5, pairs=())
 
+    def test_empty_indices_rejected(self):
+        with pytest.raises(ValueError, match="at least one trial index"):
+            h_convergence(WAVE, (), 0.5)
+
     def test_pair_outside_cones_contributes(self):
         # |dx| = 2 >= t1 + t2 = 1.5: correlated for fractional noise.
         pair = ((0.5, -1.0), (1.0, 1.0))

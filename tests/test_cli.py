@@ -82,17 +82,37 @@ def _loaded_by_cli_import() -> set:
     return set(json.loads(done.stdout))
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate serves only a wave v0 given as a plain callable and
-    # pulls in scipy.optimize, so importing the CLI must not load it.
-    assert not {"scipy.integrate", "scipy.optimize"} & _loaded_by_cli_import()
-
-
 def test_import_leaves_scipy_unloaded():
-    # The run-time path is numpy only: scipy serves the tests, the
-    # quadrature oracle and a wave v0 given as a plain callable.
+    # numpy is the only run-time dependency; scipy serves the tests.
     assert not {m for m in _loaded_by_cli_import()
                 if m == "scipy" or m.startswith("scipy.")}
+
+
+def test_callable_wave_v0_loads_no_scipy():
+    # A wave v0 given as a plain callable is integrated by numpy's
+    # Gauss-Legendre rules, without loading scipy: for u0 = sin and
+    # v0 = cos the initial term (sin(x+t) + sin(x-t))/2 + (sin(x+t) -
+    # sin(x-t))/2 is sin(x + t).
+    src = str(Path(fracfield.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from fracfield import (EquationKind, InitialData, PointGrid,\n"
+        "                       initial_term_grid)\n"
+        "grid = PointGrid(2.0, 1.5, 8, 12)\n"
+        "got = initial_term_grid(EquationKind.WAVE,\n"
+        "                        InitialData(u0=np.sin, v0=np.cos), grid)\n"
+        "t, x = grid.nodes()\n"
+        "want = np.sin(x + t).reshape(9, 13)\n"
+        "print(np.max(np.abs(got.values - want)))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    err, loaded = done.stdout.splitlines()
+    assert float(err) <= 1e-12
+    assert loaded == "[]"
 
 
 def test_import_leaves_quadrature_oracle_unloaded():
@@ -520,6 +540,13 @@ class TestSimulate:
         assert consec.shape == (3, 2)
         assert_manifest_digests(out)
 
+    def test_empty_ladder_needs_two_levels(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(LADDER_CONFIG,
+                                          truncation_ladder=[]))
+        assert main(["simulate", "--config", cfg]) == 1
+        assert "truncation ladder needs >= 2 levels" in \
+            capsys.readouterr().err
+
 
 class TestHoelder:
     def test_stdout_verdict(self, capsys):
@@ -611,6 +638,11 @@ class TestHConv:
             {"hurst": 0.3, "hconv": dict(hursts, reference=0.4)}) == 0.4
         assert self.reference(tmp_path, [],
                               {"hconv": {"hursts": [0.6, 0.55]}}) == 0.5
+
+    def test_empty_index_list_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"hconv": {"hursts": []}})
+        assert main(["hconv", "--config", cfg, "--equation", "wave"]) == 1
+        assert "at least one trial index" in capsys.readouterr().err
 
     def test_hurst_flag_sets_default_ladder(self, tmp_path):
         # Without hconv.hursts the ladder approaches the reference.

@@ -10,6 +10,7 @@ series.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from fracfield import (EquationKind, HurstIndex, NumericalError, PointGrid,
                        conv_cov, cov_matrix, factor_psd, increment_moment2,
                        noise_constant, noise_field_cov, sample_field)
 from fracfield.covariance import (_COV_BLOCK_ROWS, _HEAT_FAR_ARG,
-                                  _HEAT_PAIR_RATIO, _closed_incr, _heat_near,
-                                  _heat_pair, _kummer, _kummer_m1)
+                                  _HEAT_PAIR_RATIO, _closed_incr, _cone_lag,
+                                  _heat_near, _heat_pair, _kummer, _kummer_m1)
 from fracfield.oracle import DEFAULT_QUAD, _assemble
 
 
@@ -251,16 +252,35 @@ class TestCovMatrix:
         eigs = np.linalg.eigvalsh(cov.entries)
         assert eigs.min() >= -1e-10 * np.max(np.diag(cov.entries))
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the wave forms' t1 |c - d|^(2H) jumps from 0 to about t1/2 at "
-        "H = 0.01 when the rounded separation c and time lag d of a pair "
-        "on a light-cone edge differ by 1e-17, so the entries of an "
-        "aligned grid disagree: the smallest eigenvalue is -3e-3"))
     def test_wave_matrix_psd_near_h_zero_on_aligned_grid(self):
+        # The wave forms' t1 |c - d|^(2H) jumps from 0 to about t1/2 at
+        # H = 0.01 between lags of 0 and 1e-17, so a lag from the rounded
+        # c and d on the light-cone edges of an aligned grid makes the
+        # entries disagree; the exact lag keeps the matrix a covariance.
         g = PointGrid(horizon=1.0, half_width=0.5, n_t=7, n_x=7)
         cov = cov_matrix(EquationKind.WAVE, 0.01, np.stack(g.nodes(), 1))
         eigs = np.linalg.eigvalsh(cov.entries)
         assert eigs.min() >= -1e-10 * np.max(np.diag(cov.entries))
+
+    def test_cone_lag_is_the_lag_of_the_coordinates(self):
+        # ||xa - xb| - |ta - tb|| of the float coordinates in exact
+        # rational arithmetic: 0 on the 312 pairs of the grid that lie on
+        # a light cone, within two roundings on the others, 48 of which
+        # come out 0 from the rounded c and d.
+        g = PointGrid(horizon=1.0, half_width=0.5, n_t=7, n_x=7)
+        t, x = g.nodes()
+        lag = _cone_lag(t[:, None], x[:, None], t, x)
+        exact = np.array([[abs(abs(Fraction(xa) - Fraction(xb))
+                               - abs(Fraction(ta) - Fraction(tb)))
+                           for tb, xb in zip(t, x)] for ta, xa in zip(t, x)])
+        on_cone = exact == 0
+        assert on_cone.sum() == 312 and np.all(lag[on_cone] == 0.0)
+        got = np.array([Fraction(v) for v in lag[~on_cone]])
+        assert np.all(abs(got - exact[~on_cone])
+                      <= 2.0 ** -52 * exact[~on_cone])
+        rounded = np.abs(np.abs(np.subtract.outer(x, x))
+                         - np.abs(np.subtract.outer(t, t)))
+        assert np.sum(rounded[~on_cone] == 0.0) == 48
 
     def test_wave_entries_nonzero_outside_cones(self):
         grid = PointGrid(1.0, 1.0, 16, 32)
@@ -343,7 +363,8 @@ class TestOneRoute:
         assert ((t1 > 0.0) & (c >= 2.0 * s)).any()
         assert ((t1 > 0.0) & (c * c / 4.0 >= _HEAT_FAR_ARG * s / 2.0)).any()
         cov = cov_matrix(eqn, h, points).entries
-        incr = _closed_incr(eqn, HurstIndex(h), t1, t2, c)
+        incr = _closed_incr(eqn, HurstIndex(h), t1, t2, c,
+                            _cone_lag(t[:, None], x[:, None], t, x))
         # Rows on both sides of the first block boundary, and one drawn.
         for i in {_COV_BLOCK_ROWS - 1, _COV_BLOCK_ROWS, row}:
             for j in range(k):

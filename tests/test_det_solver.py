@@ -280,17 +280,21 @@ class TestInitialTerm:
         ("sin", {"a": 2.0, "k": 0.0}), ("bump", {"a": 2.0, "w": 0.4}),
         ("bump", {"a": -1.0, "w": 3.0})])
     def test_wave_v0_closed_form_matches_quadrature(self, v0):
-        # A registry v0 is integrated in closed form; the same function
-        # as a plain callable takes the quadrature route.
+        # A registry v0 is integrated in closed form, scipy's adaptive
+        # quadrature is the independent route, and the same function as
+        # a plain callable takes the Gauss-Legendre route.
         from scipy.integrate import quad
 
         data = make_initial_data(v0=v0)
+        plain = InitialData(u0=data.u0, v0=data.v0.func)
         xs = np.linspace(-3.0, 3.0, 13)
         for t in (1e-6, 0.3, 2.0):
             got = initial_term(WAVE, data, t, xs)
             want = [0.5 * quad(data.v0.func, x - t, x + t, epsabs=1e-13,
                                epsrel=1e-12, limit=200)[0] for x in xs]
             assert np.max(np.abs(got - want)) <= 1e-12
+            assert np.max(np.abs(initial_term(WAVE, plain, t, xs) - got)) \
+                <= 1e-12
 
     def test_wave_v0_callable_keeps_quadrature(self):
         data = InitialData(u0=lambda x: np.zeros_like(x),
@@ -299,6 +303,18 @@ class TestInitialTerm:
         want = 0.5 * (np.sin(np.array([0.5, 1.5]))
                       - np.sin(np.array([-0.5, 0.5])))
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("v0, t, node", [
+        (np.abs, 1.0, r"\(t, x\) = \(1, -0.5\)"),
+        (lambda x: np.sin(5.0 * x), 10.0, r"\(t, x\) = \(10, -3\)"),
+        (lambda x: np.where(np.abs(x) < 20.0, 1.0, np.nan), 20.0,
+         r"\(t, x\) = \(20, -3\)")])
+    def test_wave_v0_callable_unresolved_raises(self, v0, t, node):
+        # A kink, fast oscillation or non-finite value where the 32- and
+        # 64-point rules disagree names the first such node.
+        data = InitialData(u0=np.sin, v0=v0)
+        with pytest.raises(NumericalError, match=node):
+            initial_term(WAVE, data, t, np.linspace(-3.0, 3.0, 13))
 
 
 class TestOdeOracle:
