@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import reprlib
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -64,58 +65,97 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _eqn_from(cfg: dict, args) -> EquationKind:
-    name = getattr(args, "equation", None) or cfg.get("equation")
-    if name is None:
-        raise ValueError("no equation given; use --equation or the config")
-    return EquationKind.parse(name)
+_REQUIRED = object()
+
+# The flag, by its argparse name, that overrides a config key.
+_FLAGS = {"equation": "equation", "hurst": "hurst", "master_seed": "seed",
+          "n_replicates": "replicates", "hoelder.direction": "direction",
+          "hoelder.p": "p"}
 
 
-def _hurst_from(cfg: dict, args) -> HurstIndex:
-    value = getattr(args, "hurst", None)
+def _finite(value) -> bool:
+    """Whether a JSON value is a number within float range: not nan, not
+    infinite, not an int too large for a float, and not true or false."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _pair(value) -> bool:
+    return (isinstance(value, list) and len(value) == 2
+            and all(map(_finite, value)))
+
+
+# Each kind of setting: what it must be, its test, and the conversion of
+# a value that passes (None returns the value as it is).
+_KINDS = {
+    "object": ("an object", lambda v: isinstance(v, dict), None),
+    "text": ("a string", lambda v: isinstance(v, str), None),
+    "equation": ("'heat' or 'wave'", lambda v: isinstance(v, str),
+                 EquationKind.parse),
+    "index": ("a roughness index in (0, 1)", _finite,
+              lambda v: HurstIndex(float(v))),
+    "int": ("an integer", lambda v: _finite(v) and float(v).is_integer(),
+            int),
+    "number": ("a finite number", _finite, float),
+    "numbers": ("a list of finite numbers",
+                lambda v: isinstance(v, list) and all(map(_finite, v)), None),
+    "pair": ("a [t, x] pair of finite numbers", _pair, None),
+    "pairs": ("a non-empty list of [t, x] pairs",
+              lambda v: isinstance(v, list) and v and all(map(_pair, v)),
+              None),
+}
+
+
+def _setting(cfg: dict, args, key: str, kind: str, default=_REQUIRED):
+    """The setting ``key``: its flag's value, else the config's (``key``
+    is a dotted path through objects), else ``default``, returned as it
+    is; JSON null counts as absent.  A given value must be of ``kind``
+    (see ``_KINDS``) and is returned converted.  Every failure, a missing
+    required setting or a section that is not an object included, raises
+    ``ValueError`` naming the key."""
+    parent, _, name = key.rpartition(".")
+    section = _setting(cfg, args, parent, "object", {}) if parent else cfg
+    flag = _FLAGS.get(key)
+    value = getattr(args, flag, None) if flag else None
     if value is None:
-        value = cfg.get("hurst")
+        value = section.get(name)
+    what, test, convert = _KINDS[kind]
     if value is None:
-        raise ValueError("no roughness index given; use --hurst or the config")
-    return HurstIndex(float(value))
+        if default is not _REQUIRED:
+            return default
+        use = f"--{flag} or " if flag else ""
+        raise ValueError(f"no {key} given ({what}); use {use}the config")
+    if not test(value):
+        if isinstance(value, float) and not _finite(value):
+            what = "finite"
+        raise ValueError(f"{key} must be {what}, got {reprlib.repr(value)}")
+    return value if convert is None else convert(value)
 
 
-def _grid_from(cfg: dict) -> PointGrid:
-    spec = cfg.get("grid")
-    if not isinstance(spec, dict):
-        raise ValueError("config needs a 'grid' object "
-                         "(horizon, half_width, n_t, n_x)")
-    return PointGrid(horizon=float(spec["horizon"]),
-                     half_width=float(spec["half_width"]),
-                     n_t=int(spec["n_t"]), n_x=int(spec["n_x"]))
+def _grid_from(cfg: dict, args) -> PointGrid:
+    return PointGrid(**{name: _setting(cfg, args, f"grid.{name}", kind)
+                        for name, kind in (("horizon", "number"),
+                                           ("half_width", "number"),
+                                           ("n_t", "int"), ("n_x", "int"))})
 
 
-def _drift_from(cfg: dict):
-    spec = cfg.get("drift", {"kind": "zero", "params": {}})
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("config key 'drift' must be an object with 'kind'")
-    drift = make_drift(spec["kind"], **spec.get("params", {}))
-    level = spec.get("truncation_level")
-    if level is not None:
-        drift = drift_truncate(drift, float(level))
-    return drift
+def _drift_from(cfg: dict, args):
+    if _setting(cfg, args, "drift", "object", None) is None:
+        return make_drift("zero")
+    drift = make_drift(_setting(cfg, args, "drift.kind", "text"),
+                       **_setting(cfg, args, "drift.params", "object", {}))
+    level = _setting(cfg, args, "drift.truncation_level", "number", None)
+    return drift if level is None else drift_truncate(drift, level)
 
 
-def _initial_from(cfg: dict) -> InitialData:
-    spec = cfg.get("initial")
-    if spec is None:
-        return make_initial_data()
-    if not isinstance(spec, dict):
-        raise ValueError("config key 'initial' must be an object")
-
-    def profile(key):
-        sub = spec.get(key)
-        if sub is None:
-            return None
-        return (sub["kind"], sub.get("params", {}))
-
-    u0 = profile("u0") or ("zero", {})
-    return make_initial_data(u0=u0, v0=profile("v0"))
+def _initial_from(cfg: dict, args) -> InitialData:
+    profiles = {}
+    for name in ("u0", "v0"):
+        if _setting(cfg, args, f"initial.{name}", "object", None) is not None:
+            profiles[name] = (
+                _setting(cfg, args, f"initial.{name}.kind", "text"),
+                _setting(cfg, args, f"initial.{name}.params", "object", {}))
+    return make_initial_data(**profiles)
 
 
 def _eta_from_csv(path: str, grid: PointGrid) -> np.ndarray:
@@ -147,57 +187,27 @@ def _eta_from_csv(path: str, grid: PointGrid) -> np.ndarray:
     return raw[:, 2].reshape(grid.n_t + 1, grid.n_x + 1)
 
 
-def _eta_from(cfg: dict, eqn: EquationKind, data: InitialData,
+def _eta_from(cfg: dict, args, eqn: EquationKind, data: InitialData,
               grid: PointGrid) -> np.ndarray:
     """Resolve the forcing: a CSV file or a named built-in profile."""
-    spec = cfg.get("eta")
-    if spec is None:
-        spec = {"kind": "initial"}
-    if not isinstance(spec, dict):
-        raise ValueError("config key 'eta' must be an object")
-    if "csv" in spec:
-        return _eta_from_csv(str(spec["csv"]), grid)
-    kind = spec.get("kind")
+    path = _setting(cfg, args, "eta.csv", "text", None)
+    if path is not None:
+        return _eta_from_csv(path, grid)
+    kind = ("initial" if _setting(cfg, args, "eta", "object", None) is None
+            else _setting(cfg, args, "eta.kind", "text"))
+    shape = (grid.n_t + 1, grid.n_x + 1)
     if kind == "initial":
         return initial_term_grid(eqn, data, grid).values
-    shape = (grid.n_t + 1, grid.n_x + 1)
     if kind == "zero":
-        values = np.zeros(shape)
-    elif kind == "constant":
-        values = np.full(shape, float(spec.get("value", 1.0)))
-    elif kind == "sin_time":
-        rate = float(spec.get("rate", 1.0))
-        values = np.broadcast_to(np.sin(rate * grid.times())[:, None],
-                                 shape).copy()
-    else:
-        raise ValueError(f"unknown eta kind {kind!r}; use 'initial', "
-                         f"'zero', 'constant', 'sin_time', or 'csv'")
-    return values
-
-
-def _points_from(cfg: dict) -> np.ndarray:
-    pts = cfg.get("points")
-    if pts is None:
-        raise ValueError("config needs 'points': a list of [t, x] pairs")
-    if not isinstance(pts, list) or not pts:
-        raise ValueError("'points' must be a non-empty list of [t, x] pairs")
-    for p in pts:
-        if not isinstance(p, (list, tuple)) or len(p) != 2:
-            raise ValueError(f"point {p!r} is not a [t, x] pair")
-    return _nodes(pts)
-
-
-def _seed_from(cfg: dict, args) -> int:
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = cfg.get("master_seed", 0)
-    return int(seed)
-
-
-def _replicates_from(cfg: dict, args) -> int:
-    if args.replicates is not None:
-        return args.replicates
-    return int(cfg.get("n_replicates", 1))
+        return np.zeros(shape)
+    if kind == "constant":
+        return np.full(shape, _setting(cfg, args, "eta.value", "number", 1.0))
+    if kind == "sin_time":
+        rate = _setting(cfg, args, "eta.rate", "number", 1.0)
+        return np.broadcast_to(np.sin(rate * grid.times())[:, None],
+                               shape).copy()
+    raise ValueError(f"unknown eta kind {kind!r}; use 'initial', 'zero', "
+                     f"'constant', 'sin_time', or 'csv'")
 
 
 @dataclass
@@ -218,27 +228,29 @@ class _Run:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _field_table(grid: PointGrid, fields: np.ndarray) -> tuple:
-    n_reps = fields.shape[0]
-    replicate = np.repeat(np.arange(n_reps), fields[0].size)
+def _field_tables(grid: PointGrid, *stacks: np.ndarray) -> list:
+    """The ``replicate,t,x,value`` tables of field stacks of one shape,
+    all sharing one set of node columns."""
+    n_reps = stacks[0].shape[0]
     t, x = grid.nodes()
-    return (("replicate", "t", "x", "value"),
-            (replicate, np.tile(t, n_reps), np.tile(x, n_reps),
-             fields.ravel()))
+    nodes = (np.repeat(np.arange(n_reps), t.size), np.tile(t, n_reps),
+             np.tile(x, n_reps))
+    return [(("replicate", "t", "x", "value"), (*nodes, stack.ravel()))
+            for stack in stacks]
 
 
-def _alpha_from(cfg: dict, args) -> tuple:
-    """H and alpha = 1 - 2H, which the Dalang and lemma forms need in
-    (-1, 1) but which rounds to 1 for H <= 2**-55."""
-    h = _hurst_from(cfg, args)
+def _alpha(h: HurstIndex) -> float:
+    """alpha = 1 - 2H, which the Dalang and lemma forms need in (-1, 1)
+    but which rounds to 1 for H <= 2**-55."""
     if h.spectral_exponent == 1.0:
         raise NumericalError(f"1 - 2H rounds to 1 at H = {h.value!r}; the "
                              f"Dalang and lemma forms need it in (-1, 1)")
-    return h, h.spectral_exponent
+    return h.spectral_exponent
 
 
 def _cmd_constants(cfg: dict, args) -> _Run:
-    h, alpha = _alpha_from(cfg, args)
+    h = _setting(cfg, args, "hurst", "index")
+    alpha = _alpha(h)
     names = ("noise_constant", "spectral_exponent", "dalang_wave_t1",
              "dalang_heat_t1")
     values = (noise_constant(h), alpha,
@@ -251,9 +263,9 @@ def _cmd_constants(cfg: dict, args) -> _Run:
 
 
 def _cmd_cov(cfg: dict, args) -> _Run:
-    eqn = _eqn_from(cfg, args)
-    h = _hurst_from(cfg, args)
-    points = _points_from(cfg)
+    eqn = _setting(cfg, args, "equation", "equation")
+    h = _setting(cfg, args, "hurst", "index")
+    points = _nodes(_setting(cfg, args, "points", "pairs"))
     cov = cov_matrix(eqn, h, points)
     n = len(points)
     index = np.arange(n)
@@ -268,13 +280,12 @@ def _cmd_cov(cfg: dict, args) -> _Run:
 
 
 def _cmd_sample(cfg: dict, args) -> _Run:
-    eqn = _eqn_from(cfg, args)
-    h = _hurst_from(cfg, args)
-    points = _points_from(cfg)
-    seed = _seed_from(cfg, args)
-    n_rep = _replicates_from(cfg, args)
-    cov = cov_matrix(eqn, h, points)
-    factor = factor_psd(cov)
+    eqn = _setting(cfg, args, "equation", "equation")
+    h = _setting(cfg, args, "hurst", "index")
+    points = _nodes(_setting(cfg, args, "points", "pairs"))
+    seed = _setting(cfg, args, "master_seed", "int", 0)
+    n_rep = _setting(cfg, args, "n_replicates", "int", 1)
+    factor = factor_psd(cov_matrix(eqn, h, points))
     sample = sample_field(factor, seed, n_rep)
     k = len(points)
     t, x = points.T
@@ -289,47 +300,37 @@ def _cmd_sample(cfg: dict, args) -> _Run:
 
 
 def _cmd_solve_det(cfg: dict, args) -> _Run:
-    eqn = _eqn_from(cfg, args)
-    grid = _grid_from(cfg)
-    drift = _drift_from(cfg)
-    data = _initial_from(cfg)
-    eta = _eta_from(cfg, eqn, data, grid)
+    eqn = _setting(cfg, args, "equation", "equation")
+    grid = _grid_from(cfg, args)
+    drift = _drift_from(cfg, args)
+    data = _initial_from(cfg, args)
+    eta = _eta_from(cfg, args, eqn, data, grid)
     fields, solve = solve_replicates(eqn, drift, grid, eta[None])
     table = (("t", "x", "value"), (*grid.nodes(), fields[0].ravel()))
     return _Run(config={
         "equation": eqn.value, "drift": drift.name,
-        "eta": cfg.get("eta", {"kind": "initial"}),
-        "grid": {"horizon": grid.horizon, "half_width": grid.half_width,
-                 "n_t": grid.n_t, "n_x": grid.n_x}},
+        "eta": _setting(cfg, args, "eta", "object", {"kind": "initial"}),
+        "grid": asdict(grid)},
         artifacts={"field.csv": table},
         diagnostics={"solve": asdict(solve)})
 
 
-def _sim_config(cfg: dict, args) -> SimulationConfig:
-    ladder = cfg.get("truncation_ladder")
-    return SimulationConfig(
-        eqn=_eqn_from(cfg, args), hurst=_hurst_from(cfg, args),
-        drift=_drift_from(cfg), data=_initial_from(cfg), grid=_grid_from(cfg),
-        master_seed=_seed_from(cfg, args),
-        n_replicates=_replicates_from(cfg, args),
+def _cmd_simulate(cfg: dict, args) -> _Run:
+    ladder = _setting(cfg, args, "truncation_ladder", "numbers", None)
+    config = SimulationConfig(
+        eqn=_setting(cfg, args, "equation", "equation"),
+        hurst=_setting(cfg, args, "hurst", "index"),
+        drift=_drift_from(cfg, args), data=_initial_from(cfg, args),
+        grid=_grid_from(cfg, args),
+        master_seed=_setting(cfg, args, "master_seed", "int", 0),
+        n_replicates=_setting(cfg, args, "n_replicates", "int", 1),
         truncation_ladder=None if ladder is None else tuple(ladder))
-
-
-def _describe_sim(config: SimulationConfig) -> dict:
-    return {
+    described = {
         "equation": config.eqn.value, "hurst": config.hurst.value,
         "drift": config.drift.name, "master_seed": config.master_seed,
         "n_replicates": config.n_replicates,
-        "truncation_ladder": None if config.truncation_ladder is None
-        else list(config.truncation_ladder),
-        "grid": {"horizon": config.grid.horizon,
-                 "half_width": config.grid.half_width,
-                 "n_t": config.grid.n_t, "n_x": config.grid.n_x}}
-
-
-def _cmd_simulate(cfg: dict, args) -> _Run:
-    config = _sim_config(cfg, args)
-    described = _describe_sim(config)
+        "truncation_ladder": None if ladder is None
+        else list(config.truncation_ladder), "grid": asdict(config.grid)}
     if config.truncation_ladder is not None:
         result = truncation_ladder_run(config)
         return _Run(config=described, master_seed=config.master_seed,
@@ -355,27 +356,26 @@ def _cmd_simulate(cfg: dict, args) -> _Run:
                "mean": mean.tolist(),
                "variance": variance.tolist(),
                "se": np.sqrt(variance / n_reps).tolist()}
+    fields, noise = _field_tables(config.grid, result.fields, result.noise)
     return _Run(config=described, master_seed=config.master_seed,
-                artifacts={
-                    "fields.csv": _field_table(config.grid, result.fields),
-                    "noise.csv": _field_table(config.grid, result.noise),
-                    "summary.json": summary},
+                artifacts={"fields.csv": fields, "noise.csv": noise,
+                           "summary.json": summary},
                 diagnostics={"solve": asdict(result.solve)})
 
 
 def _cmd_hoelder(cfg: dict, args) -> _Run:
-    eqn = _eqn_from(cfg, args)
-    h = _hurst_from(cfg, args)
-    sub = cfg.get("hoelder", {})
-    direction = Direction.parse(args.direction or sub.get("direction", "time"))
-    p = float(args.p if args.p is not None else sub.get("p", 2.0))
-    base = sub.get("base", [1.0, 0.0])
-    lags = sub.get("lags")
+    eqn = _setting(cfg, args, "equation", "equation")
+    h = _setting(cfg, args, "hurst", "index")
+    direction = Direction.parse(
+        _setting(cfg, args, "hoelder.direction", "text", "time"))
+    p = _setting(cfg, args, "hoelder.p", "number", 2.0)
+    base = _setting(cfg, args, "hoelder.base", "pair", [1.0, 0.0])
     fit = fit_hoelder(eqn, h, direction, p=p,
                       base_time=float(base[0]), base_pos=float(base[1]),
-                      lags=lags)
+                      lags=_setting(cfg, args, "hoelder.lags", "numbers",
+                                    None))
     expected = expected_hoelder_slope(eqn, h, direction, p)
-    tolerance = float(sub.get("tolerance", 0.1))
+    tolerance = _setting(cfg, args, "hoelder.tolerance", "number", 0.1)
     passed = (not np.isnan(fit.slope)
               and abs(fit.slope - expected) <= tolerance)
     fit_doc = {
@@ -393,11 +393,11 @@ def _cmd_hoelder(cfg: dict, args) -> _Run:
 
 
 def _cmd_hconv(cfg: dict, args) -> _Run:
-    eqn = _eqn_from(cfg, args)
-    sub = cfg.get("hconv", {})
-    hurst = args.hurst if args.hurst is not None else cfg.get("hurst", 0.5)
-    reference = float(sub.get("reference", hurst))
-    hursts = sub.get("hursts")
+    eqn = _setting(cfg, args, "equation", "equation")
+    reference = _setting(cfg, args, "hconv.reference", "number", None)
+    if reference is None:
+        reference = _setting(cfg, args, "hurst", "number", 0.5)
+    hursts = _setting(cfg, args, "hconv.hursts", "numbers", None)
     if hursts is None:
         # Towards the reference from inside (0, 1).
         step = 0.2 if reference + 0.2 < 1.0 else -0.2
@@ -421,15 +421,12 @@ def _cmd_hconv(cfg: dict, args) -> _Run:
 
 
 def _cmd_verify_lemmas(cfg: dict, args) -> _Run:
-    sub = cfg.get("lemmas", {})
-    horizon = float(sub.get("horizon", 1.0))
-    shifts = sub.get("shifts")
-    alphas = sub.get("alphas")
+    horizon = _setting(cfg, args, "lemmas.horizon", "number", 1.0)
+    shifts = _setting(cfg, args, "lemmas.shifts", "numbers", None)
+    alphas = _setting(cfg, args, "lemmas.alphas", "numbers", None)
     if alphas is None:
-        if getattr(args, "hurst", None) is not None or "hurst" in cfg:
-            alphas = [_alpha_from(cfg, args)[1]]
-        else:
-            alphas = [-0.5, 0.0, 0.5]
+        h = _setting(cfg, args, "hurst", "index", None)
+        alphas = [-0.5, 0.0, 0.5] if h is None else [_alpha(h)]
     alphas = [float(a) for a in alphas]
     rows = []
     summary = {}
@@ -527,8 +524,6 @@ def _build_parser() -> _Parser:
     common(sub.add_parser("verify-lemmas",
                           help="sharp increment bound tables"))
     return parser
-
-
 
 
 _HANDLERS = {

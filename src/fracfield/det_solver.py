@@ -401,17 +401,23 @@ def _settle(drift: DriftSpec, e: np.ndarray, b: np.ndarray, dt: float,
 
     The map is written as the heat step writes a row.  From ``z = e + dt
     * b`` a node iterates it until its increment is 0, at most ``eps``
-    times its terms' magnitudes, or no smaller than the one before (in
-    exact arithmetic it shrinks by ``dt L / 2 < 1``), and keeps the
-    iterate of smallest increment; a node whose increment is not finite
-    has overflowed and gets NaN.  Returns z, the increments, the flat
-    indices of nodes unsettled after ``cap`` evaluations or with a
-    non-finite increment, and the count of nodes that took 1, 2, ...
+    times its terms' magnitudes, or no smaller than the one before, and
+    keeps the iterate of smallest increment; a node whose increment is
+    not finite has overflowed and gets NaN.  In exact arithmetic the
+    increment shrinks by ``q = dt L / 2 < 1``, so in rounding it stalls
+    within ``tiny / (1 - q)`` of 0, ``tiny`` the rounding of the node's
+    terms at its iterate (1.64 times that at most, measured on tanh,
+    sine, linear and clipped linear drifts for q up to 0.99).  A stall
+    above 8 times that bound means the map does not contract there: the
+    drift is steeper than its declared L.  Returns z, the increments, the
+    flat indices of nodes unsettled after ``cap`` evaluations or with a
+    non-finite increment, those of such steep stalls, and the count of
+    nodes that took 1, 2, ...
     """
+    eps = np.finfo(float).eps
     z = e + dt * b
     bz = np.asarray(drift(z), dtype=float)
-    tiny = np.finfo(float).eps * (np.abs(e) + dt * (np.abs(b)
-                                                    + 0.5 * np.abs(bz)))
+    tiny = eps * (np.abs(e) + dt * (np.abs(b) + 0.5 * np.abs(bz)))
     fz = e + dt * (b + 0.5 * bz)
     d = np.abs(fz - z)
     live = ~(d <= tiny)
@@ -427,9 +433,15 @@ def _settle(drift: DriftSpec, e: np.ndarray, b: np.ndarray, dt: float,
         np.copyto(fz, f2, where=better)
         np.copyto(d, d2, where=better)
         live = better & ~(d2 <= tiny)
+    steep = np.flatnonzero(~live & np.isfinite(d) & (d > tiny))
+    if steep.size:
+        tiny = eps * (np.abs(e) + dt * (np.abs(b) + 0.5 * np.abs(
+            np.asarray(drift(z), dtype=float))))
+        q = 0.5 * dt * drift.lipschitz_constant
+        steep = steep[d[steep] > 8.0 * tiny[steep] / (1.0 - q)]
     z[~np.isfinite(d)] = np.nan
     bad = np.flatnonzero(live | ~np.isfinite(d))
-    return z, d, bad, -np.diff(reached, append=0)
+    return z, d, bad, steep, -np.diff(reached, append=0)
 
 
 def _sweep(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
@@ -479,13 +491,14 @@ def _sweep(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
             f = drift_row(i)
             out[:, i] = eta[:, i] + dt * (b[:, win] + 0.5 * f[:, win])
             return f
-        zi, d, bad, took = _settle(drift, eta[:, i].ravel(),
-                                   b[:, win].ravel(), dt, cap)
+        zi, d, bad, steep, took = _settle(drift, eta[:, i].ravel(),
+                                          b[:, win].ravel(), dt, cap)
         out[:, i] = zi.reshape(out.shape[0], -1)
         counts[1:took.size + 1] += took
-        for k in bad.tolist():
-            stuck.setdefault(k // out.shape[2],
-                             (i, k % out.shape[2], float(d[k])))
+        steep = set(steep.tolist())
+        for k in sorted([*bad.tolist(), *steep]):
+            stuck.setdefault(k // out.shape[2], (i, k % out.shape[2],
+                                                 float(d[k]), k in steep))
         return drift_row(i)
 
     # A field that overflows is reported below, not by numpy's warnings.
@@ -505,7 +518,14 @@ def _sweep(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
             f"{grid.positions()[col]:.6g})")
     if stuck:
         r = min(stuck)
-        i, col, last = stuck[r]
+        i, col, last, steep = stuck[r]
+        if steep:
+            raise NumericalError(
+                f"replicate {r}: the pointwise solve at node (t, x) = "
+                f"({grid.times()[i]:.6g}, {grid.positions()[col]:.6g}) "
+                f"stalled at increment {last:.3e}, far above its rounding: "
+                f"the drift is steeper there than its declared Lipschitz "
+                f"constant L = {drift.lipschitz_constant:.6g}")
         raise MaxIterExceededError(
             f"replicate {r}: the pointwise solve at node (t, x) = "
             f"({grid.times()[i]:.6g}, {grid.positions()[col]:.6g}) did not "
@@ -535,12 +555,14 @@ def solve_replicates(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
     field bit for bit.  Heat: row i is ``eta_i + dt (B_i + b(z_i) / 2)``,
     a scalar fixed point at each node that contracts by ``q = dt L / 2``,
     for any drift of Lipschitz constant L, bounded or not; q >= 1 raises
-    :class:`NumericalError`, and a node unsettled after ``16 + 64 ln 2 /
-    ln(1/q)`` evaluations raises :class:`MaxIterExceededError` naming the
-    lowest such replicate and its first such node.  A field that
-    overflows double precision raises :class:`NumericalError` naming its
-    lowest replicate and first non-finite node.  Returns the fields and a
-    :class:`MarchRecord`.
+    :class:`NumericalError`.  Where the drift is steeper than its declared
+    L, a node unsettled after ``16 + ceil(64 ln 2 / ln(1/q))`` evaluations
+    raises :class:`MaxIterExceededError`, and a node whose increment stops
+    shrinking far above rounding raises :class:`NumericalError`; either
+    names the lowest replicate with such a node and its first one.  A
+    field that overflows double precision raises :class:`NumericalError`
+    naming its lowest replicate and first non-finite node.  Returns the
+    fields and a :class:`MarchRecord`.
     """
     eta = np.asarray(eta_fields, dtype=float)
     want = (grid.n_t + 1, grid.n_x + 1)

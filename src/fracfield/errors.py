@@ -32,13 +32,19 @@ class NotPsdError(NumericalError):
 
 
 class MaxIterExceededError(NumericalError):
-    """A fixed point did not settle within its iteration cap.
+    """A fixed point was still shrinking at its iteration cap.
 
-    For the heat march, ``replicate_index`` is the position in the
-    forcing stack of the lowest replicate with a node that did not
-    settle (0 for one forcing), ``node`` that replicate's first such
-    ``(time index, position index)``, rows first, ``iterations`` the cap
-    and ``last_increment`` the node's last increment.
+    In the heat march a node's increment shrinks by ``q = dt L / 2`` per
+    evaluation, so the cap ``16 + ceil(64 ln 2 / ln(1/q))`` is reached
+    only where the drift is steeper than its declared L yet still
+    contracts, slower than q; a node whose increment stops shrinking far
+    above rounding raises a plain :class:`NumericalError` instead.
+
+    ``replicate_index`` is the position in the forcing stack of the
+    lowest replicate with a node that did not settle (0 for one forcing),
+    ``node`` that replicate's first such ``(time index, position
+    index)``, rows first, ``iterations`` the cap and ``last_increment``
+    the node's last increment.
     """
 
     def __init__(self, message: str, last_increment: float = float("nan"),

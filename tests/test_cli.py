@@ -715,6 +715,110 @@ class TestVerifyLemmas:
         assert "all_within True" in out
 
 
+# Settings a run must refuse with exit 1 and a one-line message that
+# names the key: sections that are not objects, counts and seeds that
+# are not integers, and malformed profiles, pairs and parameters.
+MALFORMED = {
+    "hoelder-section": (["hoelder", "--equation", "wave", "--hurst", "0.3"],
+                        {"hoelder": 5}, "hoelder"),
+    "hconv-section": (["hconv", "--equation", "wave"], {"hconv": [1]},
+                      "hconv"),
+    "lemmas-section": (["verify-lemmas"], {"lemmas": "x"}, "lemmas"),
+    "hoelder-base": (["hoelder", "--equation", "wave", "--hurst", "0.3"],
+                     {"hoelder": {"base": [1.0]}}, "hoelder.base"),
+    "grid-n_t": (["simulate"], dict(SIM_CONFIG, grid=dict(
+        SIM_CONFIG["grid"], n_t=4.7)), "grid.n_t"),
+    "n_replicates": (["simulate"], dict(SIM_CONFIG, n_replicates=2.9),
+                     "n_replicates"),
+    "master_seed": (["simulate"], dict(SIM_CONFIG, master_seed=1.5),
+                    "master_seed"),
+    "master_seed-true": (["sample", "--equation", "heat", "--hurst", "0.5"],
+                         {"points": [[0.5, 0.0]], "master_seed": True},
+                         "master_seed"),
+    "u0-name": (["simulate"], dict(SIM_CONFIG, initial={"u0": "sin"}),
+                "initial.u0"),
+    "u0-empty": (["simulate"], dict(SIM_CONFIG, initial={"u0": {}}),
+                 "initial.u0.kind"),
+    "drift-params": (["simulate"], dict(SIM_CONFIG, drift={
+        "kind": "zero", "params": [1]}), "drift.params"),
+    "equation": (["simulate"], dict(SIM_CONFIG, equation=5), "equation"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_setting_exits_one_naming_its_key(tmp_path, capsys, case):
+    argv, config, key = MALFORMED[case]
+    assert main([*argv, "--config", write_config(tmp_path, config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fracfield: invalid configuration: ")
+    assert err.count("\n") == 1 and f" {key} " in err
+
+
+# One default run of each subcommand, and the precedence cases, with the
+# settings its manifest records, as resolved before the config reader
+# was one function (the fitted and measured values are pinned above).
+POINTS_CONFIG = {"equation": "heat", "hurst": 0.7,
+                 "points": [[0.5, 0.0], [1, -0.25]]}
+GRID_2X2 = {"grid": {"horizon": 1, "half_width": 0.5, "n_t": 2, "n_x": 2}}
+RESOLVED = {
+    "constants": (["constants", "--hurst", "0.3"], None, {"hurst": 0.3}),
+    "cov": (["cov"], POINTS_CONFIG, {
+        "equation": "heat", "hurst": 0.7,
+        "points": [[0.5, 0.0], [1.0, -0.25]]}),
+    "sample": (["sample", "--equation", "wave"], POINTS_CONFIG, {
+        "equation": "wave", "hurst": 0.7, "jitter_used": 0.0,
+        "master_seed": 0, "n_replicates": 1,
+        "points": [[0.5, 0.0], [1.0, -0.25]]}),
+    "solve-det": (["solve-det", "--equation", "heat"], GRID_2X2, {
+        "drift": "zero", "equation": "heat", "eta": {"kind": "initial"},
+        "grid": {"half_width": 0.5, "horizon": 1.0, "n_t": 2, "n_x": 2}}),
+    "simulate": (["simulate"], dict(GRID_2X2, equation="wave", hurst=0.4), {
+        "drift": "zero", "equation": "wave",
+        "grid": {"half_width": 0.5, "horizon": 1.0, "n_t": 2, "n_x": 2},
+        "hurst": 0.4, "jitter_used": 0.0, "master_seed": 0,
+        "n_replicates": 1, "truncation_ladder": None}),
+    "hoelder": (["hoelder", "--equation", "wave", "--hurst", "0.3"], None, {
+        "base": [1.0, 0.0], "direction": "time", "equation": "wave",
+        "expected_slope": 0.6, "hurst": 0.3, "p": 2.0, "tolerance": 0.1}),
+    "hconv": (["hconv", "--equation", "heat"], None, {
+        "equation": "heat", "reference": 0.5,
+        "hursts": [0.7, 0.6, 0.55, 0.525, 0.5125, 0.50625, 0.503125,
+                   0.5015625]}),
+    # --hurst before the config's hurst, hconv.reference before both.
+    "hconv-flag-over-config": (
+        ["hconv", "--equation", "heat", "--hurst", "0.3"], {"hurst": 0.6}, {
+            "equation": "heat", "reference": 0.3,
+            "hursts": [0.5, 0.4, 0.35, 0.325, 0.3125, 0.30624999999999997,
+                       0.303125, 0.3015625]}),
+    "hconv-reference-over-flag": (
+        ["hconv", "--equation", "heat", "--hurst", "0.3"],
+        {"hconv": {"reference": 0.4}}, {
+            "equation": "heat", "reference": 0.4,
+            "hursts": [0.6000000000000001, 0.5, 0.45, 0.42500000000000004,
+                       0.41250000000000003, 0.40625, 0.403125,
+                       0.40156250000000004]}),
+    # Without lemmas.alphas: 1 - 2H of a given index, else the lattice.
+    "verify-lemmas": (["verify-lemmas"], None, {
+        "alphas": [-0.5, 0.0, 0.5], "horizon": 1.0}),
+    "verify-lemmas-hurst": (["verify-lemmas"], {"hurst": 0.25}, {
+        "alphas": [0.5], "horizon": 1.0}),
+}
+RESULTS = {"slope", "r_squared", "stderr_slope", "within_tolerance", "sups",
+           "final_over_first", "strictly_decreasing", "converging",
+           "summary"}
+
+
+@pytest.mark.parametrize("run", sorted(RESOLVED))
+def test_manifest_config_is_pinned(tmp_path, run):
+    argv, config, want = RESOLVED[run]
+    if config is not None:
+        argv = [*argv, "--config", write_config(tmp_path, config)]
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 0
+    got = read_manifest(out)["config"]
+    assert {k: v for k, v in got.items() if k not in RESULTS} == want
+
+
 # One run of every subcommand: (argv without --config/--out, config).
 RUNS = {
     "constants": (["constants", "--hurst", "0.3"], None),

@@ -492,6 +492,53 @@ class TestSolveF:
         assert exc_info.value.iterations == 32
         assert exc_info.value.last_increment > 0.0
 
+    @pytest.mark.parametrize("slope", [20.0, 40.0])
+    def test_steep_drift_stall_raises(self, slope):
+        # Beyond |z| = 8 these drifts are steeper than 2 / dt = 16, so a
+        # node near z = 50 does not contract: its increment stops
+        # shrinking far above rounding, and the march refuses the node
+        # (the fields it would return leave mild residuals of 0.27 and
+        # 1536).  A batch names the lowest such replicate with the node
+        # and the increment of that replicate's solo solve.
+        g = LYING_GRID
+        steep = DriftSpec(
+            func=lambda z: np.where(np.abs(z) <= 8.0, np.tanh(z),
+                                    np.tanh(z) - slope * (z - 50.0)),
+            lipschitz_constant=1.0, bound=1.0, name="steep")
+        etas = np.stack([const_field(g, 0.0).values,
+                         const_field(g, 50.0).values,
+                         const_field(g, 50.0).values])
+        with pytest.raises(NumericalError) as batch:
+            solve_replicates(HEAT, steep, g, etas)
+        with pytest.raises(NumericalError) as solo:
+            solve_replicates(HEAT, steep, g, etas[1:2])
+        assert type(batch.value) is NumericalError
+        assert str(batch.value).startswith(
+            "replicate 1: the pointwise solve at node (t, x) = "
+            "(0.125, -0.5) stalled at increment ")
+        assert "steeper there than its declared Lipschitz constant L = 1" \
+            in str(batch.value)
+        assert str(batch.value) == str(solo.value).replace(
+            "replicate 0", "replicate 1", 1)
+        (z,), _ = solve_replicates(HEAT, steep, g, etas[:1])
+        assert np.all(np.isfinite(z))
+
+    @pytest.mark.parametrize("q", [0.98, 0.99])
+    def test_honest_stalls_pass_near_contraction_one(self, q):
+        # An honest drift stalls within 1.64 tiny / (1 - q) of 0 (tiny
+        # the rounding of a node's terms), below the 8 tiny / (1 - q)
+        # that marks a steep one.  This sine drift of slope 2 q / dt
+        # reaches 1.63 at q = 0.98 and 1.44 at q = 0.99, the largest
+        # stalls measured.
+        g = PointGrid(horizon=0.25, half_width=1.0, n_t=16, n_x=8)
+        a = 2.0 * q / g.dt
+        drift = DriftSpec(func=lambda z: np.sin(a * z), lipschitz_constant=a,
+                          bound=1.0, name="sin")
+        etas = np.random.default_rng(5).normal(
+            0.0, 3.0, (200, g.n_t + 1, g.n_x + 1))
+        _, record = solve_replicates(HEAT, drift, g, etas)
+        assert sum(record.pointwise_iterations) == 200 * g.n_t * (g.n_x + 1)
+
     def test_heat_settles_at_contraction_point_nine(self):
         # dt L / 2 = 0.9: a clipped linear drift of slope 2 on steps of
         # 0.9, its clip reached by part of the nodes.  Every node settles
