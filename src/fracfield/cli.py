@@ -229,14 +229,13 @@ class _Run:
 
 
 def _field_tables(grid: PointGrid, *stacks: np.ndarray) -> list:
-    """The ``replicate,t,x,value`` tables of field stacks of one shape,
-    all sharing one set of node columns."""
+    """The ``replicate,t,x,value`` tables of field stacks of one shape:
+    one block of rows per replicate, the same nodes in every block."""
     n_reps = stacks[0].shape[0]
     t, x = grid.nodes()
-    nodes = (np.repeat(np.arange(n_reps), t.size), np.tile(t, n_reps),
-             np.tile(x, n_reps))
-    return [(("replicate", "t", "x", "value"), (*nodes, stack.ravel()))
-            for stack in stacks]
+    nodes = (np.arange(n_reps)[:, None], t[None], x[None])
+    return [(("replicate", "t", "x", "value"),
+             (*nodes, stack.reshape(n_reps, -1))) for stack in stacks]
 
 
 def _alpha(h: HurstIndex) -> float:
@@ -267,13 +266,11 @@ def _cmd_cov(cfg: dict, args) -> _Run:
     h = _setting(cfg, args, "hurst", "index")
     points = _nodes(_setting(cfg, args, "points", "pairs"))
     cov = cov_matrix(eqn, h, points)
-    n = len(points)
-    index = np.arange(n)
+    index = np.arange(len(points))
     t, x = points.T
     table = (("i", "j", "t_i", "x_i", "t_j", "x_j", "cov"),
-             (np.repeat(index, n), np.tile(index, n),
-              np.repeat(t, n), np.repeat(x, n), np.tile(t, n), np.tile(x, n),
-              cov.entries.ravel()))
+             (index[:, None], index[None], t[:, None], x[:, None], t[None],
+              x[None], cov.entries))
     return _Run(config={"equation": eqn.value, "hurst": h.value,
                         "points": points.tolist()},
                 artifacts={"cov_matrix.csv": table})
@@ -287,11 +284,10 @@ def _cmd_sample(cfg: dict, args) -> _Run:
     n_rep = _setting(cfg, args, "n_replicates", "int", 1)
     factor = factor_psd(cov_matrix(eqn, h, points))
     sample = sample_field(factor, seed, n_rep)
-    k = len(points)
     t, x = points.T
     table = (("replicate", "point_index", "t", "x", "value"),
-             (np.repeat(np.arange(n_rep), k), np.tile(np.arange(k), n_rep),
-              np.tile(t, n_rep), np.tile(x, n_rep), sample.values.ravel()))
+             (np.arange(n_rep)[:, None], np.arange(len(points))[None],
+              t[None], x[None], sample.values))
     return _Run(config={"equation": eqn.value, "hurst": h.value,
                         "master_seed": seed, "n_replicates": n_rep,
                         "jitter_used": factor.jitter_used,
@@ -306,7 +302,8 @@ def _cmd_solve_det(cfg: dict, args) -> _Run:
     data = _initial_from(cfg, args)
     eta = _eta_from(cfg, args, eqn, data, grid)
     fields, solve = solve_replicates(eqn, drift, grid, eta[None])
-    table = (("t", "x", "value"), (*grid.nodes(), fields[0].ravel()))
+    table = (("t", "x", "value"), (grid.times()[:, None],
+                                   grid.positions()[None], fields[0]))
     return _Run(config={
         "equation": eqn.value, "drift": drift.name,
         "eta": _setting(cfg, args, "eta", "object", {"kind": "initial"}),

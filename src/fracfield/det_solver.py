@@ -22,7 +22,9 @@ equation the Gaussian tails reach farther, a documented approximation.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -579,33 +581,60 @@ def solve_replicates(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
 
 # Registries of ready-made drifts and initial data for configs and tests.
 
-def _drift_zero(**_):
+def _built(registry: dict, what: str, kind: str, params: dict):
+    """Return ``registry[kind](**params)``.  Each key of ``params`` must
+    name a parameter of that builder and hold a finite number or a list
+    of them; an unknown kind or key, or any other value, raises
+    ``ValueError`` naming it."""
+    try:
+        builder = registry[kind]
+    except KeyError:
+        raise ValueError(f"unknown {what} kind {kind!r}; available: "
+                         f"{sorted(registry)}") from None
+    names = list(inspect.signature(builder).parameters)
+    for key, value in params.items():
+        if key not in names:
+            raise ValueError(f"{what} {kind} has no parameter {key} (it "
+                             f"takes {', '.join(names) or 'none'})")
+        try:
+            numbers = np.asarray(value)
+        except ValueError:  # a ragged list
+            numbers = np.asarray(None)
+        if numbers.dtype.kind not in "iuf" or not np.all(
+                np.isfinite(numbers)):
+            raise ValueError(f"{what} {kind} parameter {key} must be a "
+                             f"finite number or a list of them, got "
+                             f"{reprlib.repr(value)}")
+    return builder(**params)
+
+
+def _drift_zero():
     return DriftSpec(func=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
                      lipschitz_constant=0.0, bound=0.0, name="zero")
 
 
-def _drift_const(c: float = 1.0, **_):
+def _drift_const(c=1.0):
     c = float(c)
     return DriftSpec(
         func=lambda z, _c=c: np.full_like(np.asarray(z, dtype=float), _c),
         lipschitz_constant=0.0, bound=abs(c), name=f"const({c:g})")
 
 
-def _drift_linear(a: float = 1.0, **_):
+def _drift_linear(a=1.0):
     a = float(a)
     return DriftSpec(func=lambda z, _a=a: _a * np.asarray(z, dtype=float),
                      lipschitz_constant=abs(a), bound=None,
                      name=f"linear({a:g})")
 
 
-def _drift_tanh(a: float = 1.0, **_):
+def _drift_tanh(a=1.0):
     a = float(a)
     return DriftSpec(func=lambda z, _a=a: _a * np.tanh(np.asarray(z, dtype=float)),
                      lipschitz_constant=abs(a), bound=abs(a),
                      name=f"tanh_scaled({a:g})")
 
 
-def _drift_table(xs=None, ys=None, **_):
+def _drift_table(xs=None, ys=None):
     if xs is None or ys is None:
         raise ValueError("table drift needs xs and ys arrays")
     xs = np.asarray(xs, dtype=float)
@@ -634,14 +663,10 @@ DRIFT_KINDS = {
 
 
 def make_drift(kind: str, **params) -> DriftSpec:
-    """Build a registry drift by name; see ``DRIFT_KINDS``."""
-    try:
-        builder = DRIFT_KINDS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown drift kind {kind!r}; available: "
-            f"{sorted(DRIFT_KINDS)}") from None
-    return builder(**params)
+    """Build a registry drift by name; see ``DRIFT_KINDS``.  A parameter
+    the drift does not take, or one that is not finite, raises
+    ``ValueError``."""
+    return _built(DRIFT_KINDS, "drift", kind, params)
 
 
 @dataclass(frozen=True)
@@ -659,53 +684,54 @@ class _Profile:
 _erf = np.vectorize(math.erf, otypes=[float])
 
 
-def _profile(kind: str, **params) -> _Profile:
-    if kind == "zero":
-        return _Profile(
-            lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            lambda x, t: np.zeros_like(x))
-    if kind == "const":
-        c = float(params.get("c", 1.0))
-        return _Profile(
-            lambda x: np.full_like(np.asarray(x, dtype=float), c),
-            lambda x, t: np.full_like(x, 2.0 * c * t))
-    if kind == "sin":
-        a = float(params.get("a", 1.0))
-        k = float(params.get("k", 1.0))
-        # (a/k) (cos k(x-t) - cos k(x+t)), as a product that does not
-        # cancel at small t; the profile is 0 at k = 0.
-        return _Profile(
-            lambda x: a * np.sin(k * np.asarray(x, dtype=float)),
-            lambda x, t: (2.0 * a / k * math.sin(k * t) * np.sin(k * x)
-                          if k != 0.0 else np.zeros_like(x)))
-    if kind == "bump":
-        a = float(params.get("a", 1.0))
-        w = float(params.get("w", 1.0))
-        if w <= 0.0:
-            raise ValueError(f"bump width must be > 0, got {w}")
-        s = w * math.sqrt(2.0)
-        return _Profile(
-            lambda x: a * np.exp(-np.asarray(x, dtype=float) ** 2
-                                 / (2.0 * w ** 2)),
-            lambda x, t: (a * s * math.sqrt(math.pi) / 2.0
-                          * (_erf((x + t) / s) - _erf((x - t) / s))))
-    raise ValueError(f"unknown initial profile {kind!r}; available: "
-                     f"{sorted(INITIAL_KINDS)}")
+def _profile_zero():
+    return _Profile(
+        lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        lambda x, t: np.zeros_like(x))
 
 
-INITIAL_KINDS = ("zero", "const", "sin", "bump")
+def _profile_const(c=1.0):
+    c = float(c)
+    return _Profile(
+        lambda x: np.full_like(np.asarray(x, dtype=float), c),
+        lambda x, t: np.full_like(x, 2.0 * c * t))
+
+
+def _profile_sin(a=1.0, k=1.0):
+    a, k = float(a), float(k)
+    # (a/k) (cos k(x-t) - cos k(x+t)), as a product that does not
+    # cancel at small t; the profile is 0 at k = 0.
+    return _Profile(
+        lambda x: a * np.sin(k * np.asarray(x, dtype=float)),
+        lambda x, t: (2.0 * a / k * math.sin(k * t) * np.sin(k * x)
+                      if k != 0.0 else np.zeros_like(x)))
+
+
+def _profile_bump(a=1.0, w=1.0):
+    a, w = float(a), float(w)
+    if w <= 0.0:
+        raise ValueError(f"bump width must be > 0, got {w}")
+    s = w * math.sqrt(2.0)
+    return _Profile(
+        lambda x: a * np.exp(-np.asarray(x, dtype=float) ** 2
+                             / (2.0 * w ** 2)),
+        lambda x, t: (a * s * math.sqrt(math.pi) / 2.0
+                      * (_erf((x + t) / s) - _erf((x - t) / s))))
+
+
+_PROFILES = {"zero": _profile_zero, "const": _profile_const,
+             "sin": _profile_sin, "bump": _profile_bump}
+INITIAL_KINDS = tuple(_PROFILES)
 
 
 def make_initial_data(u0=("zero", {}), v0=None) -> InitialData:
     """Build initial data from registry profile descriptions.
 
     Each profile is ``(kind, params)`` with kind in ``INITIAL_KINDS``;
-    ``v0=None`` means zero initial speed (skipped entirely).
+    ``v0=None`` means zero initial speed (skipped entirely).  A parameter
+    the profile does not take, or one that is not finite, raises
+    ``ValueError``.
     """
-    kind, params = u0
-    u = _profile(kind, **params)
-    v = None
-    if v0 is not None:
-        vkind, vparams = v0
-        v = _profile(vkind, **vparams)
+    u = _built(_PROFILES, "initial profile", *u0)
+    v = None if v0 is None else _built(_PROFILES, "initial profile", *v0)
     return InitialData(u0=u, v0=v)

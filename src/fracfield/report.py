@@ -1,9 +1,10 @@
 """Deterministic artifact writing: CSV tables, JSON files, digests.
 
-Tables are given column by column, and every cell holds the bytes of
-per-cell %d (integers), %.17g (floats, so values round-trip exactly) or
-%s (strings).  Tables that are smaller than one chunk of cells or hold
-strings are %-formatted cell by cell.
+Tables are given column by column, in the shapes :func:`render_csv`
+takes, and every cell holds the bytes of per-cell %d (integers), %.17g
+(floats, so values round-trip exactly) or %s (strings).  Tables that
+are smaller than one chunk of cells or hold strings are broadcast and
+%-formatted cell by cell.
 
 A numeric table of at least one chunk of cells is rendered in numpy.
 Each column becomes a block of fixed byte slots per cell, NUL where the
@@ -15,9 +16,9 @@ unevaluated sum p + err, so p + rint(err) rounds half to even as
 CPython's dtoa does, and the digits are laid out by the %g rules.
 Zeros are written directly.  Other float cells (non-finite, or with
 0 < |x| <= 1e-6 or |x| >= 1e17) and all integer cells are formatted one
-by one with %.  A column that repeats (at most half as many distinct
-values as rows) has each distinct bit pattern rendered once and its
-cells copied from those; bit patterns keep -0.0 apart from 0.0.
+by one with %.  A column of the table's shape is rendered cell by cell;
+one of shape (n_blocks, 1) or (1, n_per_block) has its values rendered
+once, and row r copies value r // stride % size, stride n_per_block or 1.
 
 Files are UTF-8 with LF line endings regardless of platform, and every
 writer returns the SHA-256 of the bytes written so manifests can pin
@@ -29,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -200,10 +202,11 @@ def _float_layout(neg, m, e):
     return words.view(np.uint8)[:, :_FLOAT_SLOTS]
 
 
-def _column_blocks(column):
+def _column_blocks(column, shape):
     """Return ``block(start, stop)``: the slots of a numeric column's rows.
 
-    A repeating column has its distinct values rendered once, less the
+    A column of the table's ``shape`` is rendered chunk by chunk.  A
+    column repeated along an axis has its values rendered once, less the
     slots none of them uses, and each block gathers from those.
     """
     if column.dtype.kind == "f":
@@ -213,22 +216,25 @@ def _column_blocks(column):
     else:
         # 20 bytes hold any 64-bit integer, "-9223372036854775808" too.
         render = lambda x: _percent("%d", x, 20)
-    found = _distinct(column)
-    if found is None:
-        return lambda start, stop: render(column[start:stop])
-    values, where = found
+    values = column.ravel()
+    if column.shape == shape:
+        return lambda start, stop: render(values[start:stop])
     slots = render(values)
     slots = np.ascontiguousarray(slots[:, slots.any(axis=0)])
     width = slots.shape[1]
     # One void item per value, so that gathering copies a cell whole.
     cells = slots.view(f"V{width}").ravel()
-    return lambda start, stop: cells[where(start, stop)].view(
+    stride = shape[1] if column.shape[1] == 1 else 1
+    return lambda start, stop: cells[
+        np.arange(start, stop) // stride % values.size].view(
         np.uint8).reshape(stop - start, width)
 
 
-def _numpy_chunks(cols, n_rows):
-    """Yield the rows of a numeric table as bytes, a chunk at a time."""
-    sources = [_column_blocks(c) for c in cols]
+def _numpy_chunks(cols, shape):
+    """Yield the rows of a numeric table of ``shape`` as bytes, a chunk
+    at a time."""
+    n_rows = math.prod(shape)
+    sources = [_column_blocks(c, shape) for c in cols]
     for start in range(0, n_rows, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, n_rows)
         blocks = [block(start, stop) for block in sources]
@@ -257,48 +263,33 @@ def _percent_chunks(cols, n_rows):
         yield ((row_format * (stop - start)) % tuple(cells)).encode("utf-8")
 
 
-def _distinct(column):
-    """Return ``(values, where)`` over a column's distinct bit patterns.
-
-    ``values`` holds each distinct pattern once, and ``where(start, stop)``
-    indexes the pattern of each cell of rows ``start:stop``, so no index
-    the size of the column is kept.  Returns None for a column where
-    more than half the cells are distinct, which is rendered cell by cell.
-    """
-    bits = column.view(f"u{column.dtype.itemsize}")
-    ordered = np.sort(bits)
-    new = np.empty(bits.size, bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    if 2 * np.count_nonzero(new) > bits.size:
-        return None
-    patterns = ordered[new]
-    return (patterns.view(column.dtype),
-            lambda start, stop: np.searchsorted(patterns, bits[start:stop]))
-
-
 def _encoded(header, columns):
     """Check a table and return an iterator over its UTF-8 bytes.
 
-    ``columns`` holds one one-dimensional sequence per header name, all
-    of one length; each becomes a numpy array whose dtype must be an
-    integer, float or string type.  A malformed table raises here, not
-    when the iterator is first advanced.
+    ``columns`` is as :func:`render_csv` takes it.  A malformed table
+    raises here, not when the iterator is first advanced.
     """
     cols = [np.asarray(c) for c in columns]
     if len(cols) != len(header):
         raise ValueError(f"{len(header)} header names for {len(cols)} "
                          f"columns")
-    n_rows = cols[0].size if cols else 0
-    if any(c.shape != (n_rows,) for c in cols):
-        raise ValueError("columns must be one-dimensional and equally long")
+    shapes = {c.shape for c in cols} or {(0,)}
+    ndims = {len(s) for s in shapes}
+    if ndims != {2} and (ndims != {1} or len(shapes) > 1):
+        raise ValueError(f"columns must be all one-dimensional and equally "
+                         f"long or all two-dimensional, got {sorted(shapes)}")
+    shape = np.broadcast_shapes(*shapes)  # or ValueError: an axis not 1
     if not {c.dtype.kind for c in cols} <= set(_CELL_FORMATS):
         raise TypeError(f"unsupported column dtypes "
                         f"{[str(c.dtype) for c in cols]}")
     numeric = all(c.dtype.kind != "U" and c.dtype.itemsize <= 8
                   for c in cols)
-    rows = (_numpy_chunks if numeric and n_rows * len(cols)
-            >= _NUMPY_MIN_CELLS else _percent_chunks)(cols, n_rows)
+    n_rows = math.prod(shape)
+    if numeric and n_rows * len(cols) >= _NUMPY_MIN_CELLS:
+        rows = _numpy_chunks(cols, shape)
+    else:
+        rows = _percent_chunks(
+            [np.broadcast_to(c, shape).ravel() for c in cols], n_rows)
     head = (",".join(str(h) for h in header) + "\n").encode("utf-8")
     return itertools.chain((head,), rows)
 
@@ -307,9 +298,11 @@ def render_csv(header, columns):
     """Return an iterator over the text of a CSV table: header, then
     chunks of rows.
 
-    ``columns`` holds one one-dimensional sequence per header name, all
-    of one length; each becomes a numpy array whose dtype must be an
-    integer, float or string type.  A malformed table raises at once.
+    ``columns`` holds one integer, float or string array-like per header
+    name: all one-dimensional and equally long, or all two-dimensional,
+    each axis the table's ``(n_blocks, n_per_block)`` or 1, broadcast to
+    the table's rows in order; ``(n_blocks, 1)`` gives one value per
+    block.  A malformed table raises at once.
     """
     return (data.decode("utf-8") for data in _encoded(header, columns))
 
@@ -317,7 +310,8 @@ def render_csv(header, columns):
 def write_csv(path, header, columns) -> str:
     """Write a CSV table given by columns; return the SHA-256 of its bytes.
 
-    A malformed table raises before the file is opened.
+    ``columns`` is as for :func:`render_csv`; a malformed table raises
+    before the file is opened.
     """
     chunks = _encoded(header, columns)
     digest = hashlib.sha256()

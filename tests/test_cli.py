@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import fracfield
-from fracfield import cli
+from fracfield import cli, report
 from fracfield.cli import main
 from fracfield.report import sha256_of
 
@@ -416,6 +416,46 @@ def test_analysis_commands_at_extreme_hurst(tmp_path, capsys, hurst):
     assert max(summary["hursts"]) < 1.0
 
 
+# Runs whose printed table has more than 8,192 cells: (argv without
+# --config, config, the file that holds the table).
+BIG_TABLES = {
+    "cov": (["cov", "--equation", "heat", "--hurst", "0.7"],
+            {"points": [[0.125 * (1 + i // 8), -1.0 + 0.25 * (i % 8)]
+                        for i in range(40)]}, "cov_matrix.csv"),
+    "sample": (["sample", "--equation", "wave", "--hurst", "0.3",
+                "--replicates", "400"],
+               {"points": [[0.5, 0.0], [1.0, 0.0], [1.0, 0.5], [0.25, -1.0],
+                           [1.0, 20.0]]}, "samples.csv"),
+    "solve-det": (["solve-det", "--equation", "heat"],
+                  {"grid": {"horizon": 1.0, "half_width": 1.0, "n_t": 64,
+                            "n_x": 64},
+                   "initial": {"u0": {"kind": "sin", "params": {}}}},
+                  "field.csv"),
+    "simulate": (["simulate"], dict(SIM_CONFIG, n_replicates=100),
+                 "fields.csv"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(BIG_TABLES))
+def test_stdout_is_the_table_on_the_numpy_route(tmp_path, capsys,
+                                                monkeypatch, run):
+    # Each table has more than 8,192 cells, so it is rendered in numpy,
+    # its repeating columns gathered by shape.
+    def refuse(cols, n_rows):
+        raise AssertionError("table was not rendered in numpy")
+
+    monkeypatch.setattr(report, "_percent_chunks", refuse)
+    argv, config, name = BIG_TABLES[run]
+    argv = [*argv, "--config", write_config(tmp_path, config)]
+    out = tmp_path / "run"
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main([*argv, "--out", str(out)]) == 0
+    assert printed == (out / name).read_text()
+    header = printed[:printed.index("\n")].split(",")
+    assert printed.count("\n") * len(header) > 8192 + len(header)
+
+
 LADDER_CONFIG = {
     "equation": "heat", "hurst": 0.5,
     "grid": {"horizon": 0.5, "half_width": 0.75, "n_t": 6, "n_x": 4},
@@ -742,6 +782,17 @@ MALFORMED = {
     "drift-params": (["simulate"], dict(SIM_CONFIG, drift={
         "kind": "zero", "params": [1]}), "drift.params"),
     "equation": (["simulate"], dict(SIM_CONFIG, equation=5), "equation"),
+    # Registry parameters: a misspelt key, a non-finite or string value.
+    "drift-param-name": (["simulate"], dict(SIM_CONFIG, drift={
+        "kind": "tanh_scaled", "params": {"A": 5.0}}), "A"),
+    "drift-param-nan": (["solve-det", "--equation", "heat"], dict(
+        SIM_CONFIG, drift={"kind": "linear", "params": {"a": math.nan}}),
+        "a"),
+    "u0-param-name": (["simulate"], dict(SIM_CONFIG, initial={
+        "u0": {"kind": "const", "params": {"C": 1.0}}}), "C"),
+    "v0-param-string": (["solve-det", "--equation", "wave"], dict(
+        SIM_CONFIG, initial={"u0": {"kind": "sin", "params": {}}, "v0": {
+            "kind": "bump", "params": {"w": "0.5"}}}), "w"),
 }
 
 

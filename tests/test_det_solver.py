@@ -191,6 +191,24 @@ class TestMakeDrift:
         with pytest.raises(ValueError):
             make_drift("table", **kwargs)
 
+    @pytest.mark.parametrize("kind, params, key", [
+        ("tanh_scaled", {"A": 5.0}, "A"),
+        ("tanh_scaled", {"a": 2.0, "b": 1.0}, "b"),
+        ("zero", {"a": 1.0}, "a"),
+        ("const", {"c": math.nan}, "c"),
+        ("linear", {"a": math.inf}, "a"),
+        ("linear", {"a": True}, "a"),
+        ("linear", {"a": "2"}, "a"),
+        ("table", {"xs": [0.0, 1.0], "ys": [0.0, math.nan]}, "ys"),
+        ("table", {"xs": [0.0, 1.0], "ys": [0.0, 1.0], "zs": [1.0]}, "zs"),
+    ])
+    def test_unknown_or_non_finite_parameter_rejected(self, kind, params,
+                                                       key):
+        # A misspelt key used to build the default drift silently.
+        with pytest.raises(ValueError, match=f"^drift {kind} .*parameter "
+                                             f"{key} "):
+            make_drift(kind, **params)
+
 
 class TestDriftTruncate:
     def test_clips_outside_level(self):
@@ -254,6 +272,22 @@ class TestInitialTerm:
         data = make_initial_data()
         with pytest.raises(ValueError):
             initial_term(HEAT, data, -0.1, 0.0)
+
+    @pytest.mark.parametrize("profile, key", [
+        (("sin", {"K": 2.0}), "K"),
+        (("bump", {"a": 1.0, "width": 0.5}), "width"),
+        (("zero", {"c": 1.0}), "c"),
+        (("const", {"c": math.nan}), "c"),
+        (("bump", {"w": -math.inf}), "w"),
+        (("sin", {"a": [1.0, "x"]}), "a"),
+    ])
+    def test_unknown_or_non_finite_profile_parameter_rejected(self, profile,
+                                                               key):
+        for arg in ("u0", "v0"):
+            with pytest.raises(ValueError, match=f"^initial profile "
+                                                 f"{profile[0]} .*parameter "
+                                                 f"{key} "):
+                make_initial_data(**{arg: profile})
 
     def test_scalar_only_profiles_rejected(self):
         with pytest.raises(ValueError, match="u0 must be vectorized"):

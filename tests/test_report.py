@@ -98,6 +98,25 @@ class TestWriteCsv:
         with pytest.raises(TypeError):
             write_csv(tmp_path / "c.csv", ["flag"], [[True, False]])
 
+    @pytest.mark.parametrize("columns", [
+        [np.zeros((2, 2, 2))],
+        [np.zeros(4), np.zeros((4, 1))],
+        [np.zeros((2, 3)), np.zeros((3, 1))],
+        [np.zeros((2, 3)), np.zeros((1, 2))],
+        [np.zeros(3), np.zeros(1)],
+        [np.float64(1.0)],
+        [[1, 2], [3]],
+    ], ids=["3-D", "1-D and 2-D", "rows", "row length", "1-D lengths",
+            "0-D", "ragged"])
+    def test_malformed_shapes_raise_before_any_file(self, tmp_path,
+                                                    columns):
+        header = [f"c{j}" for j in range(len(columns))]
+        with pytest.raises(ValueError):
+            render_csv(header, columns)
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", header, columns)
+        assert list(tmp_path.iterdir()) == []
+
     def test_rejected_table_leaves_no_file(self, tmp_path):
         with pytest.raises(TypeError):
             write_csv(tmp_path / "flag.csv", ["flag"], [[True, False]])
@@ -106,9 +125,8 @@ class TestWriteCsv:
         assert list(tmp_path.iterdir()) == []
 
 
-# Pools of awkward values.  Drawn from a small pool, a column repeats,
-# so the renderer formats its distinct values once; -0.0 and 0.0 are
-# equal but print differently, so they must not share a string.
+# Pools of awkward values: -0.0 and 0.0 are equal but print
+# differently, and NaN is not equal to itself.
 FLOAT_POOL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e17,
               0.1, 1.0 / 3.0]
 POOLS = {
@@ -129,8 +147,12 @@ DISTINCT = {
 
 @st.composite
 def tables(draw):
-    """A header and columns of random dtypes, repeating or all distinct."""
-    n_rows = draw(st.integers(0, 60))
+    """A header and columns of random dtypes, repeating or all distinct:
+    all one-dimensional, or all of a two-dimensional table's shape with
+    either axis possibly 1."""
+    two_d = draw(st.booleans())
+    shape = ((draw(st.integers(0, 8)), draw(st.integers(0, 8))) if two_d
+             else (draw(st.integers(0, 60)),))
     columns = []
     for _ in range(draw(st.integers(1, 4))):
         dtype = draw(st.sampled_from(sorted(POOLS)))
@@ -140,13 +162,18 @@ def tables(draw):
             cells = st.sampled_from(pool)
         else:
             cells = DISTINCT[dtype]
-        values = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
-        columns.append(np.array(values, dtype=dtype))
+        axes = tuple(draw(st.sampled_from([1, n])) for n in shape) \
+            if two_d else shape
+        values = draw(st.lists(cells, min_size=math.prod(axes),
+                               max_size=math.prod(axes)))
+        columns.append(np.array(values, dtype=dtype).reshape(axes))
     return [f"c{j}" for j in range(len(columns))], columns
 
 
 def assert_matches_reference(header, columns):
-    rows = zip(*(c.tolist() for c in columns))
+    """Compare against ``reference_csv`` of the broadcast, raveled
+    columns."""
+    rows = zip(*(c.ravel().tolist() for c in np.broadcast_arrays(*columns)))
     assert "".join(render_csv(header, columns)).encode("utf-8") \
         == reference_csv(header, rows)
 
@@ -183,6 +210,49 @@ class TestRenderCsv:
         assert_matches_reference(["r", "x", "v", last], columns)
 
 
+# Values gathered into every block or every row of a block: signed
+# zeros, non-finite floats, values off the fast float path and integer
+# extremes.
+GATHERED = {
+    "float64": [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-7,
+                -2.5e17, 0.1],
+    "float32": [-0.0, 0.0, math.nan, -math.inf, 3.0e38, 0.1],
+    "int64": [-(2 ** 63), 2 ** 63 - 1, 0, -1, 10 ** 17],
+    "uint64": [2 ** 64 - 1, 0, 2 ** 63],
+}
+
+
+@pytest.mark.parametrize("route", ["numpy", "percent"])
+@pytest.mark.parametrize("n_blocks, n_per_block", [
+    (1, 1), (4, 7), (1, _CHUNK_ROWS + 5), (_CHUNK_ROWS + 5, 1),
+    (_CHUNK_ROWS // 7 + 1, 7), (3, 3001), (2, _CHUNK_ROWS + 1)])
+def test_broadcast_table_equals_materialized(monkeypatch, route, n_blocks,
+                                             n_per_block):
+    # The same table given by shape and spelled out by np.repeat/np.tile
+    # gives the same bytes, on each route and across chunk boundaries.
+    if route == "numpy":
+        monkeypatch.setattr(report, "_NUMPY_MIN_CELLS", 0)
+        monkeypatch.setattr(report, "_percent_chunks", None)
+    else:
+        monkeypatch.setattr(report, "_NUMPY_MIN_CELLS", math.inf)
+        monkeypatch.setattr(report, "_numpy_chunks", None)
+    rng = np.random.default_rng(n_blocks * n_per_block)
+    shaped, spelled = [], []
+    for dtype, pool in GATHERED.items():
+        per_block = np.resize(np.array(pool, dtype), n_blocks)
+        in_block = np.resize(np.array(pool[::-1], dtype), n_per_block)
+        shaped += [per_block[:, None], in_block[None]]
+        spelled += [np.repeat(per_block, n_per_block),
+                    np.tile(in_block, n_blocks)]
+    values = rng.standard_normal((n_blocks, n_per_block))
+    shaped += [np.array([[-0.0]]), values]
+    spelled += [np.full(values.size, -0.0), values.ravel()]
+    header = [f"c{j}" for j in range(len(shaped))]
+    text = "".join(render_csv(header, shaped))
+    assert text == "".join(render_csv(header, spelled))
+    assert text.count("\n") == 1 + n_blocks * n_per_block
+
+
 @pytest.fixture
 def numpy_route(monkeypatch):
     """Fail any table that would be %-formatted as a whole."""
@@ -202,15 +272,19 @@ def filler(dtype, n):
 def assert_numpy_route(values, dtype):
     """Render values through both numpy routes and check the bytes.
 
-    One column holds each value once among distinct filler, so it is
-    rendered chunk by chunk; the other cycles through the values, so its
-    distinct values are rendered once and gathered.
+    The m values go into two tables, k blocks of m rows and m blocks of
+    k rows.  In each, a column of the table's shape holds every value
+    once among distinct filler, so it is rendered chunk by chunk; the
+    other column, ``(1, m)`` or ``(m, 1)``, holds each value once, so the
+    values are rendered once and gathered.
     """
     values = np.asarray(values, dtype)
-    n = max(2 * values.size, _NUMPY_MIN_CELLS)
-    once = np.concatenate([values, filler(dtype, n - values.size)])
+    k = -(-max(2 * values.size, _NUMPY_MIN_CELLS) // values.size)
+    once = np.concatenate([values, filler(dtype, (k - 1) * values.size)])
     assert_matches_reference(["once", "cycled"],
-                             [once, np.resize(values, n)])
+                             [once.reshape(k, -1), values[None]])
+    assert_matches_reference(["once", "cycled"],
+                             [once.reshape(-1, k), values[:, None]])
 
 
 def decimal_ties(rng, per_exponent=40):
