@@ -7,9 +7,10 @@ increment-bound tables.  Runs are configured by a JSON file plus flag
 overrides; with ``--out`` every table lands in CSV files next to a
 ``run_manifest.json`` pinning the resolved configuration and digests.
 
-Exit codes: 0 on success, 1 on configuration or validation errors, 2 on
-numerical failures (overflow, factorization, a heat node that does not
-settle) and on a violated increment bound.
+Exit codes: 0 on success, 1 on configuration or validation errors and on
+output that cannot be written, 2 on numerical failures (overflow,
+factorization, a heat node that does not settle), on running out of
+memory and on a violated increment bound.
 """
 
 from __future__ import annotations
@@ -320,16 +321,15 @@ def _cmd_simulate(cfg: dict, args) -> _Run:
         drift=_drift_from(cfg, args), data=_initial_from(cfg, args),
         grid=_grid_from(cfg, args),
         master_seed=_setting(cfg, args, "master_seed", "int", 0),
-        n_replicates=_setting(cfg, args, "n_replicates", "int", 1),
-        truncation_ladder=None if ladder is None else tuple(ladder))
+        n_replicates=_setting(cfg, args, "n_replicates", "int", 1))
     described = {
         "equation": config.eqn.value, "hurst": config.hurst.value,
         "drift": config.drift.name, "master_seed": config.master_seed,
         "n_replicates": config.n_replicates,
         "truncation_ladder": None if ladder is None
-        else list(config.truncation_ladder), "grid": asdict(config.grid)}
-    if config.truncation_ladder is not None:
-        result = truncation_ladder_run(config)
+        else [float(m) for m in ladder], "grid": asdict(config.grid)}
+    if ladder is not None:
+        result = truncation_ladder_run(config, ladder)
         return _Run(config=described, master_seed=config.master_seed,
                     artifacts={
                         "ladder_deviations.csv": (
@@ -587,12 +587,20 @@ def main(argv=None) -> int:
     try:
         run = _HANDLERS[args.subcommand](_load_config(args.config), args)
         computed = time.perf_counter()
-        if args.out is None:
-            _print(run)
-        else:
-            _write(run, args, started, computed)
+        try:
+            if args.out is None:
+                _print(run)
+            else:
+                _write(run, args, started, computed)
+        except OSError as exc:
+            print(f"fracfield: cannot write output: {exc}", file=sys.stderr)
+            return 1
     except NumericalError as exc:
         print(f"fracfield: numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"fracfield: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 2
     except (ValueError, KeyError, TypeError) as exc:
         print(f"fracfield: invalid configuration: {exc}", file=sys.stderr)

@@ -82,24 +82,20 @@ class DriftSpec:
         on the reported window and edge-extends the result, which is
         the drift of the edge-extended field only for such a func.
     lipschitz_constant : float
-        Global Lipschitz bound of b; validated on a probe grid.
-    bound : float or None
-        ``sup |b|`` when finite, None for unbounded drifts.
+        Global Lipschitz bound of b, the only property of b the solvers
+        assume; validated on a probe grid.
     name : str
         Display name for configs and manifests.
     """
 
     func: object
     lipschitz_constant: float
-    bound: float | None = None
     name: str = "custom"
 
     def __post_init__(self):
         if self.lipschitz_constant < 0.0:
             raise ValueError("Lipschitz constant must be >= 0, got "
                              f"{self.lipschitz_constant}")
-        if self.bound is not None and self.bound < 0.0:
-            raise ValueError(f"bound must be >= 0, got {self.bound}")
         vals = _vec_eval(self.func, _PROBE_Z, "drift")
         if not np.all(np.isfinite(vals)):
             raise ValueError("drift produced non-finite values on the probe")
@@ -111,19 +107,9 @@ class DriftSpec:
             raise ValueError(
                 f"drift violates the declared Lipschitz constant: probe "
                 f"slope {worst:.6g} > {limit:.6g}")
-        if self.bound is not None:
-            vmax = float(np.abs(vals).max())
-            if vmax > self.bound * (1.0 + 1e-12) + 1e-12:
-                raise ValueError(
-                    f"drift exceeds its declared bound on the probe: "
-                    f"{vmax:.6g} > {self.bound:.6g}")
 
     def __call__(self, z):
         return self.func(z)
-
-    @property
-    def is_bounded(self) -> bool:
-        return self.bound is not None
 
 
 @dataclass(frozen=True)
@@ -298,8 +284,8 @@ def drift_truncate(spec: DriftSpec, level: float) -> DriftSpec:
     """Clip a drift to ``[-level, level]``, preserving its Lipschitz bound.
 
     ``min(b(z), level)`` for nonnegative values and ``max(b(z), -level)``
-    for negative ones, which is exactly ``clip``; the result is bounded
-    by ``level`` and keeps the original Lipschitz constant.
+    for negative ones, which is exactly ``clip``: the result keeps the
+    Lipschitz constant, and a level at or above ``sup |b|`` keeps b.
     """
     if not level > 0.0:
         raise ValueError(f"truncation level must be > 0, got {level}")
@@ -309,10 +295,9 @@ def drift_truncate(spec: DriftSpec, level: float) -> DriftSpec:
     def clipped(z):
         return np.clip(inner(z), -lvl, lvl)
 
-    bound = lvl if spec.bound is None else min(spec.bound, lvl)
     return DriftSpec(func=clipped,
                      lipschitz_constant=spec.lipschitz_constant,
-                     bound=bound, name=f"{spec.name}|clip{lvl:g}")
+                     name=f"{spec.name}|clip{lvl:g}")
 
 
 def _margin_cells(grid: PointGrid) -> int:
@@ -610,28 +595,26 @@ def _built(registry: dict, what: str, kind: str, params: dict):
 
 def _drift_zero():
     return DriftSpec(func=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
-                     lipschitz_constant=0.0, bound=0.0, name="zero")
+                     lipschitz_constant=0.0, name="zero")
 
 
 def _drift_const(c=1.0):
     c = float(c)
     return DriftSpec(
         func=lambda z, _c=c: np.full_like(np.asarray(z, dtype=float), _c),
-        lipschitz_constant=0.0, bound=abs(c), name=f"const({c:g})")
+        lipschitz_constant=0.0, name=f"const({c:g})")
 
 
 def _drift_linear(a=1.0):
     a = float(a)
     return DriftSpec(func=lambda z, _a=a: _a * np.asarray(z, dtype=float),
-                     lipschitz_constant=abs(a), bound=None,
-                     name=f"linear({a:g})")
+                     lipschitz_constant=abs(a), name=f"linear({a:g})")
 
 
 def _drift_tanh(a=1.0):
     a = float(a)
     return DriftSpec(func=lambda z, _a=a: _a * np.tanh(np.asarray(z, dtype=float)),
-                     lipschitz_constant=abs(a), bound=abs(a),
-                     name=f"tanh_scaled({a:g})")
+                     lipschitz_constant=abs(a), name=f"tanh_scaled({a:g})")
 
 
 def _drift_table(xs=None, ys=None):
@@ -644,12 +627,11 @@ def _drift_table(xs=None, ys=None):
     if not np.all(np.diff(xs) > 0.0):
         raise ValueError("table drift xs must be strictly increasing")
     lip = float(np.max(np.abs(np.diff(ys) / np.diff(xs))))
-    bound = float(np.max(np.abs(ys)))
 
     def interp(z):
         return np.interp(np.asarray(z, dtype=float), xs, ys)
 
-    return DriftSpec(func=interp, lipschitz_constant=lip, bound=bound,
+    return DriftSpec(func=interp, lipschitz_constant=lip,
                      name=f"table({xs.size})")
 
 

@@ -6,6 +6,8 @@ term, and march the fixed-point equation for all replicates as one batch.
 Replicate i draws from its own PCG64 stream, seeded by the
 ``SeedSequence`` of ``master_seed`` and spawn key ``(i,)``, and is solved
 as it would be alone, so it is byte-identical for any replicate count.
+A truncation ladder solves them once per clip level of the drift, for
+any globally Lipschitz drift and either equation.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Complete description of one simulation run."""
+    """Complete description of one simulation run; a truncation ladder
+    passes its levels to :func:`truncation_ladder_run` beside it."""
 
     eqn: EquationKind
     hurst: HurstIndex
@@ -42,7 +45,6 @@ class SimulationConfig:
     grid: PointGrid
     master_seed: int
     n_replicates: int = 1
-    truncation_ladder: tuple | None = None
 
     def __post_init__(self):
         if self.n_replicates < 1:
@@ -51,21 +53,6 @@ class SimulationConfig:
         if self.master_seed < 0:
             raise ValueError(
                 f"master_seed must be >= 0, got {self.master_seed}")
-        if self.truncation_ladder is not None:
-            ladder = tuple(float(m) for m in self.truncation_ladder)
-            if len(ladder) < 2:
-                raise ValueError("truncation ladder needs >= 2 levels")
-            if any(b <= a for a, b in zip(ladder, ladder[1:])):
-                raise ValueError(
-                    f"truncation ladder must be strictly increasing: "
-                    f"{ladder}")
-            if self.drift.is_bounded:
-                raise ValueError(
-                    "a truncation ladder only applies to unbounded drifts")
-            if self.eqn is not EquationKind.HEAT:
-                raise ValueError(
-                    "the truncation ladder study is a heat-equation tool")
-            object.__setattr__(self, "truncation_ladder", ladder)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,9 +101,6 @@ def simulate(config: SimulationConfig) -> SimulationResult:
     n_t + 1, n_x + 1)``; ``noise`` holds the linear solution fields that
     forced them.  All replicates are solved as one batch.
     """
-    if config.truncation_ladder is not None:
-        raise ValueError(
-            "config carries a truncation ladder; use truncation_ladder_run")
     noise, eta_fields, jitter = _forcing(config)
     fields, solve = solve_replicates(config.eqn, config.drift, config.grid,
                                      eta_fields)
@@ -124,24 +108,29 @@ def simulate(config: SimulationConfig) -> SimulationResult:
                             solve=solve, jitter_used=jitter)
 
 
-def truncation_ladder_run(config: SimulationConfig) -> LadderResult:
+def truncation_ladder_run(config: SimulationConfig, levels) -> LadderResult:
     """Solve at every truncation level with common random numbers.
 
-    The same noise replicates force every level, so level-to-level
-    deviations measure the truncation effect alone.  The deviation at
-    level m is the grid maximum of the replicate mean of the squared
-    difference, against the largest level (reference) and against the
-    next level up (consecutive).
+    ``levels`` are at least two strictly increasing clip levels of the
+    config's drift.  The same noise replicates force every level, so
+    level-to-level deviations measure the truncation effect alone.  The
+    deviation at level m is the grid maximum of the replicate mean of the
+    squared difference, against the largest level (reference) and
+    against the next level up (consecutive).  Levels at or above
+    ``sup |b|`` give :func:`simulate`'s fields bit for bit.
     """
-    if config.truncation_ladder is None:
-        raise ValueError("config has no truncation ladder")
+    levels = tuple(float(m) for m in levels)
+    if len(levels) < 2:
+        raise ValueError("truncation ladder needs >= 2 levels")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError(
+            f"truncation ladder must be strictly increasing: {levels}")
+    drifts = [drift_truncate(config.drift, level) for level in levels]
     _, eta_fields, _ = _forcing(config)
-    levels = config.truncation_ladder
     per_level, solves = [], []
-    for level in levels:
-        fields, solve = solve_replicates(
-            config.eqn, drift_truncate(config.drift, level), config.grid,
-            eta_fields)
+    for drift in drifts:
+        fields, solve = solve_replicates(config.eqn, drift, config.grid,
+                                         eta_fields)
         per_level.append(fields)
         solves.append(solve)
     stacked = np.stack(per_level)

@@ -158,6 +158,8 @@ def replicate_stream(master_seed: int, replicate_index: int
     stream depends only on ``(master_seed, replicate_index)``, making
     replicate i identical across batch sizes and orders.
     """
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
     if replicate_index < 0:
         raise ValueError(
             f"replicate index must be >= 0, got {replicate_index}")

@@ -216,9 +216,8 @@ def test_criterion_8_truncation_ladder_converges():
         drift=make_drift("linear", a=1.0),
         data=make_initial_data(u0=("const", {"c": 40.0})),
         grid=PointGrid(horizon=0.5, half_width=0.75, n_t=24, n_x=8),
-        master_seed=12, n_replicates=200,
-        truncation_ladder=(2.0, 4.0, 8.0, 16.0, 32.0, 256.0))
-    result = truncation_ladder_run(config)
+        master_seed=12, n_replicates=200)
+    result = truncation_ladder_run(config, (2.0, 4.0, 8.0, 16.0, 32.0, 256.0))
     dev = result.deviation_vs_reference
     assert np.all(np.diff(dev) < 0.0), dev
     assert dev[4] / dev[0] <= 0.25, dev

@@ -587,6 +587,32 @@ class TestSimulate:
         assert "truncation ladder needs >= 2 levels" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("case, levels", [
+        (dict(LADDER_CONFIG, drift={"kind": "tanh_scaled"}), [0.5, 1, 2]),
+        (SIM_CONFIG, [0.5, 1, 2]),
+        (dict(SIM_CONFIG, drift={"kind": "linear"}), [0.5, 8, 256]),
+        (dict(LADDER_CONFIG, drift=dict(LADDER_CONFIG["drift"],
+                                        truncation_level=4)), [2, 4, 8]),
+    ], ids=["heat-tanh", "wave-tanh", "wave-linear", "heat-clipped"])
+    def test_ladder_takes_any_drift_and_either_equation(self, tmp_path,
+                                                        case, levels):
+        # Bounded, unbounded and clipped drifts, heat and wave: the
+        # rungs at or above the drift's sup on the field (1 for tanh, 4
+        # for the clip, 8 for these wave fields) deviate by exactly 0.
+        cfg = write_config(tmp_path, dict(case, truncation_ladder=levels))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        manifest = assert_manifest_digests(out)
+        assert manifest["config"]["truncation_ladder"] == [
+            float(m) for m in levels]
+        dev = np.loadtxt(out / "ladder_deviations.csv", delimiter=",",
+                         skiprows=1)
+        assert np.array_equal(dev[:, 0], levels)
+        assert dev[0, 1] > 0.0 and np.all(dev[1:, 1] == 0.0)
+        consec = np.loadtxt(out / "ladder_consecutive.csv",
+                            delimiter=",", skiprows=1)
+        assert consec[0, 1] > 0.0 and consec[1, 1] == 0.0
+
 
 class TestHoelder:
     def test_stdout_verdict(self, capsys):
@@ -775,6 +801,9 @@ MALFORMED = {
     "master_seed-true": (["sample", "--equation", "heat", "--hurst", "0.5"],
                          {"points": [[0.5, 0.0]], "master_seed": True},
                          "master_seed"),
+    "master_seed-negative": (
+        ["sample", "--equation", "heat", "--hurst", "0.5"],
+        {"points": [[0.5, 0.0]], "master_seed": -1}, "master_seed"),
     "u0-name": (["simulate"], dict(SIM_CONFIG, initial={"u0": "sin"}),
                 "initial.u0"),
     "u0-empty": (["simulate"], dict(SIM_CONFIG, initial={"u0": {}}),
@@ -803,6 +832,38 @@ def test_malformed_setting_exits_one_naming_its_key(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("fracfield: invalid configuration: ")
     assert err.count("\n") == 1 and f" {key} " in err
+
+
+@pytest.mark.parametrize("blocked", ["out", "artifact"])
+def test_unwritable_output_exits_one_with_one_line(tmp_path, capsys,
+                                                   blocked):
+    # --out names an existing file, or a directory stands where an
+    # artifact should go.
+    out = tmp_path / "run"
+    if blocked == "out":
+        out.write_text("")
+    else:
+        (out / "constants.csv").mkdir(parents=True)
+    assert main(["constants", "--hurst", "0.3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fracfield: cannot write output: ")
+    assert err.count("\n") == 1 and str(out) in err
+
+
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 7.28 TiB for an array",
+     "Unable to allocate 7.28 TiB for an array"),
+    ("", "allocation failed")])
+def test_out_of_memory_exits_two_with_one_line(monkeypatch, capsys,
+                                               message, shown):
+    # A grid too large to allocate (numpy's message), or the
+    # interpreter's bare MemoryError; raised here without allocating.
+    def allocate(cfg, args):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(cli._HANDLERS, "constants", allocate)
+    assert main(["constants", "--hurst", "0.3"]) == 2
+    assert capsys.readouterr().err == f"fracfield: out of memory: {shown}\n"
 
 
 # One default run of each subcommand, and the precedence cases, with the
@@ -933,6 +994,13 @@ GOLDEN_RUNS = {
                       "158c4f7adca8d5b9f9655790bd692bdd",
         "noise.csv": "cf55d6351af0c2ffbb49c5cd6d2914bf"
                      "a7cc341710f3d6d0c4eab20c5c35665b"}),
+    # Recorded while the ladder was a field of the simulation config and
+    # refused bounded drifts and the wave.
+    "simulate-ladder": (["simulate"], LADDER_CONFIG, {
+        "ladder_deviations.csv": "526fd9b4f465d0e7abf475fa52dbb685"
+                                 "68ff199e9e31dd3d878d3ab1eacc0adb",
+        "ladder_consecutive.csv": "039cfc969e0c16ae1a5baa213d8480f3"
+                                  "e5bb24db6c4cc2e868a7acca502e36b0"}),
     "sample": (["sample", "--equation", "wave", "--hurst", "0.5",
                 "--seed", "7", "--replicates", "3"],
                {"points": [[0.0, 0.0], [0.5, 0.0], [0.5, -0.25],

@@ -56,7 +56,7 @@ BLIN = drift_truncate(make_drift("linear", a=1.0), 10.0)
 LYING = DriftSpec(
     func=lambda z: np.where(np.abs(z) <= 8.0, np.tanh(z),
                             np.tanh(z) - 15.9 * (z - 50.0)),
-    lipschitz_constant=1.0, bound=1.0, name="lying")
+    lipschitz_constant=1.0, name="lying")
 LYING_GRID = PointGrid(horizon=1.0, half_width=0.5, n_t=8, n_x=4)
 
 
@@ -121,15 +121,9 @@ class TestDriftSpec:
             DriftSpec(func=lambda z: 2.0 * np.asarray(z, dtype=float),
                       lipschitz_constant=1.0)
 
-    def test_understated_bound_rejected(self):
-        with pytest.raises(ValueError):
-            DriftSpec(func=np.tanh, lipschitz_constant=1.0, bound=0.5)
-
     def test_negative_metadata_rejected(self):
         with pytest.raises(ValueError):
             DriftSpec(func=np.tanh, lipschitz_constant=-1.0)
-        with pytest.raises(ValueError):
-            DriftSpec(func=np.tanh, lipschitz_constant=1.0, bound=-2.0)
 
     def test_non_finite_drift_rejected(self):
         with np.errstate(divide="ignore"), pytest.raises(ValueError):
@@ -137,21 +131,20 @@ class TestDriftSpec:
                       lipschitz_constant=100.0)
 
     def test_honest_specs_pass(self):
-        bounded = DriftSpec(func=np.tanh, lipschitz_constant=1.0, bound=1.0)
-        assert bounded.is_bounded
+        bounded = DriftSpec(func=np.tanh, lipschitz_constant=1.0)
         linear = DriftSpec(func=lambda z: np.asarray(z, dtype=float),
                            lipschitz_constant=1.0)
-        assert not linear.is_bounded
+        assert bounded.name == linear.name == "custom"
 
     def test_scalar_only_drift_rejected(self):
         # math.tanh takes one float; the solver would fail on its first
         # array call with a bare TypeError.
         with pytest.raises(ValueError, match="drift must be vectorized"):
-            DriftSpec(func=math.tanh, lipschitz_constant=1.0, bound=1.0)
+            DriftSpec(func=math.tanh, lipschitz_constant=1.0)
 
     def test_drift_of_another_shape_rejected(self):
         with pytest.raises(ValueError, match="drift must be vectorized"):
-            DriftSpec(func=lambda z: 0.0, lipschitz_constant=0.0, bound=0.0)
+            DriftSpec(func=lambda z: 0.0, lipschitz_constant=0.0)
 
 
 class TestMakeDrift:
@@ -165,17 +158,15 @@ class TestMakeDrift:
                            2.0 * np.tanh(z), rtol=1e-15)
 
     def test_registry_metadata(self):
-        assert make_drift("const", c=-4.0).bound == 4.0
+        assert make_drift("const", c=-4.0).lipschitz_constant == 0.0
         assert make_drift("linear", a=3.0).lipschitz_constant == 3.0
-        assert make_drift("linear", a=3.0).bound is None
-        assert make_drift("tanh_scaled", a=2.0).bound == 2.0
+        assert make_drift("tanh_scaled", a=-2.0).lipschitz_constant == 2.0
 
     def test_table_drift(self):
         d = make_drift("table", xs=[-1.0, 0.0, 1.0], ys=[1.0, 0.0, 1.0])
         assert d(0.5) == 0.5
         assert d(3.0) == 1.0
         assert d.lipschitz_constant == 1.0
-        assert d.bound == 1.0
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -220,14 +211,15 @@ class TestDriftTruncate:
     def test_metadata(self):
         base = make_drift("linear", a=1.0)
         clipped = drift_truncate(base, 2.0)
-        assert clipped.bound == 2.0
         assert clipped.lipschitz_constant == base.lipschitz_constant
         assert clipped.name.endswith("|clip2")
 
-    def test_bound_takes_minimum(self):
-        # Truncating above an existing bound cannot loosen it.
-        clipped = drift_truncate(make_drift("tanh_scaled", a=1.0), 5.0)
-        assert clipped.bound == 1.0
+    def test_level_above_sup_keeps_values(self):
+        # Truncating at or above sup |b| leaves every value as it is.
+        base = make_drift("tanh_scaled", a=1.0)
+        z = np.linspace(-50.0, 50.0, 1001)
+        for level in (1.0, 5.0):
+            assert np.array_equal(drift_truncate(base, level)(z), base(z))
 
     def test_level_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -538,7 +530,7 @@ class TestSolveF:
         steep = DriftSpec(
             func=lambda z: np.where(np.abs(z) <= 8.0, np.tanh(z),
                                     np.tanh(z) - slope * (z - 50.0)),
-            lipschitz_constant=1.0, bound=1.0, name="steep")
+            lipschitz_constant=1.0, name="steep")
         etas = np.stack([const_field(g, 0.0).values,
                          const_field(g, 50.0).values,
                          const_field(g, 50.0).values])
@@ -567,7 +559,7 @@ class TestSolveF:
         g = PointGrid(horizon=0.25, half_width=1.0, n_t=16, n_x=8)
         a = 2.0 * q / g.dt
         drift = DriftSpec(func=lambda z: np.sin(a * z), lipschitz_constant=a,
-                          bound=1.0, name="sin")
+                          name="sin")
         etas = np.random.default_rng(5).normal(
             0.0, 3.0, (200, g.n_t + 1, g.n_x + 1))
         _, record = solve_replicates(HEAT, drift, g, etas)
@@ -649,7 +641,7 @@ class TestSolveReplicates:
         # a field of infinities, and no numpy warning on the way.
         drift = DriftSpec(
             func=lambda z: np.where(np.abs(z) <= 8.0, np.tanh(z), 1e308),
-            lipschitz_constant=1.0, bound=1.0, name="huge")
+            lipschitz_constant=1.0, name="huge")
         g = wave_grid(n_t=8, n_x=4) if eqn is WAVE else LYING_GRID
         with pytest.raises(NumericalError, match="overflowed") as exc:
             solve_replicates(eqn, drift, g, const_field(g, 50.0).values[None])

@@ -106,10 +106,19 @@ def test_analysis_does_not_sample():
     ("PsdFactor", {"points"}),
     ("FieldSample", {"points", "master_seed"}),
     ("SimulationResult", {"points"}),
+    ("DriftSpec", {"bound"}),
+    ("SimulationConfig", {"truncation_ladder"}),
 ])
 def test_unread_fields_are_gone(cls, gone):
     names = {f.name for f in dataclasses.fields(getattr(fracfield, cls))}
     assert not names & gone
+
+
+def test_drift_is_only_lipschitz():
+    # The solvers assume a globally Lipschitz drift and nothing more.
+    names = [f.name for f in dataclasses.fields(fracfield.DriftSpec)]
+    assert names == ["func", "lipschitz_constant", "name"]
+    assert not hasattr(fracfield.DriftSpec, "is_bounded")
 
 
 # Points are one (k, 2) node array, and one forcing is a stack of one for

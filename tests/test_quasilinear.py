@@ -6,13 +6,13 @@ and truncation levels (with exact clipping arithmetic), and the
 Lipschitz stability bound for perturbed forcing.
 """
 
-import dataclasses
 import math
 import typing
 
 import numpy as np
 import pytest
 
+from fracfield import quasilinear
 from fracfield import (DriftSpec, EquationKind, GridFunction, HurstIndex,
                        MaxIterExceededError, PointGrid, SimulationConfig,
                        cov_matrix, drift_truncate, factor_psd,
@@ -51,34 +51,45 @@ class TestSimulationConfig:
         assert np.all(np.isfinite(res.fields))
         assert res.solve.method == "pointwise_march"
 
-    def test_ladder_needs_two_increasing_levels(self):
-        drift = make_drift("linear", a=1.0)
-        with pytest.raises(ValueError):
-            small_config(HEAT, drift, truncation_ladder=(2.0,))
-        with pytest.raises(ValueError):
-            small_config(HEAT, drift, truncation_ladder=(4.0, 2.0))
-        with pytest.raises(ValueError):
-            small_config(HEAT, drift, truncation_ladder=(2.0, 2.0))
+    def test_ladder_needs_two_increasing_levels(self, monkeypatch):
+        # Each refusal comes before the covariance is built and sampled.
+        def forcing(config):
+            raise AssertionError("sampled before checking the levels")
 
-    def test_ladder_refuses_bounded_drift(self):
-        with pytest.raises(ValueError, match="unbounded"):
-            small_config(HEAT, make_drift("tanh_scaled", a=1.0),
-                         truncation_ladder=(2.0, 4.0))
+        monkeypatch.setattr(quasilinear, "_forcing", forcing)
+        cfg = small_config(HEAT, make_drift("linear", a=1.0))
+        with pytest.raises(ValueError, match="needs >= 2 levels"):
+            truncation_ladder_run(cfg, (2.0,))
+        for levels in ((4.0, 2.0), (2.0, 2.0)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                truncation_ladder_run(cfg, levels)
+        with pytest.raises(ValueError, match="must be > 0, got -1.0"):
+            truncation_ladder_run(cfg, (-1.0, 2.0))
 
-    def test_ladder_is_heat_only(self):
-        with pytest.raises(ValueError, match="heat"):
-            small_config(WAVE, make_drift("linear", a=1.0),
-                         truncation_ladder=(2.0, 4.0))
+    def test_bounded_heat_ladder_runs(self):
+        # sup |tanh| = 1: the rungs at 1 and 2 leave the drift as it is
+        # and give simulate's fields bit for bit, the rung at 0.5 not.
+        cfg = small_config(HEAT, make_drift("tanh_scaled", a=1.0))
+        out = truncation_ladder_run(cfg, (0.5, 1, 2))
+        assert out.levels == (0.5, 1.0, 2.0)
+        plain = simulate(cfg).fields
+        assert not np.array_equal(out.fields_by_level[0], plain)
+        for fields in out.fields_by_level[1:]:
+            assert np.array_equal(fields, plain)
+        assert out.deviation_vs_reference[0] > 0.0
+        assert np.array_equal(out.deviation_vs_reference[1:], np.zeros(2))
 
-    def test_run_entry_points_check_ladder_presence(self):
-        plain = small_config(WAVE, make_drift("zero"))
-        with pytest.raises(ValueError):
-            truncation_ladder_run(plain)
-        laddered = small_config(
-            HEAT, make_drift("linear", a=1.0),
-            truncation_ladder=(2.0, 4.0))
-        with pytest.raises(ValueError):
-            simulate(laddered)
+    def test_wave_ladder_runs(self):
+        # b(z) = z reaches only |z| < 8 on this grid: the rungs at 8 and
+        # above equal simulate's fields bit for bit, the rung at 0.5 not.
+        cfg = small_config(WAVE, make_drift("linear", a=1.0))
+        out = truncation_ladder_run(cfg, (0.5, 8.0, 256.0))
+        plain = simulate(cfg).fields
+        assert np.max(np.abs(plain)) < 8.0
+        assert not np.array_equal(out.fields_by_level[0], plain)
+        for fields in out.fields_by_level[1:]:
+            assert np.array_equal(fields, plain)
+        assert out.solves[0].method == "explicit_march"
 
     def test_type_hints_resolve(self):
         hints = typing.get_type_hints(SimulationConfig)
@@ -169,7 +180,7 @@ class TestSimulate:
         lying = DriftSpec(
             func=lambda z: np.where(np.abs(z) <= 8.0, np.tanh(z),
                                     np.tanh(z) - 15.9 * (z - 50.0)),
-            lipschitz_constant=1.0, bound=1.0, name="lying")
+            lipschitz_constant=1.0, name="lying")
         cfg = small_config(HEAT, lying, data=make_initial_data(
             u0=("const", {"c": 50.0})),
             grid=PointGrid(horizon=1.0, half_width=0.5, n_t=8, n_x=4))
@@ -240,9 +251,8 @@ def ladder():
         drift=make_drift("linear", a=1.0),
         data=make_initial_data(u0=("const", {"c": 40.0})),
         grid=PointGrid(horizon=0.5, half_width=0.75, n_t=6, n_x=4),
-        master_seed=3, n_replicates=5,
-        truncation_ladder=LADDER_LEVELS)
-    return truncation_ladder_run(cfg)
+        master_seed=3, n_replicates=5)
+    return truncation_ladder_run(cfg, LADDER_LEVELS)
 
 
 class TestTruncationLadder:
@@ -277,24 +287,21 @@ class TestTruncationLadder:
             drift=make_drift("linear", a=1.0),
             data=make_initial_data(u0=("const", {"c": 40.0})),
             grid=PointGrid(horizon=0.5, half_width=0.75, n_t=24, n_x=8),
-            master_seed=12, n_replicates=200,
-            truncation_ladder=LADDER_LEVELS)
-        top = truncation_ladder_run(cfg).fields_by_level[-1]
-        plain = simulate(dataclasses.replace(cfg, truncation_ladder=None))
+            master_seed=12, n_replicates=200)
+        top = truncation_ladder_run(cfg, LADDER_LEVELS).fields_by_level[-1]
+        plain = simulate(cfg)
         assert np.array_equal(plain.fields, top)
         assert 32.0 < np.max(np.abs(top)) < 256.0
 
     def test_inactive_ladder_has_zero_deviation(self):
         # A drift that never reaches the lowest rung makes every level
-        # identical; declaring it unbounded keeps the ladder legal.
+        # identical.
         cfg = SimulationConfig(
             eqn=HEAT, hurst=HurstIndex(0.5),
-            drift=DriftSpec(func=np.tanh, lipschitz_constant=1.0,
-                            bound=None),
+            drift=make_drift("tanh_scaled"),
             data=make_initial_data(),
             grid=PointGrid(horizon=0.5, half_width=0.75, n_t=6, n_x=4),
-            master_seed=3, n_replicates=3,
-            truncation_ladder=(2.0, 4.0, 8.0))
-        out = truncation_ladder_run(cfg)
+            master_seed=3, n_replicates=3)
+        out = truncation_ladder_run(cfg, (2.0, 4.0, 8.0))
         assert np.array_equal(out.deviation_vs_reference, np.zeros(3))
         assert np.array_equal(out.deviation_consecutive, np.zeros(2))

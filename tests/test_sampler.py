@@ -107,6 +107,12 @@ class TestReplicateStream:
         with pytest.raises(ValueError):
             replicate_stream(0, -1)
 
+    def test_negative_seed_rejected_naming_it(self):
+        # Not numpy's "expected non-negative integer", which names no key.
+        with pytest.raises(ValueError,
+                           match="^master_seed must be >= 0, got -1$"):
+            replicate_stream(-1, 0)
+
 
 class TestStandardNormals:
     def test_deterministic_and_finite(self):
