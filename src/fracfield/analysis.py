@@ -217,10 +217,8 @@ def fit_hoelder(eqn: EquationKind, hurst, direction: Direction, *,
     if not all(0.0 < v < math.inf for v in lag_arr):
         raise ValueError(f"lags must be positive and finite, got {lag_arr}")
     lag_np = np.array(lag_arr)
-    if direction is Direction.TIME:
-        m2 = _closed_incr(eqn, h, t0, t0 + lag_np, 0.0)
-    else:
-        m2 = _closed_incr(eqn, h, t0, t0, np.abs(x0 - (x0 + lag_np)))
+    dt, dx = (lag_np, 0.0) if direction is Direction.TIME else (0.0, lag_np)
+    m2 = _closed_incr(eqn, h, t0, x0, t0 + dt, x0 + dx)
     return fit_power_law(lag_arr, gaussian_abs_moment(p) * m2 ** (0.5 * p))
 
 
@@ -240,12 +238,11 @@ def h_convergence(eqn: EquationKind, hursts, reference, *,
     pair_list = tuple(pairs) if pairs is not None else DEFAULT_H_PAIRS
     if not pair_list:
         raise ValueError("need at least one evaluation pair")
-    ends = _nodes([q for a, b in pair_list for q in (a, b)])
-    t = np.sort(ends[:, 0].reshape(-1, 2), axis=1)
-    c = np.abs(ends[0::2, 1] - ends[1::2, 1])
-    ref_vals = _closed_cov(eqn, ref, t[:, 0], t[:, 1], c)
-    sups = np.array([np.max(np.abs(_closed_cov(eqn, h, t[:, 0], t[:, 1], c)
-                                   - ref_vals)) for h in hs])
+    # One row (ta, xa, tb, xb) per pair, as four coordinate arrays.
+    ends = _nodes([q for a, b in pair_list for q in (a, b)]).reshape(-1, 4).T
+    ref_vals = _closed_cov(eqn, ref, *ends)
+    sups = np.array([np.max(np.abs(_closed_cov(eqn, h, *ends) - ref_vals))
+                     for h in hs])
     return HContinuityResult(eqn=eqn, hursts=hs, reference=ref,
                              sups=sups, pairs=pair_list)
 
@@ -332,14 +329,16 @@ def verify_lemma_bound(kind: ShiftKind, eqn: EquationKind, alpha: float, *,
     h_idx = HurstIndex(0.5 * (1.0 - alpha))
     shift_arr = tuple(float(s) for s in (
         shifts if shifts is not None else (2.0 ** -k for k in range(8, 0, -1))))
-    if not shift_arr or any(s <= 0.0 for s in shift_arr):
+    if not shift_arr:
+        raise ValueError("no shifts given: need at least one shift")
+    if any(s <= 0.0 for s in shift_arr):
         raise ValueError("shifts must be positive")
     if any(b <= a for a, b in zip(shift_arr, shift_arr[1:])):
         raise ValueError("shifts must be strictly increasing")
     shift_np = np.array(shift_arr)
     power = 1.0 - alpha
     if kind is ShiftKind.SPACE_SHIFT:
-        lhs_all = _closed_incr(eqn, h_idx, horizon, horizon,
+        lhs_all = _closed_incr(eqn, h_idx, horizon, 0.0, horizon,
                                shift_np) / noise_constant(h_idx)
         # The wave vertex function averages sin^2 to 1/2, so its sharp
         # constant is half the heat one.

@@ -7,17 +7,20 @@ increment-bound tables.  Runs are configured by a JSON file plus flag
 overrides; with ``--out`` every table lands in CSV files next to a
 ``run_manifest.json`` pinning the resolved configuration and digests.
 
-Exit codes: 0 on success, 1 on configuration or validation errors and on
-output that cannot be written, 2 on numerical failures (overflow,
-factorization, a heat node that does not settle), on running out of
-memory and on a violated increment bound.
+Exit codes: 0 on success, 1 on configuration or validation errors, on
+output that cannot be written and, without a message, on a closed
+stdout, 2 on numerical failures (overflow, factorization, a heat node
+that does not settle), on running out of memory and on a violated
+increment bound.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import reprlib
 import sys
 import time
@@ -551,30 +554,46 @@ def _write(run: _Run, args, started: float, computed: float) -> None:
     ``started`` and ``computed`` are the clock readings before and after
     the handler ran; the manifest records the handler's and the writes'
     times apart, and each artifact's render-and-write time and size.
+
+    An old manifest is removed first.  When a write fails, every file
+    this run has begun to write is removed and the error is raised, so no
+    artifact is left that a manifest does not pin; other files in the
+    directory stay.
     """
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs, writes = {}, {}
-    for name, content in run.artifacts.items():
-        path = out_dir / name
-        begun = time.perf_counter()
-        if name.endswith(".csv"):
-            outputs[name] = write_csv(path, *content)
-        else:
-            outputs[name] = write_json(path, content)
-        writes[name] = {"s": time.perf_counter() - begun,
-                        "bytes": path.stat().st_size}
-    written = time.perf_counter()
-    write_json(out_dir / "run_manifest.json", {
-        "subcommand": args.subcommand,
-        "artifact_version": ARTIFACT_VERSION,
-        "master_seed": run.master_seed,
-        "config": run.config,
-        "outputs": outputs,
-        "diagnostics": {"compute_s": computed - started,
-                        "write_s": written - computed,
-                        "write": writes, **run.diagnostics},
-        "wall_clock_seconds": time.perf_counter() - started})
+    manifest = out_dir / "run_manifest.json"
+    manifest.unlink(missing_ok=True)
+    outputs, writes, paths = {}, {}, []
+    try:
+        for name, content in run.artifacts.items():
+            path = out_dir / name
+            paths.append(path)
+            begun = time.perf_counter()
+            if name.endswith(".csv"):
+                outputs[name] = write_csv(path, *content)
+            else:
+                outputs[name] = write_json(path, content)
+            writes[name] = {"s": time.perf_counter() - begun,
+                            "bytes": path.stat().st_size}
+        written = time.perf_counter()
+        paths.append(manifest)
+        write_json(manifest, {
+            "subcommand": args.subcommand,
+            "artifact_version": ARTIFACT_VERSION,
+            "master_seed": run.master_seed,
+            "config": run.config,
+            "outputs": outputs,
+            "diagnostics": {"compute_s": computed - started,
+                            "write_s": written - computed,
+                            "write": writes, **run.diagnostics},
+            "wall_clock_seconds": time.perf_counter() - started})
+    except BaseException:
+        for path in paths:
+            # A directory in an artifact's place is not this run's.
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
 
 
 def main(argv=None) -> int:
@@ -590,9 +609,17 @@ def main(argv=None) -> int:
         try:
             if args.out is None:
                 _print(run)
+                # A closed pipe raises here, not in the flush at exit.
+                sys.stdout.flush()
             else:
                 _write(run, args, started, computed)
         except OSError as exc:
+            if args.out is None and isinstance(exc, BrokenPipeError):
+                # The reader has gone (``fracfield cov | head -1``): as in
+                # Python's note on SIGPIPE, stdout goes to devnull so that
+                # the flush at exit cannot fail, and the exit is quiet.
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                return 1
             print(f"fracfield: cannot write output: {exc}", file=sys.stderr)
             return 1
     except NumericalError as exc:

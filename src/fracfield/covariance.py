@@ -6,11 +6,12 @@ The centered solution of the linear equation has covariance
 * TK(t1, t2, xi) * |xi|^(1-2H) dxi``
 
 where TK is the time integral of the product of the propagator's Fourier
-multipliers.  Covariances and increment moments are closed forms here.
-The spectral form, TK included (:func:`fracfield.oracle.time_kernel`),
-belongs to the quadrature oracle (:mod:`fracfield.oracle`), the
-independent route the tests check against.  Sampling lives in
-:mod:`fracfield.sampler`.
+multipliers.  Covariances and increment moments are closed forms here,
+in the coordinates of point pairs through one pair geometry for every
+caller.  The spectral form, TK included
+(:func:`fracfield.oracle.time_kernel`), belongs to the quadrature
+oracle (:mod:`fracfield.oracle`), the independent route the tests
+check against.  Sampling lives in :mod:`fracfield.sampler`.
 """
 
 from __future__ import annotations
@@ -281,10 +282,10 @@ def _wave_far(q: float, t1, t2, c):
     return 4.0 * t1 * t1 * c ** (q - 1.0) * total
 
 
-def _closed_cov(eqn: EquationKind, hurst: HurstIndex, t1, t2, c, lag=None):
-    """Covariance on broadcast arrays with ``t1 <= t2`` and ``c = |dx|``;
-    the wave's ``|c - d|`` is ``lag`` (:func:`_cone_lag`) when given, else
-    it is taken from the rounded c and d.
+def _closed_cov(eqn: EquationKind, hurst: HurstIndex, ta, xa, tb, xb):
+    """Covariance of the points ``(ta, xa)`` and ``(tb, xb)`` on
+    broadcast arrays, in :func:`_geometry`'s times ``t1 <= t2``, ``c =
+    |xa - xb|`` and cone lag, the wave's ``|c - d|``.
 
     With ``q = 2H``, ``s = t1 + t2``, ``d = t2 - t1`` and nc =
     :func:`noise_constant`.  Wave: ``1/8 (1/2 [G(s+c) - G(d+c) + G(s-c)
@@ -305,14 +306,12 @@ def _closed_cov(eqn: EquationKind, hurst: HurstIndex, t1, t2, c, lag=None):
     light cones (``c >= s``), where the formula would leave roundoff.
     """
     h = hurst.value
-    t1, t2, c = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (t1, t2, c)))
+    t1, t2, c, lag = _geometry(ta, xa, tb, xb)
     s, d = t1 + t2, t2 - t1
     # Non-finite intermediates are masked below or raise.
     with np.errstate(all="ignore"):
         if eqn is EquationKind.WAVE:
             q = 2.0 * h
-            lag = np.abs(c - d) if lag is None else lag
 
             def prim(u):
                 return _spow(q + 1.0, u) / (q + 1.0)
@@ -347,11 +346,9 @@ def _closed_cov(eqn: EquationKind, hurst: HurstIndex, t1, t2, c, lag=None):
     return out
 
 
-def _closed_incr(eqn: EquationKind, hurst: HurstIndex, t1, t2, c,
-                 lag=None):
-    """Increment moment ``E[(u(t2, x+c) - u(t1, x))^2]`` on broadcast
-    arrays with ``t1 <= t2``, ``c = |dx|`` and ``lag`` as in
-    :func:`_closed_cov`.
+def _closed_incr(eqn: EquationKind, hurst: HurstIndex, ta, xa, tb, xb):
+    """Increment moment ``E[(u(tb, xb) - u(ta, xa))^2]`` on broadcast
+    arrays of coordinates, in the terms of :func:`_closed_cov`.
 
     The two variances minus twice :func:`_closed_cov`, regrouped so that
     no terms of size one are subtracted; notation as there, with
@@ -368,13 +365,11 @@ def _closed_incr(eqn: EquationKind, hurst: HurstIndex, t1, t2, c,
     :class:`NumericalError`.
     """
     h = hurst.value
-    t1, t2, c = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (t1, t2, c)))
+    t1, t2, c, lag = _geometry(ta, xa, tb, xb)
     s, d = t1 + t2, t2 - t1
     with np.errstate(all="ignore"):
         if eqn is EquationKind.WAVE:
             q = 2.0 * h
-            lag = np.abs(c - d) if lag is None else lag
             p = q + 1.0
 
             def prim(u):
@@ -448,15 +443,16 @@ def _cone_lag(ta, xa, tb, xb):
     return np.minimum(*lags)
 
 
-def _pair(p1, p2) -> tuple:
-    """Ordered times, separation and :func:`_cone_lag` of two points, as
-    1-element arrays: arithmetic on 0-d arrays calls libm ``pow`` and
-    arrays numpy's own, so the scalar entry points take the route of the
-    matrix."""
-    nodes = _nodes((p1, p2))
-    (ta, xa), (tb, xb) = nodes[:1].T, nodes[1:].T
-    t = np.sort(nodes[:, 0])
-    return t[:1], t[1:], np.abs(xa - xb), _cone_lag(ta, xa, tb, xb)
+def _geometry(ta, xa, tb, xb) -> tuple:
+    """Ordered times ``t1 <= t2``, separation ``c = |xa - xb|`` and
+    :func:`_cone_lag` of the points ``(ta, xa)`` and ``(tb, xb)``, as
+    broadcast arrays of at least one dimension: arithmetic on 0-d arrays
+    calls libm ``pow`` and arrays numpy's own, so a single pair takes the
+    route of the matrix."""
+    ta, xa, tb, xb = (np.asarray(v, dtype=float) for v in (ta, xa, tb, xb))
+    return np.broadcast_arrays(*np.atleast_1d(
+        np.minimum(ta, tb), np.maximum(ta, tb), np.abs(xa - xb),
+        _cone_lag(ta, xa, tb, xb)))
 
 
 def conv_cov(eqn: EquationKind, hurst: HurstIndex | float, p1, p2) -> float:
@@ -467,7 +463,8 @@ def conv_cov(eqn: EquationKind, hurst: HurstIndex | float, p1, p2) -> float:
     summed as a series in ``(t1+t2)/|x1-x2|`` far outside the wave light
     cones; bit for bit the matching entry of :func:`cov_matrix`.
     """
-    return float(_closed_cov(eqn, _as_hurst(hurst), *_pair(p1, p2))[0])
+    return float(_closed_cov(eqn, _as_hurst(hurst),
+                             *_nodes((p1, p2)).ravel())[0])
 
 
 def cov_matrix(eqn: EquationKind, hurst: HurstIndex | float,
@@ -475,10 +472,10 @@ def cov_matrix(eqn: EquationKind, hurst: HurstIndex | float,
     """Covariance matrix of the centered linear field on ``(k, 2)`` (t, x)
     points.
 
-    Vectorized closed-form evaluations over the ordered time pairs and
-    separations of ``_COV_BLOCK_ROWS`` rows at a time, so the transient
-    arrays span one block; the matrix is exactly symmetric, and each
-    entry depends on its own two points only.
+    Vectorized closed-form evaluations over ``_COV_BLOCK_ROWS`` rows of
+    points at a time against all points, so the transient arrays span
+    one block; the matrix is exactly symmetric, and each entry depends on
+    its own two points only.
     """
     h = _as_hurst(hurst)
     nodes = _nodes(points)
@@ -486,10 +483,8 @@ def cov_matrix(eqn: EquationKind, hurst: HurstIndex | float,
     entries = np.empty((t.size, t.size))
     for start in range(0, t.size, _COV_BLOCK_ROWS):
         rows = slice(start, start + _COV_BLOCK_ROWS)
-        tr, xr = t[rows, None], x[rows, None]
-        entries[rows] = _closed_cov(eqn, h, np.minimum(tr, t),
-                                    np.maximum(tr, t), np.abs(xr - x),
-                                    _cone_lag(tr, xr, t, x))
+        entries[rows] = _closed_cov(eqn, h, t[rows, None], x[rows, None],
+                                    t, x)
     return CovarianceMatrix(points=nodes, entries=entries)
 
 
@@ -503,7 +498,8 @@ def increment_moment2(eqn: EquationKind, hurst: HurstIndex | float,
     anything below that, or a non-finite result, raises
     :class:`NumericalError`.
     """
-    return float(_closed_incr(eqn, _as_hurst(hurst), *_pair(p1, p2))[0])
+    return float(_closed_incr(eqn, _as_hurst(hurst),
+                              *_nodes((p1, p2)).ravel())[0])
 
 
 def noise_field_cov(hurst: HurstIndex | float, p1, p2) -> float:

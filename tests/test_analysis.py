@@ -110,15 +110,16 @@ class TestFitHoelder:
     @pytest.mark.parametrize("direction", list(Direction))
     def test_moments_are_the_pairwise_increment_moments(self, eqn,
                                                         direction):
+        # Bit for bit: the base and its shifted copies are points, whose
+        # lag comes from their coordinates as in increment_moment2.
         lags = (0.001, 0.01, 0.1, 0.5, 1.5)
-        fit = fit_hoelder(eqn, 0.35, direction, base_time=0.75,
-                          base_pos=-0.3, lags=lags)
-        for lag, moment in zip(lags, fit.moments):
-            end = ((0.75 + lag, -0.3) if direction is Direction.TIME
-                   else (0.75, -0.3 + lag))
-            assert moment == pytest.approx(
-                increment_moment2(eqn, 0.35, (0.75, -0.3), end),
-                rel=1e-14, abs=0.0)
+        for t0, x0 in ((0.75, -0.3), (0.3, 0.1), (0.7, -0.3)):
+            fit = fit_hoelder(eqn, 0.35, direction, base_time=t0,
+                              base_pos=x0, lags=lags)
+            for lag, moment in zip(lags, fit.moments):
+                end = ((t0 + lag, x0) if direction is Direction.TIME
+                       else (t0, x0 + lag))
+                assert moment == increment_moment2(eqn, 0.35, (t0, x0), end)
 
     @pytest.mark.parametrize("lags", [
         (0.0, 0.1, 0.2, 0.3), (-0.1, 0.1, 0.2, 0.3),
@@ -166,13 +167,14 @@ class TestLemmaBound:
 
     @pytest.mark.parametrize("eqn", [HEAT, WAVE])
     def test_space_rows_are_increment_moments(self, eqn):
-        report = verify_lemma_bound(ShiftKind.SPACE_SHIFT, eqn, 0.4,
-                                    horizon=0.8)
+        # Bit for bit, the default shifts and shifts past the horizon.
         nc = noise_constant(0.3)
-        for row in report.rows:
-            assert row.lhs == pytest.approx(
-                increment_moment2(eqn, 0.3, (0.8, 0.0), (0.8, row.shift))
-                / nc, rel=1e-14, abs=0.0)
+        for shifts in (None, (0.01, 0.3, 1.1, 2.9)):
+            report = verify_lemma_bound(ShiftKind.SPACE_SHIFT, eqn, 0.4,
+                                        horizon=0.8, shifts=shifts)
+            for row in report.rows:
+                assert row.lhs == increment_moment2(
+                    eqn, 0.3, (0.8, 0.0), (0.8, row.shift)) / nc
 
     # Near alpha = -1 the heat bracket is of size (1 + alpha)/2 and its
     # Gamma factor has a pole.  References: the Gaussian sum at 50
@@ -289,6 +291,10 @@ class TestLemmaBound:
             verify_lemma_bound(ShiftKind.SPACE_SHIFT, HEAT, 0.0,
                                shifts=shifts)
 
+    def test_empty_shifts_rejected(self):
+        with pytest.raises(ValueError, match="need at least one shift"):
+            verify_lemma_bound(ShiftKind.SPACE_SHIFT, HEAT, 0.0, shifts=[])
+
 
 class TestHConvergence:
     def test_sups_vanish_at_reference(self):
@@ -305,6 +311,16 @@ class TestHConvergence:
     def test_empty_indices_rejected(self):
         with pytest.raises(ValueError, match="at least one trial index"):
             h_convergence(WAVE, (), 0.5)
+
+    @pytest.mark.parametrize("h", [0.01, 0.1, 0.3])
+    @pytest.mark.parametrize("pair", [((0.2, -0.1), (0.9, 0.6)),
+                                      ((0.3, 0.1), (0.7, 0.5))])
+    def test_sups_are_the_covariance_distances(self, pair, h):
+        # Light-cone pairs, where a lag taken from the rounded separation
+        # and time difference would not be the lag of the points.
+        sup = h_convergence(WAVE, [h], 0.5, pairs=[pair]).sups[0]
+        assert sup == abs(conv_cov(WAVE, h, *pair)
+                          - conv_cov(WAVE, 0.5, *pair))
 
     def test_pair_outside_cones_contributes(self):
         # |dx| = 2 >= t1 + t2 = 1.5: correlated for fractional noise.

@@ -790,6 +790,8 @@ MALFORMED = {
     "hconv-section": (["hconv", "--equation", "wave"], {"hconv": [1]},
                       "hconv"),
     "lemmas-section": (["verify-lemmas"], {"lemmas": "x"}, "lemmas"),
+    "lemmas-shifts-empty": (["verify-lemmas"], {"lemmas": {"shifts": []}},
+                            "shifts"),
     "hoelder-base": (["hoelder", "--equation", "wave", "--hurst", "0.3"],
                      {"hoelder": {"base": [1.0]}}, "hoelder.base"),
     "grid-n_t": (["simulate"], dict(SIM_CONFIG, grid=dict(
@@ -848,6 +850,43 @@ def test_unwritable_output_exits_one_with_one_line(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("fracfield: cannot write output: ")
     assert err.count("\n") == 1 and str(out) in err
+
+
+def test_failed_write_leaves_no_unpinned_artifact(tmp_path, capsys):
+    # A directory stands where noise.csv should go: fields.csv, written
+    # before it, and the old manifest go; a file the run did not write
+    # stays.
+    out = tmp_path / "partial"
+    (out / "noise.csv").mkdir(parents=True)
+    (out / "run_manifest.json").write_text("{}")
+    (out / "bystander.txt").write_text("kept")
+    assert main(["simulate", "--config", write_config(tmp_path, SIM_CONFIG),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fracfield: cannot write output: ")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in out.iterdir()) == ["bystander.txt",
+                                                     "noise.csv"]
+    assert (out / "bystander.txt").read_text() == "kept"
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # The reader closes the pipe after the header.  14,400 rows are two
+    # chunks, so a write after the close meets the closed pipe however
+    # the two processes interleave.
+    points = [[0.1 * (1 + i // 10), -1.0 + 0.25 * (i % 10)]
+              for i in range(120)]
+    cfg = write_config(tmp_path, {"equation": "heat", "hurst": 0.7,
+                                  "points": points})
+    src = str(Path(fracfield.__file__).resolve().parents[1])
+    with subprocess.Popen(
+            [sys.executable, "-m", "fracfield.cli", "cov", "--config", cfg],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"i,j,t_i,x_i,t_j,x_j,cov\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=120) == 1
 
 
 @pytest.mark.parametrize("message, shown", [

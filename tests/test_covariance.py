@@ -363,8 +363,7 @@ class TestOneRoute:
         assert ((t1 > 0.0) & (c >= 2.0 * s)).any()
         assert ((t1 > 0.0) & (c * c / 4.0 >= _HEAT_FAR_ARG * s / 2.0)).any()
         cov = cov_matrix(eqn, h, points).entries
-        incr = _closed_incr(eqn, HurstIndex(h), t1, t2, c,
-                            _cone_lag(t[:, None], x[:, None], t, x))
+        incr = _closed_incr(eqn, HurstIndex(h), t[:, None], x[:, None], t, x)
         # Rows on both sides of the first block boundary, and one drawn.
         for i in {_COV_BLOCK_ROWS - 1, _COV_BLOCK_ROWS, row}:
             for j in range(k):
