@@ -3,8 +3,8 @@ fields on the line driven by noise white in time and fractional in space.
 
 The package is organized bottom-up:
 
-* :mod:`fracfield.spectral` -- noise density, closed-form finiteness
-  integrals and increment-bound constants;
+* :mod:`fracfield.spectral` -- noise density and closed-form finiteness
+  integrals;
 * :mod:`fracfield.covariance` -- exact second-order structure of the
   linear solution in closed form;
 * :mod:`fracfield.sampler` -- reproducible Gaussian sampling from those
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from .analysis import (Direction, ExponentFit, ShiftKind,
                        expected_hoelder_slope, fit_hoelder, fit_power_law,
-                       h_convergence, marginal_distance, verify_lemma_bound)
+                       h_convergence, verify_lemma_bound)
 from .covariance import (CovarianceMatrix, conv_cov, cov_matrix,
                          increment_moment2, noise_field_cov)
 from .det_solver import (DriftSpec, GridFunction, InitialData, MarchRecord,
@@ -43,9 +43,8 @@ from .quasilinear import (LadderResult, SimulationConfig, SimulationResult,
                           mild_residual, simulate, truncation_ladder_run)
 from .sampler import (FieldSample, PsdFactor, factor_psd, replicate_stream,
                       sample_field, standard_normals)
-from .spectral import (EquationKind, HurstIndex, LemmaConstantKind,
-                       dalang_integral_closed, gaussian_abs_moment,
-                       lemma_constant, noise_constant)
+from .spectral import (EquationKind, HurstIndex, dalang_integral_closed,
+                       gaussian_abs_moment, noise_constant)
 
 __version__ = "0.1.0"
 
@@ -60,7 +59,6 @@ __all__ = [
     "HurstIndex",
     "InitialData",
     "LadderResult",
-    "LemmaConstantKind",
     "MarchRecord",
     "MaxIterExceededError",
     "NotPsdError",
@@ -83,10 +81,8 @@ __all__ = [
     "increment_moment2",
     "initial_term",
     "initial_term_grid",
-    "lemma_constant",
     "make_drift",
     "make_initial_data",
-    "marginal_distance",
     "mild_residual",
     "noise_constant",
     "noise_field_cov",

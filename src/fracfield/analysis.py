@@ -2,8 +2,7 @@
 
 Regularity: log-log fits of increment moments against lag recover the
 Hölder exponents (time and space, both equations).  Stability: solution
-covariances are continuous in the roughness index, and the marginal
-laws converge in Kolmogorov-Smirnov distance.  Sharp bounds: the
+covariances are continuous in the roughness index.  Sharp bounds: the
 increment estimates behind the regularity theory hold with their stated
 constants, verified as lhs/rhs tables over a grid of shifts.
 """
@@ -17,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import (_as_hurst, _closed_cov, _closed_incr, _nodes,
-                         _second_diff, conv_cov)
-from .spectral import (EquationKind, HurstIndex, LemmaConstantKind, _gamma,
-                       cos_integral_constant, gaussian_abs_moment,
-                       lemma_constant, noise_constant)
+                         _second_diff)
+from .spectral import (EquationKind, HurstIndex, _gamma, cos_integral_constant,
+                       gaussian_abs_moment, noise_constant)
 
 __all__ = [
     "Direction",
@@ -34,7 +32,6 @@ __all__ = [
     "fit_hoelder",
     "h_convergence",
     "verify_lemma_bound",
-    "marginal_distance",
     "DEFAULT_H_PAIRS",
 ]
 
@@ -104,10 +101,7 @@ class LemmaRow:
 class LemmaReport:
     """Verification table of a sharp increment bound."""
 
-    kind: ShiftKind
-    eqn: EquationKind
     alpha: float
-    horizon: float
     rows: tuple
     max_ratio: float
     lhs_monotone: bool
@@ -121,7 +115,6 @@ class LemmaReport:
 class HContinuityResult:
     """Sup distance of covariances from a reference roughness index."""
 
-    eqn: EquationKind
     hursts: tuple
     reference: HurstIndex
     sups: np.ndarray
@@ -243,8 +236,8 @@ def h_convergence(eqn: EquationKind, hursts, reference, *,
     ref_vals = _closed_cov(eqn, ref, *ends)
     sups = np.array([np.max(np.abs(_closed_cov(eqn, h, *ends) - ref_vals))
                      for h in hs])
-    return HContinuityResult(eqn=eqn, hursts=hs, reference=ref,
-                             sups=sups, pairs=pair_list)
+    return HContinuityResult(hursts=hs, reference=ref, sups=sups,
+                             pairs=pair_list)
 
 
 def _heat_smoothing_constant(alpha: float) -> float:
@@ -340,9 +333,10 @@ def verify_lemma_bound(kind: ShiftKind, eqn: EquationKind, alpha: float, *,
     if kind is ShiftKind.SPACE_SHIFT:
         lhs_all = _closed_incr(eqn, h_idx, horizon, 0.0, horizon,
                                shift_np) / noise_constant(h_idx)
-        # The wave vertex function averages sin^2 to 1/2, so its sharp
-        # constant is half the heat one.
-        const = (lemma_constant(LemmaConstantKind.COS_INTEGRAL, alpha)
+        # The integrand of the constant is even, so it is twice the
+        # half-line closed form.  The wave vertex function averages sin^2
+        # to 1/2, so its sharp constant is half the heat one.
+        const = (2.0 * cos_integral_constant(alpha)
                  * (horizon if eqn is EquationKind.WAVE else 2.0))
     elif eqn is EquationKind.HEAT:
         lhs_all = _heat_time_lhs(alpha, horizon, shift_np)
@@ -350,8 +344,8 @@ def verify_lemma_bound(kind: ShiftKind, eqn: EquationKind, alpha: float, *,
         power = 0.5 * (1.0 - alpha)
     else:
         lhs_all = _wave_time_lhs(alpha, horizon, shift_np)
-        const = (lemma_constant(LemmaConstantKind.WAVE_INCREMENT,
-                                h_idx.value) * horizon)
+        hurst = h_idx.value
+        const = 4.0 * (1.0 / hurst + 1.0 / (1.0 - hurst)) * horizon
     rows = []
     for h, lhs in zip(shift_arr, lhs_all.tolist()):
         rhs = const * h ** power
@@ -359,36 +353,5 @@ def verify_lemma_bound(kind: ShiftKind, eqn: EquationKind, alpha: float, *,
     max_ratio = max(r.ratio for r in rows)
     monotone = all(b.lhs >= a.lhs - 1e-12
                    for a, b in zip(rows, rows[1:]))
-    return LemmaReport(kind=kind, eqn=eqn, alpha=alpha, horizon=horizon,
-                       rows=tuple(rows), max_ratio=max_ratio,
+    return LemmaReport(alpha=alpha, rows=tuple(rows), max_ratio=max_ratio,
                        lhs_monotone=monotone)
-
-
-def marginal_distance(eqn: EquationKind, hurst_a, hurst_b, point) -> float:
-    """Kolmogorov-Smirnov distance between one-point marginal laws.
-
-    Both marginals are centered Gaussians, so the distance has a closed
-    form in the two standard deviations.  Two point masses at zero are
-    at distance 0; a point mass against a non-degenerate law is at the
-    sup-distance sentinel 1.
-    """
-    va = conv_cov(eqn, _as_hurst(hurst_a), point, point)
-    vb = conv_cov(eqn, _as_hurst(hurst_b), point, point)
-    s1, s2 = math.sqrt(max(va, 0.0)), math.sqrt(max(vb, 0.0))
-    if s1 > s2:
-        s1, s2 = s2, s1
-    if s2 == 0.0:
-        return 0.0
-    if s1 == 0.0:
-        return 1.0
-    if s1 == s2:
-        return 0.0
-    x_star = s1 * s2 * math.sqrt(
-        2.0 * math.log(s2 / s1) / (s2 * s2 - s1 * s1))
-    return _ndtr(x_star / s1) - _ndtr(x_star / s2)
-
-
-def _ndtr(x: float) -> float:
-    """Standard normal CDF, through ``erfc`` so that the lower tail keeps
-    its relative accuracy."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))

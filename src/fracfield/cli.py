@@ -428,6 +428,16 @@ def _cmd_verify_lemmas(cfg: dict, args) -> _Run:
         h = _setting(cfg, args, "hurst", "index", None)
         alphas = [-0.5, 0.0, 0.5] if h is None else [_alpha(h)]
     alphas = [float(a) for a in alphas]
+    # The summary keys show alpha to 6 significant digits: one key each.
+    keys = {}
+    for alpha in alphas:
+        key = f"{alpha:g}"
+        if key in keys:
+            raise ValueError(
+                f"lemmas.alphas {keys[key]!r} and {alpha!r} share the "
+                f"summary key alpha={key}; give alphas that differ in "
+                f"their first 6 significant digits")
+        keys[key] = alpha
     rows = []
     summary = {}
     all_ok = True

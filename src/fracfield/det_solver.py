@@ -249,8 +249,13 @@ def initial_term(eqn: EquationKind, data: InitialData, t: float, x):
     Wave: traveling-wave average ``(u0(x+t) + u0(x-t))/2`` plus half the
     integral of v0 over ``[x-t, x+t]``: in closed form for a registry
     profile, and for any other callable by a 64-point Gauss-Legendre
-    rule checked against the 32-point rule (:func:`_v0_span`).
+    rule checked against the 32-point rule (:func:`_v0_span`).  The heat
+    equation is first order in time, so initial data with a v0 is
+    refused for it.
     """
+    if eqn is EquationKind.HEAT and data.v0 is not None:
+        raise ValueError("the heat equation takes no initial speed; "
+                         "remove v0 or use the wave equation")
     if t < 0.0:
         raise ValueError(f"time must be >= 0, got {t}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))

@@ -59,7 +59,6 @@ class SimulationConfig:
 class SimulationResult:
     """Replicated solution fields plus the ingredients that made them."""
 
-    config: SimulationConfig
     noise: np.ndarray
     fields: np.ndarray
     solve: MarchRecord
@@ -71,7 +70,6 @@ class LadderResult:
     """Truncation-level study with common random numbers across levels;
     ``solves`` holds one :class:`MarchRecord` per level."""
 
-    config: SimulationConfig
     levels: tuple
     deviation_vs_reference: np.ndarray
     deviation_consecutive: np.ndarray
@@ -104,8 +102,8 @@ def simulate(config: SimulationConfig) -> SimulationResult:
     noise, eta_fields, jitter = _forcing(config)
     fields, solve = solve_replicates(config.eqn, config.drift, config.grid,
                                      eta_fields)
-    return SimulationResult(config=config, noise=noise, fields=fields,
-                            solve=solve, jitter_used=jitter)
+    return SimulationResult(noise=noise, fields=fields, solve=solve,
+                            jitter_used=jitter)
 
 
 def truncation_ladder_run(config: SimulationConfig, levels) -> LadderResult:
@@ -143,8 +141,7 @@ def truncation_ladder_run(config: SimulationConfig, levels) -> LadderResult:
                           for k in range(len(levels))])
     dev_consec = np.asarray([deviation(stacked[k], stacked[k + 1])
                              for k in range(len(levels) - 1)])
-    return LadderResult(config=config, levels=levels,
-                        deviation_vs_reference=dev_ref,
+    return LadderResult(levels=levels, deviation_vs_reference=dev_ref,
                         deviation_consecutive=dev_consec,
                         fields_by_level=stacked, solves=tuple(solves))
 

@@ -1,6 +1,5 @@
-"""Spectral-domain building blocks: noise density, the finiteness
-integrals that control whether a solution exists, and the constants of
-the kernel increment bounds.
+"""Spectral-domain building blocks: noise density and the finiteness
+integrals that control whether a solution exists.
 
 The driving noise is white in time and fractional in space with Hurst
 index H in (0, 1); its spatial spectral measure has density
@@ -20,12 +19,10 @@ from dataclasses import dataclass
 __all__ = [
     "EquationKind",
     "HurstIndex",
-    "LemmaConstantKind",
     "noise_constant",
     "cos_integral_constant",
     "gaussian_abs_moment",
     "dalang_integral_closed",
-    "lemma_constant",
 ]
 
 
@@ -211,32 +208,3 @@ def dalang_integral_closed(eqn: EquationKind, alpha: float,
         return (2.0 / (1.0 - alpha)) * _gamma((alpha + 1.0) / 2.0) \
             * T ** ((1.0 - alpha) / 2.0)
     raise TypeError(f"expected EquationKind, got {eqn!r}")
-
-
-class LemmaConstantKind(enum.Enum):
-    """Constants appearing in the increment bounds of the kernels."""
-
-    COS_INTEGRAL = "cos-integral"
-    WAVE_INCREMENT = "wave-increment"
-    HEAT_INCREMENT = "heat-increment"
-
-
-def lemma_constant(kind: LemmaConstantKind, parameter: float) -> float:
-    """Evaluate one of the named increment-bound constants.
-
-    ``COS_INTEGRAL``: ``int_R (1 - cos(u)) |u|^(alpha-2) du`` in closed
-    form, twice :func:`cos_integral_constant` (parameter = alpha in
-    (-1, 1)); equals pi at alpha = 0.
-    ``WAVE_INCREMENT``: ``4 (1/H + 1/(1-H))`` (parameter = H); 16 at 1/2.
-    ``HEAT_INCREMENT``: ``1/H + 1/(1-H)`` (parameter = H); 4 at 1/2.
-    """
-    if kind is LemmaConstantKind.WAVE_INCREMENT:
-        h = HurstIndex(parameter).value
-        return 4.0 * (1.0 / h + 1.0 / (1.0 - h))
-    if kind is LemmaConstantKind.HEAT_INCREMENT:
-        h = HurstIndex(parameter).value
-        return 1.0 / h + 1.0 / (1.0 - h)
-    if kind is LemmaConstantKind.COS_INTEGRAL:
-        # The integrand is even, so twice the half-line closed form.
-        return 2.0 * cos_integral_constant(parameter)
-    raise TypeError(f"expected LemmaConstantKind, got {kind!r}")

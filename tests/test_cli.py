@@ -754,6 +754,24 @@ class TestVerifyLemmas:
         assert len(table) == 1 + 8 * 2
         assert_manifest_digests(out)
 
+    def test_alphas_that_g_shortens_keep_one_key_each(self, tmp_path,
+                                                      capsys):
+        # 1 - 2H on a 0.025 ladder of H: 17 of the 33 alphas print
+        # shorter under :g, but no two alike, so each table keeps its
+        # summary entry.
+        alphas = [1.0 - 2.0 * round(0.1 + 0.025 * i, 3) for i in range(33)]
+        assert len({f"{a:g}" for a in alphas}) == 33
+        assert sum(f"{a:g}" != repr(a) for a in alphas) == 17
+        cfg = write_config(tmp_path, {"lemmas": {"alphas": alphas}})
+        out = tmp_path / "run"
+        assert main(["verify-lemmas", "--config", cfg,
+                     "--out", str(out)]) == 0
+        with open(out / "summary.json", "r", encoding="utf-8") as fh:
+            summary = json.load(fh)
+        assert len(summary) == 4 * 33 + 1
+        table = (out / "lemma_margins.csv").read_text().splitlines()
+        assert len(table) == 1 + 4 * 33 * 8
+
     def test_small_shifts_within_bounds(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "lemmas": {"alphas": [-0.9, -0.5, 0.0, 0.5, 0.9],
@@ -780,6 +798,9 @@ class TestVerifyLemmas:
         assert "space_shift:wave:alpha=0.4" in out
         assert "all_within True" in out
 
+
+HEAT_WITH_V0 = {"u0": {"kind": "sin", "params": {}},
+                "v0": {"kind": "bump", "params": {"w": 0.5}}}
 
 # Settings a run must refuse with exit 1 and a one-line message that
 # names the key: sections that are not objects, counts and seeds that
@@ -824,6 +845,16 @@ MALFORMED = {
     "v0-param-string": (["solve-det", "--equation", "wave"], dict(
         SIM_CONFIG, initial={"u0": {"kind": "sin", "params": {}}, "v0": {
             "kind": "bump", "params": {"w": "0.5"}}}), "w"),
+    # The heat equation takes no initial speed.
+    "heat-v0-simulate": (["simulate", "--equation", "heat"], dict(
+        SIM_CONFIG, initial=HEAT_WITH_V0), "v0"),
+    "heat-v0-solve-det": (["solve-det", "--equation", "heat"], dict(
+        SIM_CONFIG, initial=HEAT_WITH_V0), "v0"),
+    # Two alphas that the summary keys would show alike.
+    "lemmas-alphas-collide": (["verify-lemmas"], {
+        "lemmas": {"alphas": [0.5, 0.5000001]}}, "lemmas.alphas"),
+    "lemmas-alphas-repeat": (["verify-lemmas"], {
+        "lemmas": {"alphas": [0.0, -0.5, 0.0]}}, "lemmas.alphas"),
 }
 
 

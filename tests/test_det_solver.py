@@ -265,6 +265,16 @@ class TestInitialTerm:
         with pytest.raises(ValueError):
             initial_term(HEAT, data, -0.1, 0.0)
 
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_heat_initial_speed_rejected(self, t):
+        # The heat equation is first order in time: a v0 would be ignored.
+        data = make_initial_data(u0=("sin", {}), v0=("bump", {"w": 0.5}))
+        with pytest.raises(ValueError, match=" v0 "):
+            initial_term(HEAT, data, t, 0.0)
+        with pytest.raises(ValueError, match=" v0 "):
+            initial_term_grid(HEAT, data, heat_grid(n_t=4))
+        assert math.isfinite(initial_term(WAVE, data, t, 0.0))
+
     @pytest.mark.parametrize("profile, key", [
         (("sin", {"K": 2.0}), "K"),
         (("bump", {"a": 1.0, "width": 0.5}), "width"),

@@ -101,6 +101,7 @@ def test_analysis_does_not_sample():
         assert not hasattr(analysis, name)
 
 
+# Result fields that only echoed a call's inputs are gone too.
 @pytest.mark.parametrize("cls, gone", [
     ("DriftSpec", {"truncation_level"}),
     ("PsdFactor", {"points"}),
@@ -108,10 +109,33 @@ def test_analysis_does_not_sample():
     ("SimulationResult", {"points"}),
     ("DriftSpec", {"bound"}),
     ("SimulationConfig", {"truncation_ladder"}),
+    ("SimulationResult", {"config"}),
+    ("LadderResult", {"config"}),
+    ("HContinuityResult", {"eqn"}),
+    ("LemmaReport", {"kind", "eqn", "horizon"}),
 ])
 def test_unread_fields_are_gone(cls, gone):
-    names = {f.name for f in dataclasses.fields(getattr(fracfield, cls))}
+    from fracfield import analysis
+    owner = fracfield if hasattr(fracfield, cls) else analysis
+    names = {f.name for f in dataclasses.fields(getattr(owner, cls))}
     assert not names & gone
+
+
+# The increment-bound constant dispatcher and the one-point
+# Kolmogorov-Smirnov distance, which no run or check used, are gone.
+@pytest.mark.parametrize("module, name", [
+    ("fracfield", "LemmaConstantKind"),
+    ("fracfield", "lemma_constant"),
+    ("fracfield.spectral", "LemmaConstantKind"),
+    ("fracfield.spectral", "lemma_constant"),
+    ("fracfield", "marginal_distance"),
+    ("fracfield.analysis", "marginal_distance"),
+    ("fracfield.analysis", "_ndtr"),
+])
+def test_unused_constants_and_distances_are_gone(module, name):
+    mod = importlib.import_module(module)
+    assert name not in mod.__all__
+    assert not hasattr(mod, name)
 
 
 def test_drift_is_only_lipschitz():

@@ -13,10 +13,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from fracfield import (EquationKind, HurstIndex, LemmaConstantKind,
-                       dalang_integral_closed, lemma_constant, noise_constant)
+from fracfield import (EquationKind, HurstIndex, dalang_integral_closed,
+                       noise_constant)
 from fracfield.oracle import dalang_integral_quad, fourier_kernel, time_kernel
-from fracfield.spectral import _gamma
+from fracfield.spectral import _gamma, cos_integral_constant
 
 
 def rel_err(value, truth):
@@ -155,44 +155,27 @@ class TestDalangIntegral:
 
 
 class TestLemmaConstant:
-    # The spatial-increment constant is twice the half-line closed form
-    # of cos_integral_constant, which goes through Gamma(alpha) or
-    # Gamma(1+alpha); the reflection form -2 Gamma(alpha-1) sin(pi
-    # alpha / 2) is an independent formula (itself cross-checked by
-    # oscillation-aware numerical integration before freezing).
+    # The space-shift bound's constant int_R (1 - cos u) |u|^(alpha-2) du
+    # is twice the half-line closed form of cos_integral_constant, which
+    # goes through Gamma(alpha) or Gamma(1+alpha); the reflection form -2
+    # Gamma(alpha-1) sin(pi alpha / 2) is an independent formula (itself
+    # cross-checked by oscillation-aware numerical integration before
+    # freezing).
     @pytest.mark.parametrize("alpha", [-0.5, -0.25, 0.25, 0.5])
     def test_cos_integral_reflection_form(self, alpha):
         expected = (-2.0 * math.gamma(alpha - 1.0)
                     * math.sin(math.pi * alpha / 2.0))
-        value = lemma_constant(LemmaConstantKind.COS_INTEGRAL, alpha)
+        value = 2.0 * cos_integral_constant(alpha)
         assert rel_err(value, expected) < 1e-13
 
     def test_cos_integral_at_zero(self):
-        value = lemma_constant(LemmaConstantKind.COS_INTEGRAL, 0.0)
+        value = 2.0 * cos_integral_constant(0.0)
         assert rel_err(value, math.pi) < 1e-13
 
     @pytest.mark.parametrize("alpha", [-1.0, 1.0, math.nan])
     def test_cos_integral_divergent_exponent_rejected(self, alpha):
         with pytest.raises(ValueError):
-            lemma_constant(LemmaConstantKind.COS_INTEGRAL, alpha)
-
-    def test_increment_bounds_pinned(self):
-        assert lemma_constant(LemmaConstantKind.WAVE_INCREMENT, 0.5) == 16.0
-        assert lemma_constant(LemmaConstantKind.HEAT_INCREMENT, 0.5) == 4.0
-
-    @pytest.mark.parametrize("h", [0.25, 0.5, 0.75])
-    def test_increment_bound_formulas(self, h):
-        base = 1.0 / h + 1.0 / (1.0 - h)
-        assert lemma_constant(LemmaConstantKind.HEAT_INCREMENT, h) == base
-        assert lemma_constant(LemmaConstantKind.WAVE_INCREMENT, h) \
-            == 4.0 * base
-
-    @pytest.mark.parametrize("kind", list(LemmaConstantKind))
-    def test_positive_on_interior(self, kind):
-        grid = ([0.25, 0.5, 0.75] if kind is not LemmaConstantKind.COS_INTEGRAL
-                else [-0.5, 0.0, 0.5])
-        for parameter in grid:
-            assert lemma_constant(kind, parameter) > 0.0
+            cos_integral_constant(alpha)
 
 
 class TestGammaPort:
