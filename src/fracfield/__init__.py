@@ -16,15 +16,6 @@ The package is organized bottom-up:
 * :mod:`fracfield.analysis` -- regularity fits, continuity in the Hurst
   index, and kernel increment bound checks;
 * :mod:`fracfield.cli` -- command line front end.
-
-:mod:`fracfield.oracle` is not imported here: it holds the independent
-numeric routes that the tests check the run-time path against, the
-spectral quadrature engine for the closed forms and the scalar Volterra
-solution ``ode_oracle`` and the global Picard iteration
-``picard_oracle`` for the grid solver.  The engine's settings
-(``QuadratureSpec``), its error type, the propagator multipliers in
-spectral form, the integrated ``dalang_integral_quad``, ``ode_oracle``
-and ``picard_oracle`` are imported from there.
 """
 
 from __future__ import annotations

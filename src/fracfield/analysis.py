@@ -106,19 +106,13 @@ class LemmaReport:
     max_ratio: float
     lhs_monotone: bool
 
-    @property
-    def hurst(self) -> HurstIndex:
-        return HurstIndex(0.5 * (1.0 - self.alpha))
-
 
 @dataclass(frozen=True, eq=False)
 class HContinuityResult:
     """Sup distance of covariances from a reference roughness index."""
 
     hursts: tuple
-    reference: HurstIndex
     sups: np.ndarray
-    pairs: tuple
 
 
 _LN2 = math.log(2.0)
@@ -236,8 +230,7 @@ def h_convergence(eqn: EquationKind, hursts, reference, *,
     ref_vals = _closed_cov(eqn, ref, *ends)
     sups = np.array([np.max(np.abs(_closed_cov(eqn, h, *ends) - ref_vals))
                      for h in hs])
-    return HContinuityResult(hursts=hs, reference=ref, sups=sups,
-                             pairs=pair_list)
+    return HContinuityResult(hursts=hs, sups=sups)
 
 
 def _heat_smoothing_constant(alpha: float) -> float:

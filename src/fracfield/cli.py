@@ -191,17 +191,23 @@ def _eta_from_csv(path: str, grid: PointGrid) -> np.ndarray:
     return raw[:, 2].reshape(grid.n_t + 1, grid.n_x + 1)
 
 
-def _eta_from(cfg: dict, args, eqn: EquationKind, data: InitialData,
+def _eta_from(cfg: dict, args, eqn: EquationKind,
               grid: PointGrid) -> np.ndarray:
-    """Resolve the forcing: a CSV file or a named built-in profile."""
+    """Resolve the forcing: the initial-data term (the default), a CSV
+    file or a named built-in profile.  Only the first reads ``initial``,
+    and the others refuse it rather than drop it."""
     path = _setting(cfg, args, "eta.csv", "text", None)
+    kind = ("initial" if _setting(cfg, args, "eta", "object", None) is None
+            else "csv" if path is not None
+            else _setting(cfg, args, "eta.kind", "text"))
+    if kind == "initial":
+        return initial_term_grid(eqn, _initial_from(cfg, args), grid).values
+    if _setting(cfg, args, "initial", "object", None) is not None:
+        raise ValueError(f"initial is read only by eta kind 'initial', the "
+                         f"default, not by eta {kind!r}; drop one of them")
     if path is not None:
         return _eta_from_csv(path, grid)
-    kind = ("initial" if _setting(cfg, args, "eta", "object", None) is None
-            else _setting(cfg, args, "eta.kind", "text"))
     shape = (grid.n_t + 1, grid.n_x + 1)
-    if kind == "initial":
-        return initial_term_grid(eqn, data, grid).values
     if kind == "zero":
         return np.zeros(shape)
     if kind == "constant":
@@ -303,14 +309,14 @@ def _cmd_solve_det(cfg: dict, args) -> _Run:
     eqn = _setting(cfg, args, "equation", "equation")
     grid = _grid_from(cfg, args)
     drift = _drift_from(cfg, args)
-    data = _initial_from(cfg, args)
-    eta = _eta_from(cfg, args, eqn, data, grid)
+    eta = _eta_from(cfg, args, eqn, grid)
     fields, solve = solve_replicates(eqn, drift, grid, eta[None])
     table = (("t", "x", "value"), (grid.times()[:, None],
                                    grid.positions()[None], fields[0]))
     return _Run(config={
         "equation": eqn.value, "drift": drift.name,
         "eta": _setting(cfg, args, "eta", "object", {"kind": "initial"}),
+        "initial": _setting(cfg, args, "initial", "object", {}),
         "grid": asdict(grid)},
         artifacts={"field.csv": table},
         diagnostics={"solve": asdict(solve)})
@@ -329,6 +335,7 @@ def _cmd_simulate(cfg: dict, args) -> _Run:
         "equation": config.eqn.value, "hurst": config.hurst.value,
         "drift": config.drift.name, "master_seed": config.master_seed,
         "n_replicates": config.n_replicates,
+        "initial": _setting(cfg, args, "initial", "object", {}),
         "truncation_ladder": None if ladder is None
         else [float(m) for m in ladder], "grid": asdict(config.grid)}
     if ladder is not None:

@@ -8,10 +8,8 @@ The centered solution of the linear equation has covariance
 where TK is the time integral of the product of the propagator's Fourier
 multipliers.  Covariances and increment moments are closed forms here,
 in the coordinates of point pairs through one pair geometry for every
-caller.  The spectral form, TK included
-(:func:`fracfield.oracle.time_kernel`), belongs to the quadrature
-oracle (:mod:`fracfield.oracle`), the independent route the tests
-check against.  Sampling lives in :mod:`fracfield.sampler`.
+caller; the tests integrate the spectral form as their independent
+check.  Sampling lives in :mod:`fracfield.sampler`.
 """
 
 from __future__ import annotations

@@ -48,7 +48,6 @@ __all__ = [
     "make_drift",
     "make_initial_data",
     "DRIFT_KINDS",
-    "INITIAL_KINDS",
 ]
 
 _PROBE_Z = np.linspace(-8.0, 8.0, 321)
@@ -708,16 +707,15 @@ def _profile_bump(a=1.0, w=1.0):
 
 _PROFILES = {"zero": _profile_zero, "const": _profile_const,
              "sin": _profile_sin, "bump": _profile_bump}
-INITIAL_KINDS = tuple(_PROFILES)
 
 
 def make_initial_data(u0=("zero", {}), v0=None) -> InitialData:
     """Build initial data from registry profile descriptions.
 
-    Each profile is ``(kind, params)`` with kind in ``INITIAL_KINDS``;
-    ``v0=None`` means zero initial speed (skipped entirely).  A parameter
-    the profile does not take, or one that is not finite, raises
-    ``ValueError``.
+    Each profile is ``(kind, params)``, kind one of ``zero``, ``const``,
+    ``sin`` and ``bump``; ``v0=None`` means zero initial speed (skipped
+    entirely).  A parameter the profile does not take, or one that is not
+    finite, raises ``ValueError``.
     """
     u = _built(_PROFILES, "initial profile", *u0)
     v = None if v0 is None else _built(_PROFILES, "initial profile", *v0)

@@ -4,8 +4,7 @@ Validation problems (bad arguments, malformed configs) raise plain
 ``ValueError`` / ``TypeError`` so they compose with stdlib expectations.
 The classes here mark *numerical* failures: a caller that catches
 ``NumericalError`` knows the inputs were legal but the computation could
-not be completed to tolerance.  The quadrature oracle raises its own
-subclass, :class:`fracfield.oracle.QuadratureError`.
+not be completed to tolerance.
 """
 
 from __future__ import annotations

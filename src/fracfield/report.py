@@ -40,7 +40,6 @@ __all__ = [
     "render_csv",
     "write_csv",
     "write_json",
-    "sha256_of",
 ]
 
 ARTIFACT_VERSION = 1
@@ -328,8 +327,3 @@ def write_json(path, obj) -> str:
     data = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
     path.write_bytes(data)
     return hashlib.sha256(data).hexdigest()
-
-
-def sha256_of(path) -> str:
-    """SHA-256 hex digest of an existing file."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -5,9 +5,8 @@ The driving noise is white in time and fractional in space with Hurst
 index H in (0, 1); its spatial spectral measure has density
 ``noise_constant(H) * |xi|^(1-2H)``.  All existence and regularity
 statements funnel through weighted integrals of the squared propagator
-multipliers.  They are closed forms here.  The multipliers themselves
-and the integrated route to the same integrals live in the quadrature
-oracle (:mod:`fracfield.oracle`), which the closed forms never use.
+multipliers.  They are closed forms here; the tests integrate the
+multipliers numerically as an independent check.
 """
 
 from __future__ import annotations
@@ -177,14 +176,6 @@ def gaussian_abs_moment(p: float) -> float:
     return 2.0 ** (p / 2.0) * _gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
 
 
-def _check_alpha_horizon(alpha: float, horizon: float) -> None:
-    if not -1.0 < alpha < 1.0:
-        raise ValueError(
-            f"spectral exponent must lie in (-1, 1), got {alpha}")
-    if not horizon > 0.0:
-        raise ValueError(f"time horizon must be positive, got {horizon}")
-
-
 def dalang_integral_closed(eqn: EquationKind, alpha: float,
                            horizon: float) -> float:
     """Closed form of the time-integrated squared-multiplier integral.
@@ -192,14 +183,17 @@ def dalang_integral_closed(eqn: EquationKind, alpha: float,
     The quantity is ``int_0^T int_R |m(t, xi)|^2 |xi|^alpha dxi dt``,
     with m the propagator's Fourier multiplier (``sin(t |xi|) / |xi|``
     for the wave, ``exp(-t xi^2 / 2)`` for the heat), finite exactly for
-    alpha in (-1, 1).  :func:`fracfield.oracle.dalang_integral_quad`
-    integrates it numerically.
+    alpha in (-1, 1).
 
     Wave: ``2^(1-alpha) * C(alpha) * T^(2-alpha) / (2-alpha)`` with
     C(alpha) = :func:`cos_integral_constant`.
     Heat: ``(2/(1-alpha)) * Gamma((alpha+1)/2) * T^((1-alpha)/2)``.
     """
-    _check_alpha_horizon(alpha, horizon)
+    if not -1.0 < alpha < 1.0:
+        raise ValueError(
+            f"spectral exponent must lie in (-1, 1), got {alpha}")
+    if not horizon > 0.0:
+        raise ValueError(f"time horizon must be positive, got {horizon}")
     T = horizon
     if eqn is EquationKind.WAVE:
         return (2.0 ** (1.0 - alpha) * cos_integral_constant(alpha)

@@ -1,7 +1,7 @@
 """Independent numeric routes that the tests check the run-time path
 against.
 
-Every covariance-type quantity in this package reduces to integrals of the
+Every covariance-type quantity of fracfield reduces to integrals of the
 form ``int_0^inf W(xi) xi^alpha dxi`` with ``alpha in (-1, 1)``, where W is
 built from Fourier multipliers of the heat or wave propagator and cosine
 factors.  The run-time path evaluates all of them in closed form; this
@@ -14,7 +14,7 @@ two routes that the grid solver of :mod:`fracfield.det_solver` is checked
 against: :func:`ode_oracle`, the scalar Volterra solution for forcing
 constant in space, and :func:`picard_oracle`, global Picard iteration of
 the whole grid to a tight tolerance instead of the solver's causal
-march.  Nothing the CLI imports loads it; the tests do.
+march.  It lives with the tests, outside the installed package.
 
 The engine splits the half line into three zones:
 
@@ -38,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .det_solver import DriftSpec, GridFunction, picard_apply
-from .errors import MaxIterExceededError, NumericalError
-from .spectral import EquationKind, _check_alpha_horizon
+from fracfield.det_solver import DriftSpec, GridFunction, picard_apply
+from fracfield.errors import MaxIterExceededError, NumericalError
+from fracfield.spectral import EquationKind
 
 __all__ = [
     "QuadratureSpec",
@@ -593,7 +593,11 @@ def dalang_integral_quad(eqn: EquationKind, alpha: float, horizon: float,
     :func:`fracfield.spectral.dalang_integral_closed`, so the two routes
     are independent.
     """
-    _check_alpha_horizon(alpha, horizon)
+    if not -1.0 < alpha < 1.0:
+        raise ValueError(
+            f"spectral exponent must lie in (-1, 1), got {alpha}")
+    if not horizon > 0.0:
+        raise ValueError(f"time horizon must be positive, got {horizon}")
     q = quad or DEFAULT_QUAD
     T = horizon
     if eqn is EquationKind.WAVE:

@@ -22,7 +22,8 @@ from fracfield import (Direction, EquationKind, GridFunction, HurstIndex,
                        truncation_ladder_run,
                        verify_lemma_bound)
 from fracfield.cli import main
-from fracfield.oracle import dalang_integral_quad, ode_oracle, picard_oracle
+
+from oracle import dalang_integral_quad, ode_oracle, picard_oracle
 
 HEAT = EquationKind.HEAT
 WAVE = EquationKind.WAVE

@@ -6,6 +6,7 @@ determinism of artifacts, manifests whose digests match the files, and
 documented exit codes (1 configuration, 2 numerical).
 """
 
+import hashlib
 import json
 import math
 import os
@@ -19,7 +20,6 @@ import pytest
 import fracfield
 from fracfield import cli, report
 from fracfield.cli import main
-from fracfield.report import sha256_of
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -38,7 +38,8 @@ def assert_manifest_digests(out_dir):
     assert manifest["artifact_version"] == 1
     assert manifest["wall_clock_seconds"] >= 0.0
     for name, digest in manifest["outputs"].items():
-        assert sha256_of(out_dir / name) == digest
+        assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() \
+            == digest
     return manifest
 
 
@@ -113,13 +114,6 @@ def test_callable_wave_v0_loads_no_scipy():
     err, loaded = done.stdout.splitlines()
     assert float(err) <= 1e-12
     assert loaded == "[]"
-
-
-def test_import_leaves_quadrature_oracle_unloaded():
-    # Every run-time quantity is a closed form; the quadrature engine is
-    # the tests' independent route and loads only when called.
-    assert not {"fracfield.oracle", "fracfield.quadrature"} \
-        & _loaded_by_cli_import()
 
 
 class TestConstants:
@@ -850,6 +844,12 @@ MALFORMED = {
         SIM_CONFIG, initial=HEAT_WITH_V0), "v0"),
     "heat-v0-solve-det": (["solve-det", "--equation", "heat"], dict(
         SIM_CONFIG, initial=HEAT_WITH_V0), "v0"),
+    # An explicit forcing reads no initial data, so it refuses some; the
+    # CSV is refused before it is looked for.
+    "initial-with-eta-zero": (["solve-det", "--equation", "heat"], dict(
+        SIM_CONFIG, initial=HEAT_WITH_V0, eta={"kind": "zero"}), "initial"),
+    "initial-with-eta-csv": (["solve-det", "--equation", "wave"], dict(
+        SIM_CONFIG, eta={"csv": "absent.csv"}), "initial"),
     # Two alphas that the summary keys would show alike.
     "lemmas-alphas-collide": (["verify-lemmas"], {
         "lemmas": {"alphas": [0.5, 0.5000001]}}, "lemmas.alphas"),
@@ -953,10 +953,26 @@ RESOLVED = {
         "points": [[0.5, 0.0], [1.0, -0.25]]}),
     "solve-det": (["solve-det", "--equation", "heat"], GRID_2X2, {
         "drift": "zero", "equation": "heat", "eta": {"kind": "initial"},
-        "grid": {"half_width": 0.5, "horizon": 1.0, "n_t": 2, "n_x": 2}}),
+        "grid": {"half_width": 0.5, "horizon": 1.0, "n_t": 2, "n_x": 2},
+        "initial": {}}),
     "simulate": (["simulate"], dict(GRID_2X2, equation="wave", hurst=0.4), {
         "drift": "zero", "equation": "wave",
         "grid": {"half_width": 0.5, "horizon": 1.0, "n_t": 2, "n_x": 2},
+        "initial": {},
+        "hurst": 0.4, "jitter_used": 0.0, "master_seed": 0,
+        "n_replicates": 1, "truncation_ladder": None}),
+    # The initial data as given, so that runs apart only in it differ.
+    "solve-det-initial": (["solve-det", "--equation", "heat"], dict(
+        GRID_2X2, initial={"u0": {"kind": "sin"}}), {
+        "drift": "zero", "equation": "heat", "eta": {"kind": "initial"},
+        "grid": {"half_width": 0.5, "horizon": 1.0, "n_t": 2, "n_x": 2},
+        "initial": {"u0": {"kind": "sin"}}}),
+    "simulate-initial": (["simulate"], dict(
+        GRID_2X2, equation="wave", hurst=0.4,
+        initial={"u0": {"kind": "const", "params": {"c": 2.0}}}), {
+        "drift": "zero", "equation": "wave",
+        "grid": {"half_width": 0.5, "horizon": 1.0, "n_t": 2, "n_x": 2},
+        "initial": {"u0": {"kind": "const", "params": {"c": 2.0}}},
         "hurst": 0.4, "jitter_used": 0.0, "master_seed": 0,
         "n_replicates": 1, "truncation_ladder": None}),
     "hoelder": (["hoelder", "--equation", "wave", "--hurst", "0.3"], None, {
@@ -1097,7 +1113,8 @@ def test_csv_digests_are_pinned(tmp_path, run):
     out = tmp_path / "run"
     assert main([*argv, "--config", write_config(tmp_path, config),
                  "--out", str(out)]) == 0
-    written = {p.name: sha256_of(p) for p in out.glob("*.csv")}
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.glob("*.csv")}
     assert written == digests
 
 

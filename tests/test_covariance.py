@@ -23,7 +23,8 @@ from fracfield import (EquationKind, HurstIndex, NumericalError, PointGrid,
 from fracfield.covariance import (_COV_BLOCK_ROWS, _HEAT_FAR_ARG,
                                   _HEAT_PAIR_RATIO, _closed_incr, _cone_lag,
                                   _heat_near, _heat_pair, _kummer, _kummer_m1)
-from fracfield.oracle import DEFAULT_QUAD, _assemble
+
+from oracle import DEFAULT_QUAD, _assemble
 
 
 def rel_err(value, truth):

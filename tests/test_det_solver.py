@@ -23,7 +23,8 @@ from fracfield import (DriftSpec, EquationKind, GridFunction, HurstIndex,
                        factor_psd, initial_term, initial_term_grid,
                        make_drift, make_initial_data, picard_apply,
                        sample_field, solve_replicates)
-from fracfield.oracle import ode_oracle, picard_oracle
+
+from oracle import ode_oracle, picard_oracle
 
 HEAT = EquationKind.HEAT
 WAVE = EquationKind.WAVE

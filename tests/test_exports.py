@@ -8,16 +8,19 @@ fail while ordinary imports of other names keep working.
 
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 
 import pytest
 
 import fracfield
+import oracle
 
+# The package's modules, and the test oracles' module beside the tests.
 MODULES = ["fracfield"] + sorted(
     f"fracfield.{info.name}"
-    for info in pkgutil.iter_modules(fracfield.__path__))
+    for info in pkgutil.iter_modules(fracfield.__path__)) + ["oracle"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -69,17 +72,22 @@ def test_solver_controls_are_gone():
     assert "MarchRecord" in fracfield.__all__
 
 
-def test_picard_oracle_lives_in_oracle():
-    from fracfield import det_solver, oracle
-    assert "picard_oracle" in oracle.__all__
-    assert not hasattr(det_solver, "picard_oracle")
+def test_test_oracles_are_not_installed():
+    # Every run-time quantity is a closed form.  The quadrature engine and
+    # the solver's Volterra and Picard routes are the tests' independent
+    # checks, and live in tests/oracle.py, not in the package.
+    for name in ("fracfield.oracle", "fracfield.quadrature"):
+        assert importlib.util.find_spec(name) is None
+    assert {"spectral_integral", "ode_oracle",
+            "picard_oracle"} <= set(oracle.__all__)
 
 
-# Test oracles live in fracfield.oracle, not in the run-time modules.
+# Test oracles live with the tests, not in the run-time modules.
 @pytest.mark.parametrize("module, name", [
     ("fracfield", "ode_oracle"),
     ("fracfield", "fit_hoelder_mc"),
     ("fracfield.det_solver", "ode_oracle"),
+    ("fracfield.det_solver", "picard_oracle"),
     ("fracfield.analysis", "fit_hoelder_mc"),
     ("fracfield.analysis", "_lag_pairs"),
 ])
@@ -89,19 +97,14 @@ def test_test_oracles_left_the_run_time_modules(module, name):
     assert not hasattr(mod, name)
 
 
-def test_ode_oracle_lives_in_oracle():
-    from fracfield import oracle
-    assert "ode_oracle" in oracle.__all__
-    assert callable(oracle.ode_oracle)
-
-
 def test_analysis_does_not_sample():
     from fracfield import analysis
     for name in ("factor_psd", "sample_field", "cov_matrix"):
         assert not hasattr(analysis, name)
 
 
-# Result fields that only echoed a call's inputs are gone too.
+# Result fields that only echoed a call's inputs, and a property that
+# only a test read, are gone too.
 @pytest.mark.parametrize("cls, gone", [
     ("DriftSpec", {"truncation_level"}),
     ("PsdFactor", {"points"}),
@@ -113,16 +116,20 @@ def test_analysis_does_not_sample():
     ("LadderResult", {"config"}),
     ("HContinuityResult", {"eqn"}),
     ("LemmaReport", {"kind", "eqn", "horizon"}),
+    ("HContinuityResult", {"reference", "pairs"}),
+    ("LemmaReport", {"hurst"}),
 ])
 def test_unread_fields_are_gone(cls, gone):
     from fracfield import analysis
-    owner = fracfield if hasattr(fracfield, cls) else analysis
-    names = {f.name for f in dataclasses.fields(getattr(owner, cls))}
+    owner = getattr(fracfield if hasattr(fracfield, cls) else analysis, cls)
+    names = {f.name for f in dataclasses.fields(owner)}
     assert not names & gone
+    assert not [name for name in gone if hasattr(owner, name)]
 
 
-# The increment-bound constant dispatcher and the one-point
-# Kolmogorov-Smirnov distance, which no run or check used, are gone.
+# The increment-bound constant dispatcher, the one-point
+# Kolmogorov-Smirnov distance and the names that only tests read are
+# gone.
 @pytest.mark.parametrize("module, name", [
     ("fracfield", "LemmaConstantKind"),
     ("fracfield", "lemma_constant"),
@@ -131,6 +138,9 @@ def test_unread_fields_are_gone(cls, gone):
     ("fracfield", "marginal_distance"),
     ("fracfield.analysis", "marginal_distance"),
     ("fracfield.analysis", "_ndtr"),
+    ("fracfield.report", "sha256_of"),
+    ("fracfield.spectral", "_check_alpha_horizon"),
+    ("fracfield.det_solver", "INITIAL_KINDS"),
 ])
 def test_unused_constants_and_distances_are_gone(module, name):
     mod = importlib.import_module(module)

@@ -13,9 +13,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
 
-from fracfield.oracle import (QuadratureError, QuadratureSpec, osc_power_tail,
-                             power_tail, spectral_integral)
 from fracfield.spectral import cos_integral_constant
+
+from oracle import (QuadratureError, QuadratureSpec, osc_power_tail,
+                    power_tail, spectral_integral)
 
 QUAD = QuadratureSpec()
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from fracfield import report
 from fracfield.report import (_CHUNK_ROWS, _NUMPY_MIN_CELLS, ARTIFACT_VERSION,
-                              render_csv, sha256_of, write_csv, write_json)
+                              render_csv, write_csv, write_json)
 
 
 def reference_csv(header, rows) -> bytes:
@@ -37,7 +37,6 @@ class TestWriteCsv:
         data = path.read_bytes()
         assert data == b"a,b,c\n1,0.5,x\n2,3,y\n"
         assert digest == hashlib.sha256(data).hexdigest()
-        assert digest == sha256_of(path)
 
     def test_matches_per_cell_reference(self, tmp_path):
         ints = [0, -1, 2 ** 53 + 1, 2 ** 62 + 3, -(2 ** 63), np.int64(7)]
@@ -399,15 +398,3 @@ class TestWriteJson:
         d1 = write_json(tmp_path / "a.json", {"x": 1, "y": 2})
         d2 = write_json(tmp_path / "b.json", {"y": 2, "x": 1})
         assert d1 == d2
-
-
-class TestSha256Of:
-    def test_matches_hashlib(self, tmp_path):
-        path = tmp_path / "blob.bin"
-        path.write_bytes(b"\x00\x01payload")
-        assert sha256_of(path) \
-            == hashlib.sha256(b"\x00\x01payload").hexdigest()
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            sha256_of(tmp_path / "absent.bin")

@@ -15,8 +15,9 @@ from scipy import integrate, special
 
 from fracfield import (EquationKind, HurstIndex, dalang_integral_closed,
                        noise_constant)
-from fracfield.oracle import dalang_integral_quad, fourier_kernel, time_kernel
 from fracfield.spectral import _gamma, cos_integral_constant
+
+from oracle import dalang_integral_quad, fourier_kernel, time_kernel
 
 
 def rel_err(value, truth):
