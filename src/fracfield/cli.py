@@ -38,7 +38,7 @@ from .det_solver import (InitialData, PointGrid, drift_truncate,
 from .errors import NumericalError
 from .quasilinear import SimulationConfig, simulate, truncation_ladder_run
 from .report import ARTIFACT_VERSION, render_csv, write_csv, write_json
-from .sampler import factor_psd, sample_field
+from .sampler import _openblas_thread_api, factor_psd, sample_field
 from .spectral import (EquationKind, HurstIndex, dalang_integral_closed,
                        noise_constant)
 
@@ -217,7 +217,8 @@ def _eta_from(cfg: dict, args, eqn: EquationKind,
         return np.broadcast_to(np.sin(rate * grid.times())[:, None],
                                shape).copy()
     raise ValueError(f"unknown eta kind {kind!r}; use 'initial', 'zero', "
-                     f"'constant', 'sin_time', or 'csv'")
+                     f"'constant' or 'sin_time', or name a CSV forcing "
+                     f"with the eta.csv key")
 
 
 @dataclass
@@ -338,6 +339,8 @@ def _cmd_simulate(cfg: dict, args) -> _Run:
         "initial": _setting(cfg, args, "initial", "object", {}),
         "truncation_ladder": None if ladder is None
         else [float(m) for m in ladder], "grid": asdict(config.grid)}
+    # The sampler's BLAS calls run on one OpenBLAS thread when it is found.
+    blas = {"blas_threads": 1 if _openblas_thread_api() else None}
     if ladder is not None:
         result = truncation_ladder_run(config, ladder)
         return _Run(config=described, master_seed=config.master_seed,
@@ -350,7 +353,7 @@ def _cmd_simulate(cfg: dict, args) -> _Run:
                             (result.levels[:-1],
                              result.deviation_consecutive))},
                     diagnostics={"solves": [asdict(s) for s in
-                                            result.solves]})
+                                            result.solves], **blas})
     result = simulate(config)
     described["jitter_used"] = result.jitter_used
     n_reps = result.fields.shape[0]
@@ -367,7 +370,7 @@ def _cmd_simulate(cfg: dict, args) -> _Run:
     return _Run(config=described, master_seed=config.master_seed,
                 artifacts={"fields.csv": fields, "noise.csv": noise,
                            "summary.json": summary},
-                diagnostics={"solve": asdict(result.solve)})
+                diagnostics={"solve": asdict(result.solve), **blas})
 
 
 def _cmd_hoelder(cfg: dict, args) -> _Run:

@@ -32,6 +32,7 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
 from .errors import MaxIterExceededError, NumericalError
+from .sampler import _one_blas_thread
 from .spectral import EquationKind
 
 __all__ = [
@@ -227,8 +228,10 @@ def _v0_span(v0, t: float, x: np.ndarray) -> np.ndarray:
     + 1e-10 |I|``, or where either is not finite, raises
     :class:`NumericalError` naming its (t, x).
     """
-    low, high = (t * (_vec_eval(v0, x[:, None] + t * nodes[None, :], "v0")
-                      @ weights) for nodes, weights in _legendre_rules())
+    with _one_blas_thread():
+        low, high = (t * (_vec_eval(v0, x[:, None] + t * nodes[None, :],
+                                    "v0") @ weights)
+                     for nodes, weights in _legendre_rules())
     bad = ~(np.abs(high - low) <= 1e-12 + 1e-10 * np.abs(high))
     if bad.any():
         i = int(np.argmax(bad))
@@ -263,7 +266,8 @@ def initial_term(eqn: EquationKind, data: InitialData, t: float, x):
     elif eqn is EquationKind.HEAT:
         pts = x_arr[:, None] + math.sqrt(2.0 * t) * _HERMITE_NODES[None, :]
         vals = _vec_eval(data.u0, pts, "u0")
-        out = (vals @ _HERMITE_WEIGHTS) / math.sqrt(math.pi)
+        with _one_blas_thread():
+            out = (vals @ _HERMITE_WEIGHTS) / math.sqrt(math.pi)
     elif eqn is EquationKind.WAVE:
         out = 0.5 * (_vec_eval(data.u0, x_arr + t, "u0")
                      + _vec_eval(data.u0, x_arr - t, "u0"))

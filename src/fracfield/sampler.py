@@ -6,10 +6,17 @@ is the same bit pattern no matter how many replicates are requested or
 in what order they are drawn.  Uniform draws are mapped to normals
 through the inverse CDF, keeping the stream usage per replicate a fixed,
 documented quantity (one 53-bit uniform per matrix dimension).
+
+The package's dense linear algebra, here and in the solver's Gauss
+rules, runs inside :func:`_one_blas_thread`: one OpenBLAS thread, so a
+result has the same bits on any host and no second core spins after it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +39,10 @@ __all__ = [
 _JITTER_START = 1e-12
 _JITTER_CAP = 1e-6
 _BELOW_ONE = np.nextafter(1.0, 0.0)
+# Replicates per sampling product.  OpenBLAS may sum a row of a product
+# in another order at another row count; products of one fixed shape
+# sum every row alike.
+_BLOCK_ROWS = 64
 
 # Moshier's Cephes ``ndtri`` (Methods and Programs for Mathematical
 # Functions, 1989), the routine scipy.special.ndtri compiles.  P0/Q0
@@ -121,7 +132,8 @@ def factor_psd(cov: CovarianceMatrix) -> PsdFactor:
         raise NotPsdError("a node of zero variance has nonzero covariance "
                           "with another node", jitter_max=0.0)
     live = np.ix_(~fixed, ~fixed)
-    block, jitter = _cholesky_ladder(a[live])
+    with _one_blas_thread():
+        block, jitter = _cholesky_ladder(a[live])
     lower = np.zeros_like(a)
     lower[live] = block
     return PsdFactor(lower=lower, jitter_used=jitter)
@@ -148,6 +160,44 @@ def _cholesky_ladder(a: np.ndarray) -> tuple:
     raise NotPsdError(
         "covariance not positive semidefinite within the jitter ladder "
         f"(max jitter tried {cap:.3e})", jitter_max=cap)
+
+
+@functools.cache
+def _openblas_thread_api() -> tuple | None:
+    """OpenBLAS's get and set thread-count functions, looked up on first
+    use in the library numpy links, or None under any other BLAS."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+        try:
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}")
+            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        set_.argtypes, set_.restype = (ctypes.c_int,), None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the calls inside on one OpenBLAS thread, then restore the
+    previous count.  The count is process-global, so BLAS calls from
+    other Python threads meanwhile run on one thread too."""
+    pair = _openblas_thread_api()
+    if pair is None:
+        yield
+        return
+    get, set_ = pair
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def replicate_stream(master_seed: int, replicate_index: int
@@ -226,14 +276,21 @@ def sample_field(factor: PsdFactor, master_seed: int,
 
     Row i is ``lower @ z_i`` with ``z_i`` from ``replicate_stream(
     master_seed, i)``; doubling ``n_replicates`` reproduces the first
-    half bit for bit.
+    half bit for bit.  The product runs in blocks of a fixed number of
+    replicates, the last one zero-padded, so that every row is summed
+    in the same order whatever the replicate count.
     """
     if n_replicates < 1:
         raise ValueError(f"need at least one replicate, got {n_replicates}")
     k = factor.lower.shape[0]
-    u = np.empty((n_replicates, k))
+    rows = -(-n_replicates // _BLOCK_ROWS) * _BLOCK_ROWS
+    z = np.zeros((rows, k))
     for i in range(n_replicates):
-        u[i] = _uniforms(replicate_stream(master_seed, i), k)
+        z[i] = _uniforms(replicate_stream(master_seed, i), k)
     # One transform over all replicates: the same normals as
     # standard_normals per replicate, at a fraction of the call overhead.
-    return FieldSample(values=_ndtri(u) @ factor.lower.T)
+    z[:n_replicates] = _ndtri(z[:n_replicates])
+    with _one_blas_thread():
+        values = (z.reshape(rows // _BLOCK_ROWS, _BLOCK_ROWS, k)
+                  @ factor.lower.T)
+    return FieldSample(values=values.reshape(rows, k)[:n_replicates])

@@ -11,7 +11,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from fracfield import (Direction, EquationKind, GridFunction, HurstIndex,
                        PointGrid, ShiftKind, SimulationConfig, conv_cov,

@@ -20,6 +20,7 @@ import pytest
 import fracfield
 from fracfield import cli, report
 from fracfield.cli import main
+from fracfield.sampler import _openblas_thread_api
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -867,6 +868,19 @@ def test_malformed_setting_exits_one_naming_its_key(tmp_path, capsys, case):
     assert err.count("\n") == 1 and f" {key} " in err
 
 
+def test_eta_kind_csv_names_the_csv_key(tmp_path, capsys):
+    # A CSV forcing is selected by the eta.csv key, not by a kind.
+    config = {key: value for key, value in SIM_CONFIG.items()
+              if key != "initial"}
+    config["eta"] = {"kind": "csv"}
+    assert main(["solve-det", "--config",
+                 write_config(tmp_path, config)]) == 1
+    assert capsys.readouterr().err == (
+        "fracfield: invalid configuration: unknown eta kind 'csv'; use "
+        "'initial', 'zero', 'constant' or 'sin_time', or name a CSV "
+        "forcing with the eta.csv key\n")
+
+
 @pytest.mark.parametrize("blocked", ["out", "artifact"])
 def test_unwritable_output_exits_one_with_one_line(tmp_path, capsys,
                                                    blocked):
@@ -1125,9 +1139,13 @@ def test_manifest_times_compute_and_writes_apart(tmp_path):
                  "--out", str(out)]) == 0
     manifest = assert_manifest_digests(out)
     timings = manifest["diagnostics"]
-    assert set(timings) == {"compute_s", "write_s", "write", "solve"}
+    assert set(timings) == {"compute_s", "write_s", "write", "solve",
+                            "blas_threads"}
     assert timings["solve"] == {"method": "explicit_march",
                                 "pointwise_iterations": []}
+    # The sampler's BLAS calls ran on one OpenBLAS thread, if it is one.
+    assert timings["blas_threads"] == (
+        None if _openblas_thread_api() is None else 1)
     assert timings["compute_s"] >= 0.0 and timings["write_s"] >= 0.0
     assert timings["compute_s"] + timings["write_s"] \
         <= manifest["wall_clock_seconds"]

@@ -14,16 +14,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from fracfield import (EquationKind, NotPsdError, cov_matrix, factor_psd,
-                       replicate_stream, sample_field, standard_normals)
+from fracfield import (EquationKind, NotPsdError, PointGrid, cov_matrix,
+                       factor_psd, replicate_stream, sample_field,
+                       standard_normals)
 from fracfield.covariance import CovarianceMatrix
-from fracfield.sampler import _EXP_M2, _ndtri, _uniforms
+from fracfield.sampler import (_EXP_M2, _ndtri, _openblas_thread_api,
+                               _uniforms)
 
 
 def make_cov(entries):
     entries = np.asarray(entries, dtype=float)
     points = tuple((1.0, float(j)) for j in range(entries.shape[0]))
     return CovarianceMatrix(points=points, entries=entries)
+
+
+@pytest.fixture(scope="module")
+def wave_cov():
+    """The 561-node covariance of the sim_wave benchmark: wave, H = 0.3,
+    on a 17 x 33 grid of [0, 1] x [-1, 1]."""
+    grid = PointGrid(horizon=1.0, half_width=1.0, n_t=16, n_x=32)
+    return cov_matrix(EquationKind.WAVE, 0.3, np.stack(grid.nodes(), axis=1))
 
 
 class TestFactorPsd:
@@ -161,6 +171,35 @@ class TestSampleField:
         big = sample_field(factor, 99, 8).values
         small = sample_field(factor, 99, 3).values
         assert np.array_equal(big[:3], small)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_replicate_prefix_stable_at_full_size(self, wave_cov, n):
+        # At k = 561 the rows of one product depend on its row count
+        # unless the product runs in blocks of a fixed size.
+        factor = factor_psd(wave_cov)
+        big = sample_field(factor, 3, 400).values
+        assert np.array_equal(sample_field(factor, 3, n).values, big[:n])
+
+    def test_bits_do_not_depend_on_blas_threads(self, wave_cov):
+        blas = _openblas_thread_api()
+        if blas is None:
+            pytest.skip("numpy does not link OpenBLAS here")
+        get, set_ = blas
+        host = get()
+        try:
+            set_(1)
+            one = factor_psd(wave_cov)
+            set_(2)
+            if get() != 2:
+                pytest.skip("OpenBLAS does not run 2 threads here")
+            two = factor_psd(wave_cov)
+            assert np.array_equal(two.lower, one.lower)
+            assert np.array_equal(sample_field(two, 5, 130).values,
+                                  sample_field(one, 5, 130).values)
+            # The sampler restores the count it found.
+            assert get() == 2
+        finally:
+            set_(host)
 
     def test_marginal_variances_within_four_se(self):
         sigma2 = np.array([4.0, 0.25])
