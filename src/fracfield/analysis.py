@@ -17,6 +17,7 @@ import numpy as np
 
 from .covariance import (_as_hurst, _closed_cov, _closed_incr, _nodes,
                          _second_diff)
+from .errors import NumericalError
 from .spectral import (EquationKind, HurstIndex, _gamma, cos_integral_constant,
                        gaussian_abs_moment, noise_constant)
 
@@ -306,6 +307,8 @@ def verify_lemma_bound(kind: ShiftKind, eqn: EquationKind, alpha: float, *,
     the Gaussian and Mellin-transform sums of :func:`_heat_time_lhs` and
     :func:`_wave_time_lhs`.  Every ratio must stay at or below one (up
     to roundoff) and the lhs must vanish monotonically with the shift.
+    A row whose lhs is not finite or whose rhs is not a positive double
+    raises :class:`NumericalError` naming its shift.
     """
     if not horizon > 0.0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
@@ -332,16 +335,26 @@ def verify_lemma_bound(kind: ShiftKind, eqn: EquationKind, alpha: float, *,
         const = (2.0 * cos_integral_constant(alpha)
                  * (horizon if eqn is EquationKind.WAVE else 2.0))
     elif eqn is EquationKind.HEAT:
-        lhs_all = _heat_time_lhs(alpha, horizon, shift_np)
+        with np.errstate(all="ignore"):
+            lhs_all = _heat_time_lhs(alpha, horizon, shift_np)
         const = 2.0 * _heat_smoothing_constant(alpha)
         power = 0.5 * (1.0 - alpha)
     else:
-        lhs_all = _wave_time_lhs(alpha, horizon, shift_np)
+        with np.errstate(all="ignore"):
+            lhs_all = _wave_time_lhs(alpha, horizon, shift_np)
         hurst = h_idx.value
         const = 4.0 * (1.0 / hurst + 1.0 / (1.0 - hurst)) * horizon
     rows = []
     for h, lhs in zip(shift_arr, lhs_all.tolist()):
-        rhs = const * h ** power
+        try:
+            rhs = const * h ** power
+        except OverflowError:
+            rhs = math.inf
+        if not (math.isfinite(lhs) and 0.0 < rhs < math.inf):
+            raise NumericalError(
+                f"{kind.value}:{eqn.value}:alpha={alpha:g} at shift {h!r} "
+                f"has lhs {lhs!r} and rhs {rhs!r}: the shift or horizon "
+                f"leaves the range of double precision")
         rows.append(LemmaRow(shift=h, lhs=lhs, rhs=rhs, ratio=lhs / rhs))
     max_ratio = max(r.ratio for r in rows)
     monotone = all(b.lhs >= a.lhs - 1e-12

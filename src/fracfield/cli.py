@@ -45,15 +45,6 @@ from .spectral import (EquationKind, HurstIndex, dalang_integral_closed,
 __all__ = ["main"]
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors exit with code 1, not 2."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(1)
-
-
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -70,11 +61,6 @@ def _load_config(path: str | None) -> dict:
 
 
 _REQUIRED = object()
-
-# The flag, by its argparse name, that overrides a config key.
-_FLAGS = {"equation": "equation", "hurst": "hurst", "master_seed": "seed",
-          "n_replicates": "replicates", "hoelder.direction": "direction",
-          "hoelder.p": "p"}
 
 
 def _finite(value) -> bool:
@@ -119,15 +105,14 @@ def _setting(cfg: dict, args, key: str, kind: str, default=_REQUIRED):
     ``ValueError`` naming the key."""
     parent, _, name = key.rpartition(".")
     section = _setting(cfg, args, parent, "object", {}) if parent else cfg
-    flag = _FLAGS.get(key)
-    value = getattr(args, flag, None) if flag else None
+    value = getattr(args, key, None)
     if value is None:
         value = section.get(name)
     what, test, convert = _KINDS[kind]
     if value is None:
         if default is not _REQUIRED:
             return default
-        use = f"--{flag} or " if flag else ""
+        use = f"{_FLAGS[key][0][0]} or " if hasattr(args, key) else ""
         raise ValueError(f"no {key} given ({what}); use {use}the config")
     if not test(value):
         if isinstance(value, float) and not _finite(value):
@@ -388,18 +373,17 @@ def _cmd_hoelder(cfg: dict, args) -> _Run:
     tolerance = _setting(cfg, args, "hoelder.tolerance", "number", 0.1)
     passed = (not np.isnan(fit.slope)
               and abs(fit.slope - expected) <= tolerance)
-    fit_doc = {
-        "equation": eqn.value, "hurst": h.value,
-        "direction": direction.value, "p": p, "base": list(base),
-        "slope": fit.slope, "expected_slope": expected,
-        "tolerance": tolerance, "within_tolerance": bool(passed),
-        "r_squared": fit.r_squared, "stderr_slope": fit.stderr_slope}
+    settings = {"equation": eqn.value, "hurst": h.value,
+                "direction": direction.value, "p": p, "base": list(base),
+                "expected_slope": expected, "tolerance": tolerance}
     summary = (f"slope {fit.slope:.6g} expected {expected:.6g} "
                f"r2 {fit.r_squared:.6g} "
                f"{'ok' if passed else 'OUT_OF_TOLERANCE'}")
-    return _Run(config=fit_doc, lines=[summary], artifacts={
+    return _Run(config=settings, lines=[summary], artifacts={
         "hoelder_moments.csv": (("lag", "moment"), (fit.lags, fit.moments)),
-        "hoelder_fit.json": fit_doc})
+        "hoelder_fit.json": {
+            **settings, "slope": fit.slope, "within_tolerance": bool(passed),
+            "r_squared": fit.r_squared, "stderr_slope": fit.stderr_slope}})
 
 
 def _cmd_hconv(cfg: dict, args) -> _Run:
@@ -416,18 +400,17 @@ def _cmd_hconv(cfg: dict, args) -> _Run:
     ratio = float(res.sups[-1] / res.sups[0]) if res.sups[0] > 0 else 0.0
     decreasing = bool(np.all(np.diff(res.sups) < 0.0))
     passed = decreasing and float(res.sups[-1]) < float(res.sups[0])
-    summary_obj = {"equation": eqn.value, "reference": reference,
-                   "hursts": [h.value for h in res.hursts],
-                   "sups": [float(s) for s in res.sups],
-                   "strictly_decreasing": decreasing,
-                   "final_over_first": ratio,
-                   "converging": bool(passed)}
+    settings = {"equation": eqn.value, "reference": reference,
+                "hursts": [h.value for h in res.hursts]}
+    sups = [float(s) for s in res.sups]
     summary = (f"final_over_first {ratio:.6g} "
                f"{'ok' if passed else 'NOT_CONVERGING'}")
-    return _Run(config=summary_obj, lines=[summary], artifacts={
+    return _Run(config=settings, lines=[summary], artifacts={
         "hconv_sups.csv": (("hurst", "sup_distance"),
-                           (summary_obj["hursts"], summary_obj["sups"])),
-        "hconv_summary.json": summary_obj})
+                           (settings["hursts"], sups)),
+        "hconv_summary.json": {
+            **settings, "sups": sups, "strictly_decreasing": decreasing,
+            "final_over_first": ratio, "converging": bool(passed)}})
 
 
 def _cmd_verify_lemmas(cfg: dict, args) -> _Run:
@@ -474,8 +457,7 @@ def _cmd_verify_lemmas(cfg: dict, args) -> _Run:
     header = ("kind", "equation", "alpha", "shift", "lhs", "rhs", "ratio")
     # An empty alpha list leaves a table with the header only.
     columns = tuple(zip(*rows)) or ((),) * len(header)
-    return _Run(config={"alphas": alphas, "horizon": horizon,
-                        "summary": summary},
+    return _Run(config={"alphas": alphas, "horizon": horizon},
                 lines=lines, code=0 if all_ok else 2,
                 artifacts={"lemma_margins.csv": (header, columns),
                            "summary.json": summary})
@@ -492,70 +474,67 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# Each flag, by its dest: its option strings and its argparse settings.
+# A dest other than config, out and threads is the config key that the
+# flag overrides.
+_FLAGS = {
+    "config": (("--config",), {"help": "JSON configuration file"}),
+    "out": (("--out",), {"help": "output directory for CSV artifacts"}),
+    "hurst": (("--hurst", "--H"), {"type": float,
+                                   "help": "roughness index in (0, 1)"}),
+    "equation": (("--equation",), {"choices": ["heat", "wave"],
+                                   "help": "which equation to use"}),
+    "master_seed": (("--seed",), {"type": int, "metavar": "SEED",
+                                  "help": "master seed"}),
+    "n_replicates": (("--replicates",), {"type": int,
+                                         "metavar": "REPLICATES",
+                                         "help": "number of replicates"}),
+    "hoelder.direction": (("--direction",), {"choices": ["time", "space"]}),
+    "hoelder.p": (("--p",), {"type": float, "metavar": "P",
+                             "help": "moment order"}),
+    "threads": (("--threads",), {
+        "type": _positive_int,
+        "help": "accepted for compatibility and ignored; replicates are "
+                "solved as one batch"}),
+}
+
+# Each subcommand: its handler, its help and the flags it takes besides
+# --config and --out.
+_COMMANDS = {
+    "constants": (_cmd_constants, "spectral constants for one index",
+                  ("hurst",)),
+    "cov": (_cmd_cov, "covariance matrix on points", ("hurst", "equation")),
+    "sample": (_cmd_sample, "Gaussian field samples",
+               ("hurst", "equation", "master_seed", "n_replicates")),
+    "solve-det": (_cmd_solve_det, "deterministic fixed-point solve",
+                  ("equation",)),
+    "simulate": (_cmd_simulate, "quasi-linear simulation",
+                 ("hurst", "equation", "master_seed", "n_replicates",
+                  "threads")),
+    "hoelder": (_cmd_hoelder, "regularity exponent fit",
+                ("hurst", "equation", "hoelder.direction", "hoelder.p")),
+    "hconv": (_cmd_hconv, "covariance continuity in the index",
+              ("hurst", "equation")),
+    "verify-lemmas": (_cmd_verify_lemmas, "sharp increment bound tables",
+                      ("hurst",)),
+}
+
+
 @functools.cache
-def _build_parser() -> _Parser:
+def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it
     unchanged."""
-    parser = _Parser(prog="fracfield",
-                     description="Fractional-noise stochastic heat and "
-                                 "wave equation toolkit")
+    parser = argparse.ArgumentParser(
+        prog="fracfield",
+        description="Fractional-noise stochastic heat and wave equation "
+                    "toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, *, hurst=True, eqn=False, seed=False, reps=False,
-               direction=False):
-        p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--out", help="output directory for CSV artifacts")
-        if hurst:
-            p.add_argument("--hurst", "--H", dest="hurst", type=float,
-                           help="roughness index in (0, 1)")
-        if eqn:
-            p.add_argument("--equation", choices=["heat", "wave"],
-                           help="which equation to use")
-        if seed:
-            p.add_argument("--seed", type=int, help="master seed")
-        if reps:
-            p.add_argument("--replicates", type=int,
-                           help="number of replicates")
-        if direction:
-            p.add_argument("--direction", choices=["time", "space"])
-            p.add_argument("--p", type=float, help="moment order")
-
-    common(sub.add_parser("constants",
-                          help="spectral constants for one index"))
-    common(sub.add_parser("cov", help="covariance matrix on points"),
-           eqn=True)
-    common(sub.add_parser("sample", help="Gaussian field samples"),
-           eqn=True, seed=True, reps=True)
-    common(sub.add_parser("solve-det",
-                          help="deterministic fixed-point solve"),
-           hurst=False, eqn=True)
-    simulate_parser = sub.add_parser("simulate",
-                                     help="quasi-linear simulation")
-    common(simulate_parser, eqn=True, seed=True, reps=True)
-    simulate_parser.add_argument(
-        "--threads", type=_positive_int,
-        help="accepted for compatibility and ignored; replicates are "
-             "solved as one batch")
-    common(sub.add_parser("hoelder", help="regularity exponent fit"),
-           eqn=True, direction=True)
-    common(sub.add_parser("hconv",
-                          help="covariance continuity in the index"),
-           eqn=True)
-    common(sub.add_parser("verify-lemmas",
-                          help="sharp increment bound tables"))
+    for name, (_, text, keys) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        for key in ("config", "out", *keys):
+            options, settings = _FLAGS[key]
+            command.add_argument(*options, dest=key, **settings)
     return parser
-
-
-_HANDLERS = {
-    "constants": _cmd_constants,
-    "cov": _cmd_cov,
-    "sample": _cmd_sample,
-    "solve-det": _cmd_solve_det,
-    "simulate": _cmd_simulate,
-    "hoelder": _cmd_hoelder,
-    "hconv": _cmd_hconv,
-    "verify-lemmas": _cmd_verify_lemmas,
-}
 
 
 def _print(run: _Run) -> None:
@@ -617,14 +596,14 @@ def _write(run: _Run, args, started: float, computed: float) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # A usage error is a configuration error: exit 1, not argparse's 2.
+        return 1 if exc.code == 2 else int(exc.code or 0)
     started = time.perf_counter()
     try:
-        run = _HANDLERS[args.subcommand](_load_config(args.config), args)
+        run = _COMMANDS[args.subcommand][0](_load_config(args.config), args)
         computed = time.perf_counter()
         try:
             if args.out is None:

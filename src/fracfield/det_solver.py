@@ -258,8 +258,8 @@ def initial_term(eqn: EquationKind, data: InitialData, t: float, x):
     if eqn is EquationKind.HEAT and data.v0 is not None:
         raise ValueError("the heat equation takes no initial speed; "
                          "remove v0 or use the wave equation")
-    if t < 0.0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be >= 0 and finite, got {t}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if t == 0.0:
         out = _vec_eval(data.u0, x_arr, "u0")
@@ -576,28 +576,31 @@ def solve_replicates(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
 
 def _built(registry: dict, what: str, kind: str, params: dict):
     """Return ``registry[kind](**params)``.  Each key of ``params`` must
-    name a parameter of that builder and hold a finite number or a list
-    of them; an unknown kind or key, or any other value, raises
-    ``ValueError`` naming it."""
+    name a parameter of that builder and hold a finite number, or a list
+    of them for a parameter whose default is not a number; an unknown
+    kind or key, or any other value, raises ``ValueError`` naming it."""
     try:
         builder = registry[kind]
     except KeyError:
         raise ValueError(f"unknown {what} kind {kind!r}; available: "
                          f"{sorted(registry)}") from None
-    names = list(inspect.signature(builder).parameters)
+    parameters = inspect.signature(builder).parameters
     for key, value in params.items():
-        if key not in names:
+        if key not in parameters:
             raise ValueError(f"{what} {kind} has no parameter {key} (it "
-                             f"takes {', '.join(names) or 'none'})")
+                             f"takes {', '.join(parameters) or 'none'})")
+        # A parameter with a number for its default takes one number.
+        scalar = isinstance(parameters[key].default, (int, float))
         try:
             numbers = np.asarray(value)
         except ValueError:  # a ragged list
             numbers = np.asarray(None)
-        if numbers.dtype.kind not in "iuf" or not np.all(
-                np.isfinite(numbers)):
+        if (numbers.dtype.kind not in "iuf" or (scalar and numbers.ndim)
+                or not np.all(np.isfinite(numbers))):
             raise ValueError(f"{what} {kind} parameter {key} must be a "
-                             f"finite number or a list of them, got "
-                             f"{reprlib.repr(value)}")
+                             f"finite number"
+                             f"{'' if scalar else ' or a list of them'}, "
+                             f"got {reprlib.repr(value)}")
     return builder(**params)
 
 

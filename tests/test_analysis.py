@@ -14,11 +14,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from fracfield import (Direction, EquationKind, ShiftKind, conv_cov,
-                       cov_matrix, expected_hoelder_slope, factor_psd,
-                       fit_hoelder, fit_power_law, h_convergence,
-                       increment_moment2, noise_constant, sample_field,
-                       verify_lemma_bound)
+from fracfield import (Direction, EquationKind, NumericalError, ShiftKind,
+                       conv_cov, cov_matrix, expected_hoelder_slope,
+                       factor_psd, fit_hoelder, fit_power_law,
+                       h_convergence, increment_moment2, noise_constant,
+                       sample_field, verify_lemma_bound)
 from fracfield.analysis import DEFAULT_H_PAIRS
 
 from oracle import QuadratureSpec, time_shift_lhs
@@ -288,6 +288,30 @@ class TestLemmaBound:
     def test_shifts_validated(self, shifts):
         with pytest.raises(ValueError):
             verify_lemma_bound(ShiftKind.SPACE_SHIFT, HEAT, 0.0,
+                               shifts=shifts)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eqn", [HEAT, WAVE])
+    def test_overflowing_time_shift_raises(self, eqn):
+        # The lhs at 1e300 is nan; max() over the ratios used to skip it.
+        with pytest.raises(NumericalError,
+                           match=f"^time_shift:{eqn.value}:alpha=0.2 at "
+                                 f"shift 1e\\+300 has lhs nan "):
+            verify_lemma_bound(ShiftKind.TIME_SHIFT, eqn, 0.2,
+                               shifts=[0.1, 1e300])
+
+    @pytest.mark.parametrize("eqn", [HEAT, WAVE])
+    @pytest.mark.parametrize("alpha, shift, rhs", [
+        (-0.5, 1e300, "inf"),  # h ** 1.5 overflows
+        (-0.9, 1e-300, "0.0")])  # h ** 1.9 underflows
+    def test_rhs_out_of_range_raises(self, eqn, alpha, shift, rhs):
+        # Python's float power used to raise OverflowError, and the
+        # division by an rhs of 0 ZeroDivisionError.
+        shifts = sorted([0.1, shift])
+        with pytest.raises(NumericalError, match=f"^space_shift:"
+                                                 f"{eqn.value}:.* and rhs "
+                                                 f"{rhs}: "):
+            verify_lemma_bound(ShiftKind.SPACE_SHIFT, eqn, alpha,
                                shifts=shifts)
 
     def test_empty_shifts_rejected(self):

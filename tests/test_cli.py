@@ -44,6 +44,21 @@ def assert_manifest_digests(out_dir):
     return manifest
 
 
+# The options of each subcommand besides -h/--help, --config and --out,
+# in the order its --help lists them.
+OPTIONS = {
+    "constants": ["--hurst", "--H"],
+    "cov": ["--hurst", "--H", "--equation"],
+    "sample": ["--hurst", "--H", "--equation", "--seed", "--replicates"],
+    "solve-det": ["--equation"],
+    "simulate": ["--hurst", "--H", "--equation", "--seed", "--replicates",
+                 "--threads"],
+    "hoelder": ["--hurst", "--H", "--equation", "--direction", "--p"],
+    "hconv": ["--hurst", "--H", "--equation"],
+    "verify-lemmas": ["--hurst", "--H"],
+}
+
+
 class TestParser:
     def test_unknown_subcommand_exits_one(self, capsys):
         assert main(["transmogrify"]) == 1
@@ -54,6 +69,29 @@ class TestParser:
 
     def test_missing_subcommand_exits_one(self, capsys):
         assert main([]) == 1
+
+    def test_each_subcommand_takes_its_options(self):
+        sub, = (action for action in cli._build_parser()._actions
+                if action.dest == "subcommand")
+        got = {name: [option for action in parser._actions
+                      for option in action.option_strings]
+               for name, parser in sub.choices.items()}
+        head = ["-h", "--help", "--config", "--out"]
+        assert list(got) == list(OPTIONS)
+        assert got == {name: head + tail for name, tail in OPTIONS.items()}
+
+    def test_metavars(self, capsys):
+        # A flag whose dest is a dotted config key or differs from its
+        # option string names its value as the option does.
+        for name in ("hoelder", "simulate"):
+            assert main([name, "--help"]) == 0
+            usage = " ".join(capsys.readouterr().out.split("\n\n")[0].split())
+            for shown in ("[--hurst HURST]", "[--equation {heat,wave}]",
+                          *(("[--direction {time,space}]", "[--p P]")
+                            if name == "hoelder" else
+                            ("[--seed SEED]", "[--replicates REPLICATES]",
+                             "[--threads THREADS]"))):
+                assert shown in usage
 
     def test_one_parser_serves_successive_calls(self, capsys):
         assert cli._build_parser() is cli._build_parser()
@@ -787,6 +825,20 @@ class TestVerifyLemmas:
             tables.append((out / "lemma_margins.csv").read_bytes())
         assert tables[0] == tables[1]
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_row_exits_two_with_one_line(self, tmp_path, capsys):
+        # The time-shift lhs at 1e300 is nan; the run used to print
+        # VIOLATED over the other rows' ratios after six numpy warnings.
+        cfg = write_config(tmp_path, {
+            "lemmas": {"alphas": [0.2], "shifts": [0.1, 1e300]}})
+        assert main(["verify-lemmas", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "fracfield: numerical failure: time_shift:wave:alpha=0.2 at "
+            "shift 1e+300 has lhs nan ")
+        assert captured.err.count("\n") == 1
+
     def test_hurst_flag_selects_single_alpha(self, capsys):
         assert main(["verify-lemmas", "--hurst", "0.3"]) == 0
         out = capsys.readouterr().out
@@ -840,6 +892,11 @@ MALFORMED = {
     "v0-param-string": (["solve-det", "--equation", "wave"], dict(
         SIM_CONFIG, initial={"u0": {"kind": "sin", "params": {}}, "v0": {
             "kind": "bump", "params": {"w": "0.5"}}}), "w"),
+    # A list where the parameter takes one number.
+    "drift-param-list": (["simulate"], dict(SIM_CONFIG, drift={
+        "kind": "const", "params": {"c": [1, 2]}}), "c"),
+    "u0-param-list": (["simulate"], dict(SIM_CONFIG, initial={
+        "u0": {"kind": "sin", "params": {"k": [1.0]}}}), "k"),
     # The heat equation takes no initial speed.
     "heat-v0-simulate": (["simulate", "--equation", "heat"], dict(
         SIM_CONFIG, initial=HEAT_WITH_V0), "v0"),
@@ -945,7 +1002,8 @@ def test_out_of_memory_exits_two_with_one_line(monkeypatch, capsys,
     def allocate(cfg, args):
         raise MemoryError(message)
 
-    monkeypatch.setitem(cli._HANDLERS, "constants", allocate)
+    _, text, keys = cli._COMMANDS["constants"]
+    monkeypatch.setitem(cli._COMMANDS, "constants", (allocate, text, keys))
     assert main(["constants", "--hurst", "0.3"]) == 2
     assert capsys.readouterr().err == f"fracfield: out of memory: {shown}\n"
 
@@ -1015,11 +1073,6 @@ RESOLVED = {
     "verify-lemmas-hurst": (["verify-lemmas"], {"hurst": 0.25}, {
         "alphas": [0.5], "horizon": 1.0}),
 }
-RESULTS = {"slope", "r_squared", "stderr_slope", "within_tolerance", "sups",
-           "final_over_first", "strictly_decreasing", "converging",
-           "summary"}
-
-
 @pytest.mark.parametrize("run", sorted(RESOLVED))
 def test_manifest_config_is_pinned(tmp_path, run):
     argv, config, want = RESOLVED[run]
@@ -1027,8 +1080,48 @@ def test_manifest_config_is_pinned(tmp_path, run):
         argv = [*argv, "--config", write_config(tmp_path, config)]
     out = tmp_path / "run"
     assert main([*argv, "--out", str(out)]) == 0
-    got = read_manifest(out)["config"]
-    assert {k: v for k, v in got.items() if k not in RESULTS} == want
+    assert read_manifest(out)["config"] == want
+
+
+# For each flag that overrides a config key: a run whose config gives
+# the key one value while the flag gives another, the manifest field
+# that records the setting, and the flag's value as recorded there.
+OVERRIDES = {
+    "hurst": (["constants", "--hurst", "0.3"], {"hurst": 0.6}, "hurst", 0.3),
+    "equation": (["cov", "--equation", "wave"], POINTS_CONFIG, "equation",
+                 "wave"),
+    "master_seed": (["sample", "--seed", "5"],
+                    dict(POINTS_CONFIG, master_seed=1), "master_seed", 5),
+    "n_replicates": (["sample", "--replicates", "2"],
+                     dict(POINTS_CONFIG, n_replicates=3), "n_replicates", 2),
+    "hoelder.direction": (
+        ["hoelder", "--equation", "heat", "--hurst", "0.5", "--direction",
+         "space"], {"hoelder": {"direction": "time"}}, "direction", "space"),
+    "hoelder.p": (["hoelder", "--equation", "heat", "--hurst", "0.5", "--p",
+                   "4"], {"hoelder": {"p": 2}}, "p", 4.0),
+}
+# The flags that set no config key.
+NOT_SETTINGS = {"config", "out", "threads"}
+
+
+@pytest.mark.parametrize("key", sorted(cli._FLAGS.keys() - NOT_SETTINGS))
+def test_flag_overrides_its_key(tmp_path, key):
+    argv, config, field, want = OVERRIDES[key]
+    options = cli._FLAGS[key][0]
+    at = argv.index(options[0])
+    cfg = write_config(tmp_path, config)
+    # Each option string of the flag, then no flag: the config's value.
+    for i, option in enumerate([*options, None]):
+        run = (argv[:at] + argv[at + 2:] if option is None
+               else [*argv[:at], option, *argv[at + 1:]])
+        out = tmp_path / str(i)
+        assert main([*run, "--config", cfg, "--out", str(out)]) == 0
+        got = read_manifest(out)["config"][field]
+        if option is None:
+            section, _, name = key.rpartition(".")
+            assert got == (config[section] if section else config)[name]
+        else:
+            assert got == want
 
 
 # One run of every subcommand: (argv without --config/--out, config).

@@ -193,6 +193,9 @@ class TestMakeDrift:
         ("linear", {"a": "2"}, "a"),
         ("table", {"xs": [0.0, 1.0], "ys": [0.0, math.nan]}, "ys"),
         ("table", {"xs": [0.0, 1.0], "ys": [0.0, 1.0], "zs": [1.0]}, "zs"),
+        # A list where one number goes used to fail in float(), unnamed.
+        ("linear", {"a": [1, 2]}, "a"),
+        ("const", {"c": [1.0]}, "c"),
     ])
     def test_unknown_or_non_finite_parameter_rejected(self, kind, params,
                                                        key):
@@ -266,6 +269,16 @@ class TestInitialTerm:
         with pytest.raises(ValueError):
             initial_term(HEAT, data, -0.1, 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eqn", [HEAT, WAVE])
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, eqn, t):
+        # Both used to return nan at every x, the wave with a warning.
+        data = make_initial_data(u0=("sin", {}))
+        with pytest.raises(ValueError, match=f"^time must be >= 0 and "
+                                             f"finite, got {t}$"):
+            initial_term(eqn, data, t, np.array([0.0, 1.0]))
+
     @pytest.mark.parametrize("t", [0.0, 0.5])
     def test_heat_initial_speed_rejected(self, t):
         # The heat equation is first order in time: a v0 would be ignored.
@@ -283,6 +296,7 @@ class TestInitialTerm:
         (("const", {"c": math.nan}), "c"),
         (("bump", {"w": -math.inf}), "w"),
         (("sin", {"a": [1.0, "x"]}), "a"),
+        (("bump", {"w": [0.5, 1.0]}), "w"),
     ])
     def test_unknown_or_non_finite_profile_parameter_rejected(self, profile,
                                                                key):
