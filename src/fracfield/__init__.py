@@ -29,7 +29,7 @@ from .det_solver import (DriftSpec, GridFunction, InitialData, MarchRecord,
                          PointGrid, drift_truncate, initial_term,
                          initial_term_grid, make_drift, make_initial_data,
                          picard_apply, solve_replicates)
-from .errors import MaxIterExceededError, NotPsdError, NumericalError
+from .errors import NotPsdError, NumericalError
 from .quasilinear import (LadderResult, SimulationConfig, SimulationResult,
                           mild_residual, simulate, truncation_ladder_run)
 from .sampler import (FieldSample, PsdFactor, factor_psd, replicate_stream,
@@ -51,7 +51,6 @@ __all__ = [
     "InitialData",
     "LadderResult",
     "MarchRecord",
-    "MaxIterExceededError",
     "NotPsdError",
     "NumericalError",
     "PointGrid",

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import (_as_hurst, _closed_cov, _closed_incr, _nodes,
-                         _second_diff)
+from .covariance import _closed_cov, _closed_incr, _nodes, _second_diff
 from .errors import NumericalError
-from .spectral import (EquationKind, HurstIndex, _gamma, cos_integral_constant,
-                       gaussian_abs_moment, noise_constant)
+from .spectral import (EquationKind, HurstIndex, _as_hurst, _gamma,
+                       cos_integral_constant, gaussian_abs_moment,
+                       noise_constant)
 
 __all__ = [
     "Direction",
@@ -254,17 +254,28 @@ def _heat_time_lhs(alpha: float, horizon: float, h: np.ndarray):
     h/2``, ``b = T``, expands into six Gaussians whose weights sum to
     zero, and so do their weighted scales; ``int_0^inf e^(-c xi^2)
     xi^(alpha-2) dxi = Gamma((alpha-1)/2) c^e / 2``, ``e = (1-alpha)/2``,
-    then continues term by term.  The sum is regrouped as
-    ``Gamma((alpha-1)/2) [a^e (2^e - 2) - D2_a(u^e)(a+b)]`` with
-    :func:`_second_diff`, which leaves no cancelling terms at small h.
-    Near alpha = -1 the bracket is of size ``d = (1 + alpha)/2 = 1 - e``
-    and the Gamma factor has a pole, so both are written through the
-    exact d: ``Gamma(1 + d) / ((d - 1) d)`` with ``d - 1 = -e``, ``2^e -
-    2 = 2 expm1(-d ln 2)``, and ``e - 1 = -d`` is passed to
-    :func:`_second_diff`.
+    then continues term by term.  The sum is ``Gamma((alpha-1)/2)
+    [a^e (2^e - 2) - D2_a(u^e)(a+b)]``.  Near alpha = -1 the bracket is
+    of size ``d = (1 + alpha)/2 = 1 - e`` and the Gamma factor has a
+    pole, so both are written through the exact d: ``Gamma(1 + d) / ((d
+    - 1) d)`` with ``d - 1 = -e``, and ``2^e - 2 = 2 expm1(-d ln 2)``.
+
+    For ``T >= a`` the bracket takes the series of :func:`_second_diff`,
+    with ``e - 1 = -d``.  Below, its terms of size ``a^e`` cancel, and it
+    is regrouped with ``s = T/a`` as ``a^e [2 r(1) - r(2) - g(s)]``: ``r(u)
+    = (u + s)^e - u^e - s = u (exp(l) expm1(-d l) + expm1(-d ln u)
+    expm1(e l))``, ``l = log1p(s/u)``, and ``g(s) = s^e - s = s expm1(-d
+    ln s)``, ``g(0) = 0``; every term carries d, and none cancels.
     """
     a, d, e = 0.5 * h, 0.5 * (1.0 + alpha), 0.5 * (1.0 - alpha)
-    return _gamma(1.0 + d) / (-e * d) * (
+    s = horizon / a
+    l1, l2 = np.log1p(s), np.log1p(0.5 * s)
+    rises = (2.0 * (1.0 + s) * np.expm1(-d * l1)
+             - 2.0 * ((1.0 + 0.5 * s) * np.expm1(-d * l2)
+                      + math.expm1(-d * _LN2) * np.expm1(e * l2))
+             - np.where(s > 0.0, s * np.expm1(-d * np.log(s)), 0.0))
+    return _gamma(1.0 + d) / (-e * d) * np.where(
+        s < 1.0, a ** e * rises,
         a ** e * 2.0 * math.expm1(-d * _LN2)
         - _second_diff(e, a + horizon, a, pm1=-d))
 
@@ -279,18 +290,28 @@ def _wave_time_lhs(alpha: float, horizon: float, h: np.ndarray):
     with weights {1, -1, -1/2, -1/2, 1/2}, and ``sum w_k k = 0``, so the
     Mellin transform ``int_0^inf sin(k xi) xi^(s-1) dxi = Gamma(s) sin(pi
     s/2) k^(-s)`` (DLMF 1.14) continues to ``s = alpha - 2``.  With ``p =
-    2 - alpha`` the sum is regrouped as ``h^p (2^(p-1) - 1) - D2_h(u^p)(B)
-    / 2`` with :func:`_second_diff`, and ``Gamma(s) sin(pi s/2)`` is
-    written by reflection as ``-pi / (2 Gamma(3-alpha) cos(pi alpha/2))``,
-    finite on all of (-1, 1); the cosine is taken as ``sin(pi (1 -
-    |alpha|) / 2)``, which keeps its digits near alpha = -1.
+    2 - alpha`` the sum is ``h^p (2^(p-1) - 1) - D2_h(u^p)(B) / 2``, and
+    ``Gamma(s) sin(pi s/2)`` is written by reflection as ``-pi / (2
+    Gamma(3-alpha) cos(pi alpha/2))``, finite on all of (-1, 1); the
+    cosine is taken as ``sin(pi (1 - |alpha|) / 2)``, which keeps its
+    digits near alpha = -1.
+
+    For ``T >= h/2`` the sum takes the series of :func:`_second_diff`.
+    Below, its terms of size ``h^p`` cancel, and it is regrouped with ``s
+    = 2T/h`` into rises ``(u + s)^p - u^p = u^p expm1(p log1p(s/u))``:
+    ``-h^p [2^p expm1(p log1p(s/2)) - 2 expm1(p log1p(s)) + s^p] / 2``.
     """
     p = 2.0 - alpha
     mellin = -math.pi / (2.0 * _gamma(3.0 - alpha)
                          * math.sin(0.5 * math.pi * (1.0 - abs(alpha))))
+    s = 2.0 * horizon / h
+    rises = -0.5 * h ** p * (2.0 ** p * np.expm1(p * np.log1p(0.5 * s))
+                             - 2.0 * np.expm1(p * np.log1p(s)) + s ** p)
     return (2.0 * horizon * cos_integral_constant(alpha) * h ** (1.0 - alpha)
-            + mellin * (h ** p * (2.0 ** (p - 1.0) - 1.0)
-                        - 0.5 * _second_diff(p, 2.0 * horizon + h, h)))
+            + mellin * np.where(
+                s < 1.0, rises,
+                h ** p * (2.0 ** (p - 1.0) - 1.0)
+                - 0.5 * _second_diff(p, 2.0 * horizon + h, h)))
 
 
 def verify_lemma_bound(kind: ShiftKind, eqn: EquationKind, alpha: float, *,

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .spectral import EquationKind, HurstIndex, _gamma, noise_constant
+from .spectral import (EquationKind, HurstIndex, _as_hurst, _gamma,
+                       noise_constant)
 
 __all__ = [
     "CovarianceMatrix",
@@ -116,9 +117,8 @@ def _second_diff(p: float, u, e, pm1: float | None = None):
     r <= 1/2, where the direct difference would cancel; direct otherwise.
     Near p = 1 the value is of size ``p - 1``.  A caller that knows that
     factor exactly passes it as ``pm1``: every series term then carries
-    it, and the direct difference is taken of ``f(v) - v = v expm1(pm1
-    ln v)``, without the linear part that would cancel; this needs
-    ``u > e``.
+    it, and only the series is returned, for the caller to take where
+    r <= 1/2.
     """
     r2 = (e / u) ** 2
     coef, power, series = 1.0, 1.0, 0.0
@@ -127,13 +127,9 @@ def _second_diff(p: float, u, e, pm1: float | None = None):
         coef *= (p - k + 2.0) * low / ((k - 1.0) * k)
         power = power * r2
         series = series + coef * power
-    if pm1 is None:
-        direct = _spow(p, u + e) + _spow(p, u - e) - 2.0 * _spow(p, u)
-    else:
-        def g(v):
-            return v * np.expm1(pm1 * np.log(v))
-
-        direct = g(u + e) + g(u - e) - 2.0 * g(u)
+    if pm1 is not None:
+        return 2.0 * u ** p * series
+    direct = _spow(p, u + e) + _spow(p, u - e) - 2.0 * _spow(p, u)
     return np.where(r2 <= _SERIES_RATIO ** 2, 2.0 * u ** p * series, direct)
 
 
@@ -407,10 +403,6 @@ def _closed_incr(eqn: EquationKind, hurst: HurstIndex, ta, xa, tb, xb):
         raise NumericalError(f"increment second moment came out "
                              f"{np.min(out):.3e} < -1e-10")
     return np.maximum(out, 0.0)
-
-
-def _as_hurst(hurst) -> HurstIndex:
-    return hurst if isinstance(hurst, HurstIndex) else HurstIndex(hurst)
 
 
 def _two_sum(a, b) -> tuple:

@@ -31,7 +31,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from .errors import MaxIterExceededError, NumericalError
+from .errors import NumericalError
 from .sampler import _one_blas_thread
 from .spectral import EquationKind
 
@@ -389,6 +389,10 @@ def _wave_sweep(rows, f0: np.ndarray, n_t: int, dt: float,
         gd[:, :n_g - i] += f_i[:, i:]
 
 
+# A node's code in the march's failure mask: 0, or why it failed.
+_SHRINKING, _STALLED, _OVERFLOWED = 1, 2, 3
+
+
 def _settle(drift: DriftSpec, e: np.ndarray, b: np.ndarray, dt: float,
             cap: int) -> tuple:
     """Solve ``z = e + dt * (b + 0.5 * drift(z))`` at every node of flat
@@ -404,10 +408,10 @@ def _settle(drift: DriftSpec, e: np.ndarray, b: np.ndarray, dt: float,
     terms at its iterate (1.64 times that at most, measured on tanh,
     sine, linear and clipped linear drifts for q up to 0.99).  A stall
     above 8 times that bound means the map does not contract there: the
-    drift is steeper than its declared L.  Returns z, the increments, the
-    flat indices of nodes unsettled after ``cap`` evaluations or with a
-    non-finite increment, those of such steep stalls, and the count of
-    nodes that took 1, 2, ...
+    drift is steeper than its declared L.  Returns z, the increments,
+    each node's failure code (``_SHRINKING`` if still shrinking after
+    ``cap`` evaluations, ``_STALLED`` for such a steep stall, else 0)
+    and the count of nodes that took 1, 2, ...
     """
     eps = np.finfo(float).eps
     z = e + dt * b
@@ -428,15 +432,18 @@ def _settle(drift: DriftSpec, e: np.ndarray, b: np.ndarray, dt: float,
         np.copyto(fz, f2, where=better)
         np.copyto(d, d2, where=better)
         live = better & ~(d2 <= tiny)
-    steep = np.flatnonzero(~live & np.isfinite(d) & (d > tiny))
-    if steep.size:
-        tiny = eps * (np.abs(e) + dt * (np.abs(b) + 0.5 * np.abs(
-            np.asarray(drift(z), dtype=float))))
+    finite = np.isfinite(d)
+    why = np.where(live & finite, _SHRINKING, 0).astype(np.uint8)
+    stall = np.flatnonzero(~live & finite & (d > tiny))
+    if stall.size:
+        # The rounding of the terms at the kept iterate bounds the stall.
+        bz = np.asarray(drift(z[stall]), dtype=float)
+        tiny = eps * (np.abs(e[stall])
+                      + dt * (np.abs(b[stall]) + 0.5 * np.abs(bz)))
         q = 0.5 * dt * drift.lipschitz_constant
-        steep = steep[d[steep] > 8.0 * tiny[steep] / (1.0 - q)]
-    z[~np.isfinite(d)] = np.nan
-    bad = np.flatnonzero(live | ~np.isfinite(d))
-    return z, d, bad, steep, -np.diff(reached, append=0)
+        why[stall[d[stall] > 8.0 * tiny / (1.0 - q)]] = _STALLED
+    z[~finite] = np.nan
+    return z, d, why, -np.diff(reached, append=0)
 
 
 def _sweep(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
@@ -450,8 +457,11 @@ def _sweep(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
     rows; the heat's is :func:`_margin_cells`, and only the window of
     its rows is kept.  Without z the output is z itself: the wave's row
     i is explicit, and each heat node of row i is a fixed point for
-    :func:`_settle`.  Returns the rows and, at index k, the count of heat
-    nodes that took k evaluations.
+    :func:`_settle`.  A node fails if it is not finite or its fixed
+    point did not settle; the lowest replicate with a failed node raises
+    :class:`NumericalError` naming its first one, rows first.  Returns
+    the rows and, at index k, the count of heat nodes that took k
+    evaluations.
     """
     if eqn is EquationKind.WAVE and not grid.is_aligned:
         raise ValueError(
@@ -466,12 +476,15 @@ def _sweep(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
             f"more time steps")
     cap = 16 + (math.ceil(64.0 * math.log(2.0) / -math.log(q))
                 if 0.0 < q < 1.0 else 0)
-    counts, stuck = np.zeros(cap + 1, dtype=np.int64), {}
+    counts = np.zeros(cap + 1, dtype=np.int64)
     mc = grid.n_t if eqn is EquationKind.WAVE else _margin_cells(grid)
     win = slice(mc, mc + grid.n_x + 1)
     out = np.empty_like(eta)
     out[:, 0] = eta[:, 0]
     src = out if z is None else z
+    # A failure code per node, and the increments of each heat row
+    # with a node that did not settle.
+    fail, increments = np.zeros(out.shape, dtype=np.uint8), {}
 
     def drift_row(i):
         return np.pad(np.asarray(drift(src[:, i]), dtype=float),
@@ -486,14 +499,13 @@ def _sweep(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
             f = drift_row(i)
             out[:, i] = eta[:, i] + dt * (b[:, win] + 0.5 * f[:, win])
             return f
-        zi, d, bad, steep, took = _settle(drift, eta[:, i].ravel(),
-                                          b[:, win].ravel(), dt, cap)
+        zi, d, why, took = _settle(drift, eta[:, i].ravel(),
+                                   b[:, win].ravel(), dt, cap)
         out[:, i] = zi.reshape(out.shape[0], -1)
+        fail[:, i] = why.reshape(out.shape[0], -1)
         counts[1:took.size + 1] += took
-        steep = set(steep.tolist())
-        for k in sorted([*bad.tolist(), *steep]):
-            stuck.setdefault(k // out.shape[2], (i, k % out.shape[2],
-                                                 float(d[k]), k in steep))
+        if why.any():
+            increments[i] = d.reshape(out.shape[0], -1)
         return drift_row(i)
 
     # A field that overflows is reported below, not by numpy's warnings.
@@ -503,30 +515,24 @@ def _sweep(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
         else:
             _heat_sweep(heat_row, drift_row(0), grid.n_t,
                         _heat_kernel_weights(dt, grid.dx))
-    blown = ~np.isfinite(out)
-    if blown.any():
-        r = int(np.flatnonzero(blown.any(axis=(1, 2)))[0])
-        i, col = divmod(int(np.argmax(blown[r])), out.shape[2])
+    fail[~np.isfinite(out)] = _OVERFLOWED
+    failed = np.flatnonzero(fail)
+    if failed.size:
+        r, i, col = np.unravel_index(failed[0], fail.shape)
+        why = fail[r, i, col]
+        if why == _OVERFLOWED:
+            what = "overflowed double precision; the drift declares"
+        else:
+            last = increments[i][r, col]
+            what = (f"did not settle within {cap} evaluations (last "
+                    f"increment {last:.3e})" if why == _SHRINKING else
+                    f"stalled at increment {last:.3e} within {cap} "
+                    f"evaluations, far above its rounding")
+            what += ": the drift is steeper there than its declared"
         raise NumericalError(
-            f"replicate {r}: the field overflowed double precision; its "
-            f"first non-finite node is (t, x) = ({grid.times()[i]:.6g}, "
-            f"{grid.positions()[col]:.6g})")
-    if stuck:
-        r = min(stuck)
-        i, col, last, steep = stuck[r]
-        if steep:
-            raise NumericalError(
-                f"replicate {r}: the pointwise solve at node (t, x) = "
-                f"({grid.times()[i]:.6g}, {grid.positions()[col]:.6g}) "
-                f"stalled at increment {last:.3e}, far above its rounding: "
-                f"the drift is steeper there than its declared Lipschitz "
-                f"constant L = {drift.lipschitz_constant:.6g}")
-        raise MaxIterExceededError(
-            f"replicate {r}: the pointwise solve at node (t, x) = "
-            f"({grid.times()[i]:.6g}, {grid.positions()[col]:.6g}) did not "
-            f"settle within {cap} evaluations (last increment {last:.3e})",
-            last_increment=last, iterations=cap, replicate_index=r,
-            node=(i, col))
+            f"replicate {r}: the node (t, x) = ({grid.times()[i]:.6g}, "
+            f"{grid.positions()[col]:.6g}) {what} Lipschitz constant "
+            f"L = {drift.lipschitz_constant:.6g}")
     return out, counts
 
 
@@ -550,14 +556,13 @@ def solve_replicates(eqn: EquationKind, drift: DriftSpec, grid: PointGrid,
     field bit for bit.  Heat: row i is ``eta_i + dt (B_i + b(z_i) / 2)``,
     a scalar fixed point at each node that contracts by ``q = dt L / 2``,
     for any drift of Lipschitz constant L, bounded or not; q >= 1 raises
-    :class:`NumericalError`.  Where the drift is steeper than its declared
-    L, a node unsettled after ``16 + ceil(64 ln 2 / ln(1/q))`` evaluations
-    raises :class:`MaxIterExceededError`, and a node whose increment stops
-    shrinking far above rounding raises :class:`NumericalError`; either
-    names the lowest replicate with such a node and its first one.  A
-    field that overflows double precision raises :class:`NumericalError`
-    naming its lowest replicate and first non-finite node.  Returns the
-    fields and a :class:`MarchRecord`.
+    :class:`NumericalError`.  A node fails if it overflows double
+    precision or, where the drift is steeper than its declared L, if it
+    is still shrinking after ``16 + ceil(64 ln 2 / ln(1/q))`` evaluations
+    or its increment stops shrinking far above rounding.  The march then
+    raises one :class:`NumericalError` that names the lowest replicate
+    with a failed node, its first one, rows first, and why it failed.
+    Returns the fields and a :class:`MarchRecord`.
     """
     eta = np.asarray(eta_fields, dtype=float)
     want = (grid.n_t + 1, grid.n_x + 1)

@@ -134,13 +134,17 @@ class HurstIndex:
         return 1.0 - 2.0 * self.value
 
 
+def _as_hurst(hurst) -> HurstIndex:
+    return hurst if isinstance(hurst, HurstIndex) else HurstIndex(hurst)
+
+
 def noise_constant(H: float | HurstIndex) -> float:
     """Spectral density constant ``Gamma(2H+1) sin(pi H) / (2 pi)``.
 
     Continuous on (0, 1), bounded by 1/pi, and equal to ``1/(2 pi)`` at
     H = 1/2 where the noise is spatially white.
     """
-    h = H.value if isinstance(H, HurstIndex) else HurstIndex(H).value
+    h = _as_hurst(H).value
     return _gamma(2.0 * h + 1.0) * math.sin(math.pi * h) / (2.0 * math.pi)
 
 

@@ -39,7 +39,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from fracfield.det_solver import DriftSpec, GridFunction, picard_apply
-from fracfield.errors import MaxIterExceededError, NumericalError
+from fracfield.errors import NumericalError
 from fracfield.spectral import EquationKind
 
 __all__ = [
@@ -815,7 +815,6 @@ def picard_oracle(eqn: EquationKind, drift: DriftSpec, eta: GridFunction,
         increments.append(float(np.max(np.abs(z.values - last.values))))
         if increments[-1] < tol:
             return z, tuple(increments)
-    raise MaxIterExceededError(
+    raise NumericalError(
         f"Picard iteration did not reach tol={tol} within {max_iter} "
-        f"iterations (last increment {increments[-1]:.3e})",
-        last_increment=increments[-1], iterations=max_iter)
+        f"iterations (last increment {increments[-1]:.3e})")

@@ -179,8 +179,8 @@ class TestLemmaBound:
 
     # Near alpha = -1 the heat bracket is of size (1 + alpha)/2 and its
     # Gamma factor has a pole.  References: the Gaussian sum at 50
-    # digits (mpmath), horizon 1; shift 4 takes the direct branch of the
-    # second difference, the others its series.
+    # digits (mpmath), horizon 1; shift 4 takes the rises, the others
+    # the series of the second difference.
     @pytest.mark.parametrize("alpha, shift, truth", [
         (-1 + 1e-15, 1e-08, 6.9314717805995198e-9),
         (-1 + 1e-15, 0.5, 0.29623480640325074),
@@ -291,14 +291,80 @@ class TestLemmaBound:
                                shifts=shifts)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("eqn", [HEAT, WAVE])
-    def test_overflowing_time_shift_raises(self, eqn):
-        # The lhs at 1e300 is nan; max() over the ratios used to skip it.
+    def test_overflowing_time_shift_raises(self):
+        # The wave lhs at 1e300 overflows in h^(2 - alpha); max() over
+        # the ratios used to skip such a row.
         with pytest.raises(NumericalError,
-                           match=f"^time_shift:{eqn.value}:alpha=0.2 at "
-                                 f"shift 1e\\+300 has lhs nan "):
-            verify_lemma_bound(ShiftKind.TIME_SHIFT, eqn, 0.2,
+                           match="^time_shift:wave:alpha=0.2 at shift "
+                                 "1e\\+300 has lhs -inf "):
+            verify_lemma_bound(ShiftKind.TIME_SHIFT, WAVE, 0.2,
                                shifts=[0.1, 1e300])
+
+    @pytest.mark.filterwarnings("error")
+    def test_heat_time_row_at_huge_shift(self):
+        # The rises keep the heat lhs at 1e300 finite (it was nan);
+        # reference the Gaussian sum at 700 digits (mpmath), horizon 1.
+        # Its 5e-14 are the rounding of e = 0.4 times ln(5e299) = 690.
+        row = verify_lemma_bound(ShiftKind.TIME_SHIFT, HEAT, 0.2,
+                                 shifts=[0.1, 1e300]).rows[1]
+        assert abs(row.lhs - 3.7229806220320428) <= 1e-13 * row.lhs
+
+    # Below T = h/2 the time-shift brackets are regrouped into rises,
+    # which leave no terms of size h^p to cancel; the series of the
+    # second difference holds above.  References on both sides of T/h =
+    # 1/2: the Gaussian and Mellin-transform sums at 60 digits (mpmath),
+    # horizon 1.
+    @pytest.mark.parametrize("eqn, alpha, shift, truth", [
+        ("heat", -0.5, 1.999, 1.1315287869787107),
+        ("heat", -0.5, 2.001, 1.1320946929035222),
+        ("heat", 0.5, 1.999, 3.6683597870168008),
+        ("heat", 0.5, 2.001, 3.6689712313442137),
+        ("wave", -0.5, 1.999, 12.502269248438584),
+        ("wave", -0.5, 2.001, 12.52154691169212),
+        ("wave", 0.5, 1.999, 6.4050940900312651),
+        ("wave", 0.5, 2.001, 6.407955707545636),
+    ])
+    def test_time_rows_on_both_sides_of_the_rises(self, eqn, alpha, shift,
+                                                  truth):
+        report = verify_lemma_bound(ShiftKind.TIME_SHIFT,
+                                    EquationKind.parse(eqn), alpha,
+                                    shifts=(shift,))
+        assert abs(report.rows[0].lhs - truth) <= 1e-15 * truth
+
+    # At small horizons T the default rows approach their small-T
+    # limits: the heat's Gamma(1 + d) T^e / (e d), e = (1 - alpha)/2, d =
+    # 1 - e, and the wave's 2 T h^(1 - alpha) (C - mellin p (2^(p-1) -
+    # 2) / 2), p = 2 - alpha, C the cosine integral and mellin the
+    # reflected Mellin factor.  Relative to the limit the next term is
+    # of order s^g, s = 2T/h, g = d for the heat and min(p - 1, 1) for
+    # the wave, with coefficient at most 0.9 here; the rounding of
+    # exponents up to d |ln s| = 520 adds at most 1e-13.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
+    @pytest.mark.parametrize("eqn", [HEAT, WAVE])
+    def test_small_horizons_approach_their_limit(self, eqn, alpha):
+        d, e, p = 0.5 * (1.0 + alpha), 0.5 * (1.0 - alpha), 2.0 - alpha
+        cos_int = (math.pi / 2.0 if alpha == 0.0 else math.gamma(alpha)
+                   * math.sin(math.pi * alpha / 2.0) / (1.0 - alpha))
+        mellin = -math.pi / (2.0 * math.gamma(3.0 - alpha)
+                             * math.cos(math.pi * alpha / 2.0))
+        for k in range(5, 301):
+            horizon = 10.0 ** -k
+            report = verify_lemma_bound(ShiftKind.TIME_SHIFT, eqn, alpha,
+                                        horizon=horizon)
+            assert report.max_ratio <= 1.0
+            for row in report.rows:
+                s = 2.0 * horizon / row.shift
+                if eqn is HEAT:
+                    limit = math.gamma(1.0 + d) / (e * d) * horizon ** e
+                    order = s ** d
+                else:
+                    limit = (2.0 * horizon * row.shift ** (1.0 - alpha)
+                             * (cos_int - 0.5 * mellin * p
+                                * (2.0 ** (p - 1.0) - 2.0)))
+                    order = s ** min(p - 1.0, 1.0)
+                assert math.isfinite(row.lhs) and row.lhs > 0.0
+                assert abs(row.lhs / limit - 1.0) <= order + 1e-13, (k, row)
 
     @pytest.mark.parametrize("eqn", [HEAT, WAVE])
     @pytest.mark.parametrize("alpha, shift, rhs", [

@@ -827,8 +827,9 @@ class TestVerifyLemmas:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_row_exits_two_with_one_line(self, tmp_path, capsys):
-        # The time-shift lhs at 1e300 is nan; the run used to print
-        # VIOLATED over the other rows' ratios after six numpy warnings.
+        # The wave time-shift lhs at 1e300 overflows; the run used to
+        # print VIOLATED over the other rows' ratios after six numpy
+        # warnings.
         cfg = write_config(tmp_path, {
             "lemmas": {"alphas": [0.2], "shifts": [0.1, 1e300]}})
         assert main(["verify-lemmas", "--config", cfg]) == 2
@@ -836,7 +837,7 @@ class TestVerifyLemmas:
         assert captured.out == ""
         assert captured.err.startswith(
             "fracfield: numerical failure: time_shift:wave:alpha=0.2 at "
-            "shift 1e+300 has lhs nan ")
+            "shift 1e+300 has lhs -inf ")
         assert captured.err.count("\n") == 1
 
     def test_hurst_flag_selects_single_alpha(self, capsys):

@@ -18,11 +18,10 @@ from hypothesis import strategies as st
 
 from fracfield import det_solver
 from fracfield import (DriftSpec, EquationKind, GridFunction, HurstIndex,
-                       InitialData, MaxIterExceededError, NotPsdError,
-                       NumericalError, PointGrid, cov_matrix, drift_truncate,
-                       factor_psd, initial_term, initial_term_grid,
-                       make_drift, make_initial_data, picard_apply,
-                       sample_field, solve_replicates)
+                       InitialData, NotPsdError, NumericalError, PointGrid,
+                       cov_matrix, drift_truncate, factor_psd, initial_term,
+                       initial_term_grid, make_drift, make_initial_data,
+                       picard_apply, sample_field, solve_replicates)
 
 from oracle import ode_oracle, picard_oracle
 
@@ -530,18 +529,19 @@ class TestSolveF:
             solve_replicates(HEAT, make_drift("tanh_scaled", a=a), g,
                              np.zeros((1, n_t + 1, 5)))
         assert f"{n_t} steps over horizon 1" in str(exc.value)
-        assert not isinstance(exc.value, MaxIterExceededError)
+        assert type(exc.value) is NumericalError
 
     def test_iteration_budget_enforced(self):
+        # 16 spare evaluations past 64 bits at dt L / 2 = 1/16.
         g = LYING_GRID
-        with pytest.raises(MaxIterExceededError) as exc_info:
+        with pytest.raises(NumericalError) as exc_info:
             solve_replicates(HEAT, LYING, g,
                              const_field(g, 50.0).values[None])
-        assert exc_info.value.replicate_index == 0
-        assert exc_info.value.node == (1, 0)
-        # 16 spare evaluations past 64 bits at dt L / 2 = 1/16.
-        assert exc_info.value.iterations == 32
-        assert exc_info.value.last_increment > 0.0
+        assert type(exc_info.value) is NumericalError
+        assert str(exc_info.value) == (
+            "replicate 0: the node (t, x) = (0.125, -0.5) did not settle "
+            "within 32 evaluations (last increment 3.216e-04): the drift is "
+            "steeper there than its declared Lipschitz constant L = 1")
 
     @pytest.mark.parametrize("slope", [20.0, 40.0])
     def test_steep_drift_stall_raises(self, slope):
@@ -565,10 +565,11 @@ class TestSolveF:
             solve_replicates(HEAT, steep, g, etas[1:2])
         assert type(batch.value) is NumericalError
         assert str(batch.value).startswith(
-            "replicate 1: the pointwise solve at node (t, x) = "
-            "(0.125, -0.5) stalled at increment ")
-        assert "steeper there than its declared Lipschitz constant L = 1" \
-            in str(batch.value)
+            "replicate 1: the node (t, x) = (0.125, -0.5) stalled at "
+            "increment ")
+        assert str(batch.value).endswith(
+            " within 32 evaluations, far above its rounding: the drift is "
+            "steeper there than its declared Lipschitz constant L = 1")
         assert str(batch.value) == str(solo.value).replace(
             "replicate 0", "replicate 1", 1)
         (z,), _ = solve_replicates(HEAT, steep, g, etas[:1])
@@ -622,18 +623,45 @@ class TestSolveReplicates:
                          const_field(g, 50.0).values,
                          const_field(g, 50.0).values])
         etas[2, 1] = 0.0
-        with pytest.raises(MaxIterExceededError) as batch:
+        with pytest.raises(NumericalError) as batch:
             solve_replicates(HEAT, LYING, g, etas)
-        with pytest.raises(MaxIterExceededError) as solo:
+        with pytest.raises(NumericalError) as solo:
             solve_replicates(HEAT, LYING, g, etas[1:2])
-        assert batch.value.replicate_index == 1
-        assert solo.value.replicate_index == 0
-        assert batch.value.node == solo.value.node == (1, 0)
-        assert batch.value.last_increment == solo.value.last_increment
-        assert batch.value.iterations == solo.value.iterations
-        with pytest.raises(MaxIterExceededError) as late:
+        assert type(batch.value) is type(solo.value) is NumericalError
+        assert str(batch.value).startswith(
+            "replicate 1: the node (t, x) = (0.125, -0.5) did not settle "
+            "within 32 evaluations (last increment ")
+        assert str(batch.value) == str(solo.value).replace(
+            "replicate 0", "replicate 1", 1)
+        with pytest.raises(NumericalError) as late:
             solve_replicates(HEAT, LYING, g, etas[2:])
-        assert late.value.node == (2, 0)
+        assert str(late.value).startswith(
+            "replicate 0: the node (t, x) = (0.25, -0.5) did not settle ")
+
+    def test_lowest_failing_replicate_wins_over_overflow(self):
+        # Replicate 0 does not settle at t = 0.125; replicate 1, forced
+        # to 1e6, where this drift returns 1e308, overflows at t = 0.25.
+        # The error names replicate 0, as its solo solve does.
+        g = LYING_GRID
+        drift = DriftSpec(
+            func=lambda z: np.where(
+                np.abs(z) <= 8.0, np.tanh(z),
+                np.where(z > 1e3, 1e308, np.tanh(z) - 15.9 * (z - 50.0))),
+            lipschitz_constant=1.0, name="lying|huge")
+        etas = np.stack([const_field(g, 50.0).values,
+                         const_field(g, 1e6).values])
+        with pytest.raises(NumericalError) as batch:
+            solve_replicates(HEAT, drift, g, etas)
+        with pytest.raises(NumericalError) as solo:
+            solve_replicates(HEAT, drift, g, etas[:1])
+        with pytest.raises(NumericalError) as blown:
+            solve_replicates(HEAT, drift, g, etas[1:])
+        assert str(batch.value) == str(solo.value)
+        assert str(batch.value).startswith(
+            "replicate 0: the node (t, x) = (0.125, -0.5) did not settle ")
+        assert str(blown.value) == (
+            "replicate 0: the node (t, x) = (0.25, -0.5) overflowed double "
+            "precision; the drift declares Lipschitz constant L = 1")
 
     @pytest.mark.parametrize("eqn", [WAVE, HEAT])
     def test_nodes_settle_at_their_own_iteration(self, eqn):
@@ -668,17 +696,20 @@ class TestSolveReplicates:
             func=lambda z: np.where(np.abs(z) <= 8.0, np.tanh(z), 1e308),
             lipschitz_constant=1.0, name="huge")
         g = wave_grid(n_t=8, n_x=4) if eqn is WAVE else LYING_GRID
-        with pytest.raises(NumericalError, match="overflowed") as exc:
+        with pytest.raises(NumericalError, match="overflowed double "
+                           "precision; the drift declares Lipschitz "
+                           "constant L = 1$") as exc:
             solve_replicates(eqn, drift, g, const_field(g, 50.0).values[None])
         assert type(exc.value) is NumericalError
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("eqn, drift, grid, node", [
+    @pytest.mark.parametrize("eqn, drift, grid, node, lip", [
         (WAVE, make_drift("linear", a=100.0), PointGrid(1.0, 1.0, 8, 16),
-         "(0.125, -1)"),
+         "(0.125, -1)", "100"),
         (HEAT, drift_truncate(make_drift("linear", a=1.0), 1e308),
-         PointGrid(1.0, 1.0, 8, 8), "(0.25, -1)")])
-    def test_overflow_names_replicate_and_node(self, eqn, drift, grid, node):
+         PointGrid(1.0, 1.0, 8, 8), "(0.25, -1)", "1")])
+    def test_overflow_names_replicate_and_node(self, eqn, drift, grid, node,
+                                               lip):
         # Both marches fail alike when a replicate leaves double
         # precision: one NumericalError naming the lowest non-finite
         # replicate and its first node, rows first.  The heat node at
@@ -690,8 +721,8 @@ class TestSolveReplicates:
             solve_replicates(eqn, drift, grid, etas)
         assert type(exc.value) is NumericalError
         assert str(exc.value) == (
-            f"replicate 1: the field overflowed double precision; its "
-            f"first non-finite node is (t, x) = {node}")
+            f"replicate 1: the node (t, x) = {node} overflowed double "
+            f"precision; the drift declares Lipschitz constant L = {lip}")
         # Replicate 0 alone is finite.
         (z,), _ = solve_replicates(eqn, drift, grid, etas[:1])
         assert np.all(z == 0.0)

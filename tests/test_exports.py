@@ -64,6 +64,15 @@ def test_picard_loop_is_gone(module, name):
     assert not hasattr(mod, name)
 
 
+# One NumericalError reports every failed march, with what it found in
+# its message.
+@pytest.mark.parametrize("module", ["fracfield", "fracfield.errors"])
+def test_max_iter_error_is_gone(module):
+    mod = importlib.import_module(module)
+    assert "MaxIterExceededError" not in mod.__all__
+    assert not hasattr(mod, "MaxIterExceededError")
+
+
 def test_solver_controls_are_gone():
     names = {f.name for f in dataclasses.fields(fracfield.SimulationConfig)}
     assert not names & {"tol", "max_iter"}
