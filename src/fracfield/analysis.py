@@ -300,18 +300,23 @@ def _wave_time_lhs(alpha: float, horizon: float, h: np.ndarray):
     Below, its terms of size ``h^p`` cancel, and it is regrouped with ``s
     = 2T/h`` into rises ``(u + s)^p - u^p = u^p expm1(p log1p(s/u))``:
     ``-h^p [2^p expm1(p log1p(s/2)) - 2 expm1(p log1p(s)) + s^p] / 2``.
+    There ``h^p`` is written ``h^(1-alpha) h`` and ``h^(1-alpha)`` is
+    taken out of both terms, so a row overflows only where its lhs does.
     """
     p = 2.0 - alpha
     mellin = -math.pi / (2.0 * _gamma(3.0 - alpha)
                          * math.sin(0.5 * math.pi * (1.0 - abs(alpha))))
     s = 2.0 * horizon / h
-    rises = -0.5 * h ** p * (2.0 ** p * np.expm1(p * np.log1p(0.5 * s))
-                             - 2.0 * np.expm1(p * np.log1p(s)) + s ** p)
-    return (2.0 * horizon * cos_integral_constant(alpha) * h ** (1.0 - alpha)
-            + mellin * np.where(
-                s < 1.0, rises,
-                h ** p * (2.0 ** (p - 1.0) - 1.0)
-                - 0.5 * _second_diff(p, 2.0 * horizon + h, h)))
+    first = 2.0 * horizon * cos_integral_constant(alpha)
+    h_pow = h ** (1.0 - alpha)
+    rises = h_pow * (first - 0.5 * mellin * h * (
+        2.0 ** p * np.expm1(p * np.log1p(0.5 * s))
+        - 2.0 * np.expm1(p * np.log1p(s)) + s ** p))
+    return np.where(
+        s < 1.0, rises,
+        first * h_pow + mellin * (
+            h ** p * (2.0 ** (p - 1.0) - 1.0)
+            - 0.5 * _second_diff(p, 2.0 * horizon + h, h)))
 
 
 def verify_lemma_bound(kind: ShiftKind, eqn: EquationKind, alpha: float, *,

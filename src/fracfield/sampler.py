@@ -7,6 +7,13 @@ in what order they are drawn.  Uniform draws are mapped to normals
 through the inverse CDF, keeping the stream usage per replicate a fixed,
 documented quantity (one 53-bit uniform per matrix dimension).
 
+:func:`replicate_stream` builds one such stream as a numpy ``Generator``.
+:func:`sample_field` draws the same streams without one: it runs
+``SeedSequence``'s hash over a block of 64 replicates at once in uint32
+arithmetic, sets one ``PCG64`` to each replicate's seeded state in turn,
+and reads its raw words.  Its memory beyond the returned values is a few
+arrays of 64 rows, whatever the replicate count.
+
 The package's dense linear algebra, here and in the solver's Gauss
 rules, runs inside :func:`_one_blas_thread`: one OpenBLAS thread, so a
 result has the same bits on any host and no second core spins after it.
@@ -18,10 +25,11 @@ import contextlib
 import ctypes
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, SeedSequence, default_rng
+from numpy.random import PCG64, Generator, SeedSequence, default_rng
 
 from .covariance import CovarianceMatrix
 from .errors import NotPsdError
@@ -43,6 +51,17 @@ _BELOW_ONE = np.nextafter(1.0, 0.0)
 # in another order at another row count; products of one fixed shape
 # sum every row alike.
 _BLOCK_ROWS = 64
+
+# The constants of numpy's SeedSequence (numpy/random/bit_generator.pyx):
+# the running hash of the entropy mix (A) and of generate_state (B), and
+# the two multipliers of its mix.  PCG64 steps its 128-bit state by the
+# multiplier of O'Neill's PCG (HMC-CS-2014-0905).
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_HASH_A = (0x43b0d7e5, 0x931e8875)
+_HASH_B = (0x8b51f9dd, 0x58f38ded)
+_MIX_L, _MIX_R = 0xca01f9dd, 0x4973f715
+_PCG_MULT = 0x2360ed051fc65da44385df649fccf645
 
 # Moshier's Cephes ``ndtri`` (Methods and Programs for Mathematical
 # Functions, 1989), the routine scipy.special.ndtri compiles.  P0/Q0
@@ -217,6 +236,113 @@ def replicate_stream(master_seed: int, replicate_index: int
     return default_rng(ss)
 
 
+class _Hash:
+    """SeedSequence's running hash of 32-bit words: each call xors the
+    word with the running constant, multiplies the constant by ``mult``
+    and the word by the new constant, and folds the high half in."""
+
+    def __init__(self, const: int, mult: int):
+        self.const, self.mult = const, mult
+
+    def __call__(self, word: int) -> int:
+        word ^= self.const
+        self.const = self.const * self.mult & _MASK32
+        word = word * self.const & _MASK32
+        return word ^ word >> 16
+
+    def rows(self, words: np.ndarray, n: int) -> np.ndarray:
+        """The next n calls at once on uint32 ``words``, one row each:
+        ``words`` is one row for all n calls or n rows, one per call."""
+        consts = [self.const]
+        for _ in range(n):
+            consts.append(consts[-1] * self.mult & _MASK32)
+        self.const = consts[-1]
+        consts = np.array(consts, np.uint32)[:, None]
+        words = (words ^ consts[:-1]) * consts[1:]
+        return words ^ words >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word ``x`` with hashed word ``y``."""
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _words(n: int) -> list:
+    """The 32-bit words of ``n >= 0``, least significant first; one zero
+    word for zero, as SeedSequence splits an integer."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _pcg_states(master_seed: int, indices: np.ndarray) -> list:
+    """PCG64 ``(state, inc)`` of ``replicate_stream(master_seed, i)`` for
+    each i of the uint64 array ``indices``.
+
+    SeedSequence pads the seed's words to four, the pool size, and hashes
+    them into the pool; any further seed words and then the spawn key's
+    are mixed into every pool word.  The seed's part is the same for all
+    replicates and runs once on ints; the index words run on uint32
+    arrays.  An index of 2^32 or more has two words: the second is mixed
+    into every pool and kept where the index has it.  ``generate_state(4,
+    uint64)`` then hashes the pool twice round into 8 words, read as
+    little-endian pairs ``v0 .. v3``, and PCG64 seeds with them as
+    ``initstate = v0 2^64 + v1``, ``inc = 2 (v2 2^64 + v3) + 1`` and
+    ``state = (inc + initstate) M + inc``.
+    """
+    master_seed = operator.index(master_seed)
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
+    seed = _words(master_seed)
+    seed += [0] * (4 - len(seed))
+    hash_a = _Hash(*_HASH_A)
+    pool = [hash_a(w) for w in seed[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], hash_a(pool[src]))
+    for w in seed[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hash_a(w))
+    pool = np.array(pool, np.uint32)[:, None]
+    low = (indices & _MASK32).astype(np.uint32)
+    high = (indices >> 32).astype(np.uint32)
+    pool = _mix(pool, hash_a.rows(low, 4))
+    pool = np.where(high != 0, _mix(pool, hash_a.rows(high, 4)), pool)
+    words = _Hash(*_HASH_B).rows(np.tile(pool, (2, 1)), 8).astype(np.uint64)
+    v = words[0::2] | words[1::2] << 32
+    states = []
+    for a, b, c, d in zip(*v.tolist()):
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        state = ((a << 64 | b) + inc) * _PCG_MULT + inc
+        states.append((state & _MASK128, inc))
+    return states
+
+
+def _stream_uniforms(master_seed: int, indices: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
+    """Fill row j of ``out`` with ``_uniforms(replicate_stream(
+    master_seed, indices[j]), k)``, k the row length, bit for bit.
+
+    ``integers(0, 2**53)`` takes the top 53 bits of one raw word and
+    never rejects, so each row is the raw words of its stream shifted
+    right by 11 bits, mapped to cell midpoints as :func:`_uniforms`
+    maps them.
+    """
+    states = _pcg_states(master_seed, np.asarray(indices, dtype=np.uint64))
+    bits = PCG64(0)
+    for row, (state, inc) in zip(out, states):
+        bits.state = {"bit_generator": "PCG64",
+                      "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        row[:] = bits.random_raw(row.size) >> 11
+    out += 0.5
+    out *= 2.0 ** -53
+    return np.minimum(out, _BELOW_ONE, out=out)
+
+
 def _log(v: np.ndarray) -> np.ndarray:
     """Elementwise libm ``log``: numpy's own SIMD log differs from it in
     the last bit at some arguments, and so from Cephes."""
@@ -274,23 +400,30 @@ def sample_field(factor: PsdFactor, master_seed: int,
                  n_replicates: int) -> FieldSample:
     """Draw replicates of the centered field with the given factor.
 
-    Row i is ``lower @ z_i`` with ``z_i`` from ``replicate_stream(
-    master_seed, i)``; doubling ``n_replicates`` reproduces the first
-    half bit for bit.  The product runs in blocks of a fixed number of
-    replicates, the last one zero-padded, so that every row is summed
-    in the same order whatever the replicate count.
+    Row i is ``lower @ z_i`` with ``z_i`` the
+    :func:`standard_normals` of ``replicate_stream(master_seed, i)``;
+    doubling ``n_replicates`` reproduces the first half bit for bit.
+    The streams are seeded in bulk (:func:`_stream_uniforms`), one block
+    of a fixed number of replicates at a time, and the block's product
+    runs at that fixed shape, the last block zero-padded, so that every
+    row is summed in the same order whatever the replicate count.
+    Beyond the returned values, which keep that padding behind them,
+    sampling holds O(64 k) memory.
     """
     if n_replicates < 1:
         raise ValueError(f"need at least one replicate, got {n_replicates}")
     k = factor.lower.shape[0]
     rows = -(-n_replicates // _BLOCK_ROWS) * _BLOCK_ROWS
-    z = np.zeros((rows, k))
-    for i in range(n_replicates):
-        z[i] = _uniforms(replicate_stream(master_seed, i), k)
-    # One transform over all replicates: the same normals as
-    # standard_normals per replicate, at a fraction of the call overhead.
-    z[:n_replicates] = _ndtri(z[:n_replicates])
+    values = np.empty((rows, k))
+    z = np.empty((_BLOCK_ROWS, k))
     with _one_blas_thread():
-        values = (z.reshape(rows // _BLOCK_ROWS, _BLOCK_ROWS, k)
-                  @ factor.lower.T)
-    return FieldSample(values=values.reshape(rows, k)[:n_replicates])
+        for start in range(0, rows, _BLOCK_ROWS):
+            live = min(_BLOCK_ROWS, n_replicates - start)
+            _stream_uniforms(master_seed, np.arange(start, start + live,
+                                                    dtype=np.uint64),
+                             z[:live])
+            z[:live] = _ndtri(z[:live])
+            z[live:] = 0.0
+            np.matmul(z, factor.lower.T,
+                      out=values[start:start + _BLOCK_ROWS])
+    return FieldSample(values=values[:n_replicates])

@@ -292,13 +292,26 @@ class TestLemmaBound:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_time_shift_raises(self):
-        # The wave lhs at 1e300 overflows in h^(2 - alpha); max() over
-        # the ratios used to skip such a row.
+        # The wave lhs at alpha = -0.9 and shift 1e300 is 2.05e571, out
+        # of double range; max() over the ratios used to skip such a row.
         with pytest.raises(NumericalError,
-                           match="^time_shift:wave:alpha=0.2 at shift "
-                                 "1e\\+300 has lhs -inf "):
-            verify_lemma_bound(ShiftKind.TIME_SHIFT, WAVE, 0.2,
+                           match="^time_shift:wave:alpha=-0.9 at shift "
+                                 "1e\\+300 has lhs inf "):
+            verify_lemma_bound(ShiftKind.TIME_SHIFT, WAVE, -0.9,
                                shifts=[0.1, 1e300])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha, shift, truth", [
+        (0.2, 1e300, 3.0875136178171157899e240),
+        (-0.9, 1e150, 2.0507913756307710419e286)])
+    def test_wave_time_row_at_huge_shift(self, alpha, shift, truth):
+        # h^(2 - alpha) overflows here though the lhs is in range (these
+        # rows raised "lhs -inf" and "lhs inf"); reference the Mellin sum
+        # at 800 digits (mpmath), horizon 1.  Its 4e-14 are the rounding
+        # of 1 - alpha, times ln(shift) = 345 or 691.
+        row = verify_lemma_bound(ShiftKind.TIME_SHIFT, WAVE, alpha,
+                                 shifts=[0.1, shift]).rows[1]
+        assert abs(row.lhs - truth) <= 1e-13 * truth
 
     @pytest.mark.filterwarnings("error")
     def test_heat_time_row_at_huge_shift(self):

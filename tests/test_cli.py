@@ -827,17 +827,19 @@ class TestVerifyLemmas:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_row_exits_two_with_one_line(self, tmp_path, capsys):
-        # The wave time-shift lhs at 1e300 overflows; the run used to
+        # At alpha = -0.9 every row at shift 1e300 leaves double range,
+        # the wave time-shift lhs (2.05e571) and every rhs; the first one
+        # run, the wave space-shift row, is reported.  A run used to
         # print VIOLATED over the other rows' ratios after six numpy
         # warnings.
         cfg = write_config(tmp_path, {
-            "lemmas": {"alphas": [0.2], "shifts": [0.1, 1e300]}})
+            "lemmas": {"alphas": [-0.9], "shifts": [0.1, 1e300]}})
         assert main(["verify-lemmas", "--config", cfg]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(
-            "fracfield: numerical failure: time_shift:wave:alpha=0.2 at "
-            "shift 1e+300 has lhs -inf ")
+            "fracfield: numerical failure: space_shift:wave:alpha=-0.9 at "
+            "shift 1e+300 has lhs 14.14338879745347 and rhs inf: ")
         assert captured.err.count("\n") == 1
 
     def test_hurst_flag_selects_single_alpha(self, capsys):
