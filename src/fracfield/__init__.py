@@ -32,8 +32,7 @@ from .det_solver import (DriftSpec, GridFunction, InitialData, MarchRecord,
 from .errors import NotPsdError, NumericalError
 from .quasilinear import (LadderResult, SimulationConfig, SimulationResult,
                           mild_residual, simulate, truncation_ladder_run)
-from .sampler import (FieldSample, PsdFactor, factor_psd, replicate_stream,
-                      sample_field, standard_normals)
+from .sampler import FieldSample, PsdFactor, factor_psd, sample_field
 from .spectral import (EquationKind, HurstIndex, dalang_integral_closed,
                        gaussian_abs_moment, noise_constant)
 
@@ -77,11 +76,9 @@ __all__ = [
     "noise_constant",
     "noise_field_cov",
     "picard_apply",
-    "replicate_stream",
     "sample_field",
     "simulate",
     "solve_replicates",
-    "standard_normals",
     "truncation_ladder_run",
     "verify_lemma_bound",
     "__version__",

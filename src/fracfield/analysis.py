@@ -332,7 +332,8 @@ def verify_lemma_bound(kind: ShiftKind, eqn: EquationKind, alpha: float, *,
     (:func:`fracfield.covariance.increment_moment2`), the time-shift rows
     the Gaussian and Mellin-transform sums of :func:`_heat_time_lhs` and
     :func:`_wave_time_lhs`.  Every ratio must stay at or below one (up
-    to roundoff) and the lhs must vanish monotonically with the shift.
+    to roundoff), and the lhs must not fall from one shift to the next
+    by more than the rounding of its powers, whatever its size.
     A row whose lhs is not finite or whose rhs is not a positive double
     raises :class:`NumericalError` naming its shift.
     """
@@ -383,7 +384,15 @@ def verify_lemma_bound(kind: ShiftKind, eqn: EquationKind, alpha: float, *,
                 f"leaves the range of double precision")
         rows.append(LemmaRow(shift=h, lhs=lhs, rhs=rhs, ratio=lhs / rhs))
     max_ratio = max(r.ratio for r in rows)
-    monotone = all(b.lhs >= a.lhs - 1e-12
-                   for a, b in zip(rows, rows[1:]))
+    # Each lhs sums powers x^p = exp(p ln x), |p| < 3, of the shift, the
+    # horizon and their ratio.  Rounding ln x and then p ln x, each to
+    # half an ulp, moves x^p by up to |p ln x| eps < 3 eps |ln x|
+    # relative, eps = 2^-52.  A step may fall by the rounding of both
+    # its rows.
+    slack = [3.0 * 2.0 ** -52 * (1.0 + abs(math.log(h))
+                                 + abs(math.log(horizon)))
+             for h in shift_arr]
+    monotone = all(b.lhs * (1.0 + sb) >= a.lhs * (1.0 - sa)
+                   for a, b, sa, sb in zip(rows, rows[1:], slack, slack[1:]))
     return LemmaReport(alpha=alpha, rows=tuple(rows), max_ratio=max_ratio,
                        lhs_monotone=monotone)

@@ -3,9 +3,12 @@
 Pipeline: build the exact covariance of the linear solution field on the
 reported grid, factor it, draw Gaussian replicates, add the initial-data
 term, and march the fixed-point equation for all replicates as one batch.
-Replicate i draws from its own PCG64 stream, seeded by the
-``SeedSequence`` of ``master_seed`` and spawn key ``(i,)``, and is solved
-as it would be alone, so it is byte-identical for any replicate count.
+Replicate i's normals are the inverse normal CDF of the top 53 bits of
+the raw words of PCG64 seeded by ``SeedSequence(master_seed,
+spawn_key=(i,))``, drawn by :func:`fracfield.sampler.sample_field` alone
+(``tests/oracle.py`` rebuilds them with numpy's own ``Generator``).  It
+is solved as it would be alone, so it is byte-identical for any
+replicate count.
 A truncation ladder solves them once per clip level of the drift, for
 any globally Lipschitz drift and either equation.
 """

@@ -1,18 +1,19 @@
 """Reproducible Gaussian sampling from covariance matrices.
 
-Replicate i draws from its own PCG64 stream, seeded by the
-``SeedSequence`` of entropy ``master_seed`` and spawn key ``(i,)``, so it
+Replicate i draws from its own stream: the raw 64-bit words of PCG64
+seeded by numpy's ``SeedSequence(master_seed, spawn_key=(i,))``.  So it
 is the same bit pattern no matter how many replicates are requested or
-in what order they are drawn.  Uniform draws are mapped to normals
-through the inverse CDF, keeping the stream usage per replicate a fixed,
-documented quantity (one 53-bit uniform per matrix dimension).
+in what order they are drawn.  Its j-th normal is the inverse normal CDF
+of the top 53 bits of its j-th word, taken as an integer m and mapped to
+the cell midpoint ``(m + 1/2) 2^-53``: one word per matrix dimension.
 
-:func:`replicate_stream` builds one such stream as a numpy ``Generator``.
-:func:`sample_field` draws the same streams without one: it runs
+:func:`sample_field` is the one route that draws them.  It runs
 ``SeedSequence``'s hash over a block of 64 replicates at once in uint32
 arithmetic, sets one ``PCG64`` to each replicate's seeded state in turn,
 and reads its raw words.  Its memory beyond the returned values is a few
-arrays of 64 rows, whatever the replicate count.
+arrays of 64 rows, whatever the replicate count.  ``tests/oracle.py``
+rebuilds the same streams with numpy's own ``Generator``, one per
+replicate.
 
 The package's dense linear algebra, here and in the solver's Gauss
 rules, runs inside :func:`_one_blas_thread`: one OpenBLAS thread, so a
@@ -29,7 +30,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import PCG64, Generator, SeedSequence, default_rng
+from numpy.random import PCG64
 
 from .covariance import CovarianceMatrix
 from .errors import NotPsdError
@@ -39,8 +40,6 @@ __all__ = [
     "PsdFactor",
     "FieldSample",
     "factor_psd",
-    "replicate_stream",
-    "standard_normals",
     "sample_field",
 ]
 
@@ -219,40 +218,17 @@ def _one_blas_thread():
         set_(before)
 
 
-def replicate_stream(master_seed: int, replicate_index: int
-                     ) -> Generator:
-    """Independent generator for one replicate.
-
-    Derived via ``SeedSequence(master_seed).spawn``-style keying: the
-    stream depends only on ``(master_seed, replicate_index)``, making
-    replicate i identical across batch sizes and orders.
-    """
-    if master_seed < 0:
-        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
-    if replicate_index < 0:
-        raise ValueError(
-            f"replicate index must be >= 0, got {replicate_index}")
-    ss = SeedSequence(entropy=master_seed, spawn_key=(replicate_index,))
-    return default_rng(ss)
-
-
 class _Hash:
-    """SeedSequence's running hash of 32-bit words: each call xors the
+    """SeedSequence's running hash of 32-bit words: each hash xors the
     word with the running constant, multiplies the constant by ``mult``
     and the word by the new constant, and folds the high half in."""
 
     def __init__(self, const: int, mult: int):
         self.const, self.mult = const, mult
 
-    def __call__(self, word: int) -> int:
-        word ^= self.const
-        self.const = self.const * self.mult & _MASK32
-        word = word * self.const & _MASK32
-        return word ^ word >> 16
-
     def rows(self, words: np.ndarray, n: int) -> np.ndarray:
-        """The next n calls at once on uint32 ``words``, one row each:
-        ``words`` is one row for all n calls or n rows, one per call."""
+        """The next n hashes at once on uint32 ``words``, one row each:
+        ``words`` is one row for all n hashes or n rows, one per hash."""
         consts = [self.const]
         for _ in range(n):
             consts.append(consts[-1] * self.mult & _MASK32)
@@ -268,45 +244,49 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _words(n: int) -> list:
-    """The 32-bit words of ``n >= 0``, least significant first; one zero
-    word for zero, as SeedSequence splits an integer."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
+@functools.lru_cache(maxsize=1)
+def _seed_pool(master_seed: int) -> tuple:
+    """SeedSequence's pool after the words of ``master_seed >= 0``, as a
+    read-only (4, 1) uint32 array, and the running constant of the hash
+    that goes on to the spawn key.
+
+    The seed's 32-bit words, least significant first and padded with
+    zeros to four, the pool size, are hashed into the pool; each pool
+    word is then hashed three times and mixed into the other three, and
+    any further seed words are mixed into every pool word.
+    """
+    words = np.array([master_seed >> shift & _MASK32 for shift in range(
+        0, max(master_seed.bit_length(), 128), 32)], np.uint32)[:, None]
+    hash_a = _Hash(*_HASH_A)
+    pool = hash_a.rows(words[:4], 4)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], hash_a.rows(pool[src], 3))
+    for word in words[4:]:
+        pool = _mix(pool, hash_a.rows(word, 4))
+    pool.setflags(write=False)
+    return pool, hash_a.const
 
 
 def _pcg_states(master_seed: int, indices: np.ndarray) -> list:
-    """PCG64 ``(state, inc)`` of ``replicate_stream(master_seed, i)`` for
-    each i of the uint64 array ``indices``.
+    """PCG64 ``(state, inc)`` seeded by ``SeedSequence(master_seed,
+    spawn_key=(i,))`` for each i of the uint64 array ``indices``.
 
-    SeedSequence pads the seed's words to four, the pool size, and hashes
-    them into the pool; any further seed words and then the spawn key's
-    are mixed into every pool word.  The seed's part is the same for all
-    replicates and runs once on ints; the index words run on uint32
-    arrays.  An index of 2^32 or more has two words: the second is mixed
-    into every pool and kept where the index has it.  ``generate_state(4,
-    uint64)`` then hashes the pool twice round into 8 words, read as
-    little-endian pairs ``v0 .. v3``, and PCG64 seeds with them as
-    ``initstate = v0 2^64 + v1``, ``inc = 2 (v2 2^64 + v3) + 1`` and
-    ``state = (inc + initstate) M + inc``.
+    The seed's part of the pool is the same for every replicate and
+    comes from :func:`_seed_pool`.  The spawn key's words are then mixed
+    into every pool word, as uint32 arrays over all the indices.  An
+    index of 2^32 or more has two words: the second is mixed in and kept
+    where the index has it.  ``generate_state(4, uint64)`` then hashes
+    the pool twice round into 8 words, read as little-endian pairs ``v0
+    .. v3``, and PCG64 seeds with them as ``initstate = v0 2^64 + v1``,
+    ``inc = 2 (v2 2^64 + v3) + 1`` and ``state = (inc + initstate) M +
+    inc``.
     """
     master_seed = operator.index(master_seed)
     if master_seed < 0:
         raise ValueError(f"master_seed must be >= 0, got {master_seed}")
-    seed = _words(master_seed)
-    seed += [0] * (4 - len(seed))
-    hash_a = _Hash(*_HASH_A)
-    pool = [hash_a(w) for w in seed[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if dst != src:
-                pool[dst] = _mix(pool[dst], hash_a(pool[src]))
-    for w in seed[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hash_a(w))
-    pool = np.array(pool, np.uint32)[:, None]
+    pool, const = _seed_pool(master_seed)
+    hash_a = _Hash(const, _HASH_A[1])
     low = (indices & _MASK32).astype(np.uint32)
     high = (indices >> 32).astype(np.uint32)
     pool = _mix(pool, hash_a.rows(low, 4))
@@ -323,13 +303,14 @@ def _pcg_states(master_seed: int, indices: np.ndarray) -> list:
 
 def _stream_uniforms(master_seed: int, indices: np.ndarray,
                      out: np.ndarray) -> np.ndarray:
-    """Fill row j of ``out`` with ``_uniforms(replicate_stream(
-    master_seed, indices[j]), k)``, k the row length, bit for bit.
+    """Fill row j of ``out`` with the first k uniforms of the stream of
+    replicate ``indices[j]``, k the row length.
 
-    ``integers(0, 2**53)`` takes the top 53 bits of one raw word and
-    never rejects, so each row is the raw words of its stream shifted
-    right by 11 bits, mapped to cell midpoints as :func:`_uniforms`
-    maps them.
+    Each is the top 53 bits m of one raw word, mapped to the cell
+    midpoint ``(m + 1/2) 2^-53``.  For m >= 2^52 the half is lost to
+    rounding, and m = 2^53 - 1 rounds to exactly 1; that one value is
+    clamped to the largest double below 1, so the inverse CDF never
+    produces an infinity.
     """
     states = _pcg_states(master_seed, np.asarray(indices, dtype=np.uint64))
     bits = PCG64(0)
@@ -378,31 +359,14 @@ def _ndtri(y0: np.ndarray) -> np.ndarray:
     return out
 
 
-def _uniforms(rng: Generator, n: int) -> np.ndarray:
-    """n uniforms on (0, 1): an integer k drawn from ``[0, 2**53)`` maps
-    to the cell midpoint ``(k + 1/2) 2**-53``, rounded to double.
-
-    For k >= 2**52 the half is lost to rounding, and k = 2**53 - 1
-    rounds to exactly 1; that one value is clamped to the largest double
-    below 1, so the inverse CDF never produces an infinity.
-    """
-    u = (rng.integers(0, 1 << 53, size=n) + 0.5) * 2.0 ** -53
-    return np.minimum(u, _BELOW_ONE, out=u)
-
-
-def standard_normals(rng: Generator, n: int) -> np.ndarray:
-    """n standard normals: the inverse normal CDF of n uniforms from
-    :func:`_uniforms`."""
-    return _ndtri(_uniforms(rng, n))
-
-
 def sample_field(factor: PsdFactor, master_seed: int,
                  n_replicates: int) -> FieldSample:
     """Draw replicates of the centered field with the given factor.
 
-    Row i is ``lower @ z_i`` with ``z_i`` the
-    :func:`standard_normals` of ``replicate_stream(master_seed, i)``;
-    doubling ``n_replicates`` reproduces the first half bit for bit.
+    Row i is ``lower @ z_i`` with ``z_i`` the inverse normal CDF of the
+    uniforms of replicate i's stream, one per column (see the module
+    docstring); doubling ``n_replicates`` reproduces the first half bit
+    for bit.
     The streams are seeded in bulk (:func:`_stream_uniforms`), one block
     of a fixed number of replicates at a time, and the block's product
     runs at that fixed shape, the last block zero-padded, so that every

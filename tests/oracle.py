@@ -14,7 +14,13 @@ two routes that the grid solver of :mod:`fracfield.det_solver` is checked
 against: :func:`ode_oracle`, the scalar Volterra solution for forcing
 constant in space, and :func:`picard_oracle`, global Picard iteration of
 the whole grid to a tight tolerance instead of the solver's causal
-march.  It lives with the tests, outside the installed package.
+march.  And it holds the per-replicate route to the sampler's streams:
+:func:`replicate_stream` builds replicate i's numpy ``Generator`` from
+``SeedSequence(master_seed, spawn_key=(i,))``, and
+:func:`standard_normals` draws its normals through ``integers``, where
+:func:`fracfield.sampler.sample_field` seeds the streams in bulk and
+reads their raw words.  It lives with the tests, outside the installed
+package.
 
 The engine splits the half line into three zones:
 
@@ -37,9 +43,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from numpy.random import Generator, SeedSequence, default_rng
 
 from fracfield.det_solver import DriftSpec, GridFunction, picard_apply
 from fracfield.errors import NumericalError
+from fracfield.sampler import _ndtri
 from fracfield.spectral import EquationKind
 
 __all__ = [
@@ -56,6 +64,8 @@ __all__ = [
     "time_shift_lhs",
     "ode_oracle",
     "picard_oracle",
+    "replicate_stream",
+    "standard_normals",
 ]
 
 # Gauss-Legendre rules reused everywhere; GL8 provides the embedded error
@@ -818,3 +828,38 @@ def picard_oracle(eqn: EquationKind, drift: DriftSpec, eta: GridFunction,
     raise NumericalError(
         f"Picard iteration did not reach tol={tol} within {max_iter} "
         f"iterations (last increment {increments[-1]:.3e})")
+
+
+def replicate_stream(master_seed: int, replicate_index: int
+                     ) -> Generator:
+    """Independent generator for one replicate.
+
+    Derived via ``SeedSequence(master_seed).spawn``-style keying: the
+    stream depends only on ``(master_seed, replicate_index)``, making
+    replicate i identical across batch sizes and orders.
+    """
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
+    if replicate_index < 0:
+        raise ValueError(
+            f"replicate index must be >= 0, got {replicate_index}")
+    ss = SeedSequence(entropy=master_seed, spawn_key=(replicate_index,))
+    return default_rng(ss)
+
+
+def _uniforms(rng: Generator, n: int) -> np.ndarray:
+    """n uniforms on (0, 1): an integer k drawn from ``[0, 2**53)`` maps
+    to the cell midpoint ``(k + 1/2) 2**-53``, rounded to double.
+
+    For k >= 2**52 the half is lost to rounding, and k = 2**53 - 1
+    rounds to exactly 1; that one value is clamped to the largest double
+    below 1, so the inverse CDF never produces an infinity.
+    """
+    u = (rng.integers(0, 1 << 53, size=n) + 0.5) * 2.0 ** -53
+    return np.minimum(u, np.nextafter(1.0, 0.0), out=u)
+
+
+def standard_normals(rng: Generator, n: int) -> np.ndarray:
+    """n standard normals: the inverse normal CDF of n uniforms from
+    :func:`_uniforms`."""
+    return _ndtri(_uniforms(rng, n))

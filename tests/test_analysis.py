@@ -397,6 +397,38 @@ class TestLemmaBound:
         with pytest.raises(ValueError, match="need at least one shift"):
             verify_lemma_bound(ShiftKind.SPACE_SHIFT, HEAT, 0.0, shifts=[])
 
+    @pytest.mark.parametrize("lhs, monotone", [
+        # Rows near 1e-13 that fall by 1e-6 of themselves per shift.  An
+        # absolute slack of 1e-12 read them as monotone.
+        (lambda n: 1e-13 * (1.0 - 1e-6 * np.arange(n)), False),
+        # Rows that fall by one ulp, as rounding may leave them.
+        (lambda n: np.where(np.arange(n) > 3, np.nextafter(1e-13, 0.0),
+                            1e-13), True),
+    ], ids=["falling", "one_ulp_fall"])
+    def test_monotone_slack_is_relative(self, monkeypatch, lhs, monotone):
+        from fracfield import analysis
+        monkeypatch.setattr(analysis, "_heat_time_lhs",
+                            lambda alpha, horizon, h: lhs(h.size))
+        report = verify_lemma_bound(ShiftKind.TIME_SHIFT, HEAT, 0.0)
+        assert all(row.lhs < 1e-12 for row in report.rows)
+        assert report.lhs_monotone is monotone
+
+    def test_monotone_verdicts_at_tiny_horizons(self):
+        # Below a horizon of 1e-40 the heat time-shift lhs at alpha 0.999
+        # is flat far below rounding, and its rows, of size 1e3, differ by
+        # rounding alone.  At a horizon of 1e-10 the wave space-shift lhs
+        # at alpha 0.5 falls by 2^-1.5 of its last fall at each doubling
+        # of the shift, 5e-13 of itself at the first step: the far-field
+        # covariance, of order shift^(2H - 2), is negative at H = 1/4.
+        assert verify_lemma_bound(ShiftKind.TIME_SHIFT, HEAT, 0.999,
+                                  horizon=1e-300).lhs_monotone
+        report = verify_lemma_bound(ShiftKind.SPACE_SHIFT, WAVE, 0.5,
+                                    horizon=1e-10)
+        falls = -np.diff([row.lhs for row in report.rows])
+        assert np.all(falls > 0.0)
+        assert np.allclose(falls[1:4] / falls[:3], 2.0 ** -1.5, rtol=0.05)
+        assert not report.lhs_monotone
+
 
 class TestHConvergence:
     def test_sups_vanish_at_reference(self):

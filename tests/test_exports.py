@@ -87,8 +87,8 @@ def test_test_oracles_are_not_installed():
     # checks, and live in tests/oracle.py, not in the package.
     for name in ("fracfield.oracle", "fracfield.quadrature"):
         assert importlib.util.find_spec(name) is None
-    assert {"spectral_integral", "ode_oracle",
-            "picard_oracle"} <= set(oracle.__all__)
+    assert {"spectral_integral", "ode_oracle", "picard_oracle",
+            "replicate_stream", "standard_normals"} <= set(oracle.__all__)
 
 
 # Test oracles live with the tests, not in the run-time modules.
@@ -99,11 +99,30 @@ def test_test_oracles_are_not_installed():
     ("fracfield.det_solver", "picard_oracle"),
     ("fracfield.analysis", "fit_hoelder_mc"),
     ("fracfield.analysis", "_lag_pairs"),
+    ("fracfield", "replicate_stream"),
+    ("fracfield", "standard_normals"),
+    ("fracfield.sampler", "replicate_stream"),
+    ("fracfield.sampler", "standard_normals"),
+    ("fracfield.sampler", "_uniforms"),
 ])
 def test_test_oracles_left_the_run_time_modules(module, name):
     mod = importlib.import_module(module)
     assert name not in mod.__all__
     assert not hasattr(mod, name)
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "oracle"])
+def test_one_stream_route(module):
+    # sample_field seeds every replicate's PCG64 itself; numpy's
+    # per-replicate Generator route is the tests' oracle.
+    mod = importlib.import_module(module)
+    assert not {"Generator", "SeedSequence", "default_rng"} & set(vars(mod))
+
+
+def test_seed_hash_has_one_method():
+    from fracfield.sampler import _Hash
+    assert "__call__" not in vars(_Hash)
+    assert callable(_Hash.rows)
 
 
 def test_analysis_does_not_sample():

@@ -3,8 +3,8 @@
 Oracles: hand-computed Cholesky factors, Monte Carlo moments with
 standard-error bars, the replicate-keying contract (stream i depends
 only on the master seed and i), numpy's own SeedSequence and Generator
-for the bulk-seeded streams, and scipy.special.ndtri for the Cephes port
-of the inverse normal CDF.
+for the bulk-seeded streams (``oracle.replicate_stream``), and
+scipy.special.ndtri for the Cephes port of the inverse normal CDF.
 """
 
 import math
@@ -16,12 +16,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+import fracfield.sampler
 from fracfield import (EquationKind, NotPsdError, PointGrid, cov_matrix,
-                       factor_psd, replicate_stream, sample_field,
-                       standard_normals)
+                       factor_psd, sample_field)
 from fracfield.covariance import CovarianceMatrix
 from fracfield.sampler import (_EXP_M2, _ndtri, _openblas_thread_api,
-                               _stream_uniforms, _uniforms)
+                               _stream_uniforms)
+from oracle import _uniforms, replicate_stream, standard_normals
 
 
 def make_cov(entries):
@@ -99,7 +100,16 @@ class TestFactorPsd:
             factor_psd(make_cov([[1.0, np.nan], [np.nan, 1.0]]))
 
 
+def identity_normals(master_seed, n_replicates, k):
+    """The package's normals of replicates 0 .. n_replicates - 1, k per
+    replicate: sample_field on an identity factor returns them as is."""
+    factor = factor_psd(make_cov(np.eye(k)))
+    return sample_field(factor, master_seed, n_replicates).values
+
+
 class TestReplicateStream:
+    """The oracle's per-replicate keying."""
+
     def test_same_key_same_stream(self):
         a = replicate_stream(42, 7).standard_normal(5)
         b = replicate_stream(42, 7).standard_normal(5)
@@ -171,31 +181,41 @@ class TestStreamUniforms:
 
 
 class TestStandardNormals:
+    """The package's normals, drawn through sample_field."""
+
     def test_deterministic_and_finite(self):
-        a = standard_normals(replicate_stream(3, 0), 100000)
-        b = standard_normals(replicate_stream(3, 0), 100000)
+        a = identity_normals(3, 1000, 100)
+        b = identity_normals(3, 1000, 100)
         assert np.array_equal(a, b)
         assert np.all(np.isfinite(a))
 
     def test_moments_within_four_se(self):
-        z = standard_normals(replicate_stream(12345, 0), 200000)
+        z = identity_normals(12345, 2000, 100)
         n = z.size
         assert abs(z.mean()) <= 4.0 / math.sqrt(n)
         assert abs(z.var() - 1.0) <= 4.0 * math.sqrt(2.0 / (n - 1))
 
-    def test_extreme_draws_stay_finite(self):
-        # The integers 0 and 2**53 - 1 bound the draw range, and around
-        # 2**52 the half-cell offset is lost to rounding.  Only the top
-        # one, whose midpoint rounds to 1, differs from the unclamped
+    def test_extreme_draws_stay_finite(self, monkeypatch):
+        # The top 53 bits 0 and 2**53 - 1 bound the draw range, and
+        # around 2**52 the half-cell offset is lost to rounding.  Only the
+        # top one, whose midpoint rounds to 1, differs from the unclamped
         # transform, which maps it to +inf.
-        ks = np.array([0, 2 ** 52 - 1, 2 ** 52, 2 ** 53 - 2, 2 ** 53 - 1])
+        ks = np.array([0, 2 ** 52 - 1, 2 ** 52, 2 ** 53 - 2, 2 ** 53 - 1],
+                      dtype=np.uint64)
 
         class Stub:
-            def integers(self, low, high, size):
-                assert (low, high, size) == (0, 1 << 53, ks.size)
-                return ks.copy()
+            # Every raw word carries ks in its top 53 bits and ones in
+            # the 11 bits below, which the uniforms drop.
+            def __init__(self, seed):
+                pass
 
-        z = standard_normals(Stub(), ks.size)
+            def random_raw(self, size):
+                assert size == ks.size
+                return ks << 11 | 0x7FF
+
+        monkeypatch.setattr(fracfield.sampler, "PCG64", Stub)
+        u = _stream_uniforms(0, [0], np.empty((1, ks.size)))
+        z = _ndtri(u[0])
         unclamped = ndtri((ks + 0.5) * 2.0 ** -53)
         assert np.all(np.isfinite(z))
         assert np.array_equal(z[:-1].view(np.uint64),
@@ -205,7 +225,7 @@ class TestStandardNormals:
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     def test_never_degenerate(self, seed):
-        z = standard_normals(replicate_stream(seed, 0), 64)
+        z = identity_normals(seed, 1, 64)[0]
         assert np.all(np.isfinite(z))
         assert np.ptp(z) > 0.0
 
