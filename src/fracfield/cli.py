@@ -121,15 +121,29 @@ def _setting(cfg: dict, args, key: str, kind: str, default=_REQUIRED):
     return value if convert is None else convert(value)
 
 
+def _section(cfg: dict, args, key: str, keys) -> dict | None:
+    """The object setting ``key``, or None.  A key in it that is not one
+    of ``keys``, the ones its readers take, raises ``ValueError`` naming
+    it: misspelt, it would leave its default in force."""
+    section = _setting(cfg, args, key, "object", None)
+    unread = sorted(set(section or ()) - set(keys))
+    if unread:
+        raise ValueError(f"{key}.{unread[0]} is not read; {key} takes "
+                         f"{', '.join(keys)}")
+    return section
+
+
 def _grid_from(cfg: dict, args) -> PointGrid:
+    kinds = {"horizon": "number", "half_width": "number", "n_t": "int",
+             "n_x": "int"}
+    _section(cfg, args, "grid", kinds)
     return PointGrid(**{name: _setting(cfg, args, f"grid.{name}", kind)
-                        for name, kind in (("horizon", "number"),
-                                           ("half_width", "number"),
-                                           ("n_t", "int"), ("n_x", "int"))})
+                        for name, kind in kinds.items()})
 
 
 def _drift_from(cfg: dict, args):
-    if _setting(cfg, args, "drift", "object", None) is None:
+    if _section(cfg, args, "drift",
+                ("kind", "params", "truncation_level")) is None:
         return make_drift("zero")
     drift = make_drift(_setting(cfg, args, "drift.kind", "text"),
                        **_setting(cfg, args, "drift.params", "object", {}))
@@ -140,7 +154,8 @@ def _drift_from(cfg: dict, args):
 def _initial_from(cfg: dict, args) -> InitialData:
     profiles = {}
     for name in ("u0", "v0"):
-        if _setting(cfg, args, f"initial.{name}", "object", None) is not None:
+        if _section(cfg, args, f"initial.{name}",
+                    ("kind", "params")) is not None:
             profiles[name] = (
                 _setting(cfg, args, f"initial.{name}.kind", "text"),
                 _setting(cfg, args, f"initial.{name}.params", "object", {}))
@@ -181,8 +196,9 @@ def _eta_from(cfg: dict, args, eqn: EquationKind,
     """Resolve the forcing: the initial-data term (the default), a CSV
     file or a named built-in profile.  Only the first reads ``initial``,
     and the others refuse it rather than drop it."""
+    section = _section(cfg, args, "eta", ("kind", "csv", "value", "rate"))
     path = _setting(cfg, args, "eta.csv", "text", None)
-    kind = ("initial" if _setting(cfg, args, "eta", "object", None) is None
+    kind = ("initial" if section is None
             else "csv" if path is not None
             else _setting(cfg, args, "eta.kind", "text"))
     if kind == "initial":

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.random import PCG64
 
 from .covariance import CovarianceMatrix
-from .errors import NotPsdError
+from .errors import NumericalError
 from .spectral import _polevl
 
 __all__ = [
@@ -136,7 +136,7 @@ def factor_psd(cov: CovarianceMatrix) -> PsdFactor:
     columns in the factor, so no jitter reaches them.  The block of the
     remaining nodes is factored as is when possible; otherwise jitter
     starts at ``1e-12 * max_diag`` and is multiplied by 10 up to
-    ``1e-6 * max_diag``.  :class:`NotPsdError` is raised if the block
+    ``1e-6 * max_diag``.  :class:`NumericalError` is raised if the block
     still fails, or if a zero-variance node has a nonzero covariance,
     which indicates an inconsistent covariance rather than roundoff.
     """
@@ -147,8 +147,8 @@ def factor_psd(cov: CovarianceMatrix) -> PsdFactor:
         raise ValueError("covariance entries must be exactly symmetric")
     fixed = np.diag(a) == 0.0
     if a[fixed].any():
-        raise NotPsdError("a node of zero variance has nonzero covariance "
-                          "with another node", jitter_max=0.0)
+        raise NumericalError("a node of zero variance has nonzero "
+                             "covariance with another node")
     live = np.ix_(~fixed, ~fixed)
     with _one_blas_thread():
         block, jitter = _cholesky_ladder(a[live])
@@ -175,9 +175,9 @@ def _cholesky_ladder(a: np.ndarray) -> tuple:
             return np.linalg.cholesky(a + jitter * eye), jitter
         except np.linalg.LinAlgError:
             jitter *= 10.0
-    raise NotPsdError(
+    raise NumericalError(
         "covariance not positive semidefinite within the jitter ladder "
-        f"(max jitter tried {cap:.3e})", jitter_max=cap)
+        f"(max jitter tried {cap:.3e})")
 
 
 @functools.cache

@@ -420,6 +420,8 @@ class TestLemmaBound:
         # at alpha 0.5 falls by 2^-1.5 of its last fall at each doubling
         # of the shift, 5e-13 of itself at the first step: the far-field
         # covariance, of order shift^(2H - 2), is negative at H = 1/4.
+        # Every default shift is past the wave's reach, the horizon, so
+        # those falls are not checked.
         assert verify_lemma_bound(ShiftKind.TIME_SHIFT, HEAT, 0.999,
                                   horizon=1e-300).lhs_monotone
         report = verify_lemma_bound(ShiftKind.SPACE_SHIFT, WAVE, 0.5,
@@ -427,7 +429,45 @@ class TestLemmaBound:
         falls = -np.diff([row.lhs for row in report.rows])
         assert np.all(falls > 0.0)
         assert np.allclose(falls[1:4] / falls[:3], 2.0 ** -1.5, rtol=0.05)
-        assert not report.lhs_monotone
+        assert report.lhs_monotone
+
+    @pytest.mark.parametrize("eqn, reach", [(HEAT, 1e-5 ** 0.5),
+                                            (WAVE, 1e-5)])
+    def test_space_rows_checked_up_to_the_reach(self, eqn, reach):
+        # At a horizon of 1e-5 the space-shift lhs at alpha 0.5 rises
+        # through the reach, sqrt(T) for the heat and T for the wave, to
+        # its peak at about 2.5 sqrt(T) or 1.8 T, and then falls.
+        shifts = [reach * 2.0 ** (k / 2.0) for k in range(-12, 21)]
+        report = verify_lemma_bound(ShiftKind.SPACE_SHIFT, eqn, 0.5,
+                                    horizon=1e-5, shifts=shifts)
+        lhs = np.array([row.lhs for row in report.rows])
+        inside = np.array(shifts) <= reach
+        assert np.all(np.diff(lhs[inside]) > 0.0)
+        assert np.any(np.diff(lhs) < 0.0)
+        assert report.max_ratio <= 1.0
+        assert report.lhs_monotone
+
+    @pytest.mark.parametrize("horizon, shifts, fall_at, monotone", [
+        # A fall anywhere inside the reach reads False, up to a shift at
+        # the reach itself.
+        (1.0, None, 0.125, False),
+        (1.0, (0.25, 0.5, 1.0, 2.0), 1.0, False),
+        # A fall past the reach is the far field, and is not checked.
+        (1.0, (0.25, 0.5, 1.0, 2.0), 2.0, True),
+        (1e-5, None, 0.125, True),
+    ])
+    @pytest.mark.parametrize("eqn", [HEAT, WAVE])
+    def test_space_falls_count_only_inside_the_reach(
+            self, monkeypatch, eqn, horizon, shifts, fall_at, monotone):
+        from fracfield import analysis
+
+        def closed_incr(eqn, h, t1, x1, t2, x2):
+            return np.where(x2 >= fall_at, 0.5, 1.0)
+
+        monkeypatch.setattr(analysis, "_closed_incr", closed_incr)
+        report = verify_lemma_bound(ShiftKind.SPACE_SHIFT, eqn, 0.0,
+                                    horizon=horizon, shifts=shifts)
+        assert report.lhs_monotone is monotone
 
 
 class TestHConvergence:

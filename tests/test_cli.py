@@ -6,6 +6,7 @@ determinism of artifacts, manifests whose digests match the files, and
 documented exit codes (1 configuration, 2 numerical).
 """
 
+import csv
 import hashlib
 import json
 import math
@@ -182,18 +183,26 @@ class TestConstants:
 
 class TestCov:
     def test_symmetric_table(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {
-            "points": [[0.5, 0.0], [1.0, 0.25], [1.0, -0.5]]})
-        out = tmp_path / "run"
-        assert main(["cov", "--config", cfg, "--equation", "heat",
-                     "--hurst", "0.5", "--out", str(out)]) == 0
-        rows = np.loadtxt(out / "cov_matrix.csv", delimiter=",",
-                          skiprows=1)
-        assert rows.shape == (9, 7)
-        cov = rows[:, 6].reshape(3, 3)
-        assert np.array_equal(cov, cov.T)
-        assert np.all(np.diag(cov) > 0.0)
-        assert_manifest_digests(out)
+        # The second list holds time 0, whose row is exactly 0, the heat
+        # pair form (0.05 against 1.0) and the far fields (|dx| = 20).
+        for k, (hurst, points) in enumerate((
+                ("0.5", [[0.5, 0.0], [1.0, 0.25], [1.0, -0.5]]),
+                ("0.7", [[0.0, 0.0], [0.05, 0.0], [1.0, 0.5], [0.5, -0.25],
+                         [1.0, 20.0]]))):
+            cfg = write_config(tmp_path, {"points": points})
+            out = tmp_path / f"run{k}"
+            assert main(["cov", "--config", cfg, "--equation", "heat",
+                         "--hurst", hurst, "--out", str(out)]) == 0
+            rows = np.loadtxt(out / "cov_matrix.csv", delimiter=",",
+                              skiprows=1)
+            n = len(points)
+            assert rows.shape == (n * n, 7)
+            cov = rows[:, 6].reshape(n, n)
+            assert np.array_equal(cov, cov.T)
+            zero = np.array([t == 0.0 for t, _ in points])
+            assert not cov[zero].any()
+            assert np.all(np.diag(cov)[~zero] > 0.0)
+            assert_manifest_digests(out)
 
     def test_missing_points_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {})
@@ -812,6 +821,25 @@ class TestVerifyLemmas:
         assert main(["verify-lemmas", "--config", cfg]) == 0
         assert capsys.readouterr().out.endswith("all_within True\n")
 
+    @pytest.mark.parametrize("horizon", [1e-5, 1e-10, 1e-20, 1e-300])
+    def test_tiny_horizons_within_bounds(self, tmp_path, capsys, horizon):
+        # Every lhs is finite and every time-shift lhs positive.  The
+        # wave's space-shift rows at 1e-300 are variances of order
+        # T^(2 - alpha), below the smallest double, and read 0.  Past
+        # the horizon's reach the space-shift lhs falls, unchecked.
+        cfg = write_config(tmp_path, {"lemmas": {"horizon": horizon}})
+        out = tmp_path / "run"
+        assert main(["verify-lemmas", "--config", cfg,
+                     "--out", str(out)]) == 0
+        with open(out / "lemma_margins.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 96
+        for row in rows:
+            lhs = float(row["lhs"])
+            assert math.isfinite(lhs) and lhs >= 0.0
+            assert lhs > 0.0 or row["kind"] == "space_shift"
+        assert json.loads((out / "summary.json").read_text())["all_within"]
+
     def test_quad_key_is_ignored(self, tmp_path):
         # The rows are closed forms; a stale quadrature setting, even an
         # invalid one, changes no byte.
@@ -911,6 +939,20 @@ MALFORMED = {
         SIM_CONFIG, initial=HEAT_WITH_V0, eta={"kind": "zero"}), "initial"),
     "initial-with-eta-csv": (["solve-det", "--equation", "wave"], dict(
         SIM_CONFIG, eta={"csv": "absent.csv"}), "initial"),
+    # A misspelt key in a section would leave its default in force.
+    "drift-key": (["simulate"], dict(SIM_CONFIG, drift={
+        "kind": "tanh_scaled", "parms": {"a": 5.0}}), "drift.parms"),
+    "eta-key": (["solve-det", "--equation", "heat"], {
+        "grid": SIM_CONFIG["grid"], "eta": {"kind": "constant",
+                                            "valeu": 3.0}}, "eta.valeu"),
+    "grid-key": (["simulate"], dict(SIM_CONFIG, grid=dict(
+        SIM_CONFIG["grid"], nt=8)), "grid.nt"),
+    "u0-key": (["simulate"], dict(SIM_CONFIG, initial={
+        "u0": {"kind": "const", "param": {"c": 2.0}}}), "initial.u0.param"),
+    "v0-key": (["solve-det", "--equation", "wave"], dict(
+        SIM_CONFIG, initial={"u0": {"kind": "sin", "params": {}}, "v0": {
+            "kind": "bump", "params": {"w": 0.5}, "a": 2.0}}),
+        "initial.v0.a"),
     # Two alphas that the summary keys would show alike.
     "lemmas-alphas-collide": (["verify-lemmas"], {
         "lemmas": {"alphas": [0.5, 0.5000001]}}, "lemmas.alphas"),

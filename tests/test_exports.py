@@ -6,11 +6,13 @@ package root or in its old module; ``from fracfield import *`` would then
 fail while ordinary imports of other names keep working.
 """
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -64,13 +66,14 @@ def test_picard_loop_is_gone(module, name):
     assert not hasattr(mod, name)
 
 
-# One NumericalError reports every failed march, with what it found in
-# its message.
+# One NumericalError reports every failed march and every failed
+# factorization, with what it found in its message.
+@pytest.mark.parametrize("name", ["MaxIterExceededError", "NotPsdError"])
 @pytest.mark.parametrize("module", ["fracfield", "fracfield.errors"])
-def test_max_iter_error_is_gone(module):
+def test_numerical_error_subclasses_are_gone(module, name):
     mod = importlib.import_module(module)
-    assert "MaxIterExceededError" not in mod.__all__
-    assert not hasattr(mod, "MaxIterExceededError")
+    assert name not in mod.__all__
+    assert not hasattr(mod, name)
 
 
 def test_solver_controls_are_gone():
@@ -89,6 +92,37 @@ def test_test_oracles_are_not_installed():
         assert importlib.util.find_spec(name) is None
     assert {"spectral_integral", "ode_oracle", "picard_oracle",
             "replicate_stream", "standard_normals"} <= set(oracle.__all__)
+
+
+def _module_level_imports(tree):
+    """The modules a test file imports, or asks pytest.importorskip for,
+    outside the bodies of its functions."""
+    names = []
+    nodes = list(ast.iter_child_nodes(tree))
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.append(node.module)
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "attr", None) == "importorskip"
+              and node.args and isinstance(node.args[0], ast.Constant)):
+            names.append(node.args[0].value)
+        nodes.extend(ast.iter_child_nodes(node))
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(
+    Path(__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_scipy_is_imported_only_inside_tests(path):
+    # Without scipy every test module must still collect, so that only
+    # the tests that call scipy skip (pytest.importorskip in their body).
+    names = _module_level_imports(ast.parse(path.read_text()))
+    assert not [n for n in names if n.split(".")[0] == "scipy"]
 
 
 # Test oracles live with the tests, not in the run-time modules.

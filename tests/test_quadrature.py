@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import integrate
 
 from fracfield.spectral import cos_integral_constant
 
@@ -52,6 +51,7 @@ class TestOscPowerTail:
         (-3.5, 2.0, "cos"), (-1.2, 4.0, "sin"),
     ])
     def test_matches_scipy_oscillatory_quad(self, s, freq, kind):
+        integrate = pytest.importorskip("scipy.integrate")
         cutoff = 200.0
         value, err = osc_power_tail(s, freq, cutoff, kind=kind)
         oracle, _ = integrate.quad(lambda x: x ** s, cutoff, np.inf,

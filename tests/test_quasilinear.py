@@ -136,18 +136,34 @@ class TestSimulate:
     @pytest.mark.parametrize("eqn", [WAVE, HEAT])
     def test_solution_leaves_small_mild_residual(self, eqn):
         # The wave march is explicit: one more application changes no
-        # bit.  A heat node keeps its last pointwise increment.
-        cfg = small_config(eqn, make_drift("tanh_scaled", a=1.0))
-        res = simulate(cfg)
-        i0 = initial_term_grid(eqn, cfg.data, cfg.grid)
-        for noise, field in zip(res.noise, res.fields):
-            eta = GridFunction(grid=cfg.grid, values=noise + i0.values)
-            u = GridFunction(grid=cfg.grid, values=field)
-            residual = mild_residual(eqn, cfg.drift, u, eta)
-            if eqn is WAVE:
-                assert residual == 0.0
-            else:
-                assert residual <= 4.0 * np.spacing(np.max(np.abs(field)))
+        # bit, with an initial speed too.  A heat node keeps its last
+        # pointwise increment, under an unbounded drift too, and on a
+        # grid of 5-tap heat stencils, which numpy correlates by another
+        # loop than one dot product per output.
+        tanh = make_drift("tanh_scaled", a=1.0)
+        configs = [small_config(eqn, tanh),
+                   small_config(eqn, make_drift("linear", a=1.0))]
+        if eqn is WAVE:
+            configs.append(small_config(
+                eqn, tanh, hurst=HurstIndex(0.3), data=make_initial_data(
+                    u0=("sin", {}), v0=("bump", {"w": 0.5}))))
+        else:
+            configs.append(small_config(
+                eqn, tanh, hurst=HurstIndex(0.7), master_seed=1,
+                grid=PointGrid(horizon=1.0, half_width=1.0, n_t=64, n_x=4),
+                data=make_initial_data(u0=("sin", {})), n_replicates=100))
+        for cfg in configs:
+            res = simulate(cfg)
+            i0 = initial_term_grid(eqn, cfg.data, cfg.grid)
+            for noise, field in zip(res.noise, res.fields):
+                eta = GridFunction(grid=cfg.grid, values=noise + i0.values)
+                u = GridFunction(grid=cfg.grid, values=field)
+                residual = mild_residual(eqn, cfg.drift, u, eta)
+                if eqn is WAVE:
+                    assert residual == 0.0
+                else:
+                    assert residual <= 4.0 * np.spacing(
+                        np.max(np.abs(field)))
 
     @pytest.mark.parametrize("eqn, hurst, grid, u0", [
         (WAVE, 0.3, PointGrid(horizon=1.0, half_width=1.0, n_t=16, n_x=32),
