@@ -194,7 +194,10 @@ def fit_hoelder(eqn: EquationKind, hurst, direction: Direction, *,
     second moment to the power p/2 times the standard normal p-th
     absolute moment.  The second moments of all lags come from one
     closed-form evaluation, the one :func:`increment_moment2` makes per
-    pair.  The fitted slope estimates p times the Hölder order.
+    pair.  The fitted slope estimates p times the Hölder order.  A p
+    whose moment constant or moments leave double range, such as any
+    p > 300, raises ``NumericalError``; moments that underflow to 0 fit
+    slope nan.
     """
     if p != int(p) or int(p) % 2 != 0 or p < 2:
         raise ValueError(f"moment order p must be a positive even "
@@ -207,7 +210,11 @@ def fit_hoelder(eqn: EquationKind, hurst, direction: Direction, *,
     lag_np = np.array(lag_arr)
     dt, dx = (lag_np, 0.0) if direction is Direction.TIME else (0.0, lag_np)
     m2 = _closed_incr(eqn, h, t0, x0, t0 + dt, x0 + dx)
-    return fit_power_law(lag_arr, gaussian_abs_moment(p) * m2 ** (0.5 * p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = gaussian_abs_moment(p) * m2 ** (0.5 * p)
+    if not np.all(np.isfinite(moments)):
+        raise NumericalError(f"p-th moments leave double range at p = {p:g}")
+    return fit_power_law(lag_arr, moments)
 
 
 def h_convergence(eqn: EquationKind, hursts, reference, *,

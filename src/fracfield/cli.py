@@ -88,7 +88,8 @@ _KINDS = {
             int),
     "number": ("a finite number", _finite, float),
     "numbers": ("a list of finite numbers",
-                lambda v: isinstance(v, list) and all(map(_finite, v)), None),
+                lambda v: isinstance(v, list) and all(map(_finite, v)),
+                lambda v: [float(x) for x in v]),
     "pair": ("a [t, x] pair of finite numbers", _pair, None),
     "pairs": ("a non-empty list of [t, x] pairs",
               lambda v: isinstance(v, list) and v and all(map(_pair, v)),
@@ -121,45 +122,48 @@ def _setting(cfg: dict, args, key: str, kind: str, default=_REQUIRED):
     return value if convert is None else convert(value)
 
 
-def _section(cfg: dict, args, key: str, keys) -> dict | None:
-    """The object setting ``key``, or None.  A key in it that is not one
-    of ``keys``, the ones its readers take, raises ``ValueError`` naming
-    it: misspelt, it would leave its default in force."""
-    section = _setting(cfg, args, key, "object", None)
-    unread = sorted(set(section or ()) - set(keys))
+def _section(cfg: dict, args, key: str, spec: dict) -> dict:
+    """The settings of the object setting ``key``, in the order of
+    ``spec``, by name.  ``spec`` maps each key the section takes to its
+    kind (see ``_KINDS``), when the key is required, or to its kind and
+    default; each is read by ``_setting``, so a flag overrides it, JSON
+    null counts as absent and an absent section reads as empty.  A key
+    given that ``spec`` does not name raises ``ValueError`` naming it:
+    misspelt, it would leave its default in force."""
+    section = _setting(cfg, args, key, "object", {})
+    unread = sorted(name for name, value in section.items()
+                    if value is not None and name not in spec)
     if unread:
         raise ValueError(f"{key}.{unread[0]} is not read; {key} takes "
-                         f"{', '.join(keys)}")
-    return section
+                         f"{', '.join(spec)}")
+    return {name: _setting(cfg, args, f"{key}.{name}",
+                           *((kind,) if isinstance(kind, str) else kind))
+            for name, kind in spec.items()}
 
 
 def _grid_from(cfg: dict, args) -> PointGrid:
-    kinds = {"horizon": "number", "half_width": "number", "n_t": "int",
-             "n_x": "int"}
-    _section(cfg, args, "grid", kinds)
-    return PointGrid(**{name: _setting(cfg, args, f"grid.{name}", kind)
-                        for name, kind in kinds.items()})
+    return PointGrid(**_section(cfg, args, "grid", {
+        "horizon": "number", "half_width": "number", "n_t": "int",
+        "n_x": "int"}))
 
 
 def _drift_from(cfg: dict, args):
-    if _section(cfg, args, "drift",
-                ("kind", "params", "truncation_level")) is None:
+    if _setting(cfg, args, "drift", "object", None) is None:
         return make_drift("zero")
-    drift = make_drift(_setting(cfg, args, "drift.kind", "text"),
-                       **_setting(cfg, args, "drift.params", "object", {}))
-    level = _setting(cfg, args, "drift.truncation_level", "number", None)
+    kind, params, level = _section(cfg, args, "drift", {
+        "kind": "text", "params": ("object", {}),
+        "truncation_level": ("number", None)}).values()
+    drift = make_drift(kind, **params)
     return drift if level is None else drift_truncate(drift, level)
 
 
 def _initial_from(cfg: dict, args) -> InitialData:
-    profiles = {}
-    for name in ("u0", "v0"):
-        if _section(cfg, args, f"initial.{name}",
-                    ("kind", "params")) is not None:
-            profiles[name] = (
-                _setting(cfg, args, f"initial.{name}.kind", "text"),
-                _setting(cfg, args, f"initial.{name}.params", "object", {}))
-    return make_initial_data(**profiles)
+    given = _section(cfg, args, "initial", {"u0": ("object", None),
+                                            "v0": ("object", None)})
+    return make_initial_data(**{
+        name: tuple(_section(cfg, args, f"initial.{name}", {
+            "kind": "text", "params": ("object", {})}).values())
+        for name, profile in given.items() if profile is not None})
 
 
 def _eta_from_csv(path: str, grid: PointGrid) -> np.ndarray:
@@ -191,35 +195,38 @@ def _eta_from_csv(path: str, grid: PointGrid) -> np.ndarray:
     return raw[:, 2].reshape(grid.n_t + 1, grid.n_x + 1)
 
 
+# The keys of each eta kind.  A CSV forcing is named by the eta.csv key
+# alone, with no kind.
+_FORCINGS = {"initial": {"kind": ("text", None)}, "zero": {"kind": "text"},
+             "constant": {"kind": "text", "value": ("number", 1.0)},
+             "sin_time": {"kind": "text", "rate": ("number", 1.0)}}
+
+
 def _eta_from(cfg: dict, args, eqn: EquationKind,
               grid: PointGrid) -> np.ndarray:
     """Resolve the forcing: the initial-data term (the default), a CSV
     file or a named built-in profile.  Only the first reads ``initial``,
     and the others refuse it rather than drop it."""
-    section = _section(cfg, args, "eta", ("kind", "csv", "value", "rate"))
     path = _setting(cfg, args, "eta.csv", "text", None)
-    kind = ("initial" if section is None
-            else "csv" if path is not None
-            else _setting(cfg, args, "eta.kind", "text"))
+    kind = ("csv" if path is not None
+            else _setting(cfg, args, "eta.kind", "text", "initial"))
+    if path is None and kind not in _FORCINGS:
+        raise ValueError(f"unknown eta kind {kind!r}; use 'initial', "
+                         f"'zero', 'constant' or 'sin_time', or name a CSV "
+                         f"forcing with the eta.csv key")
+    eta = _section(cfg, args, "eta", _FORCINGS.get(kind, {"csv": "text"}))
     if kind == "initial":
         return initial_term_grid(eqn, _initial_from(cfg, args), grid).values
     if _setting(cfg, args, "initial", "object", None) is not None:
         raise ValueError(f"initial is read only by eta kind 'initial', the "
                          f"default, not by eta {kind!r}; drop one of them")
-    if path is not None:
+    if kind == "csv":
         return _eta_from_csv(path, grid)
-    shape = (grid.n_t + 1, grid.n_x + 1)
-    if kind == "zero":
-        return np.zeros(shape)
-    if kind == "constant":
-        return np.full(shape, _setting(cfg, args, "eta.value", "number", 1.0))
     if kind == "sin_time":
-        rate = _setting(cfg, args, "eta.rate", "number", 1.0)
-        return np.broadcast_to(np.sin(rate * grid.times())[:, None],
-                               shape).copy()
-    raise ValueError(f"unknown eta kind {kind!r}; use 'initial', 'zero', "
-                     f"'constant' or 'sin_time', or name a CSV forcing "
-                     f"with the eta.csv key")
+        return np.broadcast_to(np.sin(eta["rate"] * grid.times())[:, None],
+                               (grid.n_t + 1, grid.n_x + 1)).copy()
+    # A zero forcing is the constant 0.
+    return np.full((grid.n_t + 1, grid.n_x + 1), eta.get("value", 0.0))
 
 
 @dataclass
@@ -338,8 +345,7 @@ def _cmd_simulate(cfg: dict, args) -> _Run:
         "drift": config.drift.name, "master_seed": config.master_seed,
         "n_replicates": config.n_replicates,
         "initial": _setting(cfg, args, "initial", "object", {}),
-        "truncation_ladder": None if ladder is None
-        else [float(m) for m in ladder], "grid": asdict(config.grid)}
+        "truncation_ladder": ladder, "grid": asdict(config.grid)}
     # The sampler's BLAS calls run on one OpenBLAS thread when it is found.
     blas = {"blas_threads": 1 if _openblas_thread_api() else None}
     if ladder is not None:
@@ -377,18 +383,15 @@ def _cmd_simulate(cfg: dict, args) -> _Run:
 def _cmd_hoelder(cfg: dict, args) -> _Run:
     eqn = _setting(cfg, args, "equation", "equation")
     h = _setting(cfg, args, "hurst", "index")
-    direction = Direction.parse(
-        _setting(cfg, args, "hoelder.direction", "text", "time"))
-    p = _setting(cfg, args, "hoelder.p", "number", 2.0)
-    base = _setting(cfg, args, "hoelder.base", "pair", [1.0, 0.0])
-    fit = fit_hoelder(eqn, h, direction, p=p,
-                      base_time=float(base[0]), base_pos=float(base[1]),
-                      lags=_setting(cfg, args, "hoelder.lags", "numbers",
-                                    None))
+    direction, p, base, lags, tolerance = _section(cfg, args, "hoelder", {
+        "direction": ("text", "time"), "p": ("number", 2.0),
+        "base": ("pair", [1.0, 0.0]), "lags": ("numbers", None),
+        "tolerance": ("number", 0.1)}).values()
+    direction = Direction.parse(direction)
+    fit = fit_hoelder(eqn, h, direction, p=p, base_time=float(base[0]),
+                      base_pos=float(base[1]), lags=lags)
     expected = expected_hoelder_slope(eqn, h, direction, p)
-    tolerance = _setting(cfg, args, "hoelder.tolerance", "number", 0.1)
-    passed = (not np.isnan(fit.slope)
-              and abs(fit.slope - expected) <= tolerance)
+    passed = abs(fit.slope - expected) <= tolerance
     settings = {"equation": eqn.value, "hurst": h.value,
                 "direction": direction.value, "p": p, "base": list(base),
                 "expected_slope": expected, "tolerance": tolerance}
@@ -398,16 +401,18 @@ def _cmd_hoelder(cfg: dict, args) -> _Run:
     return _Run(config=settings, lines=[summary], artifacts={
         "hoelder_moments.csv": (("lag", "moment"), (fit.lags, fit.moments)),
         "hoelder_fit.json": {
-            **settings, "slope": fit.slope, "within_tolerance": bool(passed),
-            "r_squared": fit.r_squared, "stderr_slope": fit.stderr_slope}})
+            **settings, "within_tolerance": passed, "r_squared": fit.r_squared,
+            # A degenerate fit's nan slope and infinite stderr are not JSON.
+            "slope": fit.slope if np.isfinite(fit.slope) else None,
+            "stderr_slope": fit.stderr_slope
+            if np.isfinite(fit.stderr_slope) else None}})
 
 
 def _cmd_hconv(cfg: dict, args) -> _Run:
     eqn = _setting(cfg, args, "equation", "equation")
-    reference = _setting(cfg, args, "hconv.reference", "number", None)
-    if reference is None:
-        reference = _setting(cfg, args, "hurst", "number", 0.5)
-    hursts = _setting(cfg, args, "hconv.hursts", "numbers", None)
+    reference, hursts = _section(cfg, args, "hconv", {
+        "reference": ("number", _setting(cfg, args, "hurst", "number", 0.5)),
+        "hursts": ("numbers", None)}).values()
     if hursts is None:
         # Towards the reference from inside (0, 1).
         step = 0.2 if reference + 0.2 < 1.0 else -0.2
@@ -430,13 +435,12 @@ def _cmd_hconv(cfg: dict, args) -> _Run:
 
 
 def _cmd_verify_lemmas(cfg: dict, args) -> _Run:
-    horizon = _setting(cfg, args, "lemmas.horizon", "number", 1.0)
-    shifts = _setting(cfg, args, "lemmas.shifts", "numbers", None)
-    alphas = _setting(cfg, args, "lemmas.alphas", "numbers", None)
+    horizon, shifts, alphas = _section(cfg, args, "lemmas", {
+        "horizon": ("number", 1.0), "shifts": ("numbers", None),
+        "alphas": ("numbers", None)}).values()
     if alphas is None:
         h = _setting(cfg, args, "hurst", "index", None)
         alphas = [-0.5, 0.0, 0.5] if h is None else [_alpha(h)]
-    alphas = [float(a) for a in alphas]
     # The summary keys show alpha to 6 significant digits: one key each.
     keys = {}
     for alpha in alphas:

@@ -322,8 +322,10 @@ def write_csv(path, header, columns) -> str:
 
 
 def write_json(path, obj) -> str:
-    """Write a JSON document and return the SHA-256 of its bytes."""
-    path = Path(path)
-    data = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    path.write_bytes(data)
+    """Write a JSON document and return the SHA-256 of its bytes.  A
+    nan or an infinity, which strict JSON parsers refuse, raises
+    ``ValueError``."""
+    data = (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+            + "\n").encode("utf-8")
+    Path(path).write_bytes(data)
     return hashlib.sha256(data).hexdigest()

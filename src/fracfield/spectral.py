@@ -173,11 +173,14 @@ def gaussian_abs_moment(p: float) -> float:
 
     Equals ``2^(p/2) Gamma((p+1)/2) / sqrt(pi)``; reduces to the double
     factorial ``(2k-1)!!`` at even integer p = 2k and to ``sqrt(2/pi)``
-    at p = 1.
+    at p = 1.  From p near 301, past double range, it is inf.
     """
     if not p > 0.0:
         raise ValueError(f"moment order must be positive, got {p}")
-    return 2.0 ** (p / 2.0) * _gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
+    gamma = _gamma((p + 1.0) / 2.0)
+    # Where Gamma overflows, the power of 2 may too, with an OverflowError.
+    return gamma if gamma == math.inf else (
+        2.0 ** (p / 2.0) * gamma / math.sqrt(math.pi))
 
 
 def dalang_integral_closed(eqn: EquationKind, alpha: float,

@@ -702,6 +702,41 @@ class TestHoelder:
             (0.0, 1.0, 0.0)
         assert fit["within_tolerance"] is True
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", ["302", "400", "1e300"])
+    def test_moments_out_of_range_exit_two_naming_p(self, capsys, p):
+        # E|Z|^p is finite up to p = 300.  Beyond, the run used to print
+        # slope nan after a numpy warning, or at 1e300 die in an
+        # OverflowError traceback.
+        assert main(["hoelder", "--equation", "wave", "--hurst", "0.3",
+                     "--p", p]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"fracfield: numerical failure: p-th moments leave double "
+            f"range at p = {float(p):g}\n")
+
+    def test_degenerate_fit_writes_strict_json(self, tmp_path, capsys):
+        # Moments that underflow to 0 have no log-log fit: slope nan on
+        # stdout, null in the JSON, which a strict parser accepts.
+        cfg = write_config(tmp_path, {"hoelder": {
+            "lags": [1e-300, 1e-200, 1e-100, 1e-50]}})
+        out = tmp_path / "run"
+        assert main(["hoelder", "--config", cfg, "--equation", "wave",
+                     "--hurst", "0.3", "--out", str(out)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        fit = json.loads((out / "hoelder_fit.json").read_text(),
+                         parse_constant=refuse)
+        assert fit["slope"] is None and fit["stderr_slope"] is None
+        assert fit["r_squared"] == 0.0 and fit["within_tolerance"] is False
+        assert_manifest_digests(out)
+        main(["hoelder", "--config", cfg, "--equation", "wave", "--hurst",
+              "0.3"])
+        assert capsys.readouterr().out.startswith("slope nan ")
+
 
 class TestHConv:
     def test_summary_artifact(self, tmp_path):
@@ -953,6 +988,32 @@ MALFORMED = {
         SIM_CONFIG, initial={"u0": {"kind": "sin", "params": {}}, "v0": {
             "kind": "bump", "params": {"w": 0.5}, "a": 2.0}}),
         "initial.v0.a"),
+    "hoelder-key": (["hoelder", "--equation", "wave", "--hurst", "0.3"],
+                    {"hoelder": {"directon": "space"}}, "hoelder.directon"),
+    "lemmas-key": (["verify-lemmas"], {"lemmas": {"alpha": [0.2]}},
+                   "lemmas.alpha"),
+    "hconv-key": (["hconv", "--equation", "heat"],
+                  {"hconv": {"referense": 0.7}}, "hconv.referense"),
+    "initial-key": (["simulate"], dict(SIM_CONFIG, initial={
+        "u0": {"kind": "sin", "params": {}}, "holder_exponent": 0.5}),
+        "initial.holder_exponent"),
+    # Each eta kind refuses the keys of the others, and a CSV forcing
+    # takes no kind.
+    "eta-initial-value": (["solve-det", "--equation", "heat"], dict(
+        SIM_CONFIG, eta={"kind": "initial", "value": 3.0}), "eta.value"),
+    "eta-zero-rate": (["solve-det", "--equation", "heat"], {
+        "grid": SIM_CONFIG["grid"], "eta": {"kind": "zero", "rate": 3.0}},
+        "eta.rate"),
+    "eta-constant-rate": (["solve-det", "--equation", "heat"], {
+        "grid": SIM_CONFIG["grid"], "eta": {"kind": "constant",
+                                            "rate": 3.0}}, "eta.rate"),
+    "eta-sin_time-value": (["solve-det", "--equation", "heat"], {
+        "grid": SIM_CONFIG["grid"], "eta": {"kind": "sin_time",
+                                            "value": 3.0}}, "eta.value"),
+    "eta-csv-kind": (["solve-det", "--equation", "heat"], {
+        "grid": SIM_CONFIG["grid"], "eta": {"kind": "zero",
+                                            "csv": "absent.csv"}},
+        "eta.kind"),
     # Two alphas that the summary keys would show alike.
     "lemmas-alphas-collide": (["verify-lemmas"], {
         "lemmas": {"alphas": [0.5, 0.5000001]}}, "lemmas.alphas"),

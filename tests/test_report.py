@@ -394,6 +394,12 @@ class TestWriteJson:
         write_json(path, obj)
         assert json.loads(path.read_text()) == obj
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_is_refused(self, tmp_path, value):
+        # Strict JSON has no NaN or Infinity.
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "doc.json", {"x": [1.0, value]})
+
     def test_key_order_does_not_change_bytes(self, tmp_path):
         d1 = write_json(tmp_path / "a.json", {"x": 1, "y": 2})
         d2 = write_json(tmp_path / "b.json", {"y": 2, "x": 1})

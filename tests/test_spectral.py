@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from fracfield import (EquationKind, HurstIndex, dalang_integral_closed,
                        noise_constant)
-from fracfield.spectral import _gamma, cos_integral_constant
+from fracfield.spectral import (_gamma, cos_integral_constant,
+                                gaussian_abs_moment)
 
 from oracle import dalang_integral_quad, fourier_kernel, time_kernel
 
@@ -178,6 +179,20 @@ class TestLemmaConstant:
     def test_cos_integral_divergent_exponent_rejected(self, alpha):
         with pytest.raises(ValueError):
             cos_integral_constant(alpha)
+
+
+class TestGaussianAbsMoment:
+    @pytest.mark.parametrize("p, expected", [
+        (1.0, math.sqrt(2.0 / math.pi)), (2.0, 1.0), (4.0, 3.0),
+        (10.0, 945.0)])
+    def test_known_moments(self, p, expected):
+        assert rel_err(gaussian_abs_moment(p), expected) < 1e-14
+
+    @pytest.mark.parametrize("p", [302.0, 400.0, 2048.0, 1e300])
+    def test_past_double_range_is_inf(self, p):
+        # 2**(p/2) alone raised OverflowError from p = 2048.
+        assert math.isfinite(gaussian_abs_moment(300.0))
+        assert gaussian_abs_moment(p) == math.inf
 
 
 class TestGammaPort:
