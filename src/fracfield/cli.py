@@ -24,6 +24,7 @@ import os
 import reprlib
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -175,15 +176,19 @@ def _eta_from_csv(path: str, grid: PointGrid) -> np.ndarray:
                                                               "value"]:
                 raise ValueError(
                     f"eta CSV {path} must start with header t,x,value")
-            raw = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # A file without rows is refused below, by its row count.
+                warnings.filterwarnings("ignore", "loadtxt: input contained "
+                                                  "no data")
+                raw = np.loadtxt(fh, delimiter=",", ndmin=2)
     except OSError as exc:
         raise ValueError(f"cannot read eta CSV {path}: {exc}") from exc
-    if raw.size == 0 or raw.shape[1] != 3:
-        raise ValueError(f"eta CSV {path} needs columns t,x,value")
     expected = (grid.n_t + 1) * (grid.n_x + 1)
     if raw.shape[0] != expected:
         raise ValueError(f"eta CSV {path} has {raw.shape[0]} rows, "
                          f"the grid needs {expected}")
+    if raw.shape[1] != 3:
+        raise ValueError(f"eta CSV {path} needs columns t,x,value")
     raw = raw[np.lexsort((raw[:, 1], raw[:, 0]))]
     want_t, want_x = grid.nodes()
     tol_t = 1e-9 * max(1.0, grid.horizon)

@@ -17,22 +17,23 @@ convolution needs values on the wider strip ``[-L - T, L + T]``, which is
 filled once by constant edge extension.  For the wave equation the light
 cone makes reported values exact for truthfully extended data; for the heat
 equation the Gaussian tails reach farther, a documented approximation.
+
+Initial data are registry profiles (:func:`make_initial_data`), each with
+its heat-semigroup average and its integral over a light-cone interval in
+closed form, so :func:`initial_term` is exact in both equations and runs
+no quadrature.
 """
 
 from __future__ import annotations
 
-import functools
 import inspect
 import math
 import reprlib
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
-from numpy.polynomial.legendre import leggauss
 
 from .errors import NumericalError
-from .sampler import _one_blas_thread
 from .spectral import EquationKind
 
 __all__ = [
@@ -52,22 +53,6 @@ __all__ = [
 ]
 
 _PROBE_Z = np.linspace(-8.0, 8.0, 321)
-_PROBE_X = np.linspace(-5.0, 5.0, 161)
-_HERMITE_NODES, _HERMITE_WEIGHTS = hermgauss(64)
-
-
-def _vec_eval(fn, x: np.ndarray, what: str) -> np.ndarray:
-    """``fn(x)``, or a ``ValueError`` naming ``what`` unless fn maps the
-    array x to an array of its shape, as the solver applies it."""
-    try:
-        out = np.asarray(fn(x), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what} must be vectorized; on an array it "
-                         f"raised {exc!r}") from exc
-    if out.shape != x.shape:
-        raise ValueError(f"{what} must be vectorized; shape {x.shape} "
-                         f"gave {out.shape}")
-    return out
 
 
 @dataclass(frozen=True)
@@ -96,7 +81,16 @@ class DriftSpec:
         if self.lipschitz_constant < 0.0:
             raise ValueError("Lipschitz constant must be >= 0, got "
                              f"{self.lipschitz_constant}")
-        vals = _vec_eval(self.func, _PROBE_Z, "drift")
+        # The solver applies func to arrays, so it must map the probe
+        # array to an array of its shape.
+        try:
+            vals = np.asarray(self.func(_PROBE_Z), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"drift must be vectorized; on an array it "
+                             f"raised {exc!r}") from exc
+        if vals.shape != _PROBE_Z.shape:
+            raise ValueError(f"drift must be vectorized; shape "
+                             f"{_PROBE_Z.shape} gave {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("drift produced non-finite values on the probe")
         dz = _PROBE_Z[1] - _PROBE_Z[0]
@@ -114,23 +108,19 @@ class DriftSpec:
 
 @dataclass(frozen=True)
 class InitialData:
-    """Initial condition: position u0 and, for the wave equation, speed v0.
-
-    Both must be vectorized and are checked to be finite on a reference
-    window.
-    """
+    """Initial condition: position u0 and, for the wave equation, speed v0,
+    each a registry profile as :func:`make_initial_data` builds it."""
 
     u0: object
     v0: object | None = None
 
     def __post_init__(self):
-        vals = _vec_eval(self.u0, _PROBE_X, "u0")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("u0 produced non-finite values on the probe")
-        if self.v0 is not None:
-            vvals = _vec_eval(self.v0, _PROBE_X, "v0")
-            if not np.all(np.isfinite(vvals)):
-                raise ValueError("v0 produced non-finite values on the probe")
+        for name, profile in (("u0", self.u0), ("v0", self.v0)):
+            if not (isinstance(profile, _Profile)
+                    or (name == "v0" and profile is None)):
+                raise ValueError(
+                    f"{name} must be a registry profile built by "
+                    f"make_initial_data, got {reprlib.repr(profile)}")
 
 
 @dataclass(frozen=True)
@@ -213,47 +203,14 @@ class MarchRecord:
     pointwise_iterations: tuple = ()
 
 
-@functools.cache
-def _legendre_rules() -> tuple:
-    """The 32- and 64-point Gauss-Legendre rules, built on first use:
-    most runs integrate no callable v0."""
-    return leggauss(32), leggauss(64)
-
-
-def _v0_span(v0, t: float, x: np.ndarray) -> np.ndarray:
-    """Integral of a callable v0 over ``[x - t, x + t]`` at every x, by the
-    64-point Gauss-Legendre rule on all nodes at once.
-
-    A node where the 32-point rule differs from it by more than ``1e-12
-    + 1e-10 |I|``, or where either is not finite, raises
-    :class:`NumericalError` naming its (t, x).
-    """
-    with _one_blas_thread():
-        low, high = (t * (_vec_eval(v0, x[:, None] + t * nodes[None, :],
-                                    "v0") @ weights)
-                     for nodes, weights in _legendre_rules())
-    bad = ~(np.abs(high - low) <= 1e-12 + 1e-10 * np.abs(high))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NumericalError(
-            f"the integral of v0 over [x - t, x + t] is not resolved at "
-            f"(t, x) = ({t:.17g}, {x[i]:.17g}): the 64- and 32-point "
-            f"Gauss-Legendre rules give {high[i]:.17g} and {low[i]:.17g}, "
-            f"apart by more than 1e-12 + 1e-10 |I|; a kinked or strongly "
-            f"oscillating v0 needs a registry profile")
-    return high
-
-
 def initial_term(eqn: EquationKind, data: InitialData, t: float, x):
     """Deterministic part of the mild solution from the initial data.
 
-    Heat: Gaussian average ``E[u0(x + sqrt(t) Z)]`` via Gauss-Hermite.
-    Wave: traveling-wave average ``(u0(x+t) + u0(x-t))/2`` plus half the
-    integral of v0 over ``[x-t, x+t]``: in closed form for a registry
-    profile, and for any other callable by a 64-point Gauss-Legendre
-    rule checked against the 32-point rule (:func:`_v0_span`).  The heat
-    equation is first order in time, so initial data with a v0 is
-    refused for it.
+    Heat: the Gaussian average ``E[u0(x + sqrt(t) Z)]``.  Wave: the
+    traveling-wave average ``(u0(x+t) + u0(x-t))/2`` plus half the
+    integral of v0 over ``[x-t, x+t]``.  Both are the profiles' closed
+    forms.  The heat equation is first order in time, so initial data
+    with a v0 is refused for it.
     """
     if eqn is EquationKind.HEAT and data.v0 is not None:
         raise ValueError("the heat equation takes no initial speed; "
@@ -262,19 +219,13 @@ def initial_term(eqn: EquationKind, data: InitialData, t: float, x):
         raise ValueError(f"time must be >= 0 and finite, got {t}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if t == 0.0:
-        out = _vec_eval(data.u0, x_arr, "u0")
+        out = data.u0(x_arr)
     elif eqn is EquationKind.HEAT:
-        pts = x_arr[:, None] + math.sqrt(2.0 * t) * _HERMITE_NODES[None, :]
-        vals = _vec_eval(data.u0, pts, "u0")
-        with _one_blas_thread():
-            out = (vals @ _HERMITE_WEIGHTS) / math.sqrt(math.pi)
+        out = data.u0.smooth(x_arr, t)
     elif eqn is EquationKind.WAVE:
-        out = 0.5 * (_vec_eval(data.u0, x_arr + t, "u0")
-                     + _vec_eval(data.u0, x_arr - t, "u0"))
-        if isinstance(data.v0, _Profile):
+        out = 0.5 * (data.u0(x_arr + t) + data.u0(x_arr - t))
+        if data.v0 is not None:
             out = out + 0.5 * data.v0.span(x_arr, t)
-        elif data.v0 is not None:
-            out = out + 0.5 * _v0_span(data.v0, t, x_arr)
     else:
         raise TypeError(f"expected EquationKind, got {eqn!r}")
     return float(out[0]) if np.ndim(x) == 0 else out
@@ -669,10 +620,12 @@ def make_drift(kind: str, **params) -> DriftSpec:
 
 @dataclass(frozen=True)
 class _Profile:
-    """A registry profile: the vectorized function, and ``span(x, t)``,
-    its integral over ``[x-t, x+t]`` in closed form."""
+    """A registry profile: the vectorized function, and in closed form its
+    Gaussian average ``smooth(x, t) = E[func(x + sqrt(t) Z)]`` and
+    ``span(x, t)``, its integral over ``[x-t, x+t]``."""
 
     func: object
+    smooth: object
     span: object
 
     def __call__(self, x):
@@ -685,6 +638,7 @@ _erf = np.vectorize(math.erf, otypes=[float])
 def _profile_zero():
     return _Profile(
         lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        lambda x, t: np.zeros_like(x),
         lambda x, t: np.zeros_like(x))
 
 
@@ -692,15 +646,17 @@ def _profile_const(c=1.0):
     c = float(c)
     return _Profile(
         lambda x: np.full_like(np.asarray(x, dtype=float), c),
+        lambda x, t: np.full_like(x, c),
         lambda x, t: np.full_like(x, 2.0 * c * t))
 
 
 def _profile_sin(a=1.0, k=1.0):
     a, k = float(a), float(k)
-    # (a/k) (cos k(x-t) - cos k(x+t)), as a product that does not
-    # cancel at small t; the profile is 0 at k = 0.
     return _Profile(
         lambda x: a * np.sin(k * np.asarray(x, dtype=float)),
+        lambda x, t: a * math.exp(-0.5 * k * k * t) * np.sin(k * x),
+        # (a/k) (cos k(x-t) - cos k(x+t)), as a product that does not
+        # cancel at small t; the profile is 0 at k = 0.
         lambda x, t: (2.0 * a / k * math.sin(k * t) * np.sin(k * x)
                       if k != 0.0 else np.zeros_like(x)))
 
@@ -713,6 +669,10 @@ def _profile_bump(a=1.0, w=1.0):
     return _Profile(
         lambda x: a * np.exp(-np.asarray(x, dtype=float) ** 2
                              / (2.0 * w ** 2)),
+        # A Gaussian of variance w^2 averaged over N(0, t) is one of
+        # variance w^2 + t.
+        lambda x, t: (a * w / math.sqrt(w * w + t)
+                      * np.exp(-x ** 2 / (2.0 * (w * w + t)))),
         lambda x, t: (a * s * math.sqrt(math.pi) / 2.0
                       * (_erf((x + t) / s) - _erf((x - t) / s))))
 
@@ -726,9 +686,17 @@ def make_initial_data(u0=("zero", {}), v0=None) -> InitialData:
 
     Each profile is ``(kind, params)``, kind one of ``zero``, ``const``,
     ``sin`` and ``bump``; ``v0=None`` means zero initial speed (skipped
-    entirely).  A parameter the profile does not take, or one that is not
-    finite, raises ``ValueError``.
+    entirely).  A description of another form, a parameter the profile
+    does not take, or one that is not finite, raises ``ValueError``.
     """
-    u = _built(_PROFILES, "initial profile", *u0)
-    v = None if v0 is None else _built(_PROFILES, "initial profile", *v0)
-    return InitialData(u0=u, v0=v)
+    def built(name, description):
+        if not (isinstance(description, (tuple, list))
+                and len(description) == 2 and isinstance(description[0], str)
+                and isinstance(description[1], dict)):
+            raise ValueError(
+                f"{name} must be a (kind, params) pair such as "
+                f"('sin', {{'k': 2.0}}), got {reprlib.repr(description)}")
+        return _built(_PROFILES, "initial profile", *description)
+
+    return InitialData(u0=built("u0", u0),
+                       v0=None if v0 is None else built("v0", v0))

@@ -15,9 +15,9 @@ arrays of 64 rows, whatever the replicate count.  ``tests/oracle.py``
 rebuilds the same streams with numpy's own ``Generator``, one per
 replicate.
 
-The package's dense linear algebra, here and in the solver's Gauss
-rules, runs inside :func:`_one_blas_thread`: one OpenBLAS thread, so a
-result has the same bits on any host and no second core spins after it.
+The package's dense linear algebra runs inside :func:`_one_blas_thread`:
+one OpenBLAS thread, so a result has the same bits on any host and no
+second core spins after it.
 """
 
 from __future__ import annotations

@@ -250,12 +250,12 @@ class TestInitialTerm:
             assert initial_term(WAVE, data, t, 0.3) == pytest.approx(
                 t, rel=1e-9)
 
-    def test_wave_identity_profile_travels_in_place(self):
-        # Averaging u0(x+t) and u0(x-t) leaves a linear profile fixed.
-        data = InitialData(u0=lambda x: np.asarray(x, dtype=float))
+    def test_wave_sine_profile_stands(self):
+        # d'Alembert's average (sin(x+t) + sin(x-t))/2 is sin x cos t.
+        data = make_initial_data(u0=("sin", {}))
         for t, x in ((0.4, 1.3), (2.0, -0.7)):
             assert initial_term(WAVE, data, t, x) == pytest.approx(
-                x, abs=1e-12)
+                math.sin(x) * math.cos(t), abs=1e-12)
 
     def test_time_zero_returns_u0(self):
         data = make_initial_data(u0=("bump", {"a": 2.0, "w": 0.5}))
@@ -305,11 +305,25 @@ class TestInitialTerm:
                                                  f"{key} "):
                 make_initial_data(**{arg: profile})
 
-    def test_scalar_only_profiles_rejected(self):
-        with pytest.raises(ValueError, match="u0 must be vectorized"):
-            InitialData(u0=math.sin)
-        with pytest.raises(ValueError, match="v0 must be vectorized"):
-            InitialData(u0=np.sin, v0=math.cos)
+    @pytest.mark.parametrize("name, given", [
+        ("u0", {"u0": np.sin}),
+        ("v0", {"u0": make_initial_data(u0=("sin", {})).u0, "v0": np.cos})])
+    def test_callable_profiles_rejected(self, name, given):
+        # Initial data are registry profiles, whose terms are closed forms.
+        with pytest.raises(ValueError, match=f"^{name} must be a registry "
+                                             f"profile built by "
+                                             f"make_initial_data, got "):
+            InitialData(**given)
+
+    # v0=None is zero initial speed; u0 has no such meaning.
+    @pytest.mark.parametrize("arg, description", [
+        (arg, description) for arg in ("u0", "v0")
+        for description in (np.sin, ("sin",), "sin", ("sin", {}, {}),
+                            ("sin", [1.0]), (2, {}))] + [("u0", None)])
+    def test_malformed_profile_description_rejected(self, arg, description):
+        with pytest.raises(ValueError, match=fr"^{arg} must be a \(kind, "
+                                             fr"params\) pair such as "):
+            make_initial_data(**{arg: description})
 
     def test_scalar_in_scalar_out(self):
         data = make_initial_data(u0=("const", {"c": 1.0}))
@@ -330,41 +344,86 @@ class TestInitialTerm:
         ("sin", {"a": 2.0, "k": 0.0}), ("bump", {"a": 2.0, "w": 0.4}),
         ("bump", {"a": -1.0, "w": 3.0})])
     def test_wave_v0_closed_form_matches_quadrature(self, v0):
-        # A registry v0 is integrated in closed form, scipy's adaptive
-        # quadrature is the independent route, and the same function as
-        # a plain callable takes the Gauss-Legendre route.
+        # A registry v0 is integrated in closed form; scipy's adaptive
+        # quadrature is the independent route.
         quad = pytest.importorskip("scipy.integrate").quad
 
         data = make_initial_data(v0=v0)
-        plain = InitialData(u0=data.u0, v0=data.v0.func)
         xs = np.linspace(-3.0, 3.0, 13)
         for t in (1e-6, 0.3, 2.0):
             got = initial_term(WAVE, data, t, xs)
             want = [0.5 * quad(data.v0.func, x - t, x + t, epsabs=1e-13,
                                epsrel=1e-12, limit=200)[0] for x in xs]
             assert np.max(np.abs(got - want)) <= 1e-12
-            assert np.max(np.abs(initial_term(WAVE, plain, t, xs) - got)) \
-                <= 1e-12
 
-    def test_wave_v0_callable_keeps_quadrature(self):
-        data = InitialData(u0=lambda x: np.zeros_like(x),
-                           v0=lambda x: np.cos(np.asarray(x)))
-        got = initial_term(WAVE, data, 0.5, np.array([0.0, 1.0]))
-        want = 0.5 * (np.sin(np.array([0.5, 1.5]))
-                      - np.sin(np.array([-0.5, 0.5])))
-        assert np.max(np.abs(got - want)) <= 1e-12
 
-    @pytest.mark.parametrize("v0, t, node", [
-        (np.abs, 1.0, r"\(t, x\) = \(1, -0.5\)"),
-        (lambda x: np.sin(5.0 * x), 10.0, r"\(t, x\) = \(10, -3\)"),
-        (lambda x: np.where(np.abs(x) < 20.0, 1.0, np.nan), 20.0,
-         r"\(t, x\) = \(20, -3\)")])
-    def test_wave_v0_callable_unresolved_raises(self, v0, t, node):
-        # A kink, fast oscillation or non-finite value where the 32- and
-        # 64-point rules disagree names the first such node.
-        data = InitialData(u0=np.sin, v0=v0)
-        with pytest.raises(NumericalError, match=node):
-            initial_term(WAVE, data, t, np.linspace(-3.0, 3.0, 13))
+# The heat term of every registry profile, with its amplitude: the
+# Gaussian average's closed form against two independent routes.  The
+# inputs include x = 0.3, t = 1, where a 64-point Gauss-Hermite rule is
+# 64% off for the bump of width 0.05, 2e-4 off for width 0.2, 1.9e-4 off
+# for sin(20x) and 7.6e-11 off for sin(10x).
+HEAT_PROFILES = [
+    *[(("bump", {"a": 2.0, "w": w}), 2.0) for w in (0.05, 0.2, 0.5, 1.0)],
+    *[(("sin", {"a": -1.5, "k": k}), 1.5) for k in (0.0, 1.0, 5.0, 10.0,
+                                                     20.0)],
+    (("const", {"c": -2.5}), 2.5), (("zero", {}), 0.0)]
+HEAT_XS = np.array([-2.0, -0.7, 0.0, 0.3, 0.45, 1.0, 3.0])
+
+
+def heat_profile_id(case):
+    (kind, params), _ = case
+    return kind + "".join(f"-{k}{v:g}" for k, v in params.items())
+
+
+@pytest.mark.parametrize("t", [1e-6, 0.25, 1.0, 10.0])
+@pytest.mark.parametrize("case", HEAT_PROFILES, ids=heat_profile_id)
+class TestHeatClosedForm:
+    def test_matches_trapezoid(self, case, t):
+        # E[u0(x + sqrt(t) Z)] by the trapezoid rule in z on [-40, 40]
+        # with step h = 1/200, whose ends carry no weight; numpy alone
+        # computes it.  The integrands are entire and no narrower than
+        # 0.0158 in z, so the rule is exact to rounding: it agrees with
+        # the closed forms within 5e-16 of the amplitude.  The nodes are
+        # multiples of h, so that the weights sum to 1 to rounding.
+        description, amplitude = case
+        data = make_initial_data(u0=description)
+        h = 1.0 / 200.0
+        z = h * np.arange(-8000, 8001)
+        density = np.exp(-0.5 * z ** 2) / math.sqrt(2.0 * math.pi)
+        want = data.u0(HEAT_XS[:, None] + math.sqrt(t) * z) @ density * h
+        got = initial_term(HEAT, data, t, HEAT_XS)
+        assert np.max(np.abs(got - want)) <= 1e-12 * amplitude
+
+    def test_matches_adaptive_quadrature(self, case, t):
+        # scipy's QUADPACK: a sine profile through its cosine and sine
+        # weights in z, the others as the integral of u0(y) against the
+        # heat kernel at x, with the bump's centre as a break point.
+        quad = pytest.importorskip("scipy.integrate").quad
+
+        description, amplitude = case
+        data = make_initial_data(u0=description)
+        s = math.sqrt(t)
+        opts = dict(epsabs=1e-14, epsrel=1e-12, limit=400)
+
+        def gauss(z):
+            return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+        def average(x):
+            if description[0] == "sin":
+                a, k = description[1]["a"], description[1]["k"]
+                cos_part, sin_part = (
+                    quad(gauss, -40.0, 40.0, weight=weight, wvar=k * s,
+                         **opts)[0] for weight in ("cos", "sin"))
+                return a * (math.sin(k * x) * cos_part
+                            + math.cos(k * x) * sin_part)
+            lo, hi = x - 40.0 * s, x + 40.0 * s
+            return quad(lambda y: float(data.u0(y)) * gauss((y - x) / s) / s,
+                        lo, hi, points=[0.0] if lo < 0.0 < hi else None,
+                        **opts)[0]
+
+        want = [average(float(x)) for x in HEAT_XS]
+        got = initial_term(HEAT, data, t, HEAT_XS)
+        assert np.max(np.abs(got - want)) <= 1e-12 * amplitude
 
 
 class TestOdeOracle:

@@ -235,6 +235,29 @@ def test_point_class_and_one_forcing_solve_are_gone(module, name):
     assert not hasattr(mod, name)
 
 
+# Initial data are registry profiles with closed-form terms: the Gauss
+# rules that integrated other callables, and the probe that checked them,
+# are gone.
+@pytest.mark.parametrize("name", ["_v0_span", "_legendre_rules",
+                                  "_HERMITE_NODES", "_HERMITE_WEIGHTS",
+                                  "_PROBE_X"])
+def test_initial_data_quadrature_is_gone(name):
+    from fracfield import det_solver
+    assert not hasattr(det_solver, name)
+
+
+def test_solver_imports_no_gauss_rules_or_sampler():
+    tree = ast.parse(Path(fracfield.__file__).with_name(
+        "det_solver.py").read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    imported += [("." * node.level) + (node.module or "")
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert not [n for n in imported if n.startswith("numpy.polynomial")
+                or n in (".sampler", "fracfield.sampler")]
+
+
 def test_grid_gives_node_arrays_not_point_tuples():
     assert not hasattr(fracfield.PointGrid, "points")
     assert callable(fracfield.PointGrid.nodes)
