@@ -34,7 +34,7 @@ from .quasilinear import (LadderResult, SimulationConfig, SimulationResult,
                           mild_residual, simulate, truncation_ladder_run)
 from .sampler import FieldSample, PsdFactor, factor_psd, sample_field
 from .spectral import (EquationKind, HurstIndex, dalang_integral_closed,
-                       gaussian_abs_moment, noise_constant)
+                       noise_constant)
 
 __version__ = "0.1.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "factor_psd",
     "fit_hoelder",
     "fit_power_law",
-    "gaussian_abs_moment",
     "h_convergence",
     "increment_moment2",
     "initial_term",

@@ -18,8 +18,7 @@ import numpy as np
 from .covariance import _closed_cov, _closed_incr, _nodes, _second_diff
 from .errors import NumericalError
 from .spectral import (EquationKind, HurstIndex, _as_hurst, _gamma,
-                       cos_integral_constant, gaussian_abs_moment,
-                       noise_constant)
+                       cos_integral_constant, noise_constant)
 
 __all__ = [
     "Direction",
@@ -133,14 +132,14 @@ DEFAULT_H_PAIRS = (
 )
 
 
-def expected_hoelder_slope(eqn: EquationKind, hurst, direction: Direction,
-                           p: float = 2.0) -> float:
-    """Theoretical log-log slope of the p-th increment moment.
+def expected_hoelder_slope(eqn: EquationKind, hurst,
+                           direction: Direction) -> float:
+    """Theoretical log-log slope of the second increment moment.
 
     The field is Hölder of order H in space for both equations; in time
     the order is H for the wave kernel and H/2 for the heat kernel.  The
-    p-th moment of a Gaussian increment then scales with exponent p
-    times the Hölder order.
+    second moment of an increment then scales with exponent twice the
+    Hölder order.
     """
     h = _as_hurst(hurst)
     if direction is Direction.SPACE:
@@ -149,7 +148,7 @@ def expected_hoelder_slope(eqn: EquationKind, hurst, direction: Direction,
         gamma = h.value
     else:
         gamma = 0.5 * h.value
-    return p * gamma
+    return 2.0 * gamma
 
 
 def fit_power_law(lags, moments) -> ExponentFit:
@@ -186,22 +185,16 @@ def fit_power_law(lags, moments) -> ExponentFit:
 
 
 def fit_hoelder(eqn: EquationKind, hurst, direction: Direction, *,
-                p: float = 2.0, base_time: float = 1.0,
-                base_pos: float = 0.0, lags=None) -> ExponentFit:
+                base_time: float = 1.0, base_pos: float = 0.0,
+                lags=None) -> ExponentFit:
     """Hölder exponent of the linear field from exact increment moments.
 
-    The increments are Gaussian, so the p-th absolute moment is the
-    second moment to the power p/2 times the standard normal p-th
-    absolute moment.  The second moments of all lags come from one
-    closed-form evaluation, the one :func:`increment_moment2` makes per
-    pair.  The fitted slope estimates p times the Hölder order.  A p
-    whose moment constant or moments leave double range, such as any
-    p > 300, raises ``NumericalError``; moments that underflow to 0 fit
-    slope nan.
+    The second moments of all lags come from one closed-form evaluation,
+    the one :func:`increment_moment2` makes per pair.  The fitted slope
+    estimates twice the Hölder order; the increments are Gaussian, so
+    any higher moment carries the same information.  Moments that
+    underflow to 0 fit slope nan.
     """
-    if p != int(p) or int(p) % 2 != 0 or p < 2:
-        raise ValueError(f"moment order p must be a positive even "
-                         f"integer, got {p}")
     h = _as_hurst(hurst)
     (t0, x0), = _nodes([(base_time, base_pos)]).tolist()
     lag_arr = _DEFAULT_LAGS if lags is None else tuple(float(v) for v in lags)
@@ -210,11 +203,7 @@ def fit_hoelder(eqn: EquationKind, hurst, direction: Direction, *,
     lag_np = np.array(lag_arr)
     dt, dx = (lag_np, 0.0) if direction is Direction.TIME else (0.0, lag_np)
     m2 = _closed_incr(eqn, h, t0, x0, t0 + dt, x0 + dx)
-    with np.errstate(over="ignore", invalid="ignore"):
-        moments = gaussian_abs_moment(p) * m2 ** (0.5 * p)
-    if not np.all(np.isfinite(moments)):
-        raise NumericalError(f"p-th moments leave double range at p = {p:g}")
-    return fit_power_law(lag_arr, moments)
+    return fit_power_law(lag_arr, m2)
 
 
 def h_convergence(eqn: EquationKind, hursts, reference, *,

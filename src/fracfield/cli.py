@@ -32,7 +32,7 @@ import numpy as np
 
 from .analysis import (Direction, ShiftKind, expected_hoelder_slope,
                        fit_hoelder, h_convergence, verify_lemma_bound)
-from .covariance import _nodes, cov_matrix
+from .covariance import cov_matrix
 from .det_solver import (InitialData, PointGrid, drift_truncate,
                          initial_term_grid, make_drift, make_initial_data,
                          solve_replicates)
@@ -288,8 +288,8 @@ def _cmd_constants(cfg: dict, args) -> _Run:
 def _cmd_cov(cfg: dict, args) -> _Run:
     eqn = _setting(cfg, args, "equation", "equation")
     h = _setting(cfg, args, "hurst", "index")
-    points = _nodes(_setting(cfg, args, "points", "pairs"))
-    cov = cov_matrix(eqn, h, points)
+    cov = cov_matrix(eqn, h, _setting(cfg, args, "points", "pairs"))
+    points = cov.points
     index = np.arange(len(points))
     t, x = points.T
     table = (("i", "j", "t_i", "x_i", "t_j", "x_j", "cov"),
@@ -303,10 +303,11 @@ def _cmd_cov(cfg: dict, args) -> _Run:
 def _cmd_sample(cfg: dict, args) -> _Run:
     eqn = _setting(cfg, args, "equation", "equation")
     h = _setting(cfg, args, "hurst", "index")
-    points = _nodes(_setting(cfg, args, "points", "pairs"))
+    cov = cov_matrix(eqn, h, _setting(cfg, args, "points", "pairs"))
+    points = cov.points
     seed = _setting(cfg, args, "master_seed", "int", 0)
     n_rep = _setting(cfg, args, "n_replicates", "int", 1)
-    factor = factor_psd(cov_matrix(eqn, h, points))
+    factor = factor_psd(cov)
     sample = sample_field(factor, seed, n_rep)
     t, x = points.T
     table = (("replicate", "point_index", "t", "x", "value"),
@@ -388,17 +389,16 @@ def _cmd_simulate(cfg: dict, args) -> _Run:
 def _cmd_hoelder(cfg: dict, args) -> _Run:
     eqn = _setting(cfg, args, "equation", "equation")
     h = _setting(cfg, args, "hurst", "index")
-    direction, p, base, lags, tolerance = _section(cfg, args, "hoelder", {
-        "direction": ("text", "time"), "p": ("number", 2.0),
-        "base": ("pair", [1.0, 0.0]), "lags": ("numbers", None),
-        "tolerance": ("number", 0.1)}).values()
+    direction, base, lags, tolerance = _section(cfg, args, "hoelder", {
+        "direction": ("text", "time"), "base": ("pair", [1.0, 0.0]),
+        "lags": ("numbers", None), "tolerance": ("number", 0.1)}).values()
     direction = Direction.parse(direction)
-    fit = fit_hoelder(eqn, h, direction, p=p, base_time=float(base[0]),
+    fit = fit_hoelder(eqn, h, direction, base_time=float(base[0]),
                       base_pos=float(base[1]), lags=lags)
-    expected = expected_hoelder_slope(eqn, h, direction, p)
+    expected = expected_hoelder_slope(eqn, h, direction)
     passed = abs(fit.slope - expected) <= tolerance
     settings = {"equation": eqn.value, "hurst": h.value,
-                "direction": direction.value, "p": p, "base": list(base),
+                "direction": direction.value, "base": list(base),
                 "expected_slope": expected, "tolerance": tolerance}
     summary = (f"slope {fit.slope:.6g} expected {expected:.6g} "
                f"r2 {fit.r_squared:.6g} "
@@ -515,8 +515,6 @@ _FLAGS = {
                                          "metavar": "REPLICATES",
                                          "help": "number of replicates"}),
     "hoelder.direction": (("--direction",), {"choices": ["time", "space"]}),
-    "hoelder.p": (("--p",), {"type": float, "metavar": "P",
-                             "help": "moment order"}),
     "threads": (("--threads",), {
         "type": _positive_int,
         "help": "accepted for compatibility and ignored; replicates are "
@@ -537,7 +535,7 @@ _COMMANDS = {
                  ("hurst", "equation", "master_seed", "n_replicates",
                   "threads")),
     "hoelder": (_cmd_hoelder, "regularity exponent fit",
-                ("hurst", "equation", "hoelder.direction", "hoelder.p")),
+                ("hurst", "equation", "hoelder.direction")),
     "hconv": (_cmd_hconv, "covariance continuity in the index",
               ("hurst", "equation")),
     "verify-lemmas": (_cmd_verify_lemmas, "sharp increment bound tables",

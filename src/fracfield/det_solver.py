@@ -29,6 +29,7 @@ from __future__ import annotations
 import inspect
 import math
 import reprlib
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -665,6 +666,11 @@ def _profile_bump(a=1.0, w=1.0):
     a, w = float(a), float(w)
     if w <= 0.0:
         raise ValueError(f"bump width must be > 0, got {w}")
+    # Below about 1.5e-154, w^2 underflows and u0(0) is 0/0.
+    if w * w < sys.float_info.min:
+        raise ValueError(f"bump width must be >= "
+                         f"{math.sqrt(sys.float_info.min):.2g}, where its "
+                         f"square is a normal double, got {w}")
     s = w * math.sqrt(2.0)
     return _Profile(
         lambda x: a * np.exp(-np.asarray(x, dtype=float) ** 2

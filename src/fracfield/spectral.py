@@ -20,14 +20,13 @@ __all__ = [
     "HurstIndex",
     "noise_constant",
     "cos_integral_constant",
-    "gaussian_abs_moment",
     "dalang_integral_closed",
 ]
 
 
 # Moshier's Cephes ``Gamma`` (Methods and Programs for Mathematical
 # Functions, 1989), the routine scipy.special.gamma compiles: a rational
-# approximation on [2, 3) and Stirling's series above 33.
+# approximation on [2, 3).
 _GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3,
             1.04213797561761569935e-2, 4.76367800457137231464e-2,
             2.07448227648435975150e-1, 4.94214826801497100753e-1,
@@ -36,13 +35,7 @@ _GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4,
             -4.45641913851797240494e-3, 1.18139785222060435552e-2,
             3.58236398605498653373e-2, -2.34591795718243348568e-1,
             7.14304917030273074085e-2, 1.00000000000000000320e0)
-_STIRLING = (7.87311395793093628397e-4, -2.29549961613378126380e-4,
-             -2.68132617805781232825e-3, 3.47222221605458667310e-3,
-             8.33333333333482257126e-2)
-_SQRT_2PI = 2.50662827463100050242e0
 _EULER = 0.5772156649015329
-_GAMMA_OVERFLOW = 171.624376956302725
-_STIRLING_SPLIT = 143.01608
 
 
 def _polevl(x, coefs: tuple, monic: bool = False):
@@ -55,27 +48,15 @@ def _polevl(x, coefs: tuple, monic: bool = False):
 
 
 def _gamma(x: float) -> float:
-    """Gamma function of a float.
+    """Gamma function of a float in (-1, 4), the range its callers pass.
 
     A port of Cephes ``Gamma`` with its operations in the same order, so
     that it returns the bits of ``scipy.special.gamma``; ``math.gamma``
-    differs from both in the last bits at most arguments.  Negative
-    arguments are shifted up by the recursion, which covers the range
-    (-1, 0) of the heat covariance; Cephes' reflection branch for x < -33
-    is left out.  A pole (0, -1, -2, ...) raises ZeroDivisionError.
+    differs from both in the last bits at most arguments.  The recursion
+    shifts the argument into [2, 3), from below for the range (-1, 0) of
+    the heat covariance.  A pole (0, -1, -2, ...) raises
+    ZeroDivisionError.
     """
-    if x > 33.0:
-        if x >= _GAMMA_OVERFLOW:
-            return math.inf
-        w = 1.0 / x
-        w = 1.0 + w * _polevl(w, _STIRLING)
-        y = math.exp(x)
-        if x > _STIRLING_SPLIT:
-            v = math.pow(x, 0.5 * x - 0.25)
-            y = v * (v / y)
-        else:
-            y = math.pow(x, x - 0.5) / y
-        return _SQRT_2PI * y * w
     z = 1.0
     while x >= 3.0:
         x -= 1.0
@@ -166,21 +147,6 @@ def cos_integral_constant(alpha: float) -> float:
         return _gamma(alpha) * math.sin(math.pi * alpha / 2.0) / (1.0 - alpha)
     return (_gamma(1.0 + alpha) * math.sin(math.pi * alpha / 2.0)
             / (alpha * (1.0 - alpha)))
-
-
-def gaussian_abs_moment(p: float) -> float:
-    """Absolute moment ``E|Z|^p`` of a standard Gaussian, p > 0.
-
-    Equals ``2^(p/2) Gamma((p+1)/2) / sqrt(pi)``; reduces to the double
-    factorial ``(2k-1)!!`` at even integer p = 2k and to ``sqrt(2/pi)``
-    at p = 1.  From p near 301, past double range, it is inf.
-    """
-    if not p > 0.0:
-        raise ValueError(f"moment order must be positive, got {p}")
-    gamma = _gamma((p + 1.0) / 2.0)
-    # Where Gamma overflows, the power of 2 may too, with an OverflowError.
-    return gamma if gamma == math.inf else (
-        2.0 ** (p / 2.0) * gamma / math.sqrt(math.pi))
 
 
 def dalang_integral_closed(eqn: EquationKind, alpha: float,

@@ -54,7 +54,7 @@ OPTIONS = {
     "solve-det": ["--equation"],
     "simulate": ["--hurst", "--H", "--equation", "--seed", "--replicates",
                  "--threads"],
-    "hoelder": ["--hurst", "--H", "--equation", "--direction", "--p"],
+    "hoelder": ["--hurst", "--H", "--equation", "--direction"],
     "hconv": ["--hurst", "--H", "--equation"],
     "verify-lemmas": ["--hurst", "--H"],
 }
@@ -67,6 +67,12 @@ class TestParser:
 
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["constants", "--frequency", "3"]) == 1
+
+    def test_moment_order_flag_is_gone(self, capsys):
+        # The fit reads the exact second moments; --p was its order.
+        assert main(["hoelder", "--equation", "wave", "--hurst", "0.3",
+                     "--p", "4"]) == 1
+        assert "unrecognized arguments: --p 4" in capsys.readouterr().err
 
     def test_missing_subcommand_exits_one(self, capsys):
         assert main([]) == 1
@@ -88,7 +94,7 @@ class TestParser:
             assert main([name, "--help"]) == 0
             usage = " ".join(capsys.readouterr().out.split("\n\n")[0].split())
             for shown in ("[--hurst HURST]", "[--equation {heat,wave}]",
-                          *(("[--direction {time,space}]", "[--p P]")
+                          *(("[--direction {time,space}]",)
                             if name == "hoelder" else
                             ("[--seed SEED]", "[--replicates REPLICATES]",
                              "[--threads THREADS]"))):
@@ -102,7 +108,7 @@ class TestParser:
         assert main(["hoelder", "--equation", "heat", "--hurst", "0.5",
                      "--direction", "space"]) == 0
         assert capsys.readouterr().out.endswith(" ok\n")
-        assert main(["hoelder", "--equation", "heat", "--p", "x"]) == 1
+        assert main(["hoelder", "--equation", "heat", "--hurst", "x"]) == 1
         assert "invalid float value" in capsys.readouterr().err
         # Values parsed by earlier calls do not carry over.
         assert main(["constants"]) == 1
@@ -699,20 +705,6 @@ class TestHoelder:
             (0.0, 1.0, 0.0)
         assert fit["within_tolerance"] is True
 
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("p", ["302", "400", "1e300"])
-    def test_moments_out_of_range_exit_two_naming_p(self, capsys, p):
-        # E|Z|^p is finite up to p = 300.  Beyond, the run used to print
-        # slope nan after a numpy warning, or at 1e300 die in an
-        # OverflowError traceback.
-        assert main(["hoelder", "--equation", "wave", "--hurst", "0.3",
-                     "--p", p]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"fracfield: numerical failure: p-th moments leave double "
-            f"range at p = {float(p):g}\n")
-
     def test_degenerate_fit_writes_strict_json(self, tmp_path, capsys):
         # Moments that underflow to 0 have no log-log fit: slope nan on
         # stdout, null in the JSON, which a strict parser accepts.
@@ -925,6 +917,9 @@ MALFORMED = {
                             "shifts"),
     "hoelder-base": (["hoelder", "--equation", "wave", "--hurst", "0.3"],
                      {"hoelder": {"base": [1.0]}}, "hoelder.base"),
+    # The fit reads the exact second moments: no moment order is taken.
+    "hoelder-p": (["hoelder", "--equation", "wave", "--hurst", "0.3"],
+                  {"hoelder": {"p": 2}}, "hoelder.p"),
     "grid-n_t": (["simulate"], dict(SIM_CONFIG, grid=dict(
         SIM_CONFIG["grid"], n_t=4.7)), "grid.n_t"),
     "n_replicates": (["simulate"], dict(SIM_CONFIG, n_replicates=2.9),
@@ -1026,6 +1021,20 @@ def test_malformed_setting_exits_one_naming_its_key(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("fracfield: invalid configuration: ")
     assert err.count("\n") == 1 and f" {key} " in err
+
+
+@pytest.mark.parametrize("equation", ["heat", "wave"])
+def test_bump_too_narrow_exits_one_in_one_line(tmp_path, capsys, equation):
+    # A width whose square underflows used to make u0(0) nan and fail
+    # later as a non-finite grid function.
+    config = dict(SIM_CONFIG, equation=equation, initial={
+        "u0": {"kind": "bump", "params": {"w": 1e-200}}})
+    assert main(["simulate", "--config", write_config(tmp_path, config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "fracfield: invalid configuration: bump width must be >= 1.5e-154, "
+        "where its square is a normal double, got 1e-200\n")
 
 
 def test_eta_kind_csv_names_the_csv_key(tmp_path, capsys):
@@ -1152,7 +1161,7 @@ RESOLVED = {
         "n_replicates": 1, "truncation_ladder": None}),
     "hoelder": (["hoelder", "--equation", "wave", "--hurst", "0.3"], None, {
         "base": [1.0, 0.0], "direction": "time", "equation": "wave",
-        "expected_slope": 0.6, "hurst": 0.3, "p": 2.0, "tolerance": 0.1}),
+        "expected_slope": 0.6, "hurst": 0.3, "tolerance": 0.1}),
     "hconv": (["hconv", "--equation", "heat"], None, {
         "equation": "heat", "reference": 0.5,
         "hursts": [0.7, 0.6, 0.55, 0.525, 0.5125, 0.50625, 0.503125,
@@ -1200,8 +1209,6 @@ OVERRIDES = {
     "hoelder.direction": (
         ["hoelder", "--equation", "heat", "--hurst", "0.5", "--direction",
          "space"], {"hoelder": {"direction": "time"}}, "direction", "space"),
-    "hoelder.p": (["hoelder", "--equation", "heat", "--hurst", "0.5", "--p",
-                   "4"], {"hoelder": {"p": 2}}, "p", 4.0),
 }
 # The flags that set no config key.
 NOT_SETTINGS = {"config", "out", "threads"}

@@ -305,6 +305,22 @@ class TestInitialTerm:
                                                  f"{key} "):
                 make_initial_data(**{arg: profile})
 
+    @pytest.mark.parametrize("w", [1e-200, 1e-155, 0.0, -1.0])
+    def test_bump_width_whose_square_underflows_rejected(self, w):
+        # At w = 1e-200, w^2 is 0 and u0(0) would be exp(-0/0), nan.
+        for arg in ("u0", "v0"):
+            with pytest.raises(ValueError, match=f"^bump width .*{w}"):
+                make_initial_data(**{arg: ("bump", {"w": w})})
+
+    @pytest.mark.parametrize("eqn", [HEAT, WAVE])
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_narrowest_bump_stays_finite(self, eqn, t):
+        data = make_initial_data(u0=("bump", {"w": 1e-150}))
+        values = initial_term(eqn, data, t, np.array([-1.0, 0.0, 1e-150]))
+        assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+        if t == 0.0:
+            assert values[1] == 1.0
+
     @pytest.mark.parametrize("name, given", [
         ("u0", {"u0": np.sin}),
         ("v0", {"u0": make_initial_data(u0=("sin", {})).u0, "v0": np.cos})])

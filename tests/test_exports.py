@@ -261,3 +261,24 @@ def test_solver_imports_no_gauss_rules_or_sampler():
 def test_grid_gives_node_arrays_not_point_tuples():
     assert not hasattr(fracfield.PointGrid, "points")
     assert callable(fracfield.PointGrid.nodes)
+
+
+# Hölder fits read the exact second moments: the Gaussian p-th moment
+# constant, and the Stirling branch of the Gamma port that only it
+# reached, are gone.
+@pytest.mark.parametrize("module, name", [
+    ("fracfield", "gaussian_abs_moment"),
+    ("fracfield.spectral", "gaussian_abs_moment"),
+    ("fracfield.spectral", "_STIRLING"),
+    ("fracfield.spectral", "_GAMMA_OVERFLOW"),
+    ("fracfield.spectral", "_STIRLING_SPLIT"),
+])
+def test_moment_order_machinery_is_gone(module, name):
+    mod = importlib.import_module(module)
+    assert name not in mod.__all__
+    assert not hasattr(mod, name)
+
+
+def test_cli_validates_points_through_the_matrix():
+    from fracfield import cli
+    assert not hasattr(cli, "_nodes")
